@@ -1,11 +1,20 @@
-"""Dense two-phase simplex and branch-and-bound, sized for desk-scale models.
+"""Bounded-variable tableau simplex and branch-and-bound, sized for desk-scale models.
 
-The LP core shifts variables to nonnegative form, turns finite upper bounds
-into rows, and runs a tableau simplex with a Dantzig entering rule that
-falls back to Bland's rule when the objective stalls. Branch and bound uses
-best-bound node selection, most-fractional branching, and a root rounding
-heuristic. An LP-format writer/reader provides the seam for external solvers
-(see GOML_EXTERNAL_SOLVER_CMD in the README).
+The LP core appends one slack per row (row @ x + slack = rhs; the slack's
+bounds carry the sense) and keeps every variable bound implicit: a nonbasic
+column sits at its lower or upper bound, or at zero when it has neither, so
+the tableau has one row per constraint and no bound rows. A cold solve runs
+a two-phase primal simplex from the slack basis, with artificial columns only
+on rows whose slack starts outside its bounds. Given the final basis of a
+related LP, ``solve_lp`` instead refactorizes that basis and re-optimizes
+with the dual simplex: a branch-and-bound child differs from its parent by
+one bound, so the parent's optimal basis stays dual feasible. Both methods
+use Dantzig-style choices and fall back to Bland's rule when the objective
+stalls. Branch and bound uses best-bound node selection, most-fractional
+branching, and a diving heuristic, and warm-starts every node LP from its
+parent's basis; heap nodes keep bases, never tableaux. An LP-format
+writer/reader provides the seam for external solvers (see
+GOML_EXTERNAL_SOLVER_CMD in the README).
 """
 
 from __future__ import annotations
@@ -17,16 +26,20 @@ import shlex
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import NumericalFailure
 
-PIVOT_TOL = 1e-9
+PIVOT_TOL = 1e-9    # smallest usable pivot element
+OPT_TOL = 1e-9      # reduced-cost tolerance
+PRIMAL_TOL = 1e-9   # bound tolerance of basic values, relative to their size
 FEAS_TOL = 1e-7
 INT_TOL = 1e-6
+STALL_LIMIT = 200   # degenerate pivots in a row before Bland's rule takes over
+_SPARSE_PIVOT_SIZE = 20_000  # tableau entries above which pivots skip zero rows
 EXTERNAL_SOLVER_ENV = "GOML_EXTERNAL_SOLVER_CMD"
 
 
@@ -54,217 +67,392 @@ class LpProblem:
             raise ValueError("row/sense/rhs sizes disagree")
 
 
+@dataclass(eq=False)
+class LpBasis:
+    """Final simplex basis of an LP, the start of warm re-solves.
+
+    Columns are the LP's variables followed by one slack per row.
+    ``basic[i]`` is the column basic in tableau row i, and ``at_upper``
+    flags the nonbasic columns that sit at their upper bound. The first warm
+    solve from a basis stores the refactorized tableau on it, so sibling
+    solves from the same basis share one factorization.
+    """
+
+    basic: np.ndarray
+    at_upper: np.ndarray
+    factor: Optional[tuple] = field(default=None, init=False, repr=False)
+
+
 @dataclass
 class LpSolution:
     status: str  # optimal | infeasible | unbounded
     x: Optional[np.ndarray] = None
     objective: Optional[float] = None
+    pivots: int = 0
+    basis: Optional[LpBasis] = None
 
 
-def solve_lp(lp: LpProblem, max_pivots: Optional[int] = None) -> LpSolution:
-    """Primal simplex on the tableau; Bland's rule engages on stalls.
+class _Tableau:
+    """Dense bounded-variable tableau.
 
-    Both phase cost rows live inside the tableau, so reduced costs update
-    with the same vectorized elimination as the constraint rows.
+    Rows 0..m-1 hold B^-1 [A | I | artificials] and, in the last column,
+    the basic values ``beta``, so a pivot updates them in the same
+    elimination; row m holds the reduced costs of the objective and row m+1,
+    during phase one only, those of the artificial sum. A nonbasic column sits
+    at its upper bound when ``at_upper`` is set, else at its lower bound, or
+    at zero when it has neither. ``way`` is +1 for a nonbasic column that
+    can only rise from where it sits, -1 for one that can only fall, and 0
+    for basic, fixed and free columns; ``free_nb`` marks the free nonbasic
+    ones, which can move either way.
     """
-    n = lp.c.shape[0]
-    sign = 1.0 if lp.minimize else -1.0
-    c_orig = sign * lp.c
-    lower, upper = lp.lower, lp.upper
-    if np.any(lower > upper + 1e-12):
-        return LpSolution(status="infeasible")
 
-    # Shift every variable to t >= 0. Finite lower: x = lo + t. Infinite lower
-    # with finite upper: x = hi - t. Free: x = t_plus - t_minus.
-    finite_lo = np.isfinite(lower)
-    finite_hi = np.isfinite(upper)
-    src = []        # original variable per generated column
-    col_sign = []   # +1 shift / -1 mirror, free vars contribute both
-    col_of = []     # per original var: (kind, col indices..., base)
-    ub_rows = []    # (col, span) rows t_col <= span
-    for j in range(n):
-        if finite_lo[j]:
-            col_of.append(("shift", len(src), lower[j]))
-            if finite_hi[j]:
-                ub_rows.append((len(src), upper[j] - lower[j]))
-            src.append(j)
-            col_sign.append(1.0)
-        elif finite_hi[j]:
-            col_of.append(("mirror", len(src), upper[j]))
-            src.append(j)
-            col_sign.append(-1.0)
+    def __init__(self, T, n, basic, lo, hi, at_upper, budget, pivots=0):
+        self.T = T
+        self.n = n
+        self.m = basic.size
+        self.basic = basic
+        self.lo, self.hi = lo, hi
+        self.at_upper = at_upper
+        self.budget = budget
+        self.pivots = pivots
+        self.work = np.empty_like(T)
+        self.sparse = T.size > _SPARSE_PIVOT_SIZE
+        self.free = ~np.isfinite(lo) & ~np.isfinite(hi)
+        self.has_free = bool(self.free.any())
+        self.movable = hi > lo
+        self.is_basic = np.zeros(lo.size, dtype=bool)
+        self.is_basic[basic] = True
+        self.lo_b, self.hi_b = lo[basic], hi[basic]
+        self.beta = T[:self.m, -1]
+        self.refresh_ways()
+
+    def refresh_ways(self) -> None:
+        movable = self.movable & ~self.is_basic
+        self.free_nb = movable & self.free
+        self.way = np.where(movable & ~self.free, np.where(self.at_upper, -1.0, 1.0), 0.0)
+
+    def _place(self, j: int, at_upper: bool) -> None:
+        """Make column j nonbasic at its upper (or else lower or zero) position."""
+        self.at_upper[j] = at_upper
+        self.free_nb[j] = self.free[j]
+        movable = self.movable[j] and not self.free[j]
+        self.way[j] = (-1.0 if at_upper else 1.0) if movable else 0.0
+
+    def value(self, j: int) -> float:
+        if self.at_upper[j]:
+            return float(self.hi[j])
+        lo = float(self.lo[j])
+        return lo if math.isfinite(lo) else 0.0
+
+    def nonbasic_values(self) -> np.ndarray:
+        """Values of all columns with the basic ones at zero."""
+        x = np.where(self.at_upper, self.hi, np.where(np.isfinite(self.lo), self.lo, 0.0))
+        x[self.is_basic] = 0.0
+        return x
+
+    def values(self) -> np.ndarray:
+        x = self.nonbasic_values()
+        x[self.basic] = self.beta
+        return x
+
+    def refresh_beta(self, rhs) -> None:
+        """Basic values from scratch: B^-1 rhs - B^-1 N x_N."""
+        m, n = self.m, self.n
+        Tm = self.T[:m, :-1]
+        self.beta[:] = Tm[:, n:n + m] @ rhs - Tm @ self.nonbasic_values()
+
+    def infeasibility(self) -> np.ndarray:
+        """Per row, how far the basic value lies outside its bounds (<= 0 inside)."""
+        return np.maximum(self.lo_b - self.beta, self.beta - self.hi_b)
+
+    def pivot(self, r: int, q: int) -> None:
+        """Make column q basic in row r by Gauss-Jordan elimination."""
+        if self.pivots >= self.budget:
+            raise NumericalFailure("pivot budget exceeded")
+        self.pivots += 1
+        T = self.T
+        col = T[:, q].copy()
+        col[r] = 0.0
+        T[r] /= T[r, q]
+        # column q becomes exactly e_r, as each entry loses col[i] * 1.0
+        nz = col.nonzero()[0] if self.sparse else None
+        if nz is not None and 2 * nz.size < col.size:
+            T[nz] -= np.outer(col[nz], T[r])
         else:
-            col_of.append(("free", len(src), len(src) + 1))
-            src.extend((j, j))
-            col_sign.extend((1.0, -1.0))
-    src = np.array(src, dtype=int)
-    col_sign = np.array(col_sign)
-    ncols = len(src)
+            np.multiply(col[:, None], T[r], out=self.work)
+            T -= self.work
+        self.is_basic[self.basic[r]] = False
+        self.is_basic[q] = True
+        self.basic[r] = q
+        self.lo_b[r], self.hi_b[r] = self.lo[q], self.hi[q]
 
-    base = np.where(finite_lo, lower, 0.0)
-    base = np.where(~finite_lo & finite_hi, upper, base)
-    m_user = lp.rows.shape[0]
-    m = m_user + len(ub_rows)
-    A = np.zeros((m, ncols))
-    b = np.zeros(m)
-    if m_user:
-        A[:m_user] = lp.rows[:, src] * col_sign
-        b[:m_user] = lp.rhs - lp.rows @ base
-    senses = list(lp.senses)
-    for k, (col, span) in enumerate(ub_rows):
-        A[m_user + k, col] = 1.0
-        b[m_user + k] = span
-        senses.append("<=")
+    def _exchange(self, r: int, q: int, step: float, to_upper: bool) -> None:
+        """Move entering column q by step, then swap it for the basic column of row r."""
+        leaving = int(self.basic[r])
+        xq = self.value(q)
+        # the elimination then subtracts step * alpha from every other basic value
+        self.T[r, -1] = step * self.T[r, q]
+        self.pivot(r, q)
+        self.beta[r] += xq
+        self._place(leaving, to_upper)
+        self.at_upper[q] = self.free_nb[q] = False
+        self.way[q] = 0.0
 
-    # Objective in shifted coordinates; constants are irrelevant here because
-    # the reported objective is recomputed from x in original coordinates.
-    c = c_orig[src] * col_sign
-
-    flip = b < 0
-    A[flip] *= -1.0
-    b[flip] *= -1.0
-    for i in np.nonzero(flip)[0]:
-        if senses[i] == "<=":
-            senses[i] = ">="
-        elif senses[i] == ">=":
-            senses[i] = "<="
-
-    extra = []
-    for i in range(m):
-        if senses[i] == "<=":
-            extra.append((i, 1.0, "slack"))
-        elif senses[i] == ">=":
-            extra.append((i, -1.0, "slack"))
-            extra.append((i, 1.0, "art"))
-        else:
-            extra.append((i, 1.0, "art"))
-    total = ncols + len(extra)
-    art_cols = []
-
-    # tableau rows: m constraints, then the phase-1 and phase-2 cost rows
-    T = np.zeros((m + 2, total + 1))
-    T[:m, :ncols] = A
-    T[:m, -1] = b
-    basis = [-1] * m
-    col = ncols
-    for i, coef, kind in extra:
-        T[i, col] = coef
-        if kind == "slack":
-            if coef > 0:
-                basis[i] = col
-        else:
-            art_cols.append(col)
-            basis[i] = col
-        col += 1
-    if any(idx == -1 for idx in basis):
-        raise NumericalFailure("row without initial basis column")
-
-    R1, R2 = m, m + 1
-    T[R2, :ncols] = c
-    if art_cols:
-        T[R1, art_cols] = 1.0
-    # eliminate the initial basic columns from both cost rows
-    for i in range(m):
-        for row in (R1, R2):
-            coef = T[row, basis[i]]
-            if coef != 0.0:
-                T[row] -= coef * T[i]
-
-    budget = max_pivots if max_pivots is not None else 20000 + 60 * (m + total)
-    pivots = 0
-    work = np.empty_like(T)
-    ratios = np.empty(m)
-    rhs_col = T[:m, -1]
-
-    def run_phase(cost_row: int, allowed: int):
-        """Pivot until the given cost row is optimal over columns < allowed."""
-        nonlocal pivots
-        stall = 0
-        bland = False
+    def primal(self, cost_row: int, ncols: int) -> str:
+        """Primal simplex from a feasible basis over the first ncols columns."""
+        T, m = self.T, self.m
+        d = T[cost_row, :ncols]
+        way, free_nb = self.way[:ncols], self.free_nb[:ncols]
+        beta, lo_b, hi_b = self.beta, self.lo_b, self.hi_b
+        ratios = np.empty(m)
+        stall, bland = 0, False
         while True:
-            z = T[cost_row, :allowed]
+            # minus the objective gain per unit move of each column
+            score = d * way
+            if self.has_free:
+                score[free_nb] = -np.abs(d[free_nb])
             if bland:
-                neg = np.nonzero(z < -PIVOT_TOL)[0]
-                if neg.size == 0:
+                cand = (score < -OPT_TOL).nonzero()[0]
+                if cand.size == 0:
                     return "optimal"
-                q = int(neg[0])
+                q = int(cand[0])
             else:
-                q = int(np.argmin(z))
-                if z[q] >= -PIVOT_TOL:
+                q = int(score.argmin()) if ncols else 0
+                if not ncols or score[q] >= -OPT_TOL:
                     return "optimal"
-            colv = T[:m, q]
-            ok = colv > PIVOT_TOL
-            if not ok.any():
-                return "unbounded"
-            np.divide(rhs_col, colv, out=ratios, where=ok)
-            ratios[~ok] = np.inf
-            p = int(np.argmin(ratios))
+            direction = 1.0 if d[q] < 0.0 else -1.0
+            da = T[:m, q] if direction > 0.0 else -T[:m, q]
+            # how far each basic value may travel before it meets the bound it moves toward
+            ratios.fill(np.inf)
+            np.divide(
+                beta - np.where(da > 0.0, lo_b, hi_b), da,
+                out=ratios, where=np.abs(da) > PIVOT_TOL,
+            )
+            r = int(ratios.argmin()) if m else 0
+            t = max(float(ratios[r]), 0.0) if m else math.inf
+            flip = self.hi[q] - self.lo[q]
+            if flip <= t:
+                if math.isinf(flip):
+                    return "unbounded"
+                # q crosses to its other bound before any basic value blocks it
+                beta -= flip * da
+                self._place(q, direction > 0.0)
+                stall = 0
+                continue
             if bland:
-                # Bland needs the smallest basis index among ratio ties
-                tie = np.nonzero(ratios <= ratios[p] + 1e-12)[0]
-                if tie.size > 1:
-                    p = int(min(tie, key=lambda i: basis[i]))
-            prev_obj = T[cost_row, -1]
-            piv = T[p, q]
-            T[p] /= piv
-            colq = T[:, q].copy()
-            colq[p] = 0.0
-            row_p = T[p]
-            np.multiply(colq[:, None], row_p[None, :], out=work)
-            np.subtract(T, work, out=T)
-            basis[p] = q
-            if T[cost_row, -1] > prev_obj + 1e-12:
+                ties = (ratios <= t + 1e-12 * (1.0 + t)).nonzero()[0]
+                r = int(ties[np.argmin(self.basic[ties])])
+            self._exchange(r, q, direction * t, to_upper=bool(da[r] < 0.0))
+            if -t * score[q] > 1e-12:
                 stall = 0
             else:
                 stall += 1
-                if stall > 200:
-                    bland = True
-            pivots += 1
-            if pivots > budget:
-                raise NumericalFailure("pivot budget exceeded")
+                bland = bland or stall > STALL_LIMIT
 
-    if art_cols:
-        status = run_phase(R1, total)
-        if status == "unbounded":
+    def dual(self) -> Optional[str]:
+        """Dual simplex from a dual-feasible basis.
+
+        Returns "optimal", "infeasible", or None when the row to repair is
+        infeasible by less than FEAS_TOL and has no entering column, which
+        this tableau cannot decide.
+        """
+        T, m = self.T, self.m
+        d = T[m, :-1]
+        stall, bland = 0, False
+        while True:
+            infeas = self.infeasibility()
+            cand = (infeas > PRIMAL_TOL * (1.0 + np.abs(self.beta))).nonzero()[0]
+            if cand.size == 0:
+                return "optimal"
+            if bland:
+                r = int(cand[np.argmin(self.basic[cand])])
+            else:
+                r = int(cand[np.argmax(infeas[cand])])
+            to_lower = bool(self.beta[r] < self.lo_b[r])
+            # moving column j by +1 moves the leaving value by -alpha_j, which
+            # must point toward the violated bound
+            sa = T[r, :-1] if to_lower else -T[r, :-1]
+            elig = sa * self.way < -PIVOT_TOL
+            if self.has_free:
+                elig |= self.free_nb & (np.abs(sa) > PIVOT_TOL)
+            elig = elig.nonzero()[0]
+            if elig.size == 0:
+                return "infeasible" if infeas[r] > FEAS_TOL else None
+            a = np.abs(sa[elig])
+            dd = np.abs(d[elig])
+            ratios = dd / a
+            if bland:
+                q = int(elig[np.argmin(ratios)])
+            else:
+                # Harris: among near-minimal ratios take the largest pivot
+                near = ratios <= ((dd + OPT_TOL) / a).min()
+                q = int(elig[near][np.argmax(a[near])])
+            alpha_q = T[r, q]
+            target = self.lo_b[r] if to_lower else self.hi_b[r]
+            step = (self.beta[r] - target) / alpha_q
+            dual_step = abs(d[q] / alpha_q)
+            self._exchange(r, q, step, to_upper=not to_lower)
+            if dual_step > 1e-12:
+                stall = 0
+            else:
+                stall += 1
+                bland = bland or stall > STALL_LIMIT
+
+
+def _columns(lp: LpProblem):
+    """Bounds and costs of the columns [x | slack], slack = rhs - rows @ x."""
+    senses = np.array(lp.senses, dtype=object)
+    slack_lo = np.where(senses == ">=", -np.inf, 0.0).astype(float)
+    slack_hi = np.where(senses == "<=", np.inf, 0.0).astype(float)
+    lo = np.concatenate([lp.lower, slack_lo])
+    hi = np.concatenate([lp.upper, slack_hi])
+    cost = np.zeros(lo.size)
+    cost[:lp.c.size] = lp.c if lp.minimize else -lp.c
+    return lo, hi, cost
+
+
+def _initial_at_upper(lo, hi) -> np.ndarray:
+    """Nonbasic columns start at their lower bound, or at the upper if only it is finite."""
+    return ~np.isfinite(lo) & np.isfinite(hi)
+
+
+def _cold_solve(lp: LpProblem, lo, hi, cost, budget, pivots) -> tuple:
+    """Two-phase primal simplex from the slack basis."""
+    n, m = lp.c.size, lp.rhs.size
+    at_upper = _initial_at_upper(lo, hi)
+    x0 = np.where(at_upper, hi, np.where(np.isfinite(lo), lo, 0.0))
+    resid = lp.rhs - lp.rows @ x0[:n]
+    slack_start = np.clip(resid, lo[n:], hi[n:])
+    gap = resid - slack_start
+    # rows whose slack cannot absorb the residual get an artificial column
+    art_rows = np.flatnonzero(gap != 0.0)
+    k = art_rows.size
+    sigma = np.sign(gap[art_rows])
+    at_upper[n + art_rows] = gap[art_rows] > 0.0
+
+    ncols = n + m + k
+    T = np.zeros((m + (2 if k else 1), ncols + 1))
+    T[:m, :n] = lp.rows
+    T[:m, n:n + m] = np.eye(m)
+    T[art_rows, n + m + np.arange(k)] = sigma
+    T[art_rows] *= sigma[:, None]
+    T[m, :n + m] = cost
+    basic = n + np.arange(m)
+    basic[art_rows] = n + m + np.arange(k)
+    tab = _Tableau(
+        T, n, basic,
+        np.concatenate([lo, np.zeros(k)]),
+        np.concatenate([hi, np.full(k, np.inf)]),
+        np.concatenate([at_upper, np.zeros(k, dtype=bool)]),
+        budget, pivots,
+    )
+    tab.refresh_beta(lp.rhs)
+
+    if k:
+        T[m + 1, n + m:ncols] = 1.0
+        T[m + 1, :ncols] -= T[art_rows, :ncols].sum(axis=0)
+        if tab.primal(m + 1, ncols) == "unbounded":
             raise NumericalFailure("phase-1 LP unbounded")
-        if -T[R1, -1] > FEAS_TOL:
-            return LpSolution(status="infeasible")
-        # Drive remaining artificials out of the basis where possible.
-        art_set = set(art_cols)
-        art_bound = min(art_cols)
-        for i in range(m):
-            if basis[i] in art_set:
-                row = T[i, :art_bound]
-                cands = np.nonzero(np.abs(row) > 1e-8)[0]
-                if cands.size:
-                    q = int(cands[0])
-                    piv = T[i, q]
-                    T[i] /= piv
-                    colq = T[:, q].copy()
-                    colq[i] = 0.0
-                    T -= np.outer(colq, T[i])
-                    basis[i] = q
-        # Freeze leftover artificials (degenerate rows) at zero.
-        T[:, art_cols] = 0.0
+        if tab.values()[n + m:].sum() > FEAS_TOL:
+            return "infeasible", tab
+        # An artificial still basic (at zero) is a multiple of its row's
+        # slack column, so that slack can always take its place.
+        for r in np.flatnonzero(tab.basic >= n + m):
+            q = n + int(art_rows[tab.basic[r] - n - m])
+            if abs(tab.T[r, q]) < PIVOT_TOL:
+                raise NumericalFailure("artificial column cannot leave the basis")
+            tab.pivot(r, q)
+        tab = _Tableau(
+            np.concatenate([T[:m + 1, :n + m], T[:m + 1, -1:]], axis=1), n, tab.basic,
+            lo, hi, tab.at_upper[:n + m], budget, tab.pivots,
+        )
+        tab.refresh_beta(lp.rhs)
+    return tab.primal(m, n + m), tab
 
-    status = run_phase(R2, total)
-    if status == "unbounded":
-        return LpSolution(status="unbounded")
 
-    tvals = np.zeros(total)
-    for i in range(m):
-        tvals[basis[i]] = T[i, -1]
-    x = np.zeros(n)
-    for j in range(n):
-        kind = col_of[j]
-        if kind[0] == "shift":
-            x[j] = kind[2] + tvals[kind[1]]
-        elif kind[0] == "mirror":
-            x[j] = kind[2] - tvals[kind[1]]
-        else:
-            x[j] = tvals[kind[1]] - tvals[kind[2]]
-    objective = float(lp.c @ x) + lp.const
-    return LpSolution(status="optimal", x=x, objective=objective)
+def _warm_solve(lp: LpProblem, lo, hi, cost, start: LpBasis, budget) -> tuple:
+    """Re-optimize from a given basis; the status is None when the start is unusable."""
+    n, m = lp.c.size, lp.rhs.size
+    ncols = n + m
+    basic = np.asarray(start.basic, dtype=int)
+    if basic.shape != (m,) or np.shape(start.at_upper) != (ncols,):
+        return None, None
+    if m and (basic.min() < 0 or basic.max() >= ncols or np.unique(basic).size != m):
+        return None, None
+    factor = start.factor
+    if factor is None or not np.array_equal(factor[0], lp.rows):
+        full = np.hstack([lp.rows, np.eye(m)])
+        try:
+            inv_a = np.linalg.solve(full[:, basic], full) if m else full
+        except np.linalg.LinAlgError:
+            return None, None
+        if not np.isfinite(inv_a).all() or (
+            m and np.abs(inv_a[:, basic] - np.eye(m)).max() > 1e-6
+        ):
+            return None, None
+        start.factor = factor = (lp.rows.copy(), inv_a)
+    T = np.zeros((m + 1, ncols + 1))
+    T[:m, :-1] = factor[1]
+    T[m, :-1] = cost - cost[basic] @ factor[1]
+    T[m, basic] = 0.0
+
+    at_upper = np.asarray(start.at_upper, dtype=bool) & np.isfinite(hi)
+    at_upper |= _initial_at_upper(lo, hi)
+    tab = _Tableau(T, n, basic.copy(), lo, hi, at_upper, budget)
+    # A boxed column on the wrong side of its reduced cost flips bounds;
+    # any other sign error leaves the basis dual infeasible.
+    d = T[m, :-1]
+    nb = tab.movable & ~tab.is_basic
+    wrong_lo = nb & ~at_upper & (d < -OPT_TOL)
+    wrong_hi = nb & (at_upper | tab.free) & (d > OPT_TOL)
+    at_upper[wrong_lo & np.isfinite(hi)] = True
+    at_upper[wrong_hi & np.isfinite(lo)] = False
+    dual_feasible = not (
+        (wrong_lo & ~np.isfinite(hi)).any()
+        or (wrong_hi & ~np.isfinite(lo)).any()
+    )
+    tab.refresh_ways()
+    tab.refresh_beta(lp.rhs)
+    if dual_feasible:
+        status = tab.dual()
+        if status != "optimal":
+            return status, tab
+    elif (tab.infeasibility() > PRIMAL_TOL * (1.0 + np.abs(tab.beta))).any():
+        return None, tab
+    return tab.primal(m, ncols), tab
+
+
+def solve_lp(
+    lp: LpProblem,
+    start: Optional[LpBasis] = None,
+    max_pivots: Optional[int] = None,
+) -> LpSolution:
+    """Bounded-variable simplex; warm-started dual simplex when given a start basis.
+
+    ``start`` is the final basis of an LP with the same rows, objective and
+    senses, typically a branch-and-bound parent whose bounds differ. If it
+    cannot be used, or the dual simplex cannot decide the LP, the solve
+    starts over cold with the two-phase primal simplex.
+    """
+    n, m = lp.c.size, lp.rhs.size
+    if np.any(lp.lower > lp.upper + 1e-12):
+        return LpSolution(status="infeasible")
+    lo, hi, cost = _columns(lp)
+    budget = max_pivots if max_pivots is not None else 20000 + 60 * (2 * m + n)
+    status, tab = (None, None) if start is None else _warm_solve(lp, lo, hi, cost, start, budget)
+    if status is None:
+        status, tab = _cold_solve(lp, lo, hi, cost, budget, 0 if tab is None else tab.pivots)
+    if status != "optimal":
+        return LpSolution(status=status, pivots=tab.pivots)
+    x = tab.values()[:n]
+    basis = LpBasis(tab.basic.copy(), tab.at_upper[:n + m] & ~tab.is_basic[:n + m])
+    return LpSolution(
+        status="optimal",
+        x=x,
+        objective=float(lp.c @ x) + lp.const,
+        pivots=tab.pivots,
+        basis=basis,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +562,8 @@ class MilpSolution:
     objective: Optional[float] = None
     bound: Optional[float] = None
     gap: Optional[float] = None
-    nodes: int = 0
+    nodes: int = 0   # solve_lp calls, the root and dive steps included
+    pivots: int = 0  # simplex pivots summed over those calls
 
 
 def solve_milp(
@@ -383,7 +572,11 @@ def solve_milp(
     gap_tol: float = 1e-6,
     node_limit: int = 1_000_000,
 ) -> MilpSolution:
-    """Branch and bound with best-bound selection and most-fractional branching."""
+    """Branch and bound with best-bound selection and most-fractional branching.
+
+    Every node LP after the root is warm-started from a parent basis: each
+    dive step from the previous step, each child from the popped node.
+    """
     start = time.monotonic()
     int_idx = model.integer_indices()
     lower = np.array(model.lower, dtype=float)
@@ -393,10 +586,9 @@ def solve_milp(
         return time_limit is not None and time.monotonic() - start > time_limit
 
     root = solve_lp(model.to_lp(lower, upper))
-    if root.status == "infeasible":
-        return MilpSolution(status="infeasible", nodes=1)
-    if root.status == "unbounded":
-        return MilpSolution(status="unbounded", nodes=1)
+    pivots = root.pivots
+    if root.status != "optimal":
+        return MilpSolution(status=root.status, nodes=1, pivots=pivots)
 
     def fractional(x) -> Optional[int]:
         worst, worst_j = INT_TOL, None
@@ -421,14 +613,14 @@ def solve_milp(
         x = snap(root.x)
         return MilpSolution(
             status="optimal", x=x, objective=root.objective,
-            bound=root.objective, gap=0.0, nodes=1,
+            bound=root.objective, gap=0.0, nodes=1, pivots=pivots,
         )
 
     # Diving heuristic: repeatedly fix the most fractional integer variable
     # at its rounded value; a plain all-at-once rounding often breaks the
     # one-hot rows coming out of tree encodings.
     dive_lo, dive_hi = lower.copy(), upper.copy()
-    dive_x, dive_obj = root.x, root.objective
+    dive_x, dive_obj, dive_basis = root.x, root.objective, root.basis
     for _ in range(min(len(int_idx), 25)):
         j = fractional(dive_x)
         if j is None:
@@ -440,8 +632,9 @@ def solve_milp(
         for candidate in dict.fromkeys((near, far)):
             trial_lo = _with(dive_lo, j, candidate)
             trial_hi = _with(dive_hi, j, candidate)
-            trial = solve_lp(model.to_lp(trial_lo, trial_hi))
+            trial = solve_lp(model.to_lp(trial_lo, trial_hi), start=dive_basis)
             nodes_solved += 1
+            pivots += trial.pivots
             if trial.status == "optimal":
                 dive_lo, dive_hi = trial_lo, trial_hi
                 dived = trial
@@ -449,13 +642,13 @@ def solve_milp(
         if dived is None:
             dive_x = None
             break
-        dive_x, dive_obj = dived.x, dived.objective
+        dive_x, dive_obj, dive_basis = dived.x, dived.objective, dived.basis
     if dive_x is not None and fractional(dive_x) is None:
         incumbent_x = snap(dive_x)
         incumbent_obj = dive_obj
 
     counter = 0
-    heap = [(root.objective, counter, lower, upper, root.x)]
+    heap = [(root.objective, counter, lower, upper, root.x, root.basis)]
     best_bound = root.objective
     status = "optimal"
 
@@ -463,7 +656,7 @@ def solve_milp(
         if out_of_time() or nodes_solved >= node_limit:
             status = "time_limit"
             break
-        node_bound, _, lo, hi, x_lp = heapq.heappop(heap)
+        node_bound, _, lo, hi, x_lp, basis = heapq.heappop(heap)
         best_bound = node_bound
         if incumbent_x is not None and node_bound >= incumbent_obj - gap_tol * max(1.0, abs(incumbent_obj)):
             best_bound = incumbent_obj
@@ -480,8 +673,9 @@ def solve_milp(
         ):
             if child_lo[j] > child_hi[j] + 1e-12:
                 continue
-            sol = solve_lp(model.to_lp(child_lo, child_hi))
+            sol = solve_lp(model.to_lp(child_lo, child_hi), start=basis)
             nodes_solved += 1
+            pivots += sol.pivots
             if sol.status != "optimal":
                 continue
             if incumbent_x is not None and sol.objective >= incumbent_obj - gap_tol * max(1.0, abs(incumbent_obj)):
@@ -491,12 +685,12 @@ def solve_milp(
                     incumbent_obj, incumbent_x = sol.objective, snap(sol.x)
             else:
                 counter += 1
-                heapq.heappush(heap, (sol.objective, counter, child_lo, child_hi, sol.x))
+                heapq.heappush(heap, (sol.objective, counter, child_lo, child_hi, sol.x, sol.basis))
 
     if incumbent_x is None:
         if status == "time_limit":
-            return MilpSolution(status="time_limit", bound=best_bound, nodes=nodes_solved)
-        return MilpSolution(status="infeasible", nodes=nodes_solved)
+            return MilpSolution(status="time_limit", bound=best_bound, nodes=nodes_solved, pivots=pivots)
+        return MilpSolution(status="infeasible", nodes=nodes_solved, pivots=pivots)
 
     if heap and status != "time_limit":
         best_bound = min(best_bound, min(entry[0] for entry in heap))
@@ -511,6 +705,7 @@ def solve_milp(
         bound=best_bound,
         gap=gap,
         nodes=nodes_solved,
+        pivots=pivots,
     )
 
 
