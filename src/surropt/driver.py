@@ -81,6 +81,11 @@ class CellResult:
     max_violation: Optional[float] = None
     feasible: bool = False
     wall_time: float = 0.0
+    # counters of the MILP solve behind the cell (a deduplicated solve repeats them)
+    nodes: int = 0
+    pivots: int = 0
+    gap: Optional[float] = None
+    bound: Optional[float] = None
 
 
 @dataclass
@@ -119,6 +124,11 @@ class RunReport:
                     "max_violation": c.max_violation,
                     "feasible": c.feasible,
                     "relax_total": c.relax_total,
+                    "nodes": c.nodes,
+                    "pivots": c.pivots,
+                    "gap": c.gap,
+                    "bound": c.bound,
+                    "wall_time": round(c.wall_time, 4),
                 }
                 for c in self.cells
             ],
@@ -404,10 +414,10 @@ def solve_global(problem: Problem, cfg: Optional[RunConfig] = None) -> RunReport
 
             if base_status is None:
                 model = encode(robust_cfg, None)
-                sol = run_solver(model, budget)
-                base_status = sol.status
-                if sol.status == "optimal":
-                    base_solution = (model, sol)
+                base_sol = run_solver(model, budget)
+                base_status = base_sol.status
+                if base_sol.status == "optimal":
+                    base_solution = (model, base_sol)
 
             if base_status == "optimal":
                 model, sol = base_solution
@@ -415,7 +425,8 @@ def solve_global(problem: Problem, cfg: Optional[RunConfig] = None) -> RunReport
             elif lam is None:
                 cells.append(
                     CellResult(rho=rho, lam=lam, status=base_status,
-                               wall_time=time.monotonic() - cell_tick)
+                               wall_time=time.monotonic() - cell_tick,
+                               **_milp_counters(base_sol))
                 )
                 if base_status == "time_limit":
                     timed_out = True
@@ -433,7 +444,8 @@ def solve_global(problem: Problem, cfg: Optional[RunConfig] = None) -> RunReport
                     relaxed_infeasible = sol.status == "infeasible"
                     cells.append(
                         CellResult(rho=rho, lam=lam, status=sol.status,
-                                   wall_time=time.monotonic() - cell_tick)
+                                   wall_time=time.monotonic() - cell_tick,
+                                   **_milp_counters(sol))
                     )
                     if sol.status == "time_limit":
                         timed_out = True
@@ -462,6 +474,7 @@ def solve_global(problem: Problem, cfg: Optional[RunConfig] = None) -> RunReport
                     max_violation=max_violation,
                     feasible=max_violation <= cfg.feas_tol,
                     wall_time=time.monotonic() - cell_tick,
+                    **_milp_counters(sol),
                 )
             )
 
@@ -499,6 +512,10 @@ def solve_global(problem: Problem, cfg: Optional[RunConfig] = None) -> RunReport
         seed=cfg.seed,
         problem=sp.name,
     )
+
+
+def _milp_counters(sol: milp.MilpSolution) -> dict:
+    return {"nodes": sol.nodes, "pivots": sol.pivots, "gap": sol.gap, "bound": sol.bound}
 
 
 def _full_violation(sp: StandardProblem, x) -> float:

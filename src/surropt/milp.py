@@ -39,7 +39,6 @@ PRIMAL_TOL = 1e-9   # bound tolerance of basic values, relative to their size
 FEAS_TOL = 1e-7
 INT_TOL = 1e-6
 STALL_LIMIT = 200   # degenerate pivots in a row before Bland's rule takes over
-_SPARSE_PIVOT_SIZE = 20_000  # tableau entries above which pivots skip zero rows
 EXTERNAL_SOLVER_ENV = "GOML_EXTERNAL_SOLVER_CMD"
 
 
@@ -116,7 +115,6 @@ class _Tableau:
         self.budget = budget
         self.pivots = pivots
         self.work = np.empty_like(T)
-        self.sparse = T.size > _SPARSE_PIVOT_SIZE
         self.free = ~np.isfinite(lo) & ~np.isfinite(hi)
         self.has_free = bool(self.free.any())
         self.movable = hi > lo
@@ -175,12 +173,8 @@ class _Tableau:
         col[r] = 0.0
         T[r] /= T[r, q]
         # column q becomes exactly e_r, as each entry loses col[i] * 1.0
-        nz = col.nonzero()[0] if self.sparse else None
-        if nz is not None and 2 * nz.size < col.size:
-            T[nz] -= np.outer(col[nz], T[r])
-        else:
-            np.multiply(col[:, None], T[r], out=self.work)
-            T -= self.work
+        np.multiply(col[:, None], T[r], out=self.work)
+        T -= self.work
         self.is_basic[self.basic[r]] = False
         self.is_basic[q] = True
         self.basic[r] = q
@@ -370,6 +364,41 @@ def _cold_solve(lp: LpProblem, lo, hi, cost, budget, pivots) -> tuple:
     return tab.primal(m, n + m), tab
 
 
+def _factorize(rows: np.ndarray, basic: np.ndarray) -> Optional[np.ndarray]:
+    """B^-1 [A | I] for the basis columns ``basic`` of [A | I], or None if singular.
+
+    A basic slack covers its own row, so only the k rows P without one need
+    a solve. With S the basic structural columns and R the other rows, the
+    structural rows of the result are A[P, S]^-1 [A[P] | I_P], and the slack
+    rows are [A[R] | I_R] minus A[R, S] times those.
+    """
+    m, n = rows.shape
+    struct = basic < n
+    pos_s, pos_r = struct.nonzero()[0], (~struct).nonzero()[0]
+    cols_s, rows_r = basic[pos_s], basic[pos_r] - n
+    rows_p = np.setdiff1d(np.arange(m), rows_r)
+    k = rows_p.size
+    rhs = np.zeros((k, n + k))
+    rhs[:, :n] = rows[rows_p]
+    rhs[:, n:] = np.eye(k)
+    try:
+        z = np.linalg.solve(rows[np.ix_(rows_p, cols_s)], rhs) if k else rhs
+    except np.linalg.LinAlgError:
+        return None
+    w = rows[np.ix_(rows_r, cols_s)] @ z
+    out = np.zeros((m, n + m))
+    out[pos_s, :n] = z[:, :n]
+    out[np.ix_(pos_s, n + rows_p)] = z[:, n:]
+    out[pos_r, :n] = rows[rows_r] - w[:, :n]
+    out[np.ix_(pos_r, n + rows_p)] = -w[:, n:]
+    out[pos_r, n + rows_r] = 1.0
+    unit = np.zeros((m, k))
+    unit[pos_s, np.arange(k)] = 1.0
+    if not np.isfinite(out).all() or np.abs(out[:, cols_s] - unit).max(initial=0.0) > 1e-6:
+        return None
+    return out
+
+
 def _warm_solve(lp: LpProblem, lo, hi, cost, start: LpBasis, budget) -> tuple:
     """Re-optimize from a given basis; the status is None when the start is unusable."""
     n, m = lp.c.size, lp.rhs.size
@@ -381,14 +410,8 @@ def _warm_solve(lp: LpProblem, lo, hi, cost, start: LpBasis, budget) -> tuple:
         return None, None
     factor = start.factor
     if factor is None or not np.array_equal(factor[0], lp.rows):
-        full = np.hstack([lp.rows, np.eye(m)])
-        try:
-            inv_a = np.linalg.solve(full[:, basic], full) if m else full
-        except np.linalg.LinAlgError:
-            return None, None
-        if not np.isfinite(inv_a).all() or (
-            m and np.abs(inv_a[:, basic] - np.eye(m)).max() > 1e-6
-        ):
+        inv_a = _factorize(lp.rows, basic)
+        if inv_a is None:
             return None, None
         start.factor = factor = (lp.rows.copy(), inv_a)
     T = np.zeros((m + 1, ncols + 1))

@@ -94,7 +94,10 @@ class NonlinearConstraint:
         return central_difference(self.evaluator, x, self.support)
 
     def violation(self, x) -> float:
+        """How far x violates the constraint; a NaN or infinite value counts as inf."""
         v = self.value(x)
+        if not math.isfinite(v):
+            return math.inf
         return abs(v) if self.sense == "=0" else max(0.0, v)
 
 

@@ -205,6 +205,32 @@ def test_blackbox_constraint_end_to_end():
     assert max(report.violations) <= 1e-6
 
 
+def test_nan_evaluator_is_never_reported_feasible():
+    # the black box fails (returns NaN) on half of the box, including the
+    # corner (1, 1) that the linear objective pulls toward
+    def g(v):
+        return math.nan if v[0] > 0.5 else v[0] + v[1] - 1.5
+
+    doc = {
+        "schema": 1,
+        "name": "nan-demo",
+        "variables": [
+            {"name": "x", "lower": 0, "upper": 1},
+            {"name": "y", "lower": 0, "upper": 1},
+        ],
+        "objective": {"linear": [-1.0, -1.0]},
+        "blackbox": [{"name": "g", "sense": "<=0", "support": ["x", "y"]}],
+    }
+    problem = load_problem(doc, blackbox_registry={"g": g})
+    assert problem.nonlinear[0].violation(np.array([1.0, 1.0])) == math.inf
+    report = solve_global(problem, _fast_config())
+    for cell in report.cells:
+        if cell.feasible:
+            assert math.isfinite(g(cell.refined.x))
+    if report.status == "ok":
+        assert math.isfinite(g(report.x))
+
+
 def test_shipped_problem_files_match_module_documents():
     import os
 
@@ -225,3 +251,11 @@ def test_report_to_dict_is_json_friendly():
     report = solve_global(problem, _fast_config())
     text = json.dumps(report.to_dict())
     assert "objective" in text
+    cells = json.loads(text)["cells"]
+    for cell, result in zip(cells, report.cells):
+        assert (cell["nodes"], cell["pivots"], cell["gap"], cell["bound"]) == (
+            result.nodes, result.pivots, result.gap, result.bound
+        )
+        assert cell["wall_time"] == round(result.wall_time, 4)
+        if cell["status"] == "optimal":
+            assert cell["nodes"] >= 1 and cell["gap"] is not None

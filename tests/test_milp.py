@@ -3,6 +3,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from surropt import milp
 from surropt.errors import NumericalFailure
@@ -206,6 +208,202 @@ def test_pivot_budget_failure():
     lp = _lp([-1, -1], [[1, 1]], ["<="], [1], [0, 0], [np.inf, np.inf])
     with pytest.raises(NumericalFailure):
         milp.solve_lp(lp, max_pivots=0)
+
+
+# ---------------------------------------------------------------------------
+# Differential checks against scipy (HiGHS) and warm-start properties
+# ---------------------------------------------------------------------------
+
+def _scipy_milp(model):
+    """(status, objective) of the model under scipy.optimize.milp."""
+    from scipy.optimize import Bounds, LinearConstraint
+    from scipy.optimize import milp as highs_milp
+
+    n = model.n_vars
+    c = np.zeros(n)
+    for j, v in model.obj.items():
+        c[j] = v
+    A = np.zeros((model.n_rows, n))
+    lb = np.full(model.n_rows, -np.inf)
+    ub = np.full(model.n_rows, np.inf)
+    for i, coeffs in enumerate(model.row_coeffs):
+        for j, v in coeffs.items():
+            A[i, j] = v
+        if model.row_senses[i] != ">=":
+            ub[i] = model.row_rhs[i]
+        if model.row_senses[i] != "<=":
+            lb[i] = model.row_rhs[i]
+    res = highs_milp(
+        c,
+        constraints=LinearConstraint(A, lb, ub) if model.n_rows else None,
+        integrality=np.array(model.integral, dtype=int),
+        bounds=Bounds(model.lower, model.upper),
+        options={"mip_rel_gap": 1e-9},
+    )
+    status = {0: "optimal", 2: "infeasible"}.get(res.status, f"scipy status {res.status}")
+    return status, (res.fun + model.obj_const if res.status == 0 else None)
+
+
+def _assert_matches_scipy(model):
+    sol = milp.solve_milp(model)
+    ref_status, ref_obj = _scipy_milp(model)
+    assert sol.status == ref_status
+    if ref_status == "optimal":
+        assert sol.objective == pytest.approx(ref_obj, abs=1e-6, rel=1e-6)
+
+
+def _random_mixed_model(rng):
+    """Binaries, general integers and continuous columns with any kind of bounds."""
+    m = milp.MilpModel()
+    cols = [m.add_binary(f"b{i}") for i in range(int(rng.integers(0, 5)))]
+    cols += [
+        m.add_var(f"g{i}", float(rng.integers(-2, 1)), float(rng.integers(1, 4)), integral=True)
+        for i in range(int(rng.integers(0, 3)))
+    ]
+    for i in range(int(rng.integers(1, 4))):
+        kind = int(rng.integers(0, 4))  # boxed, lower only, upper only, free
+        lo = float(rng.uniform(-3, 0)) if kind in (0, 1) else -np.inf
+        hi = float(rng.uniform(0.5, 3)) if kind in (0, 2) else np.inf
+        j = m.add_var(f"c{i}", lo, hi)
+        # rows, not bounds, keep one-sided and free columns finite
+        if not np.isfinite(lo):
+            m.add_row({j: 1.0}, ">=", -4.0)
+        if not np.isfinite(hi):
+            m.add_row({j: 1.0}, "<=", 4.0)
+        cols.append(j)
+    for _ in range(int(rng.integers(1, 6))):
+        coeffs = {j: float(rng.normal()) for j in cols if rng.random() < 0.6}
+        if coeffs:
+            sense = ("<=", ">=", "=")[int(rng.integers(0, 3))]
+            m.add_row(coeffs, sense, float(rng.normal() * 2))
+    for j in cols:
+        m.add_objective_term(j, float(rng.normal()))
+    m.obj_const = float(rng.normal())
+    return m
+
+
+def test_milp_matches_scipy_on_random_mixed_models():
+    rng = np.random.default_rng(2024)
+    statuses = set()
+    for _ in range(120):
+        model = _random_mixed_model(rng)
+        _assert_matches_scipy(model)
+        statuses.add(milp.solve_milp(model).status)
+    assert statuses == {"optimal", "infeasible"}
+
+
+def test_milp_matches_scipy_on_illustrative_grid_models(monkeypatch):
+    from surropt import driver
+    from surropt.benchmarks import illustrative_problem
+    from surropt.encoder import RelaxConfig, RobustConfig
+
+    inputs = []
+    assemble = driver.assemble
+
+    def recording_assemble(sp, surrogates, objective_surrogate, robust, relax):
+        inputs.append((sp, surrogates, objective_surrogate))
+        return assemble(sp, surrogates, objective_surrogate, robust, relax)
+
+    monkeypatch.setattr(driver, "assemble", recording_assemble)
+    cfg = driver.RunConfig(seed=4)
+    driver.solve_global(illustrative_problem(), cfg)
+    sp, surrogates, objective_surrogate = inputs[0]
+    statuses = []
+    for rho in cfg.rho_grid:
+        for lam in cfg.lambda_grid:
+            model = assemble(
+                sp, surrogates, objective_surrogate,
+                RobustConfig(rho=rho, p=cfg.norm_p) if rho > 0 else None,
+                RelaxConfig(lam) if lam is not None else None,
+            )
+            _assert_matches_scipy(model)
+            statuses.append(milp.solve_milp(model).status)
+    assert len(statuses) == len(cfg.rho_grid) * len(cfg.lambda_grid)
+    assert "optimal" in statuses
+
+
+def _random_lp(rng, minimize):
+    n = int(rng.integers(1, 7))
+    m = int(rng.integers(0, 7))
+    A = rng.normal(size=(m, n))
+    A[rng.random((m, n)) < 0.3] = 0.0
+    lo = np.where(rng.random(n) < 0.7, rng.uniform(-3, 0, n), -np.inf)
+    hi = np.where(rng.random(n) < 0.7, rng.uniform(0.5, 3, n), np.inf)
+    senses = [("<=", ">=", "=")[int(rng.integers(0, 3))] for _ in range(m)]
+    return milp.LpProblem(
+        c=rng.normal(size=n), rows=A, senses=senses, rhs=rng.normal(size=m) + 1.0,
+        lower=lo, upper=hi, minimize=minimize,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    minimize=st.booleans(),
+    upper=st.booleans(),
+    shift=st.floats(-4.0, 4.0),
+)
+def test_warm_start_matches_cold_solve(seed, minimize, upper, shift):
+    """A child LP differs from its parent in one bound; warm and cold agree."""
+    rng = np.random.default_rng(seed)
+    parent_lp = _random_lp(rng, minimize)
+    parent = milp.solve_lp(parent_lp)
+    assume(parent.status == "optimal")
+    j = int(rng.integers(0, parent_lp.c.size))
+    lower, upper_b = parent_lp.lower.copy(), parent_lp.upper.copy()
+    # tighten one bound around the parent's value; it may cross the other bound
+    value = parent.x[j] + shift
+    if upper:
+        upper_b[j] = min(upper_b[j], value)
+    else:
+        lower[j] = max(lower[j], value)
+    child_lp = milp.LpProblem(
+        c=parent_lp.c, rows=parent_lp.rows, senses=parent_lp.senses, rhs=parent_lp.rhs,
+        lower=lower, upper=upper_b, minimize=minimize,
+    )
+    warm = milp.solve_lp(child_lp, start=parent.basis)
+    cold = milp.solve_lp(child_lp)
+    assert warm.status == cold.status
+    if cold.status == "optimal":
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-7, abs=1e-7)
+
+
+def test_warm_start_detects_row_infeasible_child():
+    # x + y >= 1.5 with both in [0, 1]: fixing x at 0 keeps every bound
+    # consistent, so only the row proves the child infeasible
+    lp = _lp([1, 1], [[1, 1]], [">="], [1.5], [0, 0], [1, 1])
+    parent = milp.solve_lp(lp)
+    child = _lp([1, 1], [[1, 1]], [">="], [1.5], [0, 0], [0, 1])
+    assert milp.solve_lp(child, start=parent.basis).status == "infeasible"
+
+
+def test_unusable_start_falls_back_to_cold_solve():
+    lp = _lp([1, 2], [[1, 1]], [">="], [1], [0, 0], [3, 3])
+    other = milp.solve_lp(_lp([1], [[1]], [">="], [1], [0], [3]))
+    warm = milp.solve_lp(lp, start=other.basis)
+    assert warm.status == "optimal"
+    assert warm.objective == pytest.approx(milp.solve_lp(lp).objective)
+
+
+def test_milp_pivots_sum_over_its_lp_solves(monkeypatch):
+    calls = []
+    solve_lp = milp.solve_lp
+
+    def counting_solve_lp(lp, *args, **kwargs):
+        sol = solve_lp(lp, *args, **kwargs)
+        calls.append(sol.pivots)
+        return sol
+
+    monkeypatch.setattr(milp, "solve_lp", counting_solve_lp)
+    rng = np.random.default_rng(11)
+    branched = 0
+    for _ in range(30):
+        calls.clear()
+        sol = milp.solve_milp(_random_mixed_model(rng))
+        assert sol.nodes == len(calls)
+        assert sol.pivots == sum(calls)
+        branched += sol.nodes > 1
+    assert branched > 0
 
 
 # ---------------------------------------------------------------------------
