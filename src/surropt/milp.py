@@ -168,13 +168,12 @@ class _Tableau:
         if self.pivots >= self.budget:
             raise NumericalFailure("pivot budget exceeded")
         self.pivots += 1
-        T = self.T
-        col = T[:, q].copy()
-        col[r] = 0.0
+        T, work = self.T, self.work
         T[r] /= T[r, q]
-        # column q becomes exactly e_r, as each entry loses col[i] * 1.0
-        np.multiply(col[:, None], T[r], out=self.work)
-        T -= self.work
+        # column q becomes exactly e_r, as each other entry loses itself times 1.0
+        np.multiply(T[:, q:q + 1], T[r], out=work)
+        work[r] = 0.0
+        T -= work
         self.is_basic[self.basic[r]] = False
         self.is_basic[q] = True
         self.basic[r] = q
@@ -327,7 +326,7 @@ def _cold_solve(lp: LpProblem, lo, hi, cost, budget, pivots) -> tuple:
     ncols = n + m + k
     T = np.zeros((m + (2 if k else 1), ncols + 1))
     T[:m, :n] = lp.rows
-    T[:m, n:n + m] = np.eye(m)
+    T[np.arange(m), n + np.arange(m)] = 1.0
     T[art_rows, n + m + np.arange(k)] = sigma
     T[art_rows] *= sigma[:, None]
     T[m, :n + m] = cost
@@ -422,26 +421,14 @@ def _warm_solve(lp: LpProblem, lo, hi, cost, start: LpBasis, budget) -> tuple:
     at_upper = np.asarray(start.at_upper, dtype=bool) & np.isfinite(hi)
     at_upper |= _initial_at_upper(lo, hi)
     tab = _Tableau(T, n, basic.copy(), lo, hi, at_upper, budget)
-    # A boxed column on the wrong side of its reduced cost flips bounds;
-    # any other sign error leaves the basis dual infeasible.
+    # the dual simplex needs every reduced cost to agree with the side its column sits on
     d = T[m, :-1]
-    nb = tab.movable & ~tab.is_basic
-    wrong_lo = nb & ~at_upper & (d < -OPT_TOL)
-    wrong_hi = nb & (at_upper | tab.free) & (d > OPT_TOL)
-    at_upper[wrong_lo & np.isfinite(hi)] = True
-    at_upper[wrong_hi & np.isfinite(lo)] = False
-    dual_feasible = not (
-        (wrong_lo & ~np.isfinite(hi)).any()
-        or (wrong_hi & ~np.isfinite(lo)).any()
-    )
-    tab.refresh_ways()
+    if (d * tab.way < -OPT_TOL).any() or (np.abs(d[tab.free_nb]) > OPT_TOL).any():
+        return None, None
     tab.refresh_beta(lp.rhs)
-    if dual_feasible:
-        status = tab.dual()
-        if status != "optimal":
-            return status, tab
-    elif (tab.infeasibility() > PRIMAL_TOL * (1.0 + np.abs(tab.beta))).any():
-        return None, tab
+    status = tab.dual()
+    if status != "optimal":
+        return status, tab
     return tab.primal(m, ncols), tab
 
 

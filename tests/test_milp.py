@@ -406,6 +406,22 @@ def test_milp_pivots_sum_over_its_lp_solves(monkeypatch):
     assert branched > 0
 
 
+def test_branch_and_bound_solves_only_the_root_cold(monkeypatch):
+    cold = []
+    cold_solve = milp._cold_solve
+
+    def counting_cold_solve(*args, **kwargs):
+        cold.append(1)
+        return cold_solve(*args, **kwargs)
+
+    monkeypatch.setattr(milp, "_cold_solve", counting_cold_solve)
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        cold.clear()
+        sol = milp.solve_milp(_random_mixed_model(rng))
+        assert len(cold) == 1, f"{len(cold)} cold solves in {sol.nodes} LPs"
+
+
 # ---------------------------------------------------------------------------
 # LP-format files and the external solver seam
 # ---------------------------------------------------------------------------
