@@ -245,9 +245,8 @@ class _Tableau:
     def dual(self) -> Optional[str]:
         """Dual simplex from a dual-feasible basis.
 
-        Returns "optimal", "infeasible", or None when the row to repair is
-        infeasible by less than FEAS_TOL and has no entering column, which
-        this tableau cannot decide.
+        Returns "optimal", "infeasible", or None when the infeasibility it
+        finds is too small to judge the same way as a cold solve.
         """
         T, m = self.T, self.m
         d = T[m, :-1]
@@ -270,7 +269,13 @@ class _Tableau:
                 elig |= self.free_nb & (np.abs(sa) > PIVOT_TOL)
             elig = elig.nonzero()[0]
             if elig.size == 0:
-                return "infeasible" if infeas[r] > FEAS_TOL else None
+                # Row r proves that the rows must be violated by at least
+                # infeas[r] / max|y| in total, y being its slack columns
+                # (row r of B^-1). The cold phase one judges that total
+                # against FEAS_TOL, so smaller gaps are left to it.
+                y = T[r, self.n:self.n + m]
+                clear = infeas[r] > FEAS_TOL * max(1.0, float(np.abs(y).max(initial=0.0)))
+                return "infeasible" if clear else None
             a = np.abs(sa[elig])
             dd = np.abs(d[elig])
             ratios = dd / a
