@@ -122,12 +122,9 @@ class _Tableau:
         self.is_basic[basic] = True
         self.lo_b, self.hi_b = lo[basic], hi[basic]
         self.beta = T[:self.m, -1]
-        self.refresh_ways()
-
-    def refresh_ways(self) -> None:
         movable = self.movable & ~self.is_basic
         self.free_nb = movable & self.free
-        self.way = np.where(movable & ~self.free, np.where(self.at_upper, -1.0, 1.0), 0.0)
+        self.way = np.where(movable & ~self.free, np.where(at_upper, -1.0, 1.0), 0.0)
 
     def _place(self, j: int, at_upper: bool) -> None:
         """Make column j nonbasic at its upper (or else lower or zero) position."""
@@ -299,9 +296,8 @@ class _Tableau:
 
 def _columns(lp: LpProblem):
     """Bounds and costs of the columns [x | slack], slack = rhs - rows @ x."""
-    senses = np.array(lp.senses, dtype=object)
-    slack_lo = np.where(senses == ">=", -np.inf, 0.0).astype(float)
-    slack_hi = np.where(senses == "<=", np.inf, 0.0).astype(float)
+    slack_lo = [-np.inf if s == ">=" else 0.0 for s in lp.senses]
+    slack_hi = [np.inf if s == "<=" else 0.0 for s in lp.senses]
     lo = np.concatenate([lp.lower, slack_lo])
     hi = np.concatenate([lp.upper, slack_hi])
     cost = np.zeros(lo.size)
@@ -335,6 +331,8 @@ def _cold_solve(lp: LpProblem, lo, hi, cost, budget, pivots) -> tuple:
     T[art_rows, n + m + np.arange(k)] = sigma
     T[art_rows] *= sigma[:, None]
     T[m, :n + m] = cost
+    T[:m, -1] = resid
+    T[art_rows, -1] = np.abs(gap[art_rows])
     basic = n + np.arange(m)
     basic[art_rows] = n + m + np.arange(k)
     tab = _Tableau(
@@ -344,7 +342,6 @@ def _cold_solve(lp: LpProblem, lo, hi, cost, budget, pivots) -> tuple:
         np.concatenate([at_upper, np.zeros(k, dtype=bool)]),
         budget, pivots,
     )
-    tab.refresh_beta(lp.rhs)
 
     if k:
         T[m + 1, n + m:ncols] = 1.0
