@@ -24,7 +24,7 @@ from .encoder import (
     RobustConfig,
     assemble,
 )
-from .errors import InfeasibleApproximation
+from .errors import EvaluationError, InfeasibleApproximation
 from .learners import LearnerParams, Surrogate, select_surrogate, train_tree
 from .model import (
     LinearObjective,
@@ -121,6 +121,7 @@ class RunReport:
                     "status": c.status,
                     "mio_objective": c.mio_objective,
                     "refined_objective": None if c.refined is None else c.refined.objective,
+                    "warning": None if c.refined is None else c.refined.warning,
                     "max_violation": c.max_violation,
                     "feasible": c.feasible,
                     "relax_total": c.relax_total,
@@ -170,11 +171,18 @@ def _sample_constraint(sp: StandardProblem, con, cfg: RunConfig, rng, deadline=N
     center = (lo_all + hi_all) / 2.0
     d = len(support)
 
+    # a point where the evaluator fails is infeasible and has no value
     def eval_sub(p):
-        return con.value(_embed(center, support, p))
+        try:
+            return con.value(_embed(center, support, p))
+        except EvaluationError:
+            return math.nan
 
     def label_sub(p):
-        return label(con, _embed(center, support, p))
+        try:
+            return label(con, _embed(center, support, p))
+        except EvaluationError:
+            return 0
 
     def past_deadline():
         return deadline is not None and time.monotonic() > deadline
@@ -219,6 +227,8 @@ def _sample_constraint(sp: StandardProblem, con, cfg: RunConfig, rng, deadline=N
     values = None
     if con.sense == "=0":
         values = np.array([eval_sub(p) for p in points])
+        kept = np.isfinite(values)
+        points, labels, values = points[kept], labels[kept], values[kept]
     return support, points, labels, values
 
 

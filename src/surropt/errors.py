@@ -62,7 +62,7 @@ class NumericalFailure(SurroptError):
 
 
 class ProjectionStall(SurroptError):
-    """Cyclic projection failed to reach the requested tolerance."""
+    """Projection onto the linear rows and the box found no feasible point."""
 
 
 class InfeasibleApproximation(SurroptError):

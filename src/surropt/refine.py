@@ -1,8 +1,9 @@
 """Local improvement of incumbents by projected gradient descent.
 
 The merit function is objective plus a penalty on nonlinear-constraint
-violations; linear rows and the box are enforced by cyclic Dykstra
-projection instead. Momentum is conditional: it stays on only while the
+violations; linear rows and the box are enforced instead by the exact
+Euclidean projection onto their intersection, found by a dual active-set
+method. Momentum is conditional: it stays on only while the
 previous accepted step decreased the merit. A short Gauss-Newton polish
 drives residual nonlinear violations toward zero at the end, which under
 the penalty weighting is itself a merit descent.
@@ -51,90 +52,122 @@ class MeritState:
 # Projection
 # ---------------------------------------------------------------------------
 
-def project(
-    x,
-    rows,
-    lo,
-    hi,
-    frozen=None,
-    tol: float = 1e-9,
-    max_sweeps: int = 500,
-) -> np.ndarray:
-    """Dykstra projections onto each linear row and the box.
+_DEPENDENT = 1e-20  # squared residual below which a unit normal is spanned by the active set
+
+
+def _stack_rows(rows, n: int):
+    """Linear rows as ``A x <= b``; ``>=`` rows flip and equality rows are flagged."""
+    A = np.array([-r.coeffs if r.sense == ">=" else r.coeffs for r in rows], dtype=float)
+    b = np.array([-r.rhs if r.sense == ">=" else r.rhs for r in rows], dtype=float)
+    eq = np.array([r.sense == "=" for r in rows], dtype=bool)
+    return A.reshape(-1, n), b, eq
+
+
+def _excess(A, b, eq, z) -> np.ndarray:
+    """How far z lies past each row of ``A z <= b``; either way for equality rows."""
+    out = A @ z - b
+    out[eq] = np.abs(out[eq])
+    return out
+
+
+def project(x, rows, lo, hi, frozen=None, tol: float = 1e-9) -> np.ndarray:
+    """Euclidean projection of x onto the linear rows intersected with the box.
+
+    The projection is exact: the Goldfarb-Idnani dual active-set method
+    with identity Hessian starts at x with nothing active and adds the most
+    violated row or bound face each step, dropping an active inequality
+    whenever its multiplier would turn negative. Equality rows enter with
+    free-sign multipliers and never leave; an active bound face fixes its
+    coordinate. A point that already satisfies everything within ``tol``
+    comes back after one matrix-vector check.
 
     ``frozen`` marks coordinates held fixed at their incoming values
-    (integer variables during refinement). Raises ProjectionStall when the
-    sweep budget ends with a violation above tolerance.
+    (integer variables during refinement); rows with no free coefficient
+    are ignored. Raises ProjectionStall on a non-finite point, when the rows
+    and the box admit no common point, or when a step guard set by the
+    constraint count runs out.
     """
-    x = np.asarray(x, dtype=float).copy()
+    x = np.array(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ProjectionStall("cannot project a non-finite point")
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    n = x.shape[0]
-    if frozen is None:
-        frozen = np.zeros(n, dtype=bool)
-    else:
-        frozen = np.asarray(frozen, dtype=bool)
-    free = ~frozen
-
-    # reduce rows to the free subspace
-    reduced = []
-    for row in rows:
-        a = np.asarray(row.coeffs, dtype=float)
-        b = float(row.rhs) - float(a[frozen] @ x[frozen])
-        af = a[free]
-        nrm2 = float(af @ af)
-        if nrm2 < 1e-18:
-            continue
-        reduced.append((af, b, row.sense, nrm2))
-
-    z = x[free].copy()
-    lo_f = lo[free]
-    hi_f = hi[free]
-    if not reduced:
-        x[free] = np.clip(z, lo_f, hi_f)
+    A, b, eq = _stack_rows(rows, x.shape[0])
+    worst = max(_excess(A, b, eq, x).max(initial=0.0), (x - hi).max(), (lo - x).max())
+    if worst <= tol:
         return x
 
-    corrections = [np.zeros_like(z) for _ in reduced] + [np.zeros_like(z)]
+    # over the free coordinates, with unit row normals so that the pivot
+    # picks the face farthest away and the dependence test is scale-free;
+    # the bound faces follow the rows as rows of +I (upper) and -I (lower)
+    free = np.ones(x.shape[0], dtype=bool) if frozen is None else ~np.asarray(frozen, dtype=bool)
+    b = b - A[:, ~free] @ x[~free]
+    A = A[:, free]
+    norms = np.linalg.norm(A, axis=1)
+    keep = norms >= 1e-9
+    norms = norms[keep]
+    lo, hi, z = lo[free], hi[free], x[free]
+    m, nf = int(keep.sum()), z.shape[0]
+    eye = np.eye(nf)
+    G = np.vstack([A[keep] / norms[:, None], eye, -eye])
+    h = np.concatenate([b[keep] / norms, hi, -lo])
+    eq = np.concatenate([eq[keep], np.zeros(2 * nf, dtype=bool)])
+    units = np.concatenate([norms, np.ones(2 * nf)])
 
-    def max_violation(v) -> float:
-        worst = float(np.max(np.maximum(lo_f - v, v - hi_f), initial=0.0))
-        for af, b, sense, _ in reduced:
-            lhs = float(af @ v)
-            if sense == "<=":
-                worst = max(worst, lhs - b)
-            elif sense == ">=":
-                worst = max(worst, b - lhs)
-            else:
-                worst = max(worst, abs(lhs - b))
-        return worst
+    active = []                  # indices of active rows, in order of entry
+    mu = np.empty(0)             # their multipliers
+    steps_left = 10 * (m + 2 * nf + 1)
+    while True:
+        dist = _excess(G, h, eq, z)
+        dist[active] = -np.inf
+        violated = dist * units > tol
+        if not violated.any():
+            break
+        p = int(np.argmax(np.where(violated, dist, -np.inf)))
+        g, hp = G[p], h[p]
+        if eq[p] and g @ z < hp:
+            g, hp = -g, -hp
 
-    for sweep in range(max_sweeps):
-        if max_violation(z) <= tol:
-            x[free] = z
-            return x
-        for idx, (af, b, sense, nrm2) in enumerate(reduced):
-            y = z + corrections[idx]
-            lhs = float(af @ y)
-            if sense == "<=":
-                step = max(0.0, lhs - b) / nrm2
-            elif sense == ">=":
-                step = min(0.0, lhs - b) / nrm2
-            else:
-                step = (lhs - b) / nrm2
-            z_new = y - step * af
-            corrections[idx] = y - z_new
-            z = z_new
-        y = z + corrections[-1]
-        z_new = np.clip(y, lo_f, hi_f)
-        corrections[-1] = y - z_new
-        z = z_new
+        added = 0.0              # multiplier of the entering row
+        while True:
+            steps_left -= 1
+            if steps_left < 0:
+                raise ProjectionStall("projection ran out of active-set steps")
+            N = G[active]
+            r = np.linalg.lstsq(N.T, g, rcond=None)[0]
+            d = g - N.T @ r
+            # partial step: the first active inequality whose multiplier hits zero
+            t1, block = math.inf, None
+            for i in np.flatnonzero(~eq[active] & (r > 0.0)):
+                ratio = max(mu[i] / r[i], 0.0)
+                if ratio < t1:
+                    t1, block = ratio, i
+            dd = float(d @ d)
+            t2 = (float(g @ z) - hp) / dd if dd > _DEPENDENT else math.inf
+            t = min(t1, t2)
+            if not math.isfinite(t):
+                raise ProjectionStall("linear rows and box admit no common point")
+            if dd > _DEPENDENT:
+                z = z - t * d
+            mu = mu - t * r
+            added += t
+            if t2 <= t1:
+                break
+            del active[block]
+            mu = np.delete(mu, block)
+        active.append(p)
+        mu = np.append(mu, added)
 
-    if max_violation(z) <= tol:
-        x[free] = z
-        return x
-    raise ProjectionStall(
-        f"projection still violated by {max_violation(z):.3e} after {max_sweeps} sweeps"
-    )
+    # active bounds hold exactly, not up to rounding
+    faces = np.array(active, dtype=int) - m
+    upper, lower = faces[(faces >= 0) & (faces < nf)], faces[faces >= nf] - nf
+    z[upper], z[lower] = hi[upper], lo[lower]
+    z = np.clip(z, lo, hi)
+    worst = float(np.max(_excess(G, h, eq, z) * units, initial=0.0))
+    if worst > tol:
+        raise ProjectionStall(f"projection still violated by {worst:.3e}")
+    x[free] = z
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +200,8 @@ def _diag_curvature(sp: StandardProblem, x, penalty, merit0, lo, hi, frozen) -> 
     """Second differences of the merit along each coordinate.
 
     Probes shrink to stay inside the box, so bound-pinned coordinates report
-    zero instead of a clipping artifact. Penalty kinks of active nonlinear
+    zero instead of a clipping artifact, as do coordinates where a merit is
+    not finite. Penalty kinks of active nonlinear
     constraints show up as huge curvature, which is exactly what keeps the
     direction from ramming walls.
     """
@@ -189,7 +223,8 @@ def _diag_curvature(sp: StandardProblem, x, penalty, merit0, lo, hi, frozen) -> 
             mm = merit_state(sp, xm, penalty).merit
         except EvaluationError:
             continue
-        curv[j] = (mp - 2.0 * merit0 + mm) / (h * h)
+        if math.isfinite(mp) and math.isfinite(mm) and math.isfinite(merit0):
+            curv[j] = (mp - 2.0 * merit0 + mm) / (h * h)
     return curv
 
 

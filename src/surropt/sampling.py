@@ -150,7 +150,8 @@ def knn_boundary_sample(points, labels, evaluate: Callable, k: int, lo, hi) -> n
 
     For every point, each opposite-label point among its k nearest neighbors
     contributes x_i + g_i / (g_i - g_j) * (x_j - x_i), clipped to the box.
-    Near-duplicates (within 1e-7) are dropped.
+    Pairs with a non-finite value are skipped. Near-duplicates (within 1e-7)
+    are dropped.
     """
     points = np.asarray(points, dtype=float)
     labels = np.asarray(labels)
@@ -158,13 +159,13 @@ def knn_boundary_sample(points, labels, evaluate: Callable, k: int, lo, hi) -> n
         raise DegenerateDataset("secant sampling needs both labels present")
     m = points.shape[0]
     values = np.array([float(evaluate(points[i])) for i in range(m)])
-    d2 = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
-    np.fill_diagonal(d2, np.inf)
     k = min(k, m - 1)
     out = []
     seen_pairs = set()
     for i in range(m):
-        nbrs = np.argpartition(d2[i], k - 1)[:k]
+        d2 = ((points - points[i]) ** 2).sum(axis=1)
+        d2[i] = np.inf
+        nbrs = np.argpartition(d2, k - 1)[:k]
         for j in nbrs:
             j = int(j)
             if labels[i] == labels[j]:
@@ -174,7 +175,7 @@ def knn_boundary_sample(points, labels, evaluate: Callable, k: int, lo, hi) -> n
                 continue
             seen_pairs.add(pair)
             gi, gj = values[i], values[j]
-            if gi == gj:
+            if gi == gj or not (math.isfinite(gi) and math.isfinite(gj)):
                 continue
             t = gi / (gi - gj)
             new = points[i] + t * (points[j] - points[i])

@@ -231,6 +231,25 @@ def test_nan_evaluator_is_never_reported_feasible():
         assert math.isfinite(g(report.x))
 
 
+def test_domain_error_while_sampling_labels_the_point_infeasible():
+    # ln(x1) is undefined on the left third of the box; sampling labels
+    # those points infeasible instead of letting DomainError escape
+    doc = {
+        "schema": 1,
+        "name": "ln-domain",
+        "variables": [
+            {"name": "x1", "lower": -1, "upper": 2},
+            {"name": "x2", "lower": 0, "upper": 2},
+        ],
+        "objective": {"linear": [0.0, -1.0]},
+        "constraints": [{"name": "g", "expression": "x2 - ln(x1) - 1", "sense": "<=0"}],
+    }
+    report = solve_global(load_problem(doc), _fast_config())
+    assert report.status == "ok"
+    x1, x2 = report.x
+    assert x1 > 0 and x2 - math.log(x1) - 1 <= 1e-6
+
+
 def test_shipped_problem_files_match_module_documents():
     import os
 
@@ -257,5 +276,6 @@ def test_report_to_dict_is_json_friendly():
             result.nodes, result.pivots, result.gap, result.bound
         )
         assert cell["wall_time"] == round(result.wall_time, 4)
+        assert cell["warning"] == (None if result.refined is None else result.refined.warning)
         if cell["status"] == "optimal":
             assert cell["nodes"] >= 1 and cell["gap"] is not None

@@ -1,7 +1,14 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import nnls
 
 from surropt.driver import generate_quadratic_sigmoid
+from surropt.errors import ProjectionStall
 from surropt.model import (
     LinearConstraint,
     LinearObjective,
@@ -48,6 +55,88 @@ def test_project_equality_row():
     rows = _rows(([1.0, -1.0], "=", 0.0))
     x = project([1.0, 0.0], rows, np.full(2, -5.0), np.full(2, 5.0))
     assert np.allclose(x, [0.5, 0.5], atol=1e-8)
+
+
+def test_project_gearbox_wedge_reaches_its_corner():
+    # x1 - 5 x2 >= 0 meets the face x2 = 0.7 at a sharp angle; a cyclic
+    # projection crawls along that wedge, the exact one lands on the corner
+    rows = _rows(([1.0, -5.0], ">=", 0.0), ([-1.0, 12.0], ">=", 0.0))
+    x = project([3.0, 0.65], rows, np.array([2.6, 0.7]), np.array([3.6, 0.8]))
+    assert np.allclose(x, [3.5, 0.7], atol=1e-9)
+
+
+def test_project_empty_set_raises():
+    with pytest.raises(ProjectionStall):
+        project([0.5, 0.5], _rows(([1.0, 1.0], ">=", 3.0)), np.zeros(2), np.ones(2))
+    with pytest.raises(ProjectionStall):
+        project([0.0, 0.0], _rows(([1.0, 0.0], "<=", 0.0), ([1.0, 1e-3], ">=", 1.0)),
+                np.full(2, -5.0), np.full(2, 5.0))
+
+
+def test_project_non_finite_point_raises():
+    for bad in ([math.nan, 0.2], [0.2, math.inf]):
+        with pytest.raises(ProjectionStall):
+            project(bad, _rows(([1.0, 0.0], "<=", 1.0)), np.zeros(2), np.ones(2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 5),
+    n_rows=st.integers(0, 6),
+)
+def test_project_satisfies_kkt_against_nnls(seed, n, n_rows):
+    """The output is feasible and y - z is a nonnegative combination of the
+    outward normals active at z (free-sign for equalities), as certified by
+    an independent nonnegative least-squares fit; that is the optimality
+    condition of the Euclidean projection."""
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(-2.0, 0.0, n)
+    hi = lo + rng.uniform(0.0, 3.0, n) * (rng.random(n) > 0.1)  # some fixed coordinates
+    inside = rng.uniform(lo, hi)
+    senses = rng.choice(["<=", ">=", "="], size=n_rows, p=[0.45, 0.45, 0.1])
+    entries = []
+    for sense in senses:
+        a = rng.normal(size=n) * (rng.random(n) > 0.3)
+        slack = 0.0 if sense == "=" else rng.exponential(0.5)
+        entries.append((a, sense, a @ inside + (slack if sense == "<=" else -slack)))
+    rows = _rows(*entries)
+    frozen = rng.random(n) < 0.3
+    y = rng.uniform(lo - 3.0, hi + 3.0)
+    y[frozen] = inside[frozen]
+
+    z = project(y, rows, lo, hi, frozen=frozen)
+
+    assert np.array_equal(z[frozen], y[frozen])
+    free = ~frozen
+    assert (z[free] >= lo[free] - 1e-9).all() and (z[free] <= hi[free] + 1e-9).all()
+    normals = []
+    for row in rows:
+        a = np.where(free, row.coeffs, 0.0)
+        if a @ a < 1e-18:
+            continue
+        assert row.violation(z) <= 1e-9
+        slack = row.rhs - row.coeffs @ z
+        if row.sense == "=":
+            normals += [a, -a]
+        elif row.sense == "<=" and slack <= 1e-7:
+            normals.append(a)
+        elif row.sense == ">=" and slack >= -1e-7:
+            normals.append(-a)
+    for j in np.flatnonzero(free):
+        e = np.zeros(n)
+        e[j] = 1.0
+        if z[j] >= hi[j] - 1e-12:
+            normals.append(e)
+        if z[j] <= lo[j] + 1e-12:
+            normals.append(-e)
+    step = y - z
+    step[frozen] = 0.0
+    if not normals:
+        assert np.allclose(step, 0.0, atol=1e-12)
+        return
+    _, residual = nnls(np.array(normals).T, step)
+    assert residual <= 1e-7 * (1.0 + np.linalg.norm(step))
 
 
 def _linear_sp():
@@ -146,3 +235,26 @@ def test_pgd_reports_warning_on_failing_evaluator():
     )
     out = pgd_improve(sp, np.array([0.5]))
     assert out.warning is not None
+
+
+def test_pgd_nan_merit_leaves_curvature_finite():
+    # the constraint is NaN on the right half of the box, so the start and
+    # probe merits are infinite; curvature there is left at zero instead of
+    # taking inf - inf
+    sp = StandardProblem(
+        vars=(VarSpec("x", 0, 0.0, 1.0),),
+        objective=LinearObjective(np.array([-1.0])),
+        nonlinear=(
+            NonlinearConstraint(
+                evaluator=lambda x: math.nan if x[0] > 0.5 else x[0] - 0.4,
+                sense="<=0",
+                support=frozenset({0}),
+                gradient=lambda x: np.array([1.0]),
+            ),
+        ),
+        bound_provenance=("user",),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = pgd_improve(sp, np.array([0.7]))
+    assert out.x[0] == pytest.approx(0.4, abs=1e-6)

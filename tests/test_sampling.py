@@ -74,6 +74,45 @@ def test_knn_points_clip_to_box():
     assert (new >= 0.0).all() and (new <= 0.3).all()
 
 
+def test_knn_matches_full_distance_matrix():
+    # reference: neighbours from the full m x m distance matrix
+    rng = np.random.default_rng(4)
+    pts = rng.uniform(-1.0, 1.0, size=(60, 3))
+
+    def g(p):
+        return float(p @ p - 0.6)
+
+    labels = np.array([1.0 if g(p) <= 0 else 0.0 for p in pts])
+    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+    np.fill_diagonal(d2, np.inf)
+    expected, seen = [], set()
+    for i in range(len(pts)):
+        for j in np.argpartition(d2[i], 4)[:5]:
+            pair = (min(i, int(j)), max(i, int(j)))
+            if labels[i] == labels[j] or pair in seen:
+                continue
+            seen.add(pair)
+            t = g(pts[i]) / (g(pts[i]) - g(pts[j]))
+            expected.append(np.clip(pts[i] + t * (pts[j] - pts[i]), -1.0, 1.0))
+    new = S.knn_boundary_sample(pts, labels, g, k=5, lo=np.full(3, -1.0), hi=np.ones(3))
+    assert np.array_equal(new, S._dedupe(np.array(expected), tol=1e-7))
+
+
+def test_knn_skips_pairs_with_non_finite_values():
+    # a black box that returns NaN on part of the box: secants through a
+    # NaN value are skipped, so every sample has finite coordinates
+    def g(p):
+        return math.nan if p[0] > 0.7 else p[1] - 0.5
+
+    # the first point sits in the NaN region next to feasible points
+    pts = np.vstack([[0.8, 0.2], S.lh_sample([0.0, 0.0], [1.0, 1.0], 200, np.random.default_rng(3))])
+    labels = np.array([1.0 if g(p) <= 1e-6 else 0.0 for p in pts])
+    new = S.knn_boundary_sample(pts, labels, g, k=10, lo=[0.0, 0.0], hi=[1.0, 1.0])
+    assert len(new) > 0
+    assert np.isfinite(new).all()
+    assert np.allclose(new[:, 1], 0.5)
+
+
 def test_chebyshev_unit_box():
     poly = S.Polyhedron(A=np.empty((0, 2)), b=np.empty(0), lo=np.zeros(2), hi=np.ones(2))
     center, radius = S.chebyshev_center(poly)
