@@ -163,6 +163,14 @@ def _embed(full_template, support, point):
     return x
 
 
+def _value_or_nan(target, x) -> float:
+    """``target.value(x)``, or NaN where the evaluator fails."""
+    try:
+        return target.value(x)
+    except EvaluationError:
+        return math.nan
+
+
 def _sample_constraint(sp: StandardProblem, con, cfg: RunConfig, rng, deadline=None):
     """Labeled feasibility samples over the constraint's own support box."""
     support = sorted(con.support)
@@ -173,10 +181,7 @@ def _sample_constraint(sp: StandardProblem, con, cfg: RunConfig, rng, deadline=N
 
     # a point where the evaluator fails is infeasible and has no value
     def eval_sub(p):
-        try:
-            return con.value(_embed(center, support, p))
-        except EvaluationError:
-            return math.nan
+        return _value_or_nan(con, _embed(center, support, p))
 
     def label_sub(p):
         try:
@@ -257,8 +262,10 @@ def _sample_objective(sp: StandardProblem, cfg: RunConfig, rng):
         ]
     )
     points = _round_integrals(points, sp, support)
-    values = np.array([objective.value(_embed(center, support, p)) for p in points])
-    return support, points, values
+    # a point where the objective fails or is not finite has no value to fit
+    values = np.array([_value_or_nan(objective, _embed(center, support, p)) for p in points])
+    kept = np.isfinite(values)
+    return support, points[kept], values[kept]
 
 
 def _train_plans(sp: StandardProblem, datasets, cfg: RunConfig, counters, deadline=None):

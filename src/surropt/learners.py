@@ -40,6 +40,16 @@ class LearnerParams:
 # Model containers
 # ---------------------------------------------------------------------------
 
+def _rowwise(W, X):
+    """Row i is ``W @ X[i]``, rounded exactly as that single product rounds.
+
+    A stack of matrix-vector products runs the same kernel per row as one
+    product does; ``X @ W.T`` would take a matrix-matrix kernel whose sums
+    can differ in the last bit.
+    """
+    return np.matmul(W, X[:, :, None])[:, :, 0]
+
+
 @dataclass
 class LinearModel:
     beta0: float
@@ -47,6 +57,10 @@ class LinearModel:
 
     def predict_one(self, x) -> float:
         return float(self.beta0 + self.beta @ np.asarray(x, dtype=float))
+
+    def predict(self, X) -> np.ndarray:
+        """``predict_one`` over the rows of X, bit for bit."""
+        return self.beta0 + _rowwise(self.beta[None, :], np.asarray(X, dtype=float))[:, 0]
 
 
 class _Node:
@@ -82,6 +96,22 @@ class ObliqueTree:
             node = node.left if float(node.a @ x) <= node.b else node.right
         return float(node.value)
 
+    def predict(self, X) -> np.ndarray:
+        """``predict_one`` over the rows of X: each node splits the index set
+        of the rows that reach it."""
+        X = np.asarray(X, dtype=float)
+        out = np.empty(len(X))
+        stack = [(self.root, np.arange(len(X)))]
+        while stack:
+            node, idx = stack.pop()
+            if node.is_leaf:
+                out[idx] = node.value
+            elif len(idx):
+                left = _rowwise(node.a[None, :], X[idx])[:, 0] <= node.b
+                stack.append((node.left, idx[left]))
+                stack.append((node.right, idx[~left]))
+        return out
+
     def leaf_path(self, x):
         """Splits along the routing of x as (a, b, went_left) triples."""
         node = self.root
@@ -107,10 +137,6 @@ class ObliqueTree:
         walk(self.root, [])
         return out
 
-    @property
-    def n_leaves(self) -> int:
-        return len(self.leaves())
-
 
 @dataclass
 class GbmEnsemble:
@@ -122,6 +148,13 @@ class GbmEnsemble:
         return float(
             self.base + sum(w * t.predict_one(x) for w, t in zip(self.weights, self.trees))
         )
+
+    def predict(self, X) -> np.ndarray:
+        """``predict_one`` over the rows of X, members summed in the same order."""
+        total = np.zeros(len(X))
+        for w, t in zip(self.weights, self.trees):
+            total = total + w * t.predict(X)
+        return self.base + total
 
 
 @dataclass
@@ -137,6 +170,14 @@ class Mlp:
             h = np.maximum(0.0, W @ h + b)
         W, b = self.layers[-1]
         return float((W @ h + b)[0])
+
+    def predict(self, X) -> np.ndarray:
+        """``predict_one`` over the rows of X, bit for bit."""
+        h = np.asarray(X, dtype=float)
+        for W, b in self.layers[:-1]:
+            h = np.maximum(0.0, _rowwise(W, h) + b)
+        W, b = self.layers[-1]
+        return (_rowwise(W, h) + b)[:, 0]
 
 
 @dataclass
@@ -388,7 +429,7 @@ def train_gbm(
         resid = y - pred
         tree = train_tree(X, resid, task="regressor", max_depth=depth, oblique=False)
         trees.append(tree)
-        pred += lr * np.array([tree.predict_one(row) for row in X])
+        pred += lr * tree.predict(X)
     return GbmEnsemble(base=base, trees=trees, weights=[lr] * n_trees)
 
 
@@ -396,67 +437,24 @@ def train_gbm(
 # MLP training (full-batch Adam)
 # ---------------------------------------------------------------------------
 
-def _fit_mlp_once(Xs, target, task, hidden, epochs, lr, rng):
-    m, n = Xs.shape
-    sizes = [n] + list(hidden) + [1]
-    Ws = []
-    bs = []
-    for layer, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-        scale = math.sqrt(2.0 / fan_in)
-        W = rng.normal(0.0, scale, size=(fan_out, fan_in))
-        if layer == 0:
-            # place each unit's kink on a training point so no unit starts dead
-            anchors = Xs[rng.integers(0, m, size=fan_out)]
-            b = -np.einsum("ij,ij->i", W, anchors)
-        else:
-            b = np.zeros(fan_out)
-        Ws.append(W)
-        bs.append(b)
+def _layer_views(flat, shapes):
+    """(W, b) views of a flat (R, P) parameter array, one row per restart.
 
-    mW = [np.zeros_like(W) for W in Ws]
-    vW = [np.zeros_like(W) for W in Ws]
-    mb = [np.zeros_like(b) for b in bs]
-    vb = [np.zeros_like(b) for b in bs]
-    beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
-
-    for step in range(1, epochs + 1):
-        acts = [Xs]
-        h = Xs
-        for W, b in zip(Ws[:-1], bs[:-1]):
-            h = np.maximum(0.0, h @ W.T + b)
-            acts.append(h)
-        z = (h @ Ws[-1].T + bs[-1]).ravel()
-        if task == "regressor":
-            delta = (z - target) / m
-        else:
-            delta = (1.0 / (1.0 + np.exp(-z)) - target) / m
-        grad = delta[:, None]
-        gWs = [None] * len(Ws)
-        gbs = [None] * len(bs)
-        for layer in range(len(Ws) - 1, -1, -1):
-            gWs[layer] = grad.T @ acts[layer]
-            gbs[layer] = grad.sum(axis=0)
-            if layer > 0:
-                grad = (grad @ Ws[layer]) * (acts[layer] > 0)
-        corr1 = 1.0 - beta1 ** step
-        corr2 = 1.0 - beta2 ** step
-        for layer in range(len(Ws)):
-            mW[layer] = beta1 * mW[layer] + (1 - beta1) * gWs[layer]
-            vW[layer] = beta2 * vW[layer] + (1 - beta2) * gWs[layer] ** 2
-            mb[layer] = beta1 * mb[layer] + (1 - beta1) * gbs[layer]
-            vb[layer] = beta2 * vb[layer] + (1 - beta2) * gbs[layer] ** 2
-            Ws[layer] -= lr * (mW[layer] / corr1) / (np.sqrt(vW[layer] / corr2) + adam_eps)
-            bs[layer] -= lr * (mb[layer] / corr1) / (np.sqrt(vb[layer] / corr2) + adam_eps)
-
-    h = Xs
-    for W, b in zip(Ws[:-1], bs[:-1]):
-        h = np.maximum(0.0, h @ W.T + b)
-    z = (h @ Ws[-1].T + bs[-1]).ravel()
-    if task == "regressor":
-        loss = float(((z - target) ** 2).mean())
-    else:
-        loss = float((np.logaddexp(0.0, z) - target * z).mean())
-    return Ws, bs, loss
+    Each W is (R, fan_out, fan_in) with the strides a fresh C-ordered
+    matrix has, so stacked matmul takes the same BLAS path as one restart.
+    """
+    R, P = flat.shape
+    item = flat.itemsize
+    Ws, bs = [], []
+    off = 0
+    for fan_out, fan_in in shapes:
+        Ws.append(np.lib.stride_tricks.as_strided(
+            flat[:, off:], shape=(R, fan_out, fan_in), strides=(P * item, fan_in * item, item)
+        ))
+        off += fan_out * fan_in
+        bs.append(flat[:, off:off + fan_out])
+        off += fan_out
+    return Ws, bs
 
 
 def train_mlp(
@@ -473,9 +471,12 @@ def train_mlp(
     for regression, logistic loss for classification.
 
     Runs a few deterministic restarts and keeps the lowest training loss,
-    which protects small networks from dead-unit local minima. Input (and
-    regression target) standardization is folded back into the weights so
-    the returned network acts on raw coordinates.
+    which protects small networks from dead-unit local minima. The restarts
+    train together: restart r's weights are row r of one (R, P) array, and
+    every epoch runs one stacked forward pass, backward pass and Adam update
+    in preallocated buffers. Each restart's arithmetic is exactly that of a
+    lone run. Input (and regression target) standardization is folded back
+    into the weights so the returned network acts on raw coordinates.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -488,13 +489,105 @@ def train_mlp(
         y_mu, y_sd = 0.0, 1.0
         target = y
 
-    best = None
-    for attempt in range(max(1, restarts)):
-        rng = np.random.default_rng(seed + 7919 * attempt)
-        Ws, bs, loss = _fit_mlp_once(Xs, target, task, hidden, epochs, lr, rng)
-        if best is None or loss < best[2]:
-            best = (Ws, bs, loss)
-    Ws, bs, _ = best
+    m, n = Xs.shape
+    R = max(1, restarts)
+    sizes = [n] + list(hidden) + [1]
+    shapes = list(zip(sizes[1:], sizes[:-1]))  # (fan_out, fan_in) per layer
+    P = sum(fan_out * (fan_in + 1) for fan_out, fan_in in shapes)
+    theta = np.empty((R, P))
+    grad = np.empty((R, P))
+    Ws, bs = _layer_views(theta, shapes)
+    gWs, gbs = _layer_views(grad, shapes)
+
+    for r in range(R):
+        rng = np.random.default_rng(seed + 7919 * r)
+        for layer, (fan_out, fan_in) in enumerate(shapes):
+            W = rng.normal(0.0, math.sqrt(2.0 / fan_in), size=(fan_out, fan_in))
+            Ws[layer][r] = W
+            if layer == 0:
+                # place each unit's kink on a training point so no unit starts dead
+                anchors = Xs[rng.integers(0, m, size=fan_out)]
+                bs[0][r] = -np.einsum("ij,ij->i", W, anchors)
+            else:
+                bs[layer][r] = 0.0
+
+    acts = [Xs[None]] + [np.empty((R, m, h)) for h in hidden]
+    alive = [None] + [np.empty((R, m, h), dtype=bool) for h in hidden]
+    # back[l + 1] is the loss gradient at layer l's pre-activation; the last
+    # one shares z's memory, since each step turns the logits into it
+    back = [None] + [np.empty((R, m, h)) for h in hidden]
+    z3 = np.empty((R, m, 1))
+    z = z3[:, :, 0]
+    back.append(z[:, :, None])  # the (m, 1) layout a lone run backpropagates
+    WTs = [W.transpose(0, 2, 1) for W in Ws]
+    b3s = [b[:, None, :] for b in bs]
+    backTs = [None] + [g.transpose(0, 2, 1) for g in back[1:]]
+    mom1 = np.zeros((R, P))
+    mom2 = np.zeros((R, P))
+    tmp = np.empty((R, P))
+    tmp2 = np.empty((R, P))
+    beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
+    last = len(shapes) - 1
+
+    def forward():
+        for layer in range(last):
+            h = acts[layer + 1]
+            np.matmul(acts[layer], WTs[layer], out=h)
+            h += b3s[layer]
+            np.maximum(0.0, h, out=h)
+        np.matmul(acts[last], WTs[last], out=z3)
+        np.add(z3, b3s[last], out=z3)
+
+    for step in range(1, epochs + 1):
+        forward()
+        if task != "regressor":
+            np.negative(z, out=z)
+            np.exp(z, out=z)
+            z += 1.0
+            np.divide(1.0, z, out=z)
+        z -= target
+        z /= m
+        for layer in range(last, -1, -1):
+            np.matmul(backTs[layer + 1], acts[layer], out=gWs[layer])
+            np.sum(back[layer + 1], axis=1, out=gbs[layer])
+            if layer > 0:
+                below = back[layer]
+                if layer == last:
+                    # a K=1 product is an outer product: same bits, no matmul
+                    np.multiply(back[layer + 1], Ws[layer], out=below)
+                else:
+                    np.matmul(back[layer + 1], Ws[layer], out=below)
+                np.greater(acts[layer], 0, out=alive[layer])
+                np.multiply(below, alive[layer], out=below)
+        corr1 = 1.0 - beta1 ** step
+        corr2 = 1.0 - beta2 ** step
+        mom1 *= beta1
+        np.multiply(1 - beta1, grad, out=tmp)
+        mom1 += tmp
+        mom2 *= beta2
+        np.square(grad, out=tmp)
+        tmp *= 1 - beta2
+        mom2 += tmp
+        np.divide(mom1, corr1, out=tmp)
+        tmp *= lr
+        np.divide(mom2, corr2, out=tmp2)
+        np.sqrt(tmp2, out=tmp2)
+        tmp2 += adam_eps
+        tmp /= tmp2
+        theta -= tmp
+
+    forward()
+    best, best_loss = 0, None
+    for r in range(R):
+        zr = z[r]
+        if task == "regressor":
+            loss = float(((zr - target) ** 2).mean())
+        else:
+            loss = float((np.logaddexp(0.0, zr) - target * zr).mean())
+        if best_loss is None or loss < best_loss:
+            best, best_loss = r, loss
+    Ws = [W[best].copy() for W in Ws]
+    bs = [b[best].copy() for b in bs]
 
     # fold input standardization into the first layer, target scaling into the last
     Ws[0] = Ws[0] / sd[None, :]
@@ -526,7 +619,7 @@ def _train_family(family, X, y, task, params: LearnerParams, seed: int):
 
 
 def _score(model, family, X, y, task) -> float:
-    preds = np.array([model.predict_one(row) for row in X])
+    preds = model.predict(X)
     if task == "classifier":
         thr = _CLF_THRESHOLD[family]
         return float(((preds >= thr) == (y >= 0.5)).mean())

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import expr as _expr
-from .errors import InfeasibleProblem, UnboundedVariable
+from .errors import EvaluationError, InfeasibleProblem, UnboundedVariable
 
 FEASIBILITY_TOL = 1e-8
 EQUALITY_BAND = 1e-4  # half-width of the band used when embedding equalities
@@ -94,8 +94,12 @@ class NonlinearConstraint:
         return central_difference(self.evaluator, x, self.support)
 
     def violation(self, x) -> float:
-        """How far x violates the constraint; a NaN or infinite value counts as inf."""
-        v = self.value(x)
+        """How far x violates the constraint; a failed evaluation or a NaN or
+        infinite value counts as inf."""
+        try:
+            v = self.value(x)
+        except EvaluationError:
+            return math.inf
         if not math.isfinite(v):
             return math.inf
         return abs(v) if self.sense == "=0" else max(0.0, v)
@@ -208,14 +212,6 @@ class StandardProblem(Problem):
         if isinstance(self.objective, NonlinearObjective):
             out |= self.objective.support
         return frozenset(out)
-
-
-@dataclass(frozen=True)
-class LabeledSample:
-    """A sampled point with its feasibility (0/1) or regression label."""
-
-    point: np.ndarray
-    label: float
 
 
 # ---------------------------------------------------------------------------

@@ -27,25 +27,20 @@ CONTAIN_TOL = 1e-9
 class Polyhedron:
     """Rows ``A @ x <= b`` intersected with a finite box.
 
-    Rows flagged strict came from a ``>`` split of a tree path and already
-    carry the closed-margin adjustment in ``b``.
+    A row from the ``>`` side of a tree split already carries the
+    closed-margin adjustment (``STRICT_MARGIN``) in ``b``.
     """
 
     A: np.ndarray
     b: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    strict: np.ndarray = None
 
     def __post_init__(self):
         self.A = np.asarray(self.A, dtype=float).reshape(-1, len(self.lo))
         self.b = np.asarray(self.b, dtype=float)
         self.lo = np.asarray(self.lo, dtype=float)
         self.hi = np.asarray(self.hi, dtype=float)
-        if self.strict is None:
-            self.strict = np.zeros(self.A.shape[0], dtype=bool)
-        else:
-            self.strict = np.asarray(self.strict, dtype=bool)
 
     @property
     def dim(self) -> int:
@@ -347,24 +342,20 @@ def oct_adaptive_sample(
     keys = {}
     for i in ambiguous:
         rows_a, rows_b = [], []
-        strict_flags = []
         for tree in committee:
             for a, bb, went_left in tree.leaf_path(points[i]):
                 if went_left:
                     rows_a.append(a)
                     rows_b.append(bb)
-                    strict_flags.append(False)
                 else:
                     # strict side a.x > b, closed with a small margin
                     rows_a.append(-a)
                     rows_b.append(-(bb + STRICT_MARGIN))
-                    strict_flags.append(True)
         poly = Polyhedron(
             A=np.array(rows_a).reshape(-1, points.shape[1]),
             b=np.array(rows_b),
             lo=np.asarray(lo, dtype=float),
             hi=np.asarray(hi, dtype=float),
-            strict=np.array(strict_flags, dtype=bool),
         )
         key = poly.canonical_key()
         if key not in keys:

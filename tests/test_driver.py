@@ -6,6 +6,7 @@ import pytest
 from surropt import milp
 from surropt.driver import (
     RunConfig,
+    _full_violation,
     Toggles,
     generate_quadratic_sigmoid,
     solve_global,
@@ -248,6 +249,44 @@ def test_domain_error_while_sampling_labels_the_point_infeasible():
     assert report.status == "ok"
     x1, x2 = report.x
     assert x1 > 0 and x2 - math.log(x1) - 1 <= 1e-6
+
+
+def test_objective_domain_error_while_sampling_drops_the_point():
+    # the objective's ln(x1) fails on the left third of the box; sampling
+    # drops those points instead of letting DomainError escape
+    doc = {
+        "schema": 1,
+        "name": "ln-objective",
+        "variables": [
+            {"name": "x1", "lower": -1, "upper": 2},
+            {"name": "x2", "lower": 0, "upper": 2},
+        ],
+        "objective": {"expression": "x2 - ln(x1)"},
+        "constraints": [{"name": "c", "expression": "x1 + x2 - 3", "sense": "<=0"}],
+    }
+    report = solve_global(load_problem(doc), _fast_config())
+    assert report.status == "ok"
+    x1, x2 = report.x
+    assert x1 > 0 and math.isfinite(report.objective)
+    assert report.objective == pytest.approx(x2 - math.log(x1))
+
+
+def test_failed_evaluation_is_infinite_violation():
+    doc = {
+        "schema": 1,
+        "name": "ln-domain",
+        "variables": [
+            {"name": "x1", "lower": -1, "upper": 2},
+            {"name": "x2", "lower": 0, "upper": 2},
+        ],
+        "objective": {"linear": [0.0, -1.0]},
+        "constraints": [{"name": "g", "expression": "x2 - ln(x1) - 1", "sense": "<=0"}],
+    }
+    sp = standardize(load_problem(doc))
+    outside = np.array([-0.5, 1.0])
+    assert sp.nonlinear[0].violation(outside) == math.inf
+    assert _full_violation(sp, outside) == math.inf
+    assert _full_violation(sp, np.array([1.0, 0.5])) == 0.0
 
 
 def test_shipped_problem_files_match_module_documents():

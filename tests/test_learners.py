@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -232,6 +234,103 @@ def test_mlp_deterministic_given_seed():
         assert np.array_equal(Wa, Wb) and np.array_equal(ba, bb)
 
 
+def _reference_mlp(X, y, task, hidden, epochs, lr, seed, restarts):
+    """Frozen per-restart training loop: one restart at a time, fresh arrays
+    every step. ``train_mlp`` must return exactly its weights."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    Xs, mu, sd = L._standardize(X)
+    if task == "regressor":
+        y_mu, y_sd = float(y.mean()), float(y.std())
+        y_sd = y_sd if y_sd > 1e-15 else 1.0
+        target = (y - y_mu) / y_sd
+    else:
+        y_mu, y_sd = 0.0, 1.0
+        target = y
+    m, n = Xs.shape
+    sizes = [n] + list(hidden) + [1]
+    beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
+    best = None
+    for attempt in range(max(1, restarts)):
+        rng = np.random.default_rng(seed + 7919 * attempt)
+        Ws, bs = [], []
+        for layer, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+            W = rng.normal(0.0, math.sqrt(2.0 / fan_in), size=(fan_out, fan_in))
+            if layer == 0:
+                anchors = Xs[rng.integers(0, m, size=fan_out)]
+                b = -np.einsum("ij,ij->i", W, anchors)
+            else:
+                b = np.zeros(fan_out)
+            Ws.append(W)
+            bs.append(b)
+        mW = [np.zeros_like(W) for W in Ws]
+        vW = [np.zeros_like(W) for W in Ws]
+        mb = [np.zeros_like(b) for b in bs]
+        vb = [np.zeros_like(b) for b in bs]
+        for step in range(1, epochs + 1):
+            acts = [Xs]
+            h = Xs
+            for W, b in zip(Ws[:-1], bs[:-1]):
+                h = np.maximum(0.0, h @ W.T + b)
+                acts.append(h)
+            z = (h @ Ws[-1].T + bs[-1]).ravel()
+            if task == "regressor":
+                delta = (z - target) / m
+            else:
+                delta = (1.0 / (1.0 + np.exp(-z)) - target) / m
+            grad = delta[:, None]
+            gWs = [None] * len(Ws)
+            gbs = [None] * len(bs)
+            for layer in range(len(Ws) - 1, -1, -1):
+                gWs[layer] = grad.T @ acts[layer]
+                gbs[layer] = grad.sum(axis=0)
+                if layer > 0:
+                    grad = (grad @ Ws[layer]) * (acts[layer] > 0)
+            corr1 = 1.0 - beta1 ** step
+            corr2 = 1.0 - beta2 ** step
+            for layer in range(len(Ws)):
+                mW[layer] = beta1 * mW[layer] + (1 - beta1) * gWs[layer]
+                vW[layer] = beta2 * vW[layer] + (1 - beta2) * gWs[layer] ** 2
+                mb[layer] = beta1 * mb[layer] + (1 - beta1) * gbs[layer]
+                vb[layer] = beta2 * vb[layer] + (1 - beta2) * gbs[layer] ** 2
+                Ws[layer] -= lr * (mW[layer] / corr1) / (np.sqrt(vW[layer] / corr2) + adam_eps)
+                bs[layer] -= lr * (mb[layer] / corr1) / (np.sqrt(vb[layer] / corr2) + adam_eps)
+        h = Xs
+        for W, b in zip(Ws[:-1], bs[:-1]):
+            h = np.maximum(0.0, h @ W.T + b)
+        z = (h @ Ws[-1].T + bs[-1]).ravel()
+        if task == "regressor":
+            loss = float(((z - target) ** 2).mean())
+        else:
+            loss = float((np.logaddexp(0.0, z) - target * z).mean())
+        if best is None or loss < best[2]:
+            best = (Ws, bs, loss)
+    Ws, bs, _ = best
+    Ws[0] = Ws[0] / sd[None, :]
+    bs[0] = bs[0] - Ws[0] @ mu
+    Ws[-1] = Ws[-1] * y_sd
+    bs[-1] = bs[-1] * y_sd + y_mu
+    return list(zip(Ws, bs))
+
+
+@pytest.mark.parametrize("hidden", [(8,), (4, 3)])
+@pytest.mark.parametrize("task", ["classifier", "regressor"])
+@pytest.mark.parametrize("restarts", [1, 3])
+def test_mlp_stacked_restarts_match_reference_loop(hidden, task, restarts):
+    rng = np.random.default_rng(17)
+    X = rng.uniform(-2.0, 3.0, size=(90, 3))
+    if task == "classifier":
+        y = (np.sin(X).sum(axis=1) >= 0.2).astype(float)
+    else:
+        y = 10.0 * np.cos(X).sum(axis=1) + 3.0
+    kw = dict(hidden=hidden, epochs=120, lr=0.01, seed=4, restarts=restarts)
+    net = L.train_mlp(X, y, task, **kw)
+    ref = _reference_mlp(X, y, task, **kw)
+    assert len(net.layers) == len(ref)
+    for (W, b), (W_ref, b_ref) in zip(net.layers, ref):
+        assert np.array_equal(W, W_ref) and np.array_equal(b, b_ref)
+
+
 def test_mlp_zero_weights_bias_pass_through():
     net = L.Mlp(
         layers=[(np.zeros((4, 2)), np.zeros(4)), (np.zeros((1, 4)), np.array([3.0]))],
@@ -307,3 +406,25 @@ def test_surrogate_dump_load_roundtrip():
         assert back.family == sur.family
         for point in rng.uniform(0, 1, size=(25, 2)):
             assert back.raw(point) == pytest.approx(sur.raw(point), abs=1e-12)
+
+
+def test_batched_predict_matches_predict_one():
+    rng = np.random.default_rng(21)
+    X = rng.uniform(-1, 1, size=(150, 3))
+    y = (X[:, 0] + 0.7 * X[:, 1] - X[:, 2] ** 2 >= 0.0).astype(float)
+    y_reg = np.sin(2 * X[:, 0]) + X[:, 1] * X[:, 2]
+    oblique = L.train_tree(X, y, "classifier", max_depth=4, oblique=True)
+    assert any(np.count_nonzero(a) > 1 for _, path in oblique.leaves() for a, _, _ in path)
+    models = [
+        oblique,
+        L.train_tree(X, y_reg, "regressor", max_depth=3, oblique=False),
+        L.train_gbm(X, y_reg, "regressor"),
+        L.train_svr(X, y_reg),
+        L.train_mlp(X, y, "classifier", hidden=(4, 3), epochs=50),
+    ]
+    queries = rng.uniform(-1.2, 1.2, size=(60, 3))
+    for model in models:
+        for Q in (X, queries, queries[:0]):
+            batched = model.predict(Q)
+            assert batched.shape == (len(Q),)
+            assert np.array_equal(batched, np.array([model.predict_one(q) for q in Q], dtype=float))
