@@ -6,7 +6,7 @@ mixed-integer linear approximation over a robustness/relaxation grid, and
 refines the incumbent with projected gradient descent.
 """
 
-from .driver import RunConfig, RunReport, Toggles, generate_quadratic_sigmoid, solve_global
+from .driver import RunConfig, RunReport, generate_quadratic_sigmoid, solve_global
 from .encoder import RelaxConfig, RobustConfig, assemble
 from .expr import load_problem, parse_expr
 from .model import Problem, StandardProblem, standardize
@@ -18,7 +18,6 @@ __all__ = [
     "RunConfig",
     "RunReport",
     "StandardProblem",
-    "Toggles",
     "assemble",
     "generate_quadratic_sigmoid",
     "load_problem",

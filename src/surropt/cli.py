@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import benchmarks, expr, milp
-from .driver import RunConfig, Toggles, generate_quadratic_sigmoid, solve_global
+from .driver import RunConfig, generate_quadratic_sigmoid, sample, solve_global, train
 from .encoder import assemble
 from .errors import InfeasibleApproximation, SurroptError
 from .model import standardize
@@ -59,10 +61,10 @@ def _add_run_flags(p) -> None:
     p.add_argument("--lam", "--lambda", dest="lam", nargs="*", default=None,
                    help="relaxation penalties; 'none' = unrelaxed cell")
     p.add_argument("--norm-p", choices=["1", "inf"], default="1")
-    p.add_argument("--no-oct-sampling", action="store_true")
-    p.add_argument("--no-robust", action="store_true")
-    p.add_argument("--no-relax", action="store_true")
-    p.add_argument("--no-momentum", action="store_true")
+    p.add_argument("--no-oct-sampling", action="store_true", help="no adaptive sampling rounds")
+    p.add_argument("--no-robust", action="store_true", help="rho grid (0,); overrides --rho")
+    p.add_argument("--no-relax", action="store_true", help="lambda grid (none,)")
+    p.add_argument("--no-momentum", action="store_true", help="PGD momentum 0")
     p.add_argument("--solver", choices=["builtin", "external"], default="builtin")
     p.add_argument("--report", help="write the run report as JSON to this path")
 
@@ -73,19 +75,23 @@ def _config_from_args(args) -> RunConfig:
         "time_limit": args.time_limit,
         "norm_p": 1.0 if args.norm_p == "1" else float("inf"),
         "solver": args.solver,
-        "toggles": Toggles(
-            oct_sampling=not args.no_oct_sampling,
-            robustness=not args.no_robust,
-            relaxation=not args.no_relax,
-            momentum=not args.no_momentum,
-        ),
     }
     if args.rho is not None:
         kwargs["rho_grid"] = tuple(args.rho)
     if args.lam is not None:
         lam = tuple(None if str(v).lower() == "none" else float(v) for v in args.lam)
         kwargs["lambda_grid"] = lam
-    return RunConfig(**kwargs)
+    # each --no-* flag pins the field that turns its enhancement off
+    cfg = RunConfig(**kwargs)
+    if args.no_oct_sampling:
+        cfg.sampler = replace(cfg.sampler, adaptive_rounds=0)
+    if args.no_robust:
+        cfg.rho_grid = (0.0,)
+    if args.no_relax:
+        cfg.lambda_grid = (None,)
+    if args.no_momentum:
+        cfg.pgd = replace(cfg.pgd, momentum=0.0)
+    return cfg
 
 
 def _load(path: str):
@@ -135,6 +141,10 @@ def _run_and_exit(problem, cfg, report_path) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    solves = args.command != "export-lp"
+    if solves and args.solver == "external" and not os.environ.get(milp.EXTERNAL_SOLVER_ENV):
+        sys.stderr.write(f"surropt: --solver external needs {milp.EXTERNAL_SOLVER_ENV} set\n")
+        return EXIT_USAGE
     if args.command == "solve":
         problem = _load(args.file)
         return _run_and_exit(problem, _config_from_args(args), args.report)
@@ -147,32 +157,11 @@ def main(argv=None) -> int:
             problem = generate_quadratic_sigmoid(args.n, args.m, seed=args.seed)
         return _run_and_exit(problem, _config_from_args(args), args.report)
     if args.command == "export-lp":
-        problem = _load(args.file)
         cfg = _config_from_args(args)
-        sp = standardize(problem)
-        # training pass identical to solve_global, then the unrelaxed model
-        from .driver import _sample_constraint, _sample_objective, _train_plans
-        from .model import NonlinearObjective
-
-        seq = np.random.SeedSequence(cfg.seed)
-        streams = seq.spawn(len(sp.nonlinear) + 1)
-        datasets = [
-            _sample_constraint(sp, con, cfg, np.random.default_rng(streams[i]))
-            for i, con in enumerate(sp.nonlinear)
-        ]
-        plans, _ = _train_plans(sp, datasets, cfg, {"training": 0})
-        objective_surrogate = None
-        if isinstance(sp.objective, NonlinearObjective):
-            from .learners import select_surrogate
-            from dataclasses import replace as _replace
-
-            support, points, values = _sample_objective(sp, cfg, np.random.default_rng(streams[-1]))
-            objective_surrogate = _replace(
-                select_surrogate(points, values, task="regressor", seed=cfg.seed + 9973, params=cfg.learner),
-                support=tuple(support), constraint_id="objective",
-            )
-        plan_args = [p.surrogate if p.kind == "surrogate" else p.kind for p in plans]
-        model = assemble(sp, plan_args, objective_surrogate)
+        sp = standardize(_load(args.file))
+        # the model solve_global encodes first on a grid that starts at rho 0
+        trained = train(sp, sample(sp, cfg), cfg)
+        model = assemble(sp, trained.constraints, trained.objective)
         milp.export_lp_file(model, args.out)
         print(f"wrote {model.n_vars} variables, {model.n_rows} rows to {args.out}")
         return EXIT_OK

@@ -1,10 +1,13 @@
 """End-to-end pipeline: standardize, sample, train once, grid-solve, refine.
 
-The (rho, lambda) grid reuses the surrogates trained up front; only the
-encoding and MILP solve repeat per cell. Each rho first solves without
-relaxation and falls back to the relaxed model only when that solve is
-infeasible. Every cell's incumbent is refined by projected gradient descent
-and the best refined merit among feasibility-passing cells wins.
+``sample`` and ``train`` are the front of the pipeline, shared by
+``solve_global`` and by any caller that needs the trained surrogates (the
+CLI's ``export-lp``, the tests). The (rho, lambda) grid reuses the
+surrogates trained up front; only the encoding and MILP solve repeat per
+cell. Each rho first solves without relaxation and falls back to the
+relaxed model only when that solve is infeasible. Every cell's incumbent is
+refined by projected gradient descent and the best refined merit among
+feasibility-passing cells wins.
 """
 
 from __future__ import annotations
@@ -38,17 +41,12 @@ from .refine import MeritState, PgdConfig, pgd_improve
 
 
 @dataclass
-class Toggles:
-    """Enhancement switches for attribution runs."""
-
-    oct_sampling: bool = True
-    robustness: bool = True
-    relaxation: bool = True
-    momentum: bool = True
-
-
-@dataclass
 class RunConfig:
+    """Run settings. Each enhancement turns off through its own field:
+    ``sampler.adaptive_rounds=0`` (adaptive sampling), ``rho_grid=(0.0,)``
+    (robustness), ``lambda_grid=(None,)`` (relaxation) and
+    ``pgd.momentum=0.0`` (refinement momentum)."""
+
     sampler: sampling.SamplerConfig = field(default_factory=sampling.SamplerConfig)
     learner: LearnerParams = field(default_factory=LearnerParams)
     pgd: PgdConfig = field(default_factory=PgdConfig)
@@ -60,7 +58,6 @@ class RunConfig:
     gap_tol: float = 1e-6
     solver: str = "builtin"
     feas_tol: float = 1e-6
-    toggles: Toggles = field(default_factory=Toggles)
 
     def __post_init__(self):
         if not self.rho_grid or not self.lambda_grid:
@@ -75,7 +72,6 @@ class CellResult:
     lam: Optional[float]
     status: str                      # optimal | infeasible | time_limit | skipped
     mio_objective: Optional[float] = None
-    mio_x: Optional[np.ndarray] = None
     relax_total: float = 0.0
     refined: Optional[MeritState] = None
     max_violation: Optional[float] = None
@@ -141,16 +137,14 @@ class RunReport:
 
 
 @dataclass
-class _ConstraintPlan:
-    """What the encoder should do for one nonlinear constraint."""
+class Trained:
+    """The surrogates ``assemble`` takes, trained once per run."""
 
-    kind: str                        # surrogate | always_feasible | always_infeasible
-    surrogate: Optional[Surrogate] = None
-    dataset_size: int = 0
-
-
-class _Deadline(Exception):
-    """Internal: the run's wall-clock budget ran out mid-phase."""
+    constraints: list                # per nonlinear constraint: a Surrogate or an ALWAYS_* marker
+    objective: Optional[Surrogate]   # None for a linear objective
+    families: dict                   # report entry per constraint (and the objective)
+    runs: int                        # surrogates actually trained
+    complete: bool                   # False when the deadline cut training short
 
 
 # ---------------------------------------------------------------------------
@@ -171,13 +165,27 @@ def _value_or_nan(target, x) -> float:
         return math.nan
 
 
+def _static_sample(sp: StandardProblem, support, cfg: RunConfig, rng) -> np.ndarray:
+    """Box corners and a Latin hypercube over the support, integers rounded."""
+    lo_all, hi_all = sp.box()
+    lo, hi = lo_all[support], hi_all[support]
+    d = len(support)
+    cap = 2 ** min(d, cfg.sampler.corner_cap_exp)
+    points = np.vstack(
+        [
+            sampling.boundary_sample(lo, hi, cap, rng),
+            sampling.lh_sample(lo, hi, max(cfg.sampler.n_lh, 50 * d), rng),
+        ]
+    )
+    return _round_integrals(points, sp, support)
+
+
 def _sample_constraint(sp: StandardProblem, con, cfg: RunConfig, rng, deadline=None):
     """Labeled feasibility samples over the constraint's own support box."""
     support = sorted(con.support)
     lo_all, hi_all = sp.box()
     lo, hi = lo_all[support], hi_all[support]
     center = (lo_all + hi_all) / 2.0
-    d = len(support)
 
     # a point where the evaluator fails is infeasible and has no value
     def eval_sub(p):
@@ -192,12 +200,7 @@ def _sample_constraint(sp: StandardProblem, con, cfg: RunConfig, rng, deadline=N
     def past_deadline():
         return deadline is not None and time.monotonic() > deadline
 
-    cap = 2 ** min(d, cfg.sampler.corner_cap_exp)
-    pts = [sampling.boundary_sample(lo, hi, cap, rng)]
-    n_lh = max(cfg.sampler.n_lh, 50 * d)
-    pts.append(sampling.lh_sample(lo, hi, n_lh, rng))
-    points = np.vstack(pts)
-    points = _round_integrals(points, sp, support)
+    points = _static_sample(sp, support, cfg, rng)
     labels = np.array([label_sub(p) for p in points], dtype=float)
 
     if len(np.unique(labels)) == 2 and not past_deadline():
@@ -209,7 +212,7 @@ def _sample_constraint(sp: StandardProblem, con, cfg: RunConfig, rng, deadline=N
             points = np.vstack([points, knn_pts])
             labels = np.concatenate([labels, [label_sub(p) for p in knn_pts]])
 
-    if cfg.toggles.oct_sampling and len(np.unique(labels)) == 2:
+    if len(np.unique(labels)) == 2:
         def committee_tree(X, y, seed):
             return train_tree(
                 X, y, task="classifier",
@@ -248,62 +251,70 @@ def _round_integrals(points, sp: StandardProblem, support) -> np.ndarray:
 
 
 def _sample_objective(sp: StandardProblem, cfg: RunConfig, rng):
-    objective = sp.objective
-    support = sorted(objective.support)
+    """Objective values at the static samples over the objective's support."""
+    support = sorted(sp.objective.support)
     lo_all, hi_all = sp.box()
-    lo, hi = lo_all[support], hi_all[support]
     center = (lo_all + hi_all) / 2.0
-    d = len(support)
-    cap = 2 ** min(d, cfg.sampler.corner_cap_exp)
-    points = np.vstack(
-        [
-            sampling.boundary_sample(lo, hi, cap, rng),
-            sampling.lh_sample(lo, hi, max(cfg.sampler.n_lh, 50 * d), rng),
-        ]
-    )
-    points = _round_integrals(points, sp, support)
+    points = _static_sample(sp, support, cfg, rng)
     # a point where the objective fails or is not finite has no value to fit
-    values = np.array([_value_or_nan(objective, _embed(center, support, p)) for p in points])
+    values = np.array([_value_or_nan(sp.objective, _embed(center, support, p)) for p in points])
     kept = np.isfinite(values)
-    return support, points[kept], values[kept]
+    return support, points[kept], None, values[kept]
 
 
-def _train_plans(sp: StandardProblem, datasets, cfg: RunConfig, counters, deadline=None):
-    plans = []
-    families = {}
+def sample(sp: StandardProblem, cfg: RunConfig, deadline=None) -> Optional[list]:
+    """One dataset ``(support, points, labels, values)`` per nonlinear
+    constraint, then one for a nonlinear objective (its ``labels`` are None).
+
+    ``values`` is None for an inequality constraint. Each dataset draws from
+    its own stream of ``cfg.seed``. Returns None if ``deadline`` (a
+    ``time.monotonic()`` instant) passes before every constraint is sampled.
+    """
+    streams = np.random.SeedSequence(cfg.seed).spawn(len(sp.nonlinear) + 1)
+    datasets = []
     for i, con in enumerate(sp.nonlinear):
         if deadline is not None and time.monotonic() > deadline:
-            raise _Deadline
-        support, points, labels, values = datasets[i]
-        name = con.name or f"g{i}"
-        if con.sense == "=0":
-            sur = select_surrogate(
-                points, values, task="regressor",
-                seed=cfg.seed + 101 * i, params=cfg.learner,
-            )
-            counters["training"] += 1
-            sur = replace(sur, support=tuple(support), constraint_id=name)
-            plans.append(_ConstraintPlan("surrogate", sur, len(points)))
-            families[name] = {"family": sur.family, "score": sur.validation_score}
-            continue
-        uniq = set(labels.tolist())
-        if uniq == {1.0}:
-            plans.append(_ConstraintPlan(ALWAYS_FEASIBLE, dataset_size=len(points)))
-            families[name] = {"family": ALWAYS_FEASIBLE, "score": 1.0}
-            continue
-        if uniq == {0.0}:
-            plans.append(_ConstraintPlan(ALWAYS_INFEASIBLE, dataset_size=len(points)))
-            families[name] = {"family": ALWAYS_INFEASIBLE, "score": 1.0}
-            continue
-        sur = select_surrogate(
-            points, labels, task="classifier",
-            seed=cfg.seed + 101 * i, params=cfg.learner,
-        )
-        counters["training"] += 1
-        sur = replace(sur, support=tuple(support), constraint_id=name)
-        plans.append(_ConstraintPlan("surrogate", sur, len(points)))
-        families[name] = {"family": sur.family, "score": sur.validation_score}
-    return plans, families
+            return None
+        rng = np.random.default_rng(streams[i])
+        datasets.append(_sample_constraint(sp, con, cfg, rng, deadline=deadline))
+    if isinstance(sp.objective, NonlinearObjective):
+        datasets.append(_sample_objective(sp, cfg, np.random.default_rng(streams[-1])))
+    return datasets
+
+
+def train(sp: StandardProblem, datasets, cfg: RunConfig, deadline=None) -> Trained:
+    """Select one surrogate per dataset of ``sample``.
+
+    A dataset with values gets a regressor; one with labels of both kinds
+    gets a classifier, and one with a single label kind gets the matching
+    ``ALWAYS_*`` marker instead. Stops early, with ``complete`` False, when
+    ``deadline`` passes.
+    """
+    out = Trained(constraints=[], objective=None, families={}, runs=0, complete=False)
+    for i, (support, points, labels, values) in enumerate(datasets):
+        if deadline is not None and time.monotonic() > deadline:
+            return out
+        is_objective = i == len(sp.nonlinear)
+        if is_objective:
+            name, seed = "objective", cfg.seed + 9973
+        else:
+            name, seed = sp.nonlinear[i].name or f"g{i}", cfg.seed + 101 * i
+        kinds = set(labels.tolist()) if values is None else set()
+        if len(kinds) == 1:
+            model = ALWAYS_FEASIBLE if 1.0 in kinds else ALWAYS_INFEASIBLE
+            out.families[name] = {"family": model, "score": 1.0}
+        else:
+            task, targets = ("classifier", labels) if values is None else ("regressor", values)
+            model = select_surrogate(points, targets, task=task, seed=seed, params=cfg.learner)
+            model = replace(model, support=tuple(support), constraint_id=name)
+            out.runs += 1
+            out.families[name] = {"family": model.family, "score": model.validation_score}
+        if is_objective:
+            out.objective = model
+        else:
+            out.constraints.append(model)
+    out.complete = True
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +324,7 @@ def _train_plans(sp: StandardProblem, datasets, cfg: RunConfig, counters, deadli
 def solve_global(problem: Problem, cfg: Optional[RunConfig] = None) -> RunReport:
     cfg = cfg or RunConfig()
     t0 = time.monotonic()
+    deadline = t0 + cfg.time_limit
     phases = {
         "standardize": 0.0,
         "sampling": 0.0,
@@ -322,84 +334,49 @@ def solve_global(problem: Problem, cfg: Optional[RunConfig] = None) -> RunReport
         "refining": 0.0,
     }
 
-    def elapsed():
-        return time.monotonic() - t0
+    def finish(status, trained=None, cells=(), winner=None):
+        best = None if winner is None else winner.refined
+        return RunReport(
+            status=status,
+            x=None if best is None else best.x,
+            objective=None if best is None else best.objective,
+            violations=None if best is None else best.violations,
+            winner=None if winner is None else (winner.rho, winner.lam),
+            families={} if trained is None else trained.families,
+            phase_seconds=phases,
+            cells=list(cells),
+            training_runs=0 if trained is None else trained.runs,
+            total_seconds=time.monotonic() - t0,
+            mio_objective=None if winner is None else winner.mio_objective,
+            seed=cfg.seed,
+            problem=sp.name,
+        )
 
     tick = time.monotonic()
     sp = standardize(problem)
     phases["standardize"] = time.monotonic() - tick
 
-    seed_seq = np.random.SeedSequence(cfg.seed)
-    streams = seed_seq.spawn(len(sp.nonlinear) + 1)
-
-    def partial_report(families, counters, cells):
-        return RunReport(
-            status="time_limit", x=None, objective=None, violations=None,
-            winner=None, families=families, phase_seconds=phases, cells=cells,
-            training_runs=counters["training"], total_seconds=elapsed(),
-            mio_objective=None, seed=cfg.seed, problem=sp.name,
-        )
-
     tick = time.monotonic()
-    sample_deadline = t0 + cfg.time_limit
-    datasets = []
-    out_of_time = False
-    for i, con in enumerate(sp.nonlinear):
-        if elapsed() > cfg.time_limit:
-            out_of_time = True
-            break
-        rng = np.random.default_rng(streams[i])
-        datasets.append(_sample_constraint(sp, con, cfg, rng, deadline=sample_deadline))
-    objective_data = None
-    if isinstance(sp.objective, NonlinearObjective) and not out_of_time:
-        rng = np.random.default_rng(streams[-1])
-        objective_data = _sample_objective(sp, cfg, rng)
+    datasets = sample(sp, cfg, deadline)
     phases["sampling"] = time.monotonic() - tick
-    if out_of_time:
-        return partial_report({}, {"training": 0}, [])
+    if datasets is None:
+        return finish("time_limit")
 
-    counters = {"training": 0}
     tick = time.monotonic()
-    deadline = t0 + cfg.time_limit
-    try:
-        plans, families = _train_plans(sp, datasets, cfg, counters, deadline=deadline)
-        objective_surrogate = None
-        if objective_data is not None:
-            if time.monotonic() > deadline:
-                raise _Deadline
-            support, points, values = objective_data
-            objective_surrogate = select_surrogate(
-                points, values, task="regressor", seed=cfg.seed + 9973, params=cfg.learner,
-            )
-            counters["training"] += 1
-            objective_surrogate = replace(
-                objective_surrogate, support=tuple(support), constraint_id="objective"
-            )
-            families["objective"] = {
-                "family": objective_surrogate.family,
-                "score": objective_surrogate.validation_score,
-            }
-    except _Deadline:
-        phases["training"] = time.monotonic() - tick
-        return partial_report({}, counters, [])
+    trained = train(sp, datasets, cfg, deadline)
     phases["training"] = time.monotonic() - tick
-    if elapsed() > cfg.time_limit:
-        return partial_report(families, counters, [])
-
-    rho_list = tuple(cfg.rho_grid) if cfg.toggles.robustness else (0.0,)
-    lam_list = tuple(cfg.lambda_grid) if cfg.toggles.relaxation else (None,)
-    pgd_cfg = replace(cfg.pgd, use_momentum=cfg.pgd.use_momentum and cfg.toggles.momentum)
-    plan_args = [p.surrogate if p.kind == "surrogate" else p.kind for p in plans]
+    if not trained.complete or time.monotonic() > deadline:
+        return finish("time_limit", trained)
 
     cells = []
     refined_cache = {}
     timed_out = False
-    total_cells = len(rho_list) * len(lam_list)
+    total_cells = len(cfg.rho_grid) * len(cfg.lambda_grid)
     solved_models = []  # (model, solution) pairs reused across identical encodings
 
     def encode(robust_cfg, relax_cfg):
         tick = time.monotonic()
-        model = assemble(sp, plan_args, objective_surrogate, robust_cfg, relax_cfg)
+        model = assemble(sp, trained.constraints, trained.objective, robust_cfg, relax_cfg)
         phases["encoding"] += time.monotonic() - tick
         return model
 
@@ -414,67 +391,48 @@ def solve_global(problem: Problem, cfg: Optional[RunConfig] = None) -> RunReport
         phases["solving"] += time.monotonic() - tick
         return sol
 
-    for rho in rho_list:
+    for rho in cfg.rho_grid:
         robust_cfg = RobustConfig(rho=rho, p=cfg.norm_p) if rho > 0 else None
-        base_solution = None
-        base_status = None
+        base = None                 # (model, solution) of the unrelaxed solve
         relaxed_infeasible = False  # the relaxed feasible set does not depend on lambda
-        for lam in lam_list:
+        for lam in cfg.lambda_grid:
             cell_tick = time.monotonic()
-            done = len(cells)
-            remaining = cfg.time_limit - elapsed()
+            remaining = deadline - time.monotonic()
             if remaining <= 0:
                 cells.append(CellResult(rho=rho, lam=lam, status="skipped"))
                 timed_out = True
                 continue
-            budget = max(0.05, remaining / max(1, total_cells - done))
+            budget = max(0.05, remaining / max(1, total_cells - len(cells)))
 
-            if base_status is None:
+            if base is None:
                 model = encode(robust_cfg, None)
-                base_sol = run_solver(model, budget)
-                base_status = base_sol.status
-                if base_sol.status == "optimal":
-                    base_solution = (model, base_sol)
-
-            if base_status == "optimal":
-                model, sol = base_solution
-                relax_total = 0.0
-            elif lam is None:
-                cells.append(
-                    CellResult(rho=rho, lam=lam, status=base_status,
-                               wall_time=time.monotonic() - cell_tick,
-                               **_milp_counters(base_sol))
-                )
-                if base_status == "time_limit":
-                    timed_out = True
-                continue
-            elif relaxed_infeasible:
-                cells.append(
-                    CellResult(rho=rho, lam=lam, status="infeasible",
-                               wall_time=time.monotonic() - cell_tick)
-                )
-                continue
-            else:
+                base = (model, run_solver(model, budget))
+            model, sol = base
+            if sol.status != "optimal" and lam is not None:
+                if relaxed_infeasible:
+                    cells.append(
+                        CellResult(rho=rho, lam=lam, status="infeasible",
+                                   wall_time=time.monotonic() - cell_tick)
+                    )
+                    continue
                 model = encode(robust_cfg, RelaxConfig(lam))
                 sol = run_solver(model, budget)
-                if sol.status != "optimal":
-                    relaxed_infeasible = sol.status == "infeasible"
-                    cells.append(
-                        CellResult(rho=rho, lam=lam, status=sol.status,
-                                   wall_time=time.monotonic() - cell_tick,
-                                   **_milp_counters(sol))
-                    )
-                    if sol.status == "time_limit":
-                        timed_out = True
-                    continue
-                relax_total = float(sum(sol.x[u] for u in model.registry["relax_vars"]))
+                relaxed_infeasible = sol.status == "infeasible"
+            if sol.status != "optimal":
+                cells.append(
+                    CellResult(rho=rho, lam=lam, status=sol.status,
+                               wall_time=time.monotonic() - cell_tick,
+                               **_milp_counters(sol))
+                )
+                timed_out = timed_out or sol.status == "time_limit"
+                continue
+            relax_total = float(sum(sol.x[u] for u in model.registry["relax_vars"]))
 
-            x_cols = model.registry["x_vars"]
-            x_mio = np.array([sol.x[c] for c in x_cols])
+            x_mio = np.array([sol.x[c] for c in model.registry["x_vars"]])
             key = x_mio.tobytes()
             refine_tick = time.monotonic()
             if key not in refined_cache:
-                refined_cache[key] = pgd_improve(sp, x_mio, pgd_cfg)
+                refined_cache[key] = pgd_improve(sp, x_mio, cfg.pgd)
             refined = refined_cache[key]
             phases["refining"] += time.monotonic() - refine_tick
 
@@ -485,7 +443,6 @@ def solve_global(problem: Problem, cfg: Optional[RunConfig] = None) -> RunReport
                     lam=lam,
                     status="optimal",
                     mio_objective=sol.objective,
-                    mio_x=x_mio,
                     relax_total=relax_total,
                     refined=refined,
                     max_violation=max_violation,
@@ -498,37 +455,15 @@ def solve_global(problem: Problem, cfg: Optional[RunConfig] = None) -> RunReport
     solved = [c for c in cells if c.status == "optimal"]
     if not solved:
         if timed_out:
-            return RunReport(
-                status="time_limit", x=None, objective=None, violations=None,
-                winner=None, families=families, phase_seconds=phases, cells=cells,
-                training_runs=counters["training"], total_seconds=elapsed(),
-                mio_objective=None, seed=cfg.seed, problem=sp.name,
-            )
+            return finish("time_limit", trained, cells)
         raise InfeasibleApproximation(
             "every grid cell was infeasible, even with relaxation"
         )
 
     eligible = [c for c in solved if c.feasible]
-    pool = eligible if eligible else solved
-    winner = min(pool, key=lambda c: c.refined.merit)
-    status = "ok" if eligible else "no_feasible_cell"
-    if timed_out:
-        status = "time_limit"
-    return RunReport(
-        status=status,
-        x=winner.refined.x,
-        objective=winner.refined.objective,
-        violations=winner.refined.violations,
-        winner=(winner.rho, winner.lam),
-        families=families,
-        phase_seconds=phases,
-        cells=cells,
-        training_runs=counters["training"],
-        total_seconds=elapsed(),
-        mio_objective=winner.mio_objective,
-        seed=cfg.seed,
-        problem=sp.name,
-    )
+    winner = min(eligible or solved, key=lambda c: c.refined.merit)
+    status = "time_limit" if timed_out else "ok" if eligible else "no_feasible_cell"
+    return finish(status, trained, cells, winner)
 
 
 def _milp_counters(sol: milp.MilpSolution) -> dict:

@@ -73,10 +73,7 @@ class SurrogateEncoding:
     """Bookkeeping for one embedded surrogate."""
 
     output: Optional[int]          # model-output variable, None for a direct row
-    threshold_rows: list
-    relax_var: Optional[int] = None
     binaries: Optional[list] = None
-    trees: Optional[list] = None   # per-tree encodings inside an ensemble
 
 
 # ---------------------------------------------------------------------------
@@ -156,15 +153,15 @@ def encode_linear_model(model: LinearModel, task: str, m: MilpModel, cols, lo, h
         coeffs = {cols[k]: beta[k] for k in range(len(beta)) if beta[k] != 0.0}
         coeffs[y] = -1.0
         m.add_row(coeffs, "=", -model.beta0, name=f"{prefix}_def")
-        return SurrogateEncoding(output=y, threshold_rows=[])
+        return SurrogateEncoding(output=y)
     coeffs = {cols[k]: beta[k] for k in range(len(beta)) if beta[k] != 0.0}
     if robust is not None and robust.active:
         t = add_norm_var(m, beta, cols, lo, hi, robust.q, prefix)
         coeffs[t] = -robust.rho
     if relax_var is not None:
         coeffs[relax_var] = 1.0
-    row = m.add_row(coeffs, ">=", -model.beta0, name=f"{prefix}_margin")
-    return SurrogateEncoding(output=None, threshold_rows=[row], relax_var=relax_var)
+    m.add_row(coeffs, ">=", -model.beta0, name=f"{prefix}_margin")
+    return SurrogateEncoding(output=None)
 
 
 def encode_tree(tree: ObliqueTree, task: str, m: MilpModel, cols, lo, hi,
@@ -209,7 +206,7 @@ def encode_tree(tree: ObliqueTree, task: str, m: MilpModel, cols, lo, hi,
                     coeffs[norm_var_for(a)] = -robust.rho
                 coeffs[zs[i]] = -M
                 m.add_row(coeffs, ">=", b - M + _split_eps(a), name=f"{prefix}_r{i}_{j}")
-    return SurrogateEncoding(output=y, threshold_rows=[], binaries=zs)
+    return SurrogateEncoding(output=y, binaries=zs)
 
 
 def encode_gbm(ens: GbmEnsemble, task: str, m: MilpModel, cols, lo, hi,
@@ -232,7 +229,7 @@ def encode_gbm(ens: GbmEnsemble, task: str, m: MilpModel, cols, lo, hi,
     coeffs = {enc.output: w for enc, w in zip(encodings, ens.weights)}
     coeffs[y] = -1.0
     m.add_row(coeffs, "=", -ens.base, name=f"{prefix}_link")
-    return SurrogateEncoding(output=y, threshold_rows=[], trees=encodings)
+    return SurrogateEncoding(output=y)
 
 
 def encode_mlp(net: Mlp, task: str, m: MilpModel, cols, lo, hi,
@@ -290,15 +287,7 @@ def encode_mlp(net: Mlp, task: str, m: MilpModel, cols, lo, hi,
     coeffs = {prev_cols[k]: W[0][k] for k in range(W.shape[1]) if W[0][k] != 0.0}
     coeffs[y] = coeffs.get(y, 0.0) - 1.0
     m.add_row(coeffs, "=", -float(b[0]), name=f"{prefix}_outrow")
-    return SurrogateEncoding(output=y, threshold_rows=[], binaries=binaries)
-
-
-def robustify_linear(model: LinearModel, cfg: RobustConfig, m: MilpModel, cols, lo, hi,
-                     prefix: str = "svc", relax_var: Optional[int] = None) -> SurrogateEncoding:
-    """Robust margin row for a linear classifier (replaces the plain row)."""
-    return encode_linear_model(
-        model, "classifier", m, cols, lo, hi, robust=cfg, prefix=prefix, relax_var=relax_var
-    )
+    return SurrogateEncoding(output=y, binaries=binaries)
 
 
 # ---------------------------------------------------------------------------
@@ -336,11 +325,9 @@ def assemble(
 
     lo_all, hi_all = sp.box()
     relax_vars = []
-    registry_entries = []
 
     for ci, (con, sur) in enumerate(zip(sp.nonlinear, constraint_surrogates)):
         if sur == ALWAYS_FEASIBLE:
-            registry_entries.append({"kind": ALWAYS_FEASIBLE})
             continue
         u = None
         if relax is not None:
@@ -349,8 +336,7 @@ def assemble(
         if sur == ALWAYS_INFEASIBLE:
             # no feasible sample was ever seen: 0 >= 1 unless relaxed
             coeffs = {} if u is None else {u: 1.0}
-            row = m.add_row(coeffs, ">=", 1.0, name=f"c{ci}_nofeas")
-            registry_entries.append({"kind": ALWAYS_INFEASIBLE, "relax": u, "rows": [row]})
+            m.add_row(coeffs, ">=", 1.0, name=f"c{ci}_nofeas")
             continue
 
         support = sorted(sur.support) if sur.support else sorted(con.support)
@@ -362,34 +348,19 @@ def assemble(
         if con.sense == "=0":
             # regression surrogate pinned inside a band around zero
             enc = _encode_output(sur, m, cols, lo, hi, robust, prefix)
-            rows = [
-                m.add_row(_with_coef({enc.output: 1.0}, u, -1.0), "<=", EQUALITY_BAND, name=f"{prefix}_band_hi"),
-                m.add_row(_with_coef({enc.output: 1.0}, u, 1.0), ">=", -EQUALITY_BAND, name=f"{prefix}_band_lo"),
-            ]
-            enc.threshold_rows = rows
-            enc.relax_var = u
+            out = {enc.output: 1.0}
+            m.add_row(_with_coef(out, u, -1.0), "<=", EQUALITY_BAND, name=f"{prefix}_band_hi")
+            m.add_row(_with_coef(out, u, 1.0), ">=", -EQUALITY_BAND, name=f"{prefix}_band_lo")
         elif sur.family == "svm" and sur.task == "classifier":
-            enc = encode_linear_model(
+            encode_linear_model(
                 sur.model, "classifier", m, cols, lo, hi, robust=robust, prefix=prefix, relax_var=u
             )
         else:
             enc = _encode_output(sur, m, cols, lo, hi, robust, prefix)
-            row = m.add_row(
+            m.add_row(
                 _with_coef({enc.output: 1.0}, u, 1.0), ">=", sur.threshold, name=f"{prefix}_rule"
             )
-            enc.threshold_rows = [row]
-            enc.relax_var = u
-        registry_entries.append(
-            {
-                "kind": sur.family,
-                "output": enc.output,
-                "rows": enc.threshold_rows,
-                "relax": u,
-                "binaries": enc.binaries,
-            }
-        )
 
-    obj_entry = None
     if isinstance(sp.objective, LinearObjective):
         for k in range(sp.n):
             if sp.objective.coeffs[k] != 0.0:
@@ -404,7 +375,6 @@ def assemble(
             objective_surrogate, m, cols, lo_all[support], hi_all[support], None, "obj"
         )
         m.add_objective_term(enc.output, 1.0)
-        obj_entry = {"kind": objective_surrogate.family, "output": enc.output}
 
     if relax is not None:
         for u in relax_vars:
@@ -412,8 +382,6 @@ def assemble(
 
     m.registry = {
         "x_vars": x_cols,
-        "constraints": registry_entries,
-        "objective": obj_entry,
         "relax_vars": relax_vars,
     }
     return m

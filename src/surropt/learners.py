@@ -193,16 +193,11 @@ class Surrogate:
     constraint_id: str = ""
 
     def raw(self, x) -> float:
-        return predict(self, x)
+        """Model-native output: margin, leaf value, weighted sum, or logit."""
+        return float(self.model.predict_one(x))
 
     def decision(self, x) -> bool:
-        return predict(self, x) >= self.threshold
-
-
-def predict(s, x) -> float:
-    """Model-native output: margin, leaf value, weighted sum, or logit."""
-    model = s.model if isinstance(s, Surrogate) else s
-    return float(model.predict_one(x))
+        return self.raw(x) >= self.threshold
 
 
 # ---------------------------------------------------------------------------

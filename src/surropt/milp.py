@@ -919,14 +919,18 @@ def solve_with_external(model: MilpModel, command: str, time_limit=None) -> Milp
     The command receives the LP file path and a solution file path. The
     solution file starts with ``status <word>`` and ``objective <value>``
     lines followed by ``<name> <value>`` pairs using the canonical names from
-    the LP file.
+    the LP file. A solver still running at ``time_limit`` is killed and the
+    solve ends with status ``time_limit`` and no incumbent.
     """
     with tempfile.TemporaryDirectory(prefix="surropt_ext_") as tmp:
         lp_path = os.path.join(tmp, "model.lp")
         sol_path = os.path.join(tmp, "model.sol")
         export_lp_file(model, lp_path)
         argv = shlex.split(command) + [lp_path, sol_path]
-        subprocess.run(argv, check=True, timeout=time_limit)
+        try:
+            subprocess.run(argv, check=True, timeout=time_limit)
+        except subprocess.TimeoutExpired:
+            return MilpSolution(status="time_limit")
         status = "infeasible"
         objective = None
         values: dict[str, float] = {}

@@ -60,15 +60,28 @@ class LinearConstraint:
         return abs(lhs - self.rhs)
 
 
-@dataclass(frozen=True, eq=False)
-class NonlinearConstraint:
-    """Scalar constraint ``evaluator(x) <= 0`` or ``evaluator(x) = 0``.
+class _Evaluated:
+    """Value and gradient of an ``evaluator`` that reads only ``support``.
 
-    ``support`` lists the variable indices the evaluator actually reads.
-    Expression-backed constraints carry their tree for exact gradients;
-    black-box ones may supply a gradient callback, else central differences
-    are used.
+    Expression-backed ones carry their tree for exact gradients; black-box
+    ones may supply a gradient callback, else central differences are used.
     """
+
+    def value(self, x) -> float:
+        return float(self.evaluator(np.asarray(x, dtype=float)))
+
+    def grad(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if self.expr is not None:
+            return _expr.grad_expr(self.expr, x)
+        if self.gradient is not None:
+            return np.asarray(self.gradient(x), dtype=float)
+        return central_difference(self.evaluator, x, self.support)
+
+
+@dataclass(frozen=True, eq=False)
+class NonlinearConstraint(_Evaluated):
+    """Scalar constraint ``evaluator(x) <= 0`` or ``evaluator(x) = 0``."""
 
     evaluator: Callable[[np.ndarray], float]
     sense: str
@@ -81,17 +94,6 @@ class NonlinearConstraint:
         object.__setattr__(self, "support", frozenset(self.support))
         if self.sense not in ("<=0", "=0"):
             raise ValueError(f"bad sense {self.sense!r}")
-
-    def value(self, x) -> float:
-        return float(self.evaluator(np.asarray(x, dtype=float)))
-
-    def grad(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.expr is not None:
-            return _expr.grad_expr(self.expr, x)
-        if self.gradient is not None:
-            return np.asarray(self.gradient(x), dtype=float)
-        return central_difference(self.evaluator, x, self.support)
 
     def violation(self, x) -> float:
         """How far x violates the constraint; a failed evaluation or a NaN or
@@ -121,7 +123,7 @@ class LinearObjective:
 
 
 @dataclass(frozen=True, eq=False)
-class NonlinearObjective:
+class NonlinearObjective(_Evaluated):
     evaluator: Callable[[np.ndarray], float]
     support: frozenset[int]
     expr: Optional[_expr.Expr] = None
@@ -129,17 +131,6 @@ class NonlinearObjective:
 
     def __post_init__(self):
         object.__setattr__(self, "support", frozenset(self.support))
-
-    def value(self, x) -> float:
-        return float(self.evaluator(np.asarray(x, dtype=float)))
-
-    def grad(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.expr is not None:
-            return _expr.grad_expr(self.expr, x)
-        if self.gradient is not None:
-            return np.asarray(self.gradient(x), dtype=float)
-        return central_difference(self.evaluator, x, self.support)
 
 
 def central_difference(fn, x, support=None, scale=1e-6) -> np.ndarray:
@@ -191,9 +182,6 @@ class Problem:
         hi = np.array([v.upper for v in self.vars])
         return lo, hi
 
-    def objective_value(self, x) -> float:
-        return self.objective.value(x)
-
 
 @dataclass(frozen=True, eq=False)
 class StandardProblem(Problem):
@@ -204,14 +192,6 @@ class StandardProblem(Problem):
     """
 
     bound_provenance: tuple[str, ...] = ()
-
-    def nonlinear_support(self) -> frozenset[int]:
-        out = set()
-        for c in self.nonlinear:
-            out |= c.support
-        if isinstance(self.objective, NonlinearObjective):
-            out |= self.objective.support
-        return frozenset(out)
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,6 @@ class PgdConfig:
     penalty: float = 1e3
     step_tol: float = 1e-9
     polish_iters: int = 30
-    use_momentum: bool = True
-    second_order: bool = True  # diagonal curvature scaling of the direction
 
     def __post_init__(self):
         if not 0.0 <= self.momentum < 1.0:
@@ -372,19 +370,18 @@ def pgd_improve(sp: StandardProblem, x0, cfg: Optional[PgdConfig] = None) -> Mer
     current = best
     velocity = np.zeros_like(x)
     momentum_on = False
-    gamma = cfg.momentum if cfg.use_momentum else 0.0
 
     try:
         for _ in range(cfg.iterations):
             progress = False
             g = _merit_gradient(sp, current.x, cfg.penalty)
-            if cfg.second_order:
-                curv = _diag_curvature(sp, current.x, cfg.penalty, current.merit, lo, hi, frozen)
-                g = _scale_by_curvature(g, curv, lo, hi, frozen)
+            # diagonal curvature scaling of the direction
+            curv = _diag_curvature(sp, current.x, cfg.penalty, current.merit, lo, hi, frozen)
+            g = _scale_by_curvature(g, curv, lo, hi, frozen)
             move = _cone_filter(-g, current.x, rows, lo, hi, frozen)
             d = -move
             if momentum_on:
-                d = d + gamma * velocity
+                d = d + cfg.momentum * velocity
             norm_d = float(np.linalg.norm(d))
             if norm_d > cfg.step_tol:
                 alpha = 1.0
@@ -405,14 +402,13 @@ def pgd_improve(sp: StandardProblem, x0, cfg: Optional[PgdConfig] = None) -> Mer
                     velocity[:] = 0.0
                 else:
                     velocity = alpha * d
-                    momentum_on = cfg.use_momentum and gamma > 0.0
+                    momentum_on = cfg.momentum > 0.0
                     current = accepted
                     progress = True
-            if cfg.second_order:
-                swept = _coordinate_sweep(sp, current, cfg.penalty, rows, lo, hi, frozen)
-                if swept.merit < current.merit - 1e-12:
-                    current = swept
-                    progress = True
+            swept = _coordinate_sweep(sp, current, cfg.penalty, rows, lo, hi, frozen)
+            if swept.merit < current.merit - 1e-12:
+                current = swept
+                progress = True
             if current.merit < best.merit:
                 best = current
             if not progress:

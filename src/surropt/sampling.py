@@ -80,7 +80,6 @@ class SamplerConfig:
     hr_burn_in: int = 20
     adaptive_rounds: int = 1
     corner_cap_exp: int = 10           # enumerate at most 2^this corners
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.discordance <= 1.0:
@@ -219,10 +218,6 @@ def chebyshev_center(poly: Polyhedron):
     if radius <= 0.0:
         raise EmptyPolyhedron("polyhedron has empty interior")
     return center, radius
-
-
-def find_interior_point(poly: Polyhedron) -> np.ndarray:
-    return chebyshev_center(poly)[0]
 
 
 def hit_and_run(

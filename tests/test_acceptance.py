@@ -20,10 +20,10 @@ from surropt import sampling as S
 from surropt.benchmarks import illustrative_problem, speed_reducer_problem
 from surropt.driver import (
     RunConfig,
-    _sample_constraint,
-    _train_plans,
     generate_quadratic_sigmoid,
+    sample,
     solve_global,
+    train,
 )
 from surropt.expr import DomainError  # noqa: F401  (re-exported for helpers)
 from surropt import expr as E
@@ -84,14 +84,9 @@ def test_criterion_2_intermediate_mio_incumbent():
     for seed in range(10):
         sp = standardize(illustrative_problem())
         cfg = RunConfig(seed=seed, time_limit=60)
-        streams = np.random.SeedSequence(seed).spawn(len(sp.nonlinear) + 1)
-        datasets = [
-            _sample_constraint(sp, con, cfg, np.random.default_rng(streams[i]))
-            for i, con in enumerate(sp.nonlinear)
-        ]
-        plans, _ = _train_plans(sp, datasets, cfg, {"training": 0})
-        plan_args = [p.surrogate if p.kind == "surrogate" else p.kind for p in plans]
-        model = enc.assemble(sp, plan_args, robust=enc.RobustConfig(rho=0.1, p=cfg.norm_p))
+        trained = train(sp, sample(sp, cfg), cfg)
+        robust = enc.RobustConfig(rho=0.1, p=cfg.norm_p)
+        model = enc.assemble(sp, trained.constraints, robust=robust)
         sol = milp.solve_milp(model, time_limit=30)
         if sol.status != "optimal":
             continue

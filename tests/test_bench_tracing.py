@@ -1,0 +1,37 @@
+"""Guard for the benchmark's tracer, which wraps program names by getattr.
+
+``bench/tracing.py`` replaces functions at the names the program looks up
+(``driver._sample_constraint``, ``driver.assemble``, ``milp.models_equal``
+and more). A refactor that renames one of them would otherwise only break
+the traced benchmark, silently.
+"""
+
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+SCRIPT = """
+import sys
+sys.path[:0] = [{bench!r}, {src!r}]
+from tracing import Tracer
+from surropt import RunConfig, generate_quadratic_sigmoid, solve_global
+
+tracer = Tracer()
+tracer.install()
+cfg = RunConfig(rho_grid=(0.0,), lambda_grid=(None,), time_limit=60)
+report = solve_global(generate_quadratic_sigmoid(2, 1, seed=1), cfg)
+metrics = tracer.metrics([report])
+assert any(span[0] == "driver.sample" for span in tracer.spans), "no sampling span"
+assert metrics["learners.surrogates"] == report.training_runs, metrics
+assert metrics["encoder.models"] >= 1 and metrics["refine.pgd_calls"] >= 1, metrics
+"""
+
+
+def test_bench_tracer_installs_and_sees_every_layer():
+    code = SCRIPT.format(bench=os.path.join(ROOT, "bench"), src=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,9 +1,14 @@
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
-from surropt import cli
+from surropt import cli, driver, milp
+from surropt.encoder import assemble
+from surropt.expr import load_problem
+
+ILLUSTRATIVE = os.path.join(os.path.dirname(__file__), "..", "problems", "illustrative.prob")
 
 
 def test_missing_file_exits_64(capsys):
@@ -85,3 +90,48 @@ def test_export_lp(tmp_path):
     model = milp.read_lp_file(str(out))
     assert model.n_vars > 2
     assert milp.solve_milp(model).status == "optimal"
+
+
+def test_external_solver_without_command_exits_64(monkeypatch, capsys):
+    monkeypatch.delenv(milp.EXTERNAL_SOLVER_ENV, raising=False)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_global ran without a solver command")
+
+    monkeypatch.setattr(cli, "solve_global", no_solve)
+    code = cli.main(["solve", ILLUSTRATIVE, "--solver", "external"])
+    assert code == 64
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and milp.EXTERNAL_SOLVER_ENV in err
+
+
+def test_no_flags_set_the_enhancement_fields():
+    def config(*flags):
+        return cli._config_from_args(cli.build_parser().parse_args(["solve", "p.prob", *flags]))
+
+    default = config()
+    assert default.sampler.adaptive_rounds > 0
+    assert config("--no-oct-sampling").sampler == replace(default.sampler, adaptive_rounds=0)
+    assert config("--no-robust").rho_grid == (0.0,)
+    assert config("--no-robust", "--rho", "0.1", "1").rho_grid == (0.0,)
+    assert config("--no-relax").lambda_grid == (None,)
+    assert config("--no-momentum").pgd == replace(default.pgd, momentum=0.0)
+    # each flag leaves the other enhancements' fields alone
+    off = config("--no-oct-sampling")
+    assert (off.rho_grid, off.lambda_grid, off.pgd) == (default.rho_grid, default.lambda_grid, default.pgd)
+
+
+def test_export_lp_writes_the_first_model_solve_global_encodes(tmp_path, monkeypatch):
+    models = []
+
+    def capture(*args, **kwargs):
+        models.append(assemble(*args, **kwargs))
+        return models[-1]
+
+    monkeypatch.setattr(driver, "assemble", capture)
+    driver.solve_global(load_problem(ILLUSTRATIVE), driver.RunConfig(seed=1))
+    monkeypatch.undo()
+
+    out = tmp_path / "model.lp"
+    assert cli.main(["export-lp", ILLUSTRATIVE, str(out), "--seed", "1"]) == 0
+    assert milp.models_equal(milp.read_lp_file(str(out)), models[0])

@@ -7,13 +7,13 @@ from surropt import milp
 from surropt.driver import (
     RunConfig,
     _full_violation,
-    Toggles,
     generate_quadratic_sigmoid,
     solve_global,
 )
 from surropt.errors import InfeasibleApproximation
 from surropt.expr import load_problem
 from surropt.model import standardize
+from surropt.refine import PgdConfig
 from surropt.sampling import SamplerConfig
 
 
@@ -129,9 +129,13 @@ def test_training_happens_once_regardless_of_grid():
 
 def test_toggles_off_bit_reproducible():
     problem = generate_quadratic_sigmoid(3, 2, seed=4)
-    toggles = Toggles(oct_sampling=False, robustness=False, relaxation=False, momentum=False)
-    a = solve_global(problem, _fast_config(toggles=toggles, seed=9))
-    b = solve_global(problem, _fast_config(toggles=toggles, seed=9))
+    # every enhancement off: no adaptive rounds, no robustness, no relaxation, no momentum
+    off = dict(
+        sampler=SamplerConfig(n_lh=120, hr_per_poly=5, hr_burn_in=10, adaptive_rounds=0),
+        rho_grid=(0.0,), lambda_grid=(None,), pgd=PgdConfig(momentum=0.0), seed=9,
+    )
+    a = solve_global(problem, _fast_config(**off))
+    b = solve_global(problem, _fast_config(**off))
     assert np.array_equal(a.x, b.x)
     assert a.objective == b.objective
     assert len(a.cells) == 1

@@ -134,8 +134,8 @@ def test_robustify_linear_one_dimensional_example():
     # beta0=0, beta=1, rho=0.1, q=inf: region is x - 0.1|x| >= 0, so min x = 0
     lo, hi = -np.ones(1), np.ones(1)
     m, cols = _box_model(lo, hi)
-    E.robustify_linear(L.LinearModel(beta0=0.0, beta=np.array([1.0])),
-                       E.RobustConfig(rho=0.1, p=1.0), m, cols, lo, hi)
+    E.encode_linear_model(L.LinearModel(beta0=0.0, beta=np.array([1.0])), "classifier",
+                          m, cols, lo, hi, robust=E.RobustConfig(rho=0.1, p=1.0))
     m.add_objective_term(cols[0], 1.0)
     sol = milp.solve_milp(m)
     assert sol.status == "optimal"

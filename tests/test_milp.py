@@ -1,5 +1,6 @@
 import itertools
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -483,3 +484,14 @@ def test_external_solver_requires_env(monkeypatch):
     monkeypatch.delenv(milp.EXTERNAL_SOLVER_ENV, raising=False)
     with pytest.raises(ValueError):
         milp.solve(_demo_model(), solver="external")
+
+
+def test_external_solver_timeout_is_time_limit(tmp_path, monkeypatch):
+    script = tmp_path / "slow.py"
+    script.write_text("import time\ntime.sleep(60)\n")
+    monkeypatch.setenv(milp.EXTERNAL_SOLVER_ENV, f"{sys.executable} {script}")
+    t0 = time.monotonic()
+    sol = milp.solve(_demo_model(), time_limit=0.5, solver="external")
+    assert sol.status == "time_limit"
+    assert sol.x is None
+    assert time.monotonic() - t0 < 30

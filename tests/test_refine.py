@@ -192,11 +192,15 @@ def test_pgd_iterates_respect_linear_rows_and_box():
 
 
 def test_pgd_momentum_zero_matches_disabled():
+    # the CLI's --no-momentum is the only other way to turn momentum off
+    from surropt import cli
+
     problem = generate_quadratic_sigmoid(3, 1, seed=2)
     sp = standardize(problem)
     x0 = np.array([1.0, -1.0, 0.5])
+    args = cli.build_parser().parse_args(["solve", "p.prob", "--no-momentum"])
     out_zero = pgd_improve(sp, x0, PgdConfig(momentum=0.0))
-    out_off = pgd_improve(sp, x0, PgdConfig(use_momentum=False))
+    out_off = pgd_improve(sp, x0, cli._config_from_args(args).pgd)
     assert np.array_equal(out_zero.x, out_off.x)
     assert out_zero.merit == out_off.merit
 

@@ -139,7 +139,7 @@ def test_chebyshev_empty():
         hi=np.array([5.0]),
     )
     with pytest.raises(EmptyPolyhedron):
-        S.find_interior_point(poly)
+        S.chebyshev_center(poly)
 
 
 def test_hit_and_run_containment_and_means():
