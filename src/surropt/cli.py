@@ -78,11 +78,15 @@ def _config_from_args(args) -> RunConfig:
     }
     if args.rho is not None:
         kwargs["rho_grid"] = tuple(args.rho)
-    if args.lam is not None:
-        lam = tuple(None if str(v).lower() == "none" else float(v) for v in args.lam)
-        kwargs["lambda_grid"] = lam
+    try:
+        if args.lam is not None:
+            lam = tuple(None if str(v).lower() == "none" else float(v) for v in args.lam)
+            kwargs["lambda_grid"] = lam
+        cfg = RunConfig(**kwargs)
+    except ValueError as exc:
+        sys.stderr.write(f"surropt: bad run flags: {exc}\n")
+        sys.exit(EXIT_USAGE)
     # each --no-* flag pins the field that turns its enhancement off
-    cfg = RunConfig(**kwargs)
     if args.no_oct_sampling:
         cfg.sampler = replace(cfg.sampler, adaptive_rounds=0)
     if args.no_robust:

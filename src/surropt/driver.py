@@ -34,7 +34,7 @@ from .model import (
     NonlinearObjective,
     Problem,
     StandardProblem,
-    label,
+    feasibility_labels,
     standardize,
 )
 from .refine import MeritState, PgdConfig, pgd_improve
@@ -62,7 +62,9 @@ class RunConfig:
     def __post_init__(self):
         if not self.rho_grid or not self.lambda_grid:
             raise ValueError("grids must be nonempty")
-        if self.time_limit <= 0:
+        if any(lam is not None and not lam > 0 for lam in self.lambda_grid):
+            raise ValueError("relaxation penalties must be positive")
+        if not self.time_limit > 0:
             raise ValueError("time limit must be positive")
 
 
@@ -151,18 +153,27 @@ class Trained:
 # Sampling and training
 # ---------------------------------------------------------------------------
 
-def _embed(full_template, support, point):
-    x = full_template.copy()
-    x[support] = point
-    return x
+def _evaluator(target, support, center):
+    """``evaluate(points)``: ``target.value`` at each support point embedded in
+    ``center``, NaN where the evaluator fails. A point seen before reuses its
+    value, so no point is evaluated twice."""
+    memo = {}
 
+    def evaluate(points) -> np.ndarray:
+        values = np.empty(len(points))
+        for i, p in enumerate(points):
+            x = center.copy()
+            x[support] = p
+            key = x.tobytes()
+            if key not in memo:
+                try:
+                    memo[key] = target.value(x)
+                except EvaluationError:
+                    memo[key] = math.nan
+            values[i] = memo[key]
+        return values
 
-def _value_or_nan(target, x) -> float:
-    """``target.value(x)``, or NaN where the evaluator fails."""
-    try:
-        return target.value(x)
-    except EvaluationError:
-        return math.nan
+    return evaluate
 
 
 def _static_sample(sp: StandardProblem, support, cfg: RunConfig, rng) -> np.ndarray:
@@ -181,36 +192,34 @@ def _static_sample(sp: StandardProblem, support, cfg: RunConfig, rng) -> np.ndar
 
 
 def _sample_constraint(sp: StandardProblem, con, cfg: RunConfig, rng, deadline=None):
-    """Labeled feasibility samples over the constraint's own support box."""
+    """Labeled feasibility samples over the constraint's own support box.
+
+    Each point is evaluated once, after rounding; its label follows from
+    its value, and a point where the evaluator fails is infeasible.
+    """
     support = sorted(con.support)
     lo_all, hi_all = sp.box()
     lo, hi = lo_all[support], hi_all[support]
-    center = (lo_all + hi_all) / 2.0
-
-    # a point where the evaluator fails is infeasible and has no value
-    def eval_sub(p):
-        return _value_or_nan(con, _embed(center, support, p))
-
-    def label_sub(p):
-        try:
-            return label(con, _embed(center, support, p))
-        except EvaluationError:
-            return 0
+    evaluate = _evaluator(con, support, (lo_all + hi_all) / 2.0)
 
     def past_deadline():
         return deadline is not None and time.monotonic() > deadline
 
     points = _static_sample(sp, support, cfg, rng)
-    labels = np.array([label_sub(p) for p in points], dtype=float)
+    values = evaluate(points)
+    labels = feasibility_labels(values, con.sense)
+
+    def extend(batch):
+        batch = _round_integrals(batch, sp, support)
+        new_values = np.concatenate([values, evaluate(batch)])
+        return np.vstack([points, batch]), new_values, feasibility_labels(new_values, con.sense)
 
     if len(np.unique(labels)) == 2 and not past_deadline():
         knn_pts = sampling.knn_boundary_sample(
-            points, labels, eval_sub, cfg.sampler.knn_k, lo, hi
+            points, labels, values, cfg.sampler.knn_k, lo, hi
         )
         if len(knn_pts):
-            knn_pts = _round_integrals(knn_pts, sp, support)
-            points = np.vstack([points, knn_pts])
-            labels = np.concatenate([labels, [label_sub(p) for p in knn_pts]])
+            points, values, labels = extend(knn_pts)
 
     if len(np.unique(labels)) == 2:
         def committee_tree(X, y, seed):
@@ -223,21 +232,17 @@ def _sample_constraint(sp: StandardProblem, con, cfg: RunConfig, rng, deadline=N
             if past_deadline():
                 break
             result = sampling.oct_adaptive_sample(
-                points, labels, label_sub, cfg.sampler, rng, committee_tree, lo, hi,
+                points, labels, cfg.sampler, rng, committee_tree, lo, hi,
                 deadline=deadline,
             )
             if len(result.points) == 0:
                 break
-            new_pts = _round_integrals(result.points, sp, support)
-            points = np.vstack([points, new_pts])
-            labels = np.concatenate([labels, [label_sub(p) for p in new_pts]])
+            points, values, labels = extend(result.points)
 
-    values = None
-    if con.sense == "=0":
-        values = np.array([eval_sub(p) for p in points])
-        kept = np.isfinite(values)
-        points, labels, values = points[kept], labels[kept], values[kept]
-    return support, points, labels, values
+    if con.sense != "=0":
+        return support, points, labels, None
+    kept = np.isfinite(values)
+    return support, points[kept], labels[kept], values[kept]
 
 
 def _round_integrals(points, sp: StandardProblem, support) -> np.ndarray:
@@ -254,10 +259,9 @@ def _sample_objective(sp: StandardProblem, cfg: RunConfig, rng):
     """Objective values at the static samples over the objective's support."""
     support = sorted(sp.objective.support)
     lo_all, hi_all = sp.box()
-    center = (lo_all + hi_all) / 2.0
     points = _static_sample(sp, support, cfg, rng)
     # a point where the objective fails or is not finite has no value to fit
-    values = np.array([_value_or_nan(sp.objective, _embed(center, support, p)) for p in points])
+    values = _evaluator(sp.objective, support, (lo_all + hi_all) / 2.0)(points)
     kept = np.isfinite(values)
     return support, points[kept], None, values[kept]
 

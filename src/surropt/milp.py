@@ -883,34 +883,28 @@ def read_lp_file(path: str) -> MilpModel:
     return model
 
 
-def models_equal(a: MilpModel, b: MilpModel, tol: float = 0.0) -> bool:
+def models_equal(a: MilpModel, b: MilpModel) -> bool:
     if a.n_vars != b.n_vars or a.n_rows != b.n_rows:
         return False
     for j in range(a.n_vars):
         if a.integral[j] != b.integral[j]:
             return False
-        if not (_close(a.lower[j], b.lower[j], tol) and _close(a.upper[j], b.upper[j], tol)):
+        if a.lower[j] != b.lower[j] or a.upper[j] != b.upper[j]:
             return False
-    if set(a.obj) != set(b.obj) or not _close(a.obj_const, b.obj_const, tol):
+    if set(a.obj) != set(b.obj) or a.obj_const != b.obj_const:
         return False
     for j in a.obj:
-        if not _close(a.obj[j], b.obj[j], tol):
+        if a.obj[j] != b.obj[j]:
             return False
     for i in range(a.n_rows):
-        if a.row_senses[i] != b.row_senses[i] or not _close(a.row_rhs[i], b.row_rhs[i], tol):
+        if a.row_senses[i] != b.row_senses[i] or a.row_rhs[i] != b.row_rhs[i]:
             return False
         if set(a.row_coeffs[i]) != set(b.row_coeffs[i]):
             return False
         for j in a.row_coeffs[i]:
-            if not _close(a.row_coeffs[i][j], b.row_coeffs[i][j], tol):
+            if a.row_coeffs[i][j] != b.row_coeffs[i][j]:
                 return False
     return True
-
-
-def _close(a: float, b: float, tol: float) -> bool:
-    if math.isinf(a) or math.isinf(b):
-        return a == b
-    return abs(a - b) <= tol
 
 
 def solve_with_external(model: MilpModel, command: str, time_limit=None) -> MilpSolution:

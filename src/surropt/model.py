@@ -322,12 +322,14 @@ def infer_bound(sp: Problem, var: int, direction: str) -> float:
     return float(sol.x[var])
 
 
-def label(con: NonlinearConstraint, x, tol: float = FEASIBILITY_TOL) -> int:
-    """1 when x satisfies the constraint within tol, else 0."""
-    v = con.value(x)
-    if con.sense == "=0":
-        return 1 if abs(v) <= tol else 0
-    return 1 if v <= tol else 0
+def feasibility_labels(values, sense: str, tol: float = FEASIBILITY_TOL) -> np.ndarray:
+    """1.0 where a constraint value satisfies ``sense`` within tol, else 0.0.
+
+    A NaN or infinite value (a failed evaluation included) is infeasible.
+    """
+    values = np.asarray(values, dtype=float)
+    slack = np.abs(values) if sense == "=0" else values
+    return (np.isfinite(values) & (slack <= tol)).astype(float)
 
 
 def structurally_equal(a: Problem, b: Problem) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -139,11 +139,12 @@ def lh_sample(lo, hi, n: int, rng: np.random.Generator) -> np.ndarray:
     return pts
 
 
-def knn_boundary_sample(points, labels, evaluate: Callable, k: int, lo, hi) -> np.ndarray:
+def knn_boundary_sample(points, labels, values, k: int, lo, hi) -> np.ndarray:
     """Secant zero-crossings between opposite-label nearest neighbors.
 
     For every point, each opposite-label point among its k nearest neighbors
-    contributes x_i + g_i / (g_i - g_j) * (x_j - x_i), clipped to the box.
+    contributes x_i + g_i / (g_i - g_j) * (x_j - x_i), clipped to the box,
+    where g is the constraint value behind each point's label.
     Pairs with a non-finite value are skipped. Near-duplicates (within 1e-7)
     are dropped.
     """
@@ -151,8 +152,8 @@ def knn_boundary_sample(points, labels, evaluate: Callable, k: int, lo, hi) -> n
     labels = np.asarray(labels)
     if len(set(labels.tolist())) < 2:
         raise DegenerateDataset("secant sampling needs both labels present")
+    values = np.asarray(values, dtype=float)
     m = points.shape[0]
-    values = np.array([float(evaluate(points[i])) for i in range(m)])
     k = min(k, m - 1)
     out = []
     seen_pairs = set()
@@ -282,7 +283,6 @@ def hit_and_run(
 @dataclass
 class AdaptiveSampleResult:
     points: np.ndarray
-    labels: np.ndarray
     committee: list = field(default_factory=list)
     polyhedra: list = field(default_factory=list)
     point_poly: np.ndarray = None  # source polyhedron index per point
@@ -291,7 +291,6 @@ class AdaptiveSampleResult:
 def oct_adaptive_sample(
     points,
     labels,
-    label_fn: Callable,
     cfg: SamplerConfig,
     rng: np.random.Generator,
     train_tree,
@@ -301,11 +300,11 @@ def oct_adaptive_sample(
 ) -> AdaptiveSampleResult:
     """One adaptive round: train a tree committee on random subsets, locate
     high-disagreement dataset points, intersect the leaf regions the
-    committee routes them to, and hit-and-run those regions for new labeled
-    samples.
+    committee routes them to, and hit-and-run those regions for new
+    (unlabeled) samples.
 
     ``train_tree(X, y, seed)`` must return a tree exposing ``predict_one`` and
-    ``leaf_path``; ``label_fn(x)`` returns the 0/1 feasibility label. When a
+    ``leaf_path``. When a
     ``deadline`` (time.monotonic seconds) passes mid-round, the round stops
     early and returns whatever it has gathered.
     """
@@ -358,7 +357,6 @@ def oct_adaptive_sample(
             polys.append(poly)
 
     new_pts = []
-    new_labels = []
     sources = []
     for pi, poly in enumerate(polys):
         if deadline is not None and time.monotonic() > deadline:
@@ -373,19 +371,12 @@ def oct_adaptive_sample(
             draws = hit_and_run(poly, center, cfg.hr_per_poly, rng, burn_in=cfg.hr_burn_in)
         except NumericalCollapse:
             continue
-        for p in draws:
-            new_pts.append(p)
-            new_labels.append(float(label_fn(p)))
-            sources.append(pi)
+        new_pts.extend(draws)
+        sources.extend([pi] * len(draws))
 
-    if new_pts:
-        pts = np.array(new_pts)
-        lbl = np.array(new_labels)
-        src = np.array(sources)
-    else:
-        pts = np.empty((0, points.shape[1]))
-        lbl = np.empty((0,))
-        src = np.empty((0,), dtype=int)
     return AdaptiveSampleResult(
-        points=pts, labels=lbl, committee=committee, polyhedra=polys, point_poly=src
+        points=np.array(new_pts).reshape(-1, points.shape[1]),
+        committee=committee,
+        polyhedra=polys,
+        point_poly=np.array(sources, dtype=int),
     )

@@ -275,7 +275,7 @@ def test_criterion_9_committee_discordance():
     def trainer(Xs, ys, seed):
         return L.train_tree(Xs, ys, task="classifier", max_depth=3, oblique=True, seed=seed)
 
-    res = S.oct_adaptive_sample(X, y, lambda p: 1.0, cfg, np.random.default_rng(2),
+    res = S.oct_adaptive_sample(X, y, cfg, np.random.default_rng(2),
                                 trainer, np.zeros(2), np.ones(2))
     worst = 0.0
     for point in res.points:

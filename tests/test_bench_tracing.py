@@ -3,7 +3,9 @@
 ``bench/tracing.py`` replaces functions at the names the program looks up
 (``driver._sample_constraint``, ``driver.assemble``, ``milp.models_equal``
 and more). A refactor that renames one of them would otherwise only break
-the traced benchmark, silently.
+the traced benchmark, silently. The solve also runs through the benchmark's
+evaluator counter, so a sampling stage that evaluates a point twice fails
+here too.
 """
 
 import os
@@ -16,13 +18,19 @@ SCRIPT = """
 import sys
 sys.path[:0] = [{bench!r}, {src!r}]
 from tracing import Tracer
+from worker import counted_problem
 from surropt import RunConfig, generate_quadratic_sigmoid, solve_global
 
 tracer = Tracer()
 tracer.install()
+counter = [0]
+problem = counted_problem(generate_quadratic_sigmoid(2, 2, seed=1), counter, tracer)
 cfg = RunConfig(rho_grid=(0.0,), lambda_grid=(None,), time_limit=60)
-report = solve_global(generate_quadratic_sigmoid(2, 1, seed=1), cfg)
+report = solve_global(problem, cfg)
 metrics = tracer.metrics([report])
+assert metrics["learners.surrogates"] >= 1 and metrics["sampling.polyhedra"] >= 1, metrics
+assert metrics["sampling.repeat_evaluations"] == 0, metrics
+assert tracer.self_tests(metrics, counter[0]) == [], tracer.self_tests(metrics, counter[0])
 assert any(span[0] == "driver.sample" for span in tracer.spans), "no sampling span"
 assert metrics["learners.surrogates"] == report.training_runs, metrics
 assert metrics["encoder.models"] >= 1 and metrics["refine.pgd_calls"] >= 1, metrics

@@ -105,6 +105,21 @@ def test_external_solver_without_command_exits_64(monkeypatch, capsys):
     assert err.count("\n") == 1 and milp.EXTERNAL_SOLVER_ENV in err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--rho"], ["--lam"], ["--lam", "abc"], ["--time-limit", "0"], ["--lam", "-5", "--rho", "1000"]],
+)
+def test_bad_run_flags_exit_64(flags, monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_global ran with bad run flags")
+
+    monkeypatch.setattr(cli, "solve_global", no_solve)
+    with pytest.raises(SystemExit) as err:
+        cli.main(["solve", ILLUSTRATIVE, *flags])
+    assert err.value.code == 64
+    assert capsys.readouterr().err.count("\n") == 1
+
+
 def test_no_flags_set_the_enhancement_fields():
     def config(*flags):
         return cli._config_from_args(cli.build_parser().parse_args(["solve", "p.prob", *flags]))

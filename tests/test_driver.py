@@ -1,18 +1,21 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from surropt import milp
+from surropt.benchmarks import illustrative_problem, speed_reducer_problem
 from surropt.driver import (
     RunConfig,
     _full_violation,
     generate_quadratic_sigmoid,
+    sample,
     solve_global,
 )
 from surropt.errors import InfeasibleApproximation
 from surropt.expr import load_problem
-from surropt.model import standardize
+from surropt.model import feasibility_labels, standardize
 from surropt.refine import PgdConfig
 from surropt.sampling import SamplerConfig
 
@@ -291,6 +294,61 @@ def test_failed_evaluation_is_infinite_violation():
     assert sp.nonlinear[0].violation(outside) == math.inf
     assert _full_violation(sp, outside) == math.inf
     assert _full_violation(sp, np.array([1.0, 0.5])) == 0.0
+
+
+class _Recorder:
+    """Evaluator wrapper: keeps each value by the bytes of x and counts
+    calls at a point it has seen before (a failed call records NaN)."""
+
+    def __init__(self, fn):
+        self.fn, self.values, self.repeats = fn, {}, 0
+
+    def __call__(self, x):
+        key = x.tobytes()
+        self.repeats += key in self.values
+        self.values[key] = math.nan
+        self.values[key] = value = self.fn(x)
+        return value
+
+
+def test_sampling_evaluates_each_point_once():
+    # an "=0" black box that fails on the left tenth of the box and is
+    # exactly 0 at the corner (1, 0); n is integral, so adaptive points round
+    doc = {
+        "schema": 1,
+        "name": "equality-blackbox",
+        "variables": [
+            {"name": "x", "lower": -1, "upper": 1},
+            {"name": "n", "lower": 0, "upper": 3, "integral": True},
+        ],
+        "objective": {"linear": [1.0, 1.0]},
+        "blackbox": [{"name": "h", "sense": "=0", "support": ["x", "n"]}],
+    }
+    equality = load_problem(
+        doc, blackbox_registry={"h": lambda v: math.nan if v[0] < -0.9 else v[0] + v[1] - 1.0}
+    )
+    cases = [(illustrative_problem(), 0), (speed_reducer_problem(), 3), (equality, 0)]
+    for problem, seed in cases:
+        recorded = replace(
+            problem,
+            nonlinear=tuple(replace(c, evaluator=_Recorder(c.evaluator)) for c in problem.nonlinear),
+        )
+        sp = standardize(recorded)
+        datasets = sample(sp, RunConfig(seed=seed))
+        lo, hi = sp.box()
+        for con, (support, points, labels, values) in zip(sp.nonlinear, datasets):
+            assert con.evaluator.repeats == 0, (problem.name, con.name)
+            seen = []
+            for p in points:
+                x = (lo + hi) / 2.0
+                x[support] = p
+                seen.append(con.evaluator.values[x.tobytes()])
+            assert np.array_equal(labels, feasibility_labels(seen, con.sense))
+            if con.sense == "=0":
+                assert np.array_equal(values, seen) and np.isfinite(values).all()
+                assert labels.min() == 0.0 and labels.max() == 1.0
+            else:
+                assert values is None
 
 
 def test_shipped_problem_files_match_module_documents():

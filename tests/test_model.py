@@ -13,7 +13,7 @@ from surropt.model import (
     Problem,
     VarSpec,
     infer_bound,
-    label,
+    feasibility_labels,
     standardize,
     structurally_equal,
 )
@@ -177,22 +177,38 @@ def test_inferred_bounds_are_valid_for_feasible_points():
             assert lo - 1e-7 <= sol.x[j] <= hi + 1e-7
 
 
+def _label(con, x):
+    return feasibility_labels([con.value(x)], con.sense)[0]
+
+
 def test_label_hand_values():
     names = ["x1", "x2"]
     g1 = _nl("-0.43*ln(x1-0.5)-1.1-x1+x2", names)
-    assert label(g1, np.array([1.0, 1.0])) == 1
-    assert label(g1, np.array([0.51, 1.6])) == 0
+    assert _label(g1, np.array([1.0, 1.0])) == 1
+    assert _label(g1, np.array([0.51, 1.6])) == 0
 
 
 def test_label_identically_zero_equality():
     h = _nl("x1-x1", ["x1"], sense="=0")
     for v in (0.2, 0.9):
-        assert label(h, np.array([v])) == 1
+        assert _label(h, np.array([v])) == 1
 
 
 def test_label_threshold_contract():
     con = NonlinearConstraint(
         evaluator=lambda x: float(x[0]), sense="<=0", support=frozenset({0})
     )
-    assert label(con, np.array([1e-8])) == 1
-    assert label(con, np.array([2e-8])) == 0
+    assert _label(con, np.array([1e-8])) == 1
+    assert _label(con, np.array([2e-8])) == 0
+
+
+def test_non_finite_value_labels_infeasible():
+    # a black box returning -inf satisfies v <= tol, yet its violation is inf
+    con = NonlinearConstraint(
+        evaluator=lambda x: -math.inf, sense="<=0", support=frozenset({0})
+    )
+    assert con.violation(np.array([0.0])) == math.inf
+    assert _label(con, np.array([0.0])) == 0
+    for sense in ("<=0", "=0"):
+        labels = feasibility_labels([-math.inf, math.inf, math.nan, 0.0], sense)
+        assert labels.tolist() == [0.0, 0.0, 0.0, 1.0]

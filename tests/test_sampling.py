@@ -44,7 +44,7 @@ def test_lh_deterministic_given_seed():
 def test_knn_secant_midpoint():
     pts = np.array([[0.0], [1.0]])
     labels = np.array([1.0, 0.0])
-    new = S.knn_boundary_sample(pts, labels, lambda p: p[0] - 0.5, k=1, lo=[0.0], hi=[1.0])
+    new = S.knn_boundary_sample(pts, labels, [-0.5, 0.5], k=1, lo=[0.0], hi=[1.0])
     assert new.shape == (1, 1)
     assert new[0, 0] == pytest.approx(0.5)
 
@@ -53,7 +53,7 @@ def test_knn_secant_asymmetric_values():
     pts = np.array([[0.0], [1.0]])
     labels = np.array([1.0, 0.0])
     new = S.knn_boundary_sample(
-        pts, labels, lambda p: -1.0 if p[0] < 0.5 else 3.0, k=1, lo=[0.0], hi=[1.0]
+        pts, labels, [-1.0, 3.0], k=1, lo=[0.0], hi=[1.0]
     )
     assert new[0, 0] == pytest.approx(0.25)
 
@@ -61,7 +61,7 @@ def test_knn_secant_asymmetric_values():
 def test_knn_single_label_raises():
     pts = np.array([[0.0], [1.0]])
     with pytest.raises(DegenerateDataset):
-        S.knn_boundary_sample(pts, np.array([1.0, 1.0]), lambda p: -1.0, k=1, lo=[0.0], hi=[1.0])
+        S.knn_boundary_sample(pts, np.array([1.0, 1.0]), [-1.0, -1.0], k=1, lo=[0.0], hi=[1.0])
 
 
 def test_knn_points_clip_to_box():
@@ -69,7 +69,7 @@ def test_knn_points_clip_to_box():
     labels = np.array([1.0, 0.0])
     # steep secant would extrapolate past the box without clipping
     new = S.knn_boundary_sample(
-        pts, labels, lambda p: p[0] * 10 - 3.5, k=1, lo=[0.0], hi=[0.3]
+        pts, labels, pts[:, 0] * 10 - 3.5, k=1, lo=[0.0], hi=[0.3]
     )
     assert (new >= 0.0).all() and (new <= 0.3).all()
 
@@ -94,7 +94,8 @@ def test_knn_matches_full_distance_matrix():
             seen.add(pair)
             t = g(pts[i]) / (g(pts[i]) - g(pts[j]))
             expected.append(np.clip(pts[i] + t * (pts[j] - pts[i]), -1.0, 1.0))
-    new = S.knn_boundary_sample(pts, labels, g, k=5, lo=np.full(3, -1.0), hi=np.ones(3))
+    values = [g(p) for p in pts]
+    new = S.knn_boundary_sample(pts, labels, values, k=5, lo=np.full(3, -1.0), hi=np.ones(3))
     assert np.array_equal(new, S._dedupe(np.array(expected), tol=1e-7))
 
 
@@ -107,7 +108,8 @@ def test_knn_skips_pairs_with_non_finite_values():
     # the first point sits in the NaN region next to feasible points
     pts = np.vstack([[0.8, 0.2], S.lh_sample([0.0, 0.0], [1.0, 1.0], 200, np.random.default_rng(3))])
     labels = np.array([1.0 if g(p) <= 1e-6 else 0.0 for p in pts])
-    new = S.knn_boundary_sample(pts, labels, g, k=10, lo=[0.0, 0.0], hi=[1.0, 1.0])
+    values = [g(p) for p in pts]
+    new = S.knn_boundary_sample(pts, labels, values, k=10, lo=[0.0, 0.0], hi=[1.0, 1.0])
     assert len(new) > 0
     assert np.isfinite(new).all()
     assert np.allclose(new[:, 1], 0.5)
@@ -183,7 +185,7 @@ def test_adaptive_identical_committee_returns_nothing():
     y = np.array([1.0] * 60 + [0.0] * 60)
     cfg = S.SamplerConfig(committee_size=5, discordance=0.5, hr_per_poly=5, hr_burn_in=5)
     res = S.oct_adaptive_sample(
-        X, y, lambda p: 1.0, cfg, np.random.default_rng(0), _tree_trainer, np.zeros(2), np.ones(2)
+        X, y, cfg, np.random.default_rng(0), _tree_trainer, np.zeros(2), np.ones(2)
     )
     assert len(res.points) == 0
 
@@ -209,7 +211,7 @@ def test_adaptive_two_disagreeing_stumps_sample_the_gap():
     y = np.array([1.0, 1.0, 0.0])
     cfg = S.SamplerConfig(committee_size=2, subset_size=3, discordance=0.5, hr_per_poly=8, hr_burn_in=5)
     res = S.oct_adaptive_sample(
-        X, y, lambda p: 1.0, cfg,
+        X, y, cfg,
         np.random.default_rng(0), lambda X_, y_, s: next(stumps),
         np.zeros(2), np.ones(2),
     )
@@ -226,7 +228,7 @@ def test_adaptive_points_lie_in_source_polyhedra():
     y = ((X[:, 0] - 0.5) ** 2 + (X[:, 1] - 0.5) ** 2 <= 0.09).astype(float)
     cfg = S.SamplerConfig(committee_size=4, subset_size=60, discordance=0.5, hr_per_poly=6, hr_burn_in=10)
     res = S.oct_adaptive_sample(
-        X, y, lambda p: 1.0, cfg, np.random.default_rng(1), _tree_trainer, np.zeros(2), np.ones(2)
+        X, y, cfg, np.random.default_rng(1), _tree_trainer, np.zeros(2), np.ones(2)
     )
     for point, poly_idx in zip(res.points, res.point_poly):
         assert res.polyhedra[poly_idx].contains(point, tol=1e-9)
@@ -239,7 +241,7 @@ def test_adaptive_discordance_guarantee_at_samples():
     K, tau = 5, 0.5
     cfg = S.SamplerConfig(committee_size=K, subset_size=80, discordance=tau, hr_per_poly=5, hr_burn_in=10)
     res = S.oct_adaptive_sample(
-        X, y, lambda p: 1.0, cfg, np.random.default_rng(2), _tree_trainer, np.zeros(2), np.ones(2)
+        X, y, cfg, np.random.default_rng(2), _tree_trainer, np.zeros(2), np.ones(2)
     )
     for point in res.points:
         votes = sum(1.0 if t.predict_one(point) >= 0.5 else 0.0 for t in res.committee)
