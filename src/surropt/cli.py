@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 solved with a feasible point, 2 infeasible, 3 time limit,
-64 usage or input errors.
+64 usage or input errors, or a MILP solver that failed with no cell solved.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from . import benchmarks, expr, milp
 from .driver import RunConfig, generate_quadratic_sigmoid, sample, solve_global, train
 from .encoder import assemble
-from .errors import InfeasibleApproximation, SurroptError
+from .errors import InfeasibleApproximation, SolverError, SurroptError
 from .model import standardize
 
 EXIT_OK = 0
@@ -135,6 +135,9 @@ def _run_and_exit(problem, cfg, report_path) -> int:
     except InfeasibleApproximation as exc:
         sys.stderr.write(f"surropt: {exc}\n")
         return EXIT_INFEASIBLE
+    except SolverError as exc:
+        sys.stderr.write(f"surropt: {exc}\n")
+        return EXIT_USAGE
     _emit(report, report_path)
     if report.status == "time_limit":
         return EXIT_TIME_LIMIT

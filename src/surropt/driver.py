@@ -27,7 +27,7 @@ from .encoder import (
     RobustConfig,
     assemble,
 )
-from .errors import EvaluationError, InfeasibleApproximation
+from .errors import EvaluationError, InfeasibleApproximation, SolverError
 from .learners import LearnerParams, Surrogate, select_surrogate, train_tree
 from .model import (
     LinearObjective,
@@ -62,6 +62,8 @@ class RunConfig:
     def __post_init__(self):
         if not self.rho_grid or not self.lambda_grid:
             raise ValueError("grids must be nonempty")
+        if any(not rho >= 0 for rho in self.rho_grid):
+            raise ValueError("robustness radii must be nonnegative")
         if any(lam is not None and not lam > 0 for lam in self.lambda_grid):
             raise ValueError("relaxation penalties must be positive")
         if not self.time_limit > 0:
@@ -72,7 +74,7 @@ class RunConfig:
 class CellResult:
     rho: float
     lam: Optional[float]
-    status: str                      # optimal | infeasible | time_limit | skipped
+    status: str                      # optimal | infeasible | time_limit | skipped | error
     mio_objective: Optional[float] = None
     relax_total: float = 0.0
     refined: Optional[MeritState] = None
@@ -460,6 +462,8 @@ def solve_global(problem: Problem, cfg: Optional[RunConfig] = None) -> RunReport
     if not solved:
         if timed_out:
             return finish("time_limit", trained, cells)
+        if any(c.status == "error" for c in cells):
+            raise SolverError("the MILP solver failed, and no grid cell was solved")
         raise InfeasibleApproximation(
             "every grid cell was infeasible, even with relaxation"
         )

@@ -67,3 +67,7 @@ class ProjectionStall(SurroptError):
 
 class InfeasibleApproximation(SurroptError):
     """Every grid cell was infeasible even after relaxation."""
+
+
+class SolverError(SurroptError):
+    """No grid cell was solved and the MILP solver failed on at least one."""

@@ -10,7 +10,9 @@ related LP, ``solve_lp`` instead refactorizes that basis and re-optimizes
 with the dual simplex: a branch-and-bound child differs from its parent by
 one bound, so the parent's optimal basis stays dual feasible. Both methods
 use Dantzig-style choices and fall back to Bland's rule when the objective
-stalls. Branch and bound uses best-bound node selection, most-fractional
+stalls. Branch and bound first tightens the bounds by activity-based
+propagation through the rows, which alone decides a model whose rows
+cannot hold. It then uses best-bound node selection, most-fractional
 branching, and a diving heuristic, and warm-starts every node LP from its
 parent's basis; heap nodes keep bases, never tableaux. An LP-format
 writer/reader provides the seam for external solvers (see
@@ -39,6 +41,9 @@ PRIMAL_TOL = 1e-9   # bound tolerance of basic values, relative to their size
 FEAS_TOL = 1e-7
 INT_TOL = 1e-6
 STALL_LIMIT = 200   # degenerate pivots in a row before Bland's rule takes over
+PRESOLVE_TOL = 1e-6     # row violation bound propagation allows, relative to 1 + |rhs|
+PRESOLVE_STEP = 1e-3    # smallest continuous bound move that counts, relative to its scale
+PRESOLVE_ROUNDS = 100   # propagation rounds before the bounds are taken as they stand
 EXTERNAL_SOLVER_ENV = "GOML_EXTERNAL_SOLVER_CMD"
 
 
@@ -569,13 +574,92 @@ class MilpModel:
 
 @dataclass
 class MilpSolution:
-    status: str  # optimal | infeasible | unbounded | time_limit
+    status: str  # optimal | infeasible | unbounded | time_limit | error (external solver failed)
     x: Optional[np.ndarray] = None
     objective: Optional[float] = None
     bound: Optional[float] = None
     gap: Optional[float] = None
-    nodes: int = 0   # solve_lp calls, the root and dive steps included
+    nodes: int = 0   # solve_lp calls, the root and dive steps included; 0 when propagation decides
     pivots: int = 0  # simplex pivots summed over those calls
+
+
+def _tighter(new: np.ndarray, old: np.ndarray, width: np.ndarray, integral: np.ndarray) -> np.ndarray:
+    """Where the upper bound ``new`` lies below ``old`` by a real step.
+
+    Any finite bound beats an infinite one. An integer bound must move by a
+    whole unit, a continuous one by PRESOLVE_STEP * max(min(width, |old|), 1).
+    Lower bounds go through negated.
+    """
+    finite = np.isfinite(old)
+    old0 = np.where(finite, old, 0.0)
+    step = np.where(
+        integral, 0.5, PRESOLVE_STEP * np.maximum(np.minimum(width, np.abs(old0)), 1.0)
+    )
+    return np.where(finite, new < old0 - step, np.isfinite(new))
+
+
+def _propagate(rows, senses, rhs, lower, upper, integral) -> Optional[tuple]:
+    """Activity-based bound propagation: tightened copies of (lower, upper),
+    or None when some row cannot hold within the bounds.
+
+    Over the box, the activity of row i lies in [amin_i, amax_i]. A row
+    ``a @ x <= b`` then bounds a_j x_j by b minus the least activity of the
+    other columns, a ``>=`` row mirrors that, and an ``=`` row does both.
+    Integer columns round inward. Each row may be violated by
+    PRESOLVE_TOL * (1 + |b|), far more than the simplex accepts, so no point
+    the LPs could return is cut off. Rounds repeat until no bound moves
+    (see ``_tighter``), at most PRESOLVE_ROUNDS times.
+    """
+    senses = np.asarray(senses)
+    slack = PRESOLVE_TOL * (1.0 + np.abs(rhs))
+    # each row as flo <= a @ x <= cap, with an infinite side for an inequality
+    cap = np.where(senses == ">=", np.inf, rhs + slack)[:, None]
+    flo = np.where(senses == "<=", -np.inf, rhs - slack)[:, None]
+    pos, neg = rows > 0.0, rows < 0.0
+    nonzero = pos | neg
+    integral = np.asarray(integral, dtype=bool)
+    lo = np.where(integral, np.ceil(lower - INT_TOL), lower)
+    hi = np.where(integral, np.floor(upper + INT_TOL), upper)
+    for _ in range(PRESOLVE_ROUNDS):
+        lo_fin, hi_fin = np.isfinite(lo), np.isfinite(hi)
+        lo0, hi0 = np.where(lo_fin, lo, 0.0), np.where(hi_fin, hi, 0.0)
+        # each entry's least and greatest term; an infinite one counts apart, as 0
+        t_min = np.where(pos, rows * lo0, rows * hi0)
+        t_max = np.where(pos, rows * hi0, rows * lo0)
+        inf_min = pos & ~lo_fin | neg & ~hi_fin
+        inf_max = pos & ~hi_fin | neg & ~lo_fin
+        a_min, n_min = t_min.sum(axis=1, keepdims=True), inf_min.sum(axis=1, keepdims=True)
+        a_max, n_max = t_max.sum(axis=1, keepdims=True), inf_max.sum(axis=1, keepdims=True)
+        if ((n_min == 0) & (a_min > cap)).any() or ((n_max == 0) & (a_max < flo)).any():
+            return None
+        # the other columns' activity is finite where this entry holds every infinite term
+        cap_ok = np.isfinite(cap) & (n_min - inf_min == 0) & nonzero
+        flo_ok = np.isfinite(flo) & (n_max - inf_max == 0) & nonzero
+        # the bound each row puts on a_j x_j, divided by a_j
+        by_cap = np.divide(cap - (a_min - t_min), rows, out=np.zeros_like(rows), where=cap_ok)
+        by_flo = np.divide(flo - (a_max - t_max), rows, out=np.zeros_like(rows), where=flo_ok)
+        new_hi = np.where(cap_ok & pos, by_cap, np.where(flo_ok & neg, by_flo, np.inf)).min(
+            axis=0, initial=np.inf)
+        new_lo = np.where(cap_ok & neg, by_cap, np.where(flo_ok & pos, by_flo, -np.inf)).max(
+            axis=0, initial=-np.inf)
+        new_hi = np.where(integral, np.floor(new_hi + INT_TOL), new_hi)
+        new_lo = np.where(integral, np.ceil(new_lo - INT_TOL), new_lo)
+
+        # bounds that cross by more than rounding error leave no point
+        lo1, hi1 = np.maximum(lo, new_lo), np.minimum(hi, new_hi)
+        both = np.isfinite(lo1) & np.isfinite(hi1)
+        l1, h1 = np.where(both, lo1, 0.0), np.where(both, hi1, 0.0)
+        if (l1 - h1 > 1e-9 * (1.0 + np.abs(l1) + np.abs(h1))).any():
+            return None
+        width = np.where(lo_fin & hi_fin, hi0 - lo0, np.inf)
+        moved_hi = _tighter(new_hi, hi, width, integral)
+        moved_lo = _tighter(-new_lo, -lo, width, integral)
+        if not (moved_hi.any() or moved_lo.any()):
+            break
+        lo = np.where(moved_lo, new_lo, lo)
+        # a crossing within rounding error fixes the column
+        hi = np.maximum(np.where(moved_hi, new_hi, hi), lo)
+    return lo, hi
 
 
 def solve_milp(
@@ -586,13 +670,20 @@ def solve_milp(
 ) -> MilpSolution:
     """Branch and bound with best-bound selection and most-fractional branching.
 
-    Every node LP after the root is warm-started from a parent basis: each
-    dive step from the previous step, each child from the popped node.
+    Bound propagation (``_propagate``) runs first: a model it proves
+    infeasible is decided with no LP at all, and every other solve starts
+    from the tightened bounds. Every node LP after the root is warm-started
+    from a parent basis: each dive step from the previous step, each child
+    from the popped node.
     """
     start = time.monotonic()
     int_idx = model.integer_indices()
-    lower = np.array(model.lower, dtype=float)
-    upper = np.array(model.upper, dtype=float)
+    _, rows, rhs = model._dense_parts()
+    bounds = _propagate(rows, model.row_senses, rhs, np.array(model.lower, dtype=float),
+                        np.array(model.upper, dtype=float), model.integral)
+    if bounds is None:
+        return MilpSolution(status="infeasible")
+    lower, upper = bounds
 
     def out_of_time() -> bool:
         return time_limit is not None and time.monotonic() - start > time_limit
@@ -914,7 +1005,9 @@ def solve_with_external(model: MilpModel, command: str, time_limit=None) -> Milp
     solution file starts with ``status <word>`` and ``objective <value>``
     lines followed by ``<name> <value>`` pairs using the canonical names from
     the LP file. A solver still running at ``time_limit`` is killed and the
-    solve ends with status ``time_limit`` and no incumbent.
+    solve ends with status ``time_limit`` and no incumbent. A command that
+    cannot start or exits nonzero, or a solution file that is missing or
+    does not parse, ends the solve with status ``error``.
     """
     with tempfile.TemporaryDirectory(prefix="surropt_ext_") as tmp:
         lp_path = os.path.join(tmp, "model.lp")
@@ -923,28 +1016,45 @@ def solve_with_external(model: MilpModel, command: str, time_limit=None) -> Milp
         argv = shlex.split(command) + [lp_path, sol_path]
         try:
             subprocess.run(argv, check=True, timeout=time_limit)
+            status, objective, values = _read_solution(sol_path)
         except subprocess.TimeoutExpired:
             return MilpSolution(status="time_limit")
-        status = "infeasible"
-        objective = None
-        values: dict[str, float] = {}
-        with open(sol_path, "r", encoding="utf-8") as fh:
-            for ln in fh:
-                parts = ln.split()
-                if not parts:
-                    continue
-                if parts[0] == "status":
-                    status = parts[1]
-                elif parts[0] == "objective":
-                    objective = float(parts[1])
-                else:
-                    values[parts[0]] = float(parts[1])
+        except (subprocess.CalledProcessError, OSError, ValueError):
+            return MilpSolution(status="error")
         if status not in ("optimal", "time_limit") or objective is None:
-            return MilpSolution(status=status, nodes=0)
+            return MilpSolution(status=status)
         x = np.zeros(model.n_vars)
         for j in range(model.n_vars):
             x[j] = values.get(_canon_name(model, j), 0.0)
         return MilpSolution(status=status, x=x, objective=objective, bound=objective, gap=0.0)
+
+
+def _read_solution(path: str) -> tuple:
+    """(status, objective or None, values by name) of a solution file.
+
+    Raises ValueError unless every line is ``<key> <value>``, the status is
+    one the protocol names, and an ``optimal`` status comes with an objective.
+    """
+    status, objective, values = None, None, {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for ln in fh:
+            parts = ln.split()
+            if not parts:
+                continue
+            if len(parts) != 2:
+                raise ValueError(f"bad solution line {ln.strip()!r}")
+            key, word = parts
+            if key == "status":
+                status = word
+            elif key == "objective":
+                objective = float(word)
+            else:
+                values[key] = float(word)
+    if status not in ("optimal", "infeasible", "unbounded", "time_limit"):
+        raise ValueError(f"bad solution status {status!r}")
+    if status == "optimal" and objective is None:
+        raise ValueError("optimal solution without an objective")
+    return status, objective, values
 
 
 def solve(model: MilpModel, time_limit=None, gap_tol: float = 1e-6, solver: str = "builtin") -> MilpSolution:

@@ -105,9 +105,21 @@ def test_external_solver_without_command_exits_64(monkeypatch, capsys):
     assert err.count("\n") == 1 and milp.EXTERNAL_SOLVER_ENV in err
 
 
+@pytest.mark.parametrize("command", ["sh -c 'exit 7'", "true"])
+def test_failing_external_solver_exits_64(command, monkeypatch, capsys):
+    # a command that exits nonzero, and one that exits 0 without writing the solution file
+    monkeypatch.setenv(milp.EXTERNAL_SOLVER_ENV, command)
+    code = cli.main(["solve", ILLUSTRATIVE, "--solver", "external", "--no-oct-sampling",
+                     "--rho", "0", "--lam", "none", "100"])
+    assert code == 64
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "solver failed" in err
+
+
 @pytest.mark.parametrize(
     "flags",
-    [["--rho"], ["--lam"], ["--lam", "abc"], ["--time-limit", "0"], ["--lam", "-5", "--rho", "1000"]],
+    [["--rho"], ["--lam"], ["--lam", "abc"], ["--time-limit", "0"], ["--lam", "-5", "--rho", "1000"],
+     ["--rho", "-1"], ["--rho", "nan"]],
 )
 def test_bad_run_flags_exit_64(flags, monkeypatch, capsys):
     def no_solve(*args, **kwargs):

@@ -323,6 +323,71 @@ def test_milp_matches_scipy_on_illustrative_grid_models(monkeypatch):
     assert "optimal" in statuses
 
 
+def test_speed_reducer_robust_models_are_decided_by_propagation():
+    """The four robust speed-reducer models of solve seed 3 leave some tree
+    with no feasible leaf; propagation proves that before any LP."""
+    from surropt import driver
+    from surropt.benchmarks import speed_reducer_problem
+    from surropt.encoder import RelaxConfig, RobustConfig
+    from surropt.model import standardize
+
+    cfg = driver.RunConfig(seed=3)
+    sp = standardize(speed_reducer_problem())
+    trained = driver.train(sp, driver.sample(sp, cfg), cfg)
+    for rho in (0.1, 1.0):
+        for relax in (None, RelaxConfig(100.0)):
+            model = driver.assemble(
+                sp, trained.constraints, trained.objective, RobustConfig(rho=rho, p=cfg.norm_p), relax
+            )
+            _assert_matches_scipy(model)
+            sol = milp.solve_milp(model)
+            assert (sol.status, sol.nodes, sol.pivots) == ("infeasible", 0, 0), (rho, relax)
+
+
+def _propagation_case(rng, hold):
+    """Rows over mixed columns; with ``hold`` each row holds at a point x0
+    inside the bounds whose integer coordinates are integers."""
+    n = int(rng.integers(1, 7))
+    integral = rng.random(n) < 0.5
+    lower = np.where(integral, rng.integers(-3, 1, n), rng.uniform(-3, 0, n))
+    upper = np.where(integral, lower + rng.integers(0, 4, n), lower + rng.uniform(0, 4, n))
+    # continuous columns may lose a bound; rows then keep them finite or not
+    lower[~integral & (rng.random(n) < 0.2)] = -np.inf
+    upper[~integral & (rng.random(n) < 0.2)] = np.inf
+    span_lo = np.where(np.isfinite(lower), lower, np.where(np.isfinite(upper), upper - 5, -5))
+    span_hi = np.where(np.isfinite(upper), upper, span_lo + 5)
+    x0 = rng.uniform(span_lo, span_hi)
+    x0[integral] = np.round(x0[integral])
+    m = int(rng.integers(0, 7))
+    rows = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.7)
+    senses = [("<=", ">=", "=")[int(k)] for k in rng.integers(0, 3, m)]
+    act = rows @ x0
+    gap = rng.exponential(1.0, m) * (rng.random(m) < 0.6)
+    rhs = np.where([s == "<=" for s in senses], act + gap, np.where([s == ">=" for s in senses], act - gap, act))
+    if not hold:
+        rhs = rhs + rng.normal(0.0, 2.0, m)
+    return rows, senses, rhs, lower, upper, integral, x0
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), hold=st.booleans())
+def test_propagation_keeps_feasible_points_and_agrees_with_scipy(seed, hold):
+    rows, senses, rhs, lower, upper, integral, x0 = _propagation_case(np.random.default_rng(seed), hold)
+    bounds = milp._propagate(rows, senses, rhs, lower, upper, integral)
+    if hold:
+        assert bounds is not None
+        lo, hi = bounds
+        assert np.all(lo <= x0) and np.all(x0 <= hi)
+        assert np.all(lo >= lower) and np.all(hi <= upper)
+    if bounds is None:
+        model = milp.MilpModel()
+        for j in range(len(x0)):
+            model.add_var(f"v{j}", lower[j], upper[j], integral=bool(integral[j]))
+        for i, sense in enumerate(senses):
+            model.add_row(dict(enumerate(rows[i])), sense, rhs[i])
+        assert _scipy_milp(model)[0] == "infeasible"
+
+
 def _random_lp(rng, minimize):
     n = int(rng.integers(1, 7))
     m = int(rng.integers(0, 7))
@@ -420,7 +485,8 @@ def test_branch_and_bound_solves_only_the_root_cold(monkeypatch):
     for _ in range(30):
         cold.clear()
         sol = milp.solve_milp(_random_mixed_model(rng))
-        assert len(cold) == 1, f"{len(cold)} cold solves in {sol.nodes} LPs"
+        # a model bound propagation proves infeasible runs no LP at all
+        assert len(cold) == (1 if sol.nodes > 0 else 0), f"{len(cold)} cold solves in {sol.nodes} LPs"
 
 
 # ---------------------------------------------------------------------------
@@ -495,3 +561,23 @@ def test_external_solver_timeout_is_time_limit(tmp_path, monkeypatch):
     assert sol.status == "time_limit"
     assert sol.x is None
     assert time.monotonic() - t0 < 30
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "import sys\nsys.exit(7)\n",
+        "pass\n",
+        "import sys\nopen(sys.argv[2], 'w').write('status optimal\\nobjective abc\\n')\n",
+        "import sys\nopen(sys.argv[2], 'w').write('status banana\\n')\n",
+        "import sys\nopen(sys.argv[2], 'w').write('status optimal\\nx0\\n')\n",
+    ],
+    ids=["nonzero-exit", "no-solution-file", "bad-objective", "bad-status", "bad-line"],
+)
+def test_external_solver_failure_is_error(body, tmp_path, monkeypatch):
+    script = tmp_path / "failing.py"
+    script.write_text(body)
+    monkeypatch.setenv(milp.EXTERNAL_SOLVER_ENV, f"{sys.executable} {script}")
+    sol = milp.solve(_demo_model(), solver="external")
+    assert sol.status == "error"
+    assert sol.x is None
