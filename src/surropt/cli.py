@@ -1,7 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 solved with a feasible point, 2 infeasible, 3 time limit,
-64 usage or input errors, or a MILP solver that failed with no cell solved.
+Exit codes: 0 solved with a feasible point, 2 infeasible (the linear rows
+or the approximation admit no point, or no cell's point is feasible), 3 time
+limit, 64 usage or input errors (an unbounded nonlinear variable included),
+or a MILP solver that failed with no cell solved.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from . import benchmarks, expr, milp
 from .driver import RunConfig, generate_quadratic_sigmoid, sample, solve_global, train
 from .encoder import assemble
-from .errors import InfeasibleApproximation, SolverError, SurroptError
+from .errors import InfeasibleApproximation, InfeasibleProblem, SurroptError
 from .model import standardize
 
 EXIT_OK = 0
@@ -33,6 +35,12 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="surropt", description="Surrogate-driven global optimization")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -43,8 +51,8 @@ def build_parser() -> _Parser:
 
     bench = sub.add_parser("bench", help="run a built-in benchmark")
     bench.add_argument("name", choices=["illustrative", "speed-reducer", "qsigmoid"])
-    bench.add_argument("--n", type=int, default=10, help="qsigmoid dimension")
-    bench.add_argument("--m", type=int, default=2, help="qsigmoid constraint count")
+    bench.add_argument("--n", type=_positive_int, default=10, help="qsigmoid dimension")
+    bench.add_argument("--m", type=_positive_int, default=2, help="qsigmoid constraint count")
     _add_run_flags(bench)
 
     export = sub.add_parser("export-lp", help="write the approximation model as an LP file")
@@ -130,14 +138,7 @@ def _emit(report, path) -> None:
 
 
 def _run_and_exit(problem, cfg, report_path) -> int:
-    try:
-        report = solve_global(problem, cfg)
-    except InfeasibleApproximation as exc:
-        sys.stderr.write(f"surropt: {exc}\n")
-        return EXIT_INFEASIBLE
-    except SolverError as exc:
-        sys.stderr.write(f"surropt: {exc}\n")
-        return EXIT_USAGE
+    report = solve_global(problem, cfg)
     _emit(report, report_path)
     if report.status == "time_limit":
         return EXIT_TIME_LIMIT
@@ -152,18 +153,18 @@ def main(argv=None) -> int:
     if solves and args.solver == "external" and not os.environ.get(milp.EXTERNAL_SOLVER_ENV):
         sys.stderr.write(f"surropt: --solver external needs {milp.EXTERNAL_SOLVER_ENV} set\n")
         return EXIT_USAGE
-    if args.command == "solve":
-        problem = _load(args.file)
-        return _run_and_exit(problem, _config_from_args(args), args.report)
-    if args.command == "bench":
-        if args.name == "illustrative":
-            problem = benchmarks.illustrative_problem()
-        elif args.name == "speed-reducer":
-            problem = benchmarks.speed_reducer_problem()
-        else:
-            problem = generate_quadratic_sigmoid(args.n, args.m, seed=args.seed)
-        return _run_and_exit(problem, _config_from_args(args), args.report)
-    if args.command == "export-lp":
+    try:
+        if args.command == "solve":
+            problem = _load(args.file)
+            return _run_and_exit(problem, _config_from_args(args), args.report)
+        if args.command == "bench":
+            if args.name == "illustrative":
+                problem = benchmarks.illustrative_problem()
+            elif args.name == "speed-reducer":
+                problem = benchmarks.speed_reducer_problem()
+            else:
+                problem = generate_quadratic_sigmoid(args.n, args.m, seed=args.seed)
+            return _run_and_exit(problem, _config_from_args(args), args.report)
         cfg = _config_from_args(args)
         sp = standardize(_load(args.file))
         # the model solve_global encodes first on a grid that starts at rho 0
@@ -172,7 +173,12 @@ def main(argv=None) -> int:
         milp.export_lp_file(model, args.out)
         print(f"wrote {model.n_vars} variables, {model.n_rows} rows to {args.out}")
         return EXIT_OK
-    return EXIT_USAGE
+    except (InfeasibleProblem, InfeasibleApproximation) as exc:
+        sys.stderr.write(f"surropt: {exc}\n")
+        return EXIT_INFEASIBLE
+    except SurroptError as exc:  # an unbounded variable, a failed MILP solver, ...
+        sys.stderr.write(f"surropt: {exc}\n")
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from .encoder import (
     RobustConfig,
     assemble,
 )
-from .errors import EvaluationError, InfeasibleApproximation, SolverError
+from .errors import InfeasibleApproximation, SolverError
 from .learners import LearnerParams, Surrogate, select_surrogate, train_tree
 from .model import (
     LinearObjective,
@@ -37,7 +37,7 @@ from .model import (
     feasibility_labels,
     standardize,
 )
-from .refine import MeritState, PgdConfig, pgd_improve
+from .refine import TIME_LIMIT_WARNING, MeritState, PgdConfig, pgd_improve
 
 
 @dataclass
@@ -156,24 +156,13 @@ class Trained:
 # ---------------------------------------------------------------------------
 
 def _evaluator(target, support, center):
-    """``evaluate(points)``: ``target.value`` at each support point embedded in
-    ``center``, NaN where the evaluator fails. A point seen before reuses its
-    value, so no point is evaluated twice."""
-    memo = {}
+    """``evaluate(points)``: ``target.value`` at each support point embedded
+    in ``center``."""
 
     def evaluate(points) -> np.ndarray:
-        values = np.empty(len(points))
-        for i, p in enumerate(points):
-            x = center.copy()
-            x[support] = p
-            key = x.tobytes()
-            if key not in memo:
-                try:
-                    memo[key] = target.value(x)
-                except EvaluationError:
-                    memo[key] = math.nan
-            values[i] = memo[key]
-        return values
+        x = np.repeat(center[None, :], len(points), axis=0)
+        x[:, support] = points
+        return np.array([target.value(row) for row in x], dtype=float)
 
     return evaluate
 
@@ -438,7 +427,8 @@ def solve_global(problem: Problem, cfg: Optional[RunConfig] = None) -> RunReport
             key = x_mio.tobytes()
             refine_tick = time.monotonic()
             if key not in refined_cache:
-                refined_cache[key] = pgd_improve(sp, x_mio, cfg.pgd)
+                refined_cache[key] = pgd_improve(sp, x_mio, cfg.pgd, deadline)
+                timed_out = timed_out or refined_cache[key].warning == TIME_LIMIT_WARNING
             refined = refined_cache[key]
             phases["refining"] += time.monotonic() - refine_tick
 

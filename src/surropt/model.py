@@ -63,12 +63,27 @@ class LinearConstraint:
 class _Evaluated:
     """Value and gradient of an ``evaluator`` that reads only ``support``.
 
-    Expression-backed ones carry their tree for exact gradients; black-box
-    ones may supply a gradient callback, else central differences are used.
+    ``value`` is the one evaluation boundary: NaN where the evaluator raises
+    ``EvaluationError``, and one evaluator call per distinct ``x[support]``
+    per object (``standardize`` makes fresh objects, so per solve). ``grad``
+    uses the expression tree, the gradient callback, or central differences
+    of the evaluator itself.
     """
 
+    def __post_init__(self):
+        object.__setattr__(self, "support", frozenset(self.support))
+        object.__setattr__(self, "_index", np.array(sorted(self.support), dtype=int))
+        object.__setattr__(self, "_memo", {})
+
     def value(self, x) -> float:
-        return float(self.evaluator(np.asarray(x, dtype=float)))
+        x = np.asarray(x, dtype=float)
+        key = x[self._index].tobytes()
+        if key not in self._memo:
+            try:
+                self._memo[key] = float(self.evaluator(x))
+            except EvaluationError:
+                self._memo[key] = math.nan
+        return self._memo[key]
 
     def grad(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -91,17 +106,14 @@ class NonlinearConstraint(_Evaluated):
     name: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "support", frozenset(self.support))
+        super().__post_init__()
         if self.sense not in ("<=0", "=0"):
             raise ValueError(f"bad sense {self.sense!r}")
 
     def violation(self, x) -> float:
         """How far x violates the constraint; a failed evaluation or a NaN or
         infinite value counts as inf."""
-        try:
-            v = self.value(x)
-        except EvaluationError:
-            return math.inf
+        v = self.value(x)
         if not math.isfinite(v):
             return math.inf
         return abs(v) if self.sense == "=0" else max(0.0, v)
@@ -128,9 +140,6 @@ class NonlinearObjective(_Evaluated):
     support: frozenset[int]
     expr: Optional[_expr.Expr] = None
     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "support", frozenset(self.support))
 
 
 def central_difference(fn, x, support=None, scale=1e-6) -> np.ndarray:
@@ -204,9 +213,11 @@ def standardize(problem: Problem) -> StandardProblem:
     Affine expression-backed constraints move into the linear rows,
     single-variable rows tighten the variable box, and every variable used
     by a nonlinear constraint (or nonlinear objective) receives finite
-    bounds, inferred by LP when not explicit. Idempotent.
+    bounds, inferred by LP when not explicit. The nonlinear constraints and
+    the objective are fresh copies, with empty evaluation memos. Idempotent.
     """
     n = problem.n
+    objective = replace(problem.objective)
     linear = list(problem.linear)
     nonlinear = []
     for con in problem.nonlinear:
@@ -219,7 +230,7 @@ def standardize(problem: Problem) -> StandardProblem:
                 linear.append(LinearConstraint(coeffs=coeffs, sense=sense, rhs=-const, name=con.name))
                 moved = True
         if not moved:
-            nonlinear.append(con)
+            nonlinear.append(replace(con))
 
     lower = np.array([v.lower for v in problem.vars], dtype=float)
     upper = np.array([v.upper for v in problem.vars], dtype=float)
@@ -258,12 +269,12 @@ def standardize(problem: Problem) -> StandardProblem:
     needed = set()
     for con in nonlinear:
         needed |= con.support
-    if isinstance(problem.objective, NonlinearObjective):
-        needed |= problem.objective.support
+    if isinstance(objective, NonlinearObjective):
+        needed |= objective.support
 
     draft = StandardProblem(
         vars=tuple(new_vars),
-        objective=problem.objective,
+        objective=objective,
         linear=tuple(kept_rows),
         nonlinear=tuple(nonlinear),
         name=problem.name,
@@ -287,7 +298,7 @@ def standardize(problem: Problem) -> StandardProblem:
 
     return StandardProblem(
         vars=tuple(new_vars),
-        objective=problem.objective,
+        objective=objective,
         linear=tuple(kept_rows),
         nonlinear=tuple(nonlinear),
         name=problem.name,

@@ -7,11 +7,19 @@ method. Momentum is conditional: it stays on only while the
 previous accepted step decreased the merit. A short Gauss-Newton polish
 drives residual nonlinear violations toward zero at the end, which under
 the penalty weighting is itself a merit descent.
+
+Values come from the constraints' and objective's ``value``, which
+evaluates each point once per solve and gives NaN where an evaluation
+fails; such a point has merit inf and is never accepted. Gradients call
+the evaluators directly, and a failure there ends refinement with a
+warning, as does the run deadline, checked between iterations and
+between polish steps.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,6 +27,8 @@ import numpy as np
 
 from .errors import EvaluationError, ProjectionStall
 from .model import StandardProblem
+
+TIME_LIMIT_WARNING = "stopped at the time limit"
 
 
 @dataclass
@@ -172,14 +182,14 @@ def project(x, rows, lo, hi, frozen=None, tol: float = 1e-9) -> np.ndarray:
 # PGD with conditional momentum
 # ---------------------------------------------------------------------------
 
-def _violations(sp: StandardProblem, x) -> np.ndarray:
-    return np.array([con.violation(x) for con in sp.nonlinear])
-
-
 def merit_state(sp: StandardProblem, x, penalty: float) -> MeritState:
-    v = _violations(sp, x)
+    """A failed or non-finite evaluation makes the merit inf, so such a
+    point never wins a comparison."""
+    v = np.array([con.violation(x) for con in sp.nonlinear])
     f = sp.objective.value(x)
-    return MeritState(x=np.asarray(x, dtype=float), objective=f, violations=v, merit=f + penalty * v.sum())
+    merit = f + penalty * v.sum()
+    return MeritState(x=np.asarray(x, dtype=float), objective=f, violations=v,
+                      merit=merit if math.isfinite(merit) else math.inf)
 
 
 def _merit_gradient(sp: StandardProblem, x, penalty: float) -> np.ndarray:
@@ -216,11 +226,8 @@ def _diag_curvature(sp: StandardProblem, x, penalty, merit0, lo, hi, frozen) -> 
         xm = x.copy()
         xp[j] += h
         xm[j] -= h
-        try:
-            mp = merit_state(sp, xp, penalty).merit
-            mm = merit_state(sp, xm, penalty).merit
-        except EvaluationError:
-            continue
+        mp = merit_state(sp, xp, penalty).merit
+        mm = merit_state(sp, xm, penalty).merit
         if math.isfinite(mp) and math.isfinite(mm) and math.isfinite(merit0):
             curv[j] = (mp - 2.0 * merit0 + mm) / (h * h)
     return curv
@@ -286,17 +293,9 @@ def _coordinate_sweep(sp: StandardProblem, state: MeritState, penalty, rows, lo,
         def merit_at(alpha, j=j):
             xc = current.x.copy()
             xc[j] += alpha
-            try:
-                return merit_state(sp, xc, penalty)
-            except EvaluationError:
-                return None
+            return merit_state(sp, xc, penalty)
 
-        grid = np.linspace(a_lo, a_hi, 9)
-        cands = [(0.0, current)]
-        for alpha in grid:
-            st = merit_at(alpha)
-            if st is not None:
-                cands.append((alpha, st))
+        cands = [(0.0, current)] + [(alpha, merit_at(alpha)) for alpha in np.linspace(a_lo, a_hi, 9)]
         alpha_best, best_here = min(cands, key=lambda t: t[1].merit)
         span = (a_hi - a_lo) / 8.0
         left, right = alpha_best - span, alpha_best + span
@@ -305,7 +304,7 @@ def _coordinate_sweep(sp: StandardProblem, state: MeritState, penalty, rows, lo,
             for alpha in (left + third, right - third):
                 alpha = min(max(alpha, a_lo), a_hi)
                 st = merit_at(alpha)
-                if st is not None and st.merit < best_here.merit:
+                if st.merit < best_here.merit:
                     alpha_best, best_here = alpha, st
             left, right = alpha_best - third, alpha_best + third
             if third < 1e-12:
@@ -344,12 +343,15 @@ def _cone_filter(move: np.ndarray, x, rows, lo, hi, frozen, tol: float = 1e-9) -
     return v
 
 
-def pgd_improve(sp: StandardProblem, x0, cfg: Optional[PgdConfig] = None) -> MeritState:
+def pgd_improve(sp: StandardProblem, x0, cfg: Optional[PgdConfig] = None, deadline=None) -> MeritState:
     """Improve an incumbent; never returns a point with merit above the start.
 
     Iterates x <- project(x - alpha (grad + gamma * velocity)) with
-    backtracking halvings. On evaluator failure the best state found so far
-    comes back with a warning instead of raising.
+    backtracking halvings. A point where an evaluation fails has merit inf
+    and is never accepted. When a gradient evaluation fails, or ``deadline``
+    (a ``time.monotonic()`` instant) passes between iterations or polish
+    steps, the best state found so far comes back with a warning; so does
+    an inf merit.
     """
     cfg = cfg or PgdConfig()
     lo, hi = sp.box()
@@ -360,19 +362,16 @@ def pgd_improve(sp: StandardProblem, x0, cfg: Optional[PgdConfig] = None) -> Mer
         return project(p, rows, lo, hi, frozen=frozen)
 
     x = proj(np.asarray(x0, dtype=float))
-    try:
-        best = merit_state(sp, x, cfg.penalty)
-    except EvaluationError as exc:
-        return MeritState(
-            x=x, objective=math.nan, violations=np.array([]), merit=math.inf,
-            warning=f"start evaluation failed: {exc}",
-        )
+    best = merit_state(sp, x, cfg.penalty)
     current = best
     velocity = np.zeros_like(x)
     momentum_on = False
 
     try:
         for _ in range(cfg.iterations):
+            if deadline is not None and time.monotonic() > deadline:
+                best.warning = TIME_LIMIT_WARNING
+                return best
             progress = False
             g = _merit_gradient(sp, current.x, cfg.penalty)
             # diagonal curvature scaling of the direction
@@ -388,9 +387,8 @@ def pgd_improve(sp: StandardProblem, x0, cfg: Optional[PgdConfig] = None) -> Mer
                 accepted = None
                 for _ in range(cfg.max_halvings + 1):
                     try:
-                        cand_x = proj(current.x - alpha * d)
-                        cand = merit_state(sp, cand_x, cfg.penalty)
-                    except (EvaluationError, ProjectionStall):
+                        cand = merit_state(sp, proj(current.x - alpha * d), cfg.penalty)
+                    except ProjectionStall:
                         alpha *= 0.5
                         continue
                     if cand.merit < current.merit - 1e-12:
@@ -414,18 +412,23 @@ def pgd_improve(sp: StandardProblem, x0, cfg: Optional[PgdConfig] = None) -> Mer
             if not progress:
                 break
 
-        best = _polish(sp, best, cfg, proj)
+        best = _polish(sp, best, cfg, proj, deadline)
     except EvaluationError as exc:
-        best.warning = f"evaluation failed mid-run: {exc}"
+        best.warning = f"gradient evaluation failed: {exc}"
+    if best.merit == math.inf and best.warning is None:
+        best.warning = "no point with a finite merit was found"
     return best
 
 
-def _polish(sp: StandardProblem, best: MeritState, cfg: PgdConfig, proj) -> MeritState:
+def _polish(sp: StandardProblem, best: MeritState, cfg: PgdConfig, proj, deadline) -> MeritState:
     """Gauss-Newton steps on the violated nonlinear constraints."""
     state = best
     for _ in range(cfg.polish_iters):
         total = state.violations.sum()
         if total <= 1e-12:
+            break
+        if deadline is not None and time.monotonic() > deadline:
+            best.warning = TIME_LIMIT_WARNING
             break
         step = np.zeros_like(state.x)
         for con, v in zip(sp.nonlinear, state.violations):
@@ -443,12 +446,11 @@ def _polish(sp: StandardProblem, best: MeritState, cfg: PgdConfig, proj) -> Meri
         improved = None
         for _ in range(12):
             try:
-                cand_x = proj(state.x + damp * step)
-                cand = merit_state(sp, cand_x, cfg.penalty)
-            except (EvaluationError, ProjectionStall):
+                cand = merit_state(sp, proj(state.x + damp * step), cfg.penalty)
+            except ProjectionStall:
                 damp *= 0.5
                 continue
-            if cand.violations.sum() < total - 1e-15:
+            if cand.violations.sum() < total - 1e-15 and cand.merit < math.inf:
                 improved = cand
                 break
             damp *= 0.5

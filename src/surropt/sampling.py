@@ -303,10 +303,10 @@ def oct_adaptive_sample(
     committee routes them to, and hit-and-run those regions for new
     (unlabeled) samples.
 
-    ``train_tree(X, y, seed)`` must return a tree exposing ``predict_one`` and
-    ``leaf_path``. When a
-    ``deadline`` (time.monotonic seconds) passes mid-round, the round stops
-    early and returns whatever it has gathered.
+    ``train_tree(X, y, seed)`` must return a tree exposing ``predict(X)``
+    (one prediction per row) and ``leaf_path``. When a ``deadline``
+    (time.monotonic seconds) passes mid-round, the round stops early and
+    returns whatever it has gathered.
     """
     points = np.asarray(points, dtype=float)
     labels = np.asarray(labels, dtype=float)
@@ -324,11 +324,7 @@ def oct_adaptive_sample(
         idx = rng.choice(m, size=C, replace=False)
         committee.append(train_tree(points[idx], labels[idx], int(rng.integers(0, 2**31 - 1))))
 
-    votes = np.zeros((m, K))
-    for t, tree in enumerate(committee):
-        for i in range(m):
-            votes[i, t] = 1.0 if tree.predict_one(points[i]) >= 0.5 else 0.0
-    pos = votes.sum(axis=1)
+    pos = sum((tree.predict(points) >= 0.5).astype(float) for tree in committee)
     gap = np.abs(pos - (K - pos))
     ambiguous = np.nonzero(gap <= K * cfg.discordance)[0]
 

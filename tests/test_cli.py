@@ -162,3 +162,39 @@ def test_export_lp_writes_the_first_model_solve_global_encodes(tmp_path, monkeyp
     out = tmp_path / "model.lp"
     assert cli.main(["export-lp", ILLUSTRATIVE, str(out), "--seed", "1"]) == 0
     assert milp.models_equal(milp.read_lp_file(str(out)), models[0])
+
+
+def _problem_file(tmp_path, variables, constraints):
+    doc = {"schema": 1, "name": "cli-case", "variables": variables,
+           "objective": {"linear": [1.0] * len(variables)}, "constraints": constraints}
+    path = tmp_path / "case.prob"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_rows_that_empty_a_box_exit_2(tmp_path, capsys):
+    path = _problem_file(
+        tmp_path,
+        [{"name": "x", "lower": 0, "upper": 1}, {"name": "y", "lower": 0, "upper": 1}],
+        [{"name": "far", "expression": "x - 2", "sense": ">=0"},
+         {"name": "g", "expression": "y - ln(x + 1)", "sense": "<=0"}],
+    )
+    assert cli.main(["solve", path]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_unbounded_nonlinear_variable_exits_64(tmp_path, capsys):
+    path = _problem_file(
+        tmp_path,
+        [{"name": "x"}, {"name": "y", "lower": 0, "upper": 1}],
+        [{"name": "g", "expression": "y - ln(x*x + 1)", "sense": "<=0"}],
+    )
+    assert cli.main(["solve", path]) == 64
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags", [["--n", "0"], ["--m", "0"]])
+def test_empty_qsigmoid_exits_64(flags, capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["bench", "qsigmoid", *flags])
+    assert err.value.code == 64

@@ -1,4 +1,5 @@
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from surropt.driver import (
 )
 from surropt.errors import InfeasibleApproximation
 from surropt.expr import load_problem
-from surropt.model import feasibility_labels, standardize
+from surropt.model import NonlinearObjective, feasibility_labels, standardize
 from surropt.refine import PgdConfig
 from surropt.sampling import SamplerConfig
 
@@ -380,3 +381,72 @@ def test_report_to_dict_is_json_friendly():
         assert cell["warning"] == (None if result.refined is None else result.refined.warning)
         if cell["status"] == "optimal":
             assert cell["nodes"] >= 1 and cell["gap"] is not None
+
+
+class _SupportCounter:
+    """Evaluator wrapper: counts calls, and calls at an ``x[support]`` it has
+    seen before."""
+
+    def __init__(self, fn, support):
+        self.fn, self.index, self.seen = fn, sorted(support), set()
+        self.calls = self.repeats = 0
+
+    def __call__(self, x):
+        key = x[self.index].tobytes()
+        self.calls += 1
+        self.repeats += key in self.seen
+        self.seen.add(key)
+        return self.fn(x)
+
+
+def _with_counters(problem):
+    """The problem with every evaluator counted, and the counters."""
+    nonlinear = tuple(
+        replace(c, evaluator=_SupportCounter(c.evaluator, c.support)) for c in problem.nonlinear
+    )
+    objective = problem.objective
+    if isinstance(objective, NonlinearObjective):
+        objective = replace(objective, evaluator=_SupportCounter(objective.evaluator, objective.support))
+    counted = replace(problem, nonlinear=nonlinear, objective=objective)
+    counters = [c.evaluator for c in nonlinear]
+    if isinstance(objective, NonlinearObjective):
+        counters.append(objective.evaluator)
+    return counted, counters
+
+
+@pytest.mark.parametrize("make, seed", [(illustrative_problem, 0), (speed_reducer_problem, 3)])
+def test_solve_evaluates_each_support_point_once(make, seed):
+    # sampling, refinement and the final violation check share one memo per
+    # constraint, so no (constraint, x[support]) pair is evaluated twice
+    problem, counters = _with_counters(make())
+    solve_global(problem, RunConfig(seed=seed))
+    assert all(c.calls > 0 for c in counters)
+    assert [c.repeats for c in counters] == [0] * len(counters)
+
+
+def test_evaluation_memo_lasts_one_solve():
+    problem, counters = _with_counters(illustrative_problem())
+    first = solve_global(problem, _fast_config())
+    calls = [c.calls for c in counters]
+    second = solve_global(problem, _fast_config())
+    assert [c.calls for c in counters] == [2 * n for n in calls]
+    assert np.array_equal(first.x, second.x)
+
+
+def test_refinement_stops_at_the_time_limit():
+    # each evaluation takes a millisecond; refinement alone used to run
+    # seconds past the limit
+    def slow(fn):
+        def evaluate(x):
+            time.sleep(1e-3)
+            return fn(x)
+        return evaluate
+
+    problem = illustrative_problem()
+    problem = replace(
+        problem, nonlinear=tuple(replace(c, evaluator=slow(c.evaluator)) for c in problem.nonlinear)
+    )
+    tick = time.monotonic()
+    report = solve_global(problem, RunConfig(seed=0, time_limit=2.0))
+    assert report.status == "time_limit"
+    assert time.monotonic() - tick < 3.0

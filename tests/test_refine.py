@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import nnls
 
 from surropt.driver import generate_quadratic_sigmoid
-from surropt.errors import ProjectionStall
+from surropt.errors import EvaluationError, ProjectionStall
 from surropt.model import (
     LinearConstraint,
     LinearObjective,
@@ -262,3 +262,45 @@ def test_pgd_nan_merit_leaves_curvature_finite():
         warnings.simplefilter("error", RuntimeWarning)
         out = pgd_improve(sp, np.array([0.7]))
     assert out.x[0] == pytest.approx(0.4, abs=1e-6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(1, 3))
+def test_pgd_never_raises_or_degrades_on_failing_black_boxes(data, n):
+    # every black box raises EvaluationError past one random half-space and
+    # returns NaN past another; no gradient callbacks, so gradients take
+    # central differences of the failing evaluators
+    coords = st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n).map(np.array)
+    a_err, a_nan, center, x0 = (data.draw(coords) for _ in range(4))
+    b_err, b_nan = data.draw(st.floats(-1.0, 1.0)), data.draw(st.floats(-1.0, 1.0))
+
+    def black_box(fn):
+        def evaluate(x):
+            if a_err @ x > b_err:
+                raise EvaluationError("outside the domain")
+            return math.nan if a_nan @ x > b_nan else fn(x)
+        return evaluate
+
+    radius = data.draw(st.floats(0.05, 1.0))
+    tilt = data.draw(coords)
+    support = frozenset(range(n))
+    sp = StandardProblem(
+        vars=tuple(VarSpec(f"x{j}", j, -1.0, 1.0) for j in range(n)),
+        objective=NonlinearObjective(
+            evaluator=black_box(lambda x: float(tilt @ x + 0.1 * x @ x)), support=support
+        ),
+        nonlinear=(
+            NonlinearConstraint(
+                evaluator=black_box(lambda x: float((x - center) @ (x - center)) - radius**2),
+                sense=data.draw(st.sampled_from(["<=0", "=0"])),
+                support=support,
+            ),
+        ),
+        bound_provenance=("user",) * n,
+    )
+    cfg = PgdConfig(iterations=4, polish_iters=8)
+    start = merit_state(sp, x0, cfg.penalty)
+    out = pgd_improve(sp, x0, cfg)
+    assert out.merit <= start.merit
+    if out.merit == math.inf:
+        assert out.warning is not None

@@ -200,6 +200,9 @@ class _Stump:
     def predict_one(self, x):
         return 1.0 if float(self.a @ x) <= self.b else 0.0
 
+    def predict(self, X):
+        return np.array([self.predict_one(x) for x in X])
+
     def leaf_path(self, x):
         return [(self.a, self.b, float(self.a @ x) <= self.b)]
 
