@@ -8,6 +8,14 @@ cell. Each rho first solves without relaxation and falls back to the
 relaxed model only when that solve is infeasible. Every cell's incumbent is
 refined by projected gradient descent and the best refined merit among
 feasibility-passing cells wins.
+
+The run's deadline is enforced where evaluations happen: ``standardize``
+hands it to the constraint and objective objects, whose ``value`` raises
+``TimeLimitReached`` instead of evaluating a new point once it has passed.
+``solve_global`` turns that into a ``time_limit`` report; refinement
+returns its best point with a warning. Only work that evaluates nothing
+(training, the grid's cells, an adaptive round's polyhedra) checks the
+deadline itself.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from .encoder import (
     RobustConfig,
     assemble,
 )
-from .errors import InfeasibleApproximation, SolverError
+from .errors import InfeasibleApproximation, SolverError, TimeLimitReached
 from .learners import LearnerParams, Surrogate, select_surrogate, train_tree
 from .model import (
     LinearObjective,
@@ -187,14 +195,12 @@ def _sample_constraint(sp: StandardProblem, con, cfg: RunConfig, rng, deadline=N
 
     Each point is evaluated once, after rounding; its label follows from
     its value, and a point where the evaluator fails is infeasible.
+    ``deadline`` ends the adaptive round's region sampling early.
     """
     support = sorted(con.support)
     lo_all, hi_all = sp.box()
     lo, hi = lo_all[support], hi_all[support]
     evaluate = _evaluator(con, support, (lo_all + hi_all) / 2.0)
-
-    def past_deadline():
-        return deadline is not None and time.monotonic() > deadline
 
     points = _static_sample(sp, support, cfg, rng)
     values = evaluate(points)
@@ -205,7 +211,7 @@ def _sample_constraint(sp: StandardProblem, con, cfg: RunConfig, rng, deadline=N
         new_values = np.concatenate([values, evaluate(batch)])
         return np.vstack([points, batch]), new_values, feasibility_labels(new_values, con.sense)
 
-    if len(np.unique(labels)) == 2 and not past_deadline():
+    if len(np.unique(labels)) == 2:
         knn_pts = sampling.knn_boundary_sample(
             points, labels, values, cfg.sampler.knn_k, lo, hi
         )
@@ -220,8 +226,6 @@ def _sample_constraint(sp: StandardProblem, con, cfg: RunConfig, rng, deadline=N
             )
 
         for _ in range(cfg.sampler.adaptive_rounds):
-            if past_deadline():
-                break
             result = sampling.oct_adaptive_sample(
                 points, labels, cfg.sampler, rng, committee_tree, lo, hi,
                 deadline=deadline,
@@ -257,19 +261,19 @@ def _sample_objective(sp: StandardProblem, cfg: RunConfig, rng):
     return support, points[kept], None, values[kept]
 
 
-def sample(sp: StandardProblem, cfg: RunConfig, deadline=None) -> Optional[list]:
+def sample(sp: StandardProblem, cfg: RunConfig, deadline=None) -> list:
     """One dataset ``(support, points, labels, values)`` per nonlinear
     constraint, then one for a nonlinear objective (its ``labels`` are None).
 
     ``values`` is None for an inequality constraint. Each dataset draws from
-    its own stream of ``cfg.seed``. Returns None if ``deadline`` (a
-    ``time.monotonic()`` instant) passes before every constraint is sampled.
+    its own stream of ``cfg.seed``. The evaluations stop at the deadline
+    ``standardize`` gave ``sp``, raising ``TimeLimitReached``; ``deadline``
+    (a ``time.monotonic()`` instant) also cuts the evaluation-free region
+    sampling of an adaptive round short.
     """
     streams = np.random.SeedSequence(cfg.seed).spawn(len(sp.nonlinear) + 1)
     datasets = []
     for i, con in enumerate(sp.nonlinear):
-        if deadline is not None and time.monotonic() > deadline:
-            return None
         rng = np.random.default_rng(streams[i])
         datasets.append(_sample_constraint(sp, con, cfg, rng, deadline=deadline))
     if isinstance(sp.objective, NonlinearObjective):
@@ -348,14 +352,16 @@ def solve_global(problem: Problem, cfg: Optional[RunConfig] = None) -> RunReport
         )
 
     tick = time.monotonic()
-    sp = standardize(problem)
+    sp = standardize(problem, deadline)
     phases["standardize"] = time.monotonic() - tick
 
     tick = time.monotonic()
-    datasets = sample(sp, cfg, deadline)
-    phases["sampling"] = time.monotonic() - tick
-    if datasets is None:
+    try:
+        datasets = sample(sp, cfg, deadline)
+    except TimeLimitReached:
         return finish("time_limit")
+    finally:
+        phases["sampling"] = time.monotonic() - tick
 
     tick = time.monotonic()
     trained = train(sp, datasets, cfg, deadline)
@@ -427,7 +433,16 @@ def solve_global(problem: Problem, cfg: Optional[RunConfig] = None) -> RunReport
             key = x_mio.tobytes()
             refine_tick = time.monotonic()
             if key not in refined_cache:
-                refined_cache[key] = pgd_improve(sp, x_mio, cfg.pgd, deadline)
+                try:
+                    refined_cache[key] = pgd_improve(sp, x_mio, cfg.pgd)
+                except TimeLimitReached:  # no time was left to evaluate the MILP point
+                    cells.append(
+                        CellResult(rho=rho, lam=lam, status="time_limit",
+                                   wall_time=time.monotonic() - cell_tick,
+                                   **_milp_counters(sol))
+                    )
+                    timed_out = True
+                    continue
                 timed_out = timed_out or refined_cache[key].warning == TIME_LIMIT_WARNING
             refined = refined_cache[key]
             phases["refining"] += time.monotonic() - refine_tick

@@ -13,6 +13,10 @@ class InfeasibleProblem(SurroptError):
     """The linear constraint system admits no point."""
 
 
+class TimeLimitReached(SurroptError):
+    """The run's deadline passed before an evaluation the run still needed."""
+
+
 class EvaluationError(SurroptError):
     """A constraint or objective evaluator failed at a point."""
 

@@ -535,15 +535,18 @@ def load_problem(document, blackbox_registry=None):
         names[nm] = i
         lower = rv.get("lower")
         upper = rv.get("upper")
-        specs.append(
-            VarSpec(
-                name=nm,
-                index=i,
-                lower=-math.inf if lower is None else float(lower),
-                upper=math.inf if upper is None else float(upper),
-                integral=bool(rv.get("integral", False)),
+        try:
+            specs.append(
+                VarSpec(
+                    name=nm,
+                    index=i,
+                    lower=-math.inf if lower is None else float(lower),
+                    upper=math.inf if upper is None else float(upper),
+                    integral=bool(rv.get("integral", False)),
+                )
             )
-        )
+        except ValueError as exc:  # a bound that is no number, or crossed bounds
+            raise SchemaError(str(exc)) from exc
     n = len(specs)
 
     def constraint_from_expression(text, sense, label):

@@ -10,7 +10,6 @@ boosted ensembles trained on 0/1 labels.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -689,90 +688,3 @@ def select_surrogate(
     if best is None:
         raise DegenerateDataset("no family could be trained on this dataset")
     return best
-
-
-# ---------------------------------------------------------------------------
-# Debug dump / load
-# ---------------------------------------------------------------------------
-
-def _tree_to_dict(node: _Node):
-    if node.is_leaf:
-        return {"value": node.value}
-    return {
-        "a": node.a.tolist(),
-        "b": node.b,
-        "left": _tree_to_dict(node.left),
-        "right": _tree_to_dict(node.right),
-    }
-
-
-def _tree_from_dict(d) -> _Node:
-    if "value" in d:
-        return _Node(value=d["value"])
-    return _Node(
-        a=np.asarray(d["a"], dtype=float),
-        b=float(d["b"]),
-        left=_tree_from_dict(d["left"]),
-        right=_tree_from_dict(d["right"]),
-    )
-
-
-def dump_surrogate(s: Surrogate) -> str:
-    """Serialize a surrogate to a JSON string (debug aid)."""
-    m = s.model
-    if s.family == "svm":
-        payload = {"beta0": m.beta0, "beta": m.beta.tolist()}
-    elif s.family == "tree":
-        payload = {"root": _tree_to_dict(m.root), "n_features": m.n_features}
-    elif s.family == "gbm":
-        payload = {
-            "base": m.base,
-            "weights": list(m.weights),
-            "trees": [{"root": _tree_to_dict(t.root), "n_features": t.n_features} for t in m.trees],
-        }
-    else:
-        payload = {"task": m.task, "layers": [[W.tolist(), b.tolist()] for W, b in m.layers]}
-    return json.dumps(
-        {
-            "family": s.family,
-            "task": s.task,
-            "threshold": s.threshold,
-            "validation_score": s.validation_score,
-            "support": list(s.support),
-            "constraint_id": s.constraint_id,
-            "model": payload,
-        }
-    )
-
-
-def load_surrogate(text: str) -> Surrogate:
-    d = json.loads(text)
-    payload = d["model"]
-    family = d["family"]
-    if family == "svm":
-        model = LinearModel(beta0=payload["beta0"], beta=np.asarray(payload["beta"]))
-    elif family == "tree":
-        model = ObliqueTree(root=_tree_from_dict(payload["root"]), n_features=payload["n_features"])
-    elif family == "gbm":
-        model = GbmEnsemble(
-            base=payload["base"],
-            trees=[
-                ObliqueTree(root=_tree_from_dict(t["root"]), n_features=t["n_features"])
-                for t in payload["trees"]
-            ],
-            weights=payload["weights"],
-        )
-    else:
-        model = Mlp(
-            layers=[(np.asarray(W), np.asarray(b)) for W, b in payload["layers"]],
-            task=payload["task"],
-        )
-    return Surrogate(
-        model=model,
-        family=family,
-        task=d["task"],
-        threshold=d["threshold"],
-        validation_score=d["validation_score"],
-        support=tuple(d["support"]),
-        constraint_id=d["constraint_id"],
-    )

@@ -10,13 +10,14 @@ appears in a nonlinear constraint, inferring them by LP when missing.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import expr as _expr
-from .errors import EvaluationError, InfeasibleProblem, UnboundedVariable
+from .errors import EvaluationError, InfeasibleProblem, TimeLimitReached, UnboundedVariable
 
 FEASIBILITY_TOL = 1e-8
 EQUALITY_BAND = 1e-4  # half-width of the band used when embedding equalities
@@ -64,21 +65,26 @@ class _Evaluated:
     """Value and gradient of an ``evaluator`` that reads only ``support``.
 
     ``value`` is the one evaluation boundary: NaN where the evaluator raises
-    ``EvaluationError``, and one evaluator call per distinct ``x[support]``
-    per object (``standardize`` makes fresh objects, so per solve). ``grad``
-    uses the expression tree, the gradient callback, or central differences
-    of the evaluator itself.
+    ``EvaluationError``, one evaluator call per distinct ``x[support]`` per
+    object (``standardize`` makes fresh objects, so per solve), and
+    ``TimeLimitReached`` instead of a new call once the object's deadline
+    has passed; values already known are still returned. ``grad`` uses the
+    expression tree, the gradient callback, or central differences of the
+    evaluator itself.
     """
 
     def __post_init__(self):
         object.__setattr__(self, "support", frozenset(self.support))
         object.__setattr__(self, "_index", np.array(sorted(self.support), dtype=int))
         object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_deadline", None)
 
     def value(self, x) -> float:
         x = np.asarray(x, dtype=float)
         key = x[self._index].tobytes()
         if key not in self._memo:
+            if self._deadline is not None and time.monotonic() > self._deadline:
+                raise TimeLimitReached("the run's time limit passed")
             try:
                 self._memo[key] = float(self.evaluator(x))
             except EvaluationError:
@@ -207,17 +213,27 @@ class StandardProblem(Problem):
 # Standard form
 # ---------------------------------------------------------------------------
 
-def standardize(problem: Problem) -> StandardProblem:
+def _fresh(obj, deadline):
+    """A copy of ``obj``; a nonlinear one has an empty memo and ``deadline``."""
+    copy = replace(obj)
+    if isinstance(copy, _Evaluated):
+        object.__setattr__(copy, "_deadline", deadline)
+    return copy
+
+
+def standardize(problem: Problem, deadline: Optional[float] = None) -> StandardProblem:
     """Bring a problem to standard form.
 
     Affine expression-backed constraints move into the linear rows,
     single-variable rows tighten the variable box, and every variable used
     by a nonlinear constraint (or nonlinear objective) receives finite
     bounds, inferred by LP when not explicit. The nonlinear constraints and
-    the objective are fresh copies, with empty evaluation memos. Idempotent.
+    the objective are fresh copies, with empty evaluation memos; past
+    ``deadline`` (a ``time.monotonic()`` instant) they evaluate no new
+    point. Idempotent.
     """
     n = problem.n
-    objective = replace(problem.objective)
+    objective = _fresh(problem.objective, deadline)
     linear = list(problem.linear)
     nonlinear = []
     for con in problem.nonlinear:
@@ -230,7 +246,7 @@ def standardize(problem: Problem) -> StandardProblem:
                 linear.append(LinearConstraint(coeffs=coeffs, sense=sense, rhs=-const, name=con.name))
                 moved = True
         if not moved:
-            nonlinear.append(replace(con))
+            nonlinear.append(_fresh(con, deadline))
 
     lower = np.array([v.lower for v in problem.vars], dtype=float)
     upper = np.array([v.upper for v in problem.vars], dtype=float)

@@ -4,28 +4,25 @@ The merit function is objective plus a penalty on nonlinear-constraint
 violations; linear rows and the box are enforced instead by the exact
 Euclidean projection onto their intersection, found by a dual active-set
 method. Momentum is conditional: it stays on only while the
-previous accepted step decreased the merit. A short Gauss-Newton polish
-drives residual nonlinear violations toward zero at the end, which under
-the penalty weighting is itself a merit descent.
+previous accepted step decreased the merit.
 
 Values come from the constraints' and objective's ``value``, which
 evaluates each point once per solve and gives NaN where an evaluation
-fails; such a point has merit inf and is never accepted. Gradients call
-the evaluators directly, and a failure there ends refinement with a
-warning, as does the run deadline, checked between iterations and
-between polish steps.
+fails; such a point has merit inf and is never accepted. ``value`` also
+stops the run at its deadline, which ends refinement with a warning.
+Gradients call the evaluators directly, and a failure there ends
+refinement with a warning too.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import EvaluationError, ProjectionStall
+from .errors import EvaluationError, ProjectionStall, TimeLimitReached
 from .model import StandardProblem
 
 TIME_LIMIT_WARNING = "stopped at the time limit"
@@ -38,7 +35,6 @@ class PgdConfig:
     momentum: float = 0.9
     penalty: float = 1e3
     step_tol: float = 1e-9
-    polish_iters: int = 30
 
     def __post_init__(self):
         if not 0.0 <= self.momentum < 1.0:
@@ -343,15 +339,15 @@ def _cone_filter(move: np.ndarray, x, rows, lo, hi, frozen, tol: float = 1e-9) -
     return v
 
 
-def pgd_improve(sp: StandardProblem, x0, cfg: Optional[PgdConfig] = None, deadline=None) -> MeritState:
+def pgd_improve(sp: StandardProblem, x0, cfg: Optional[PgdConfig] = None) -> MeritState:
     """Improve an incumbent; never returns a point with merit above the start.
 
     Iterates x <- project(x - alpha (grad + gamma * velocity)) with
     backtracking halvings. A point where an evaluation fails has merit inf
-    and is never accepted. When a gradient evaluation fails, or ``deadline``
-    (a ``time.monotonic()`` instant) passes between iterations or polish
-    steps, the best state found so far comes back with a warning; so does
-    an inf merit.
+    and is never accepted. When a gradient evaluation fails, or the run's
+    deadline stops an evaluation, the best state found so far comes back
+    with a warning; so does an inf merit. Raises ``TimeLimitReached`` if
+    the deadline has passed before the start point is evaluated.
     """
     cfg = cfg or PgdConfig()
     lo, hi = sp.box()
@@ -361,17 +357,13 @@ def pgd_improve(sp: StandardProblem, x0, cfg: Optional[PgdConfig] = None, deadli
     def proj(p):
         return project(p, rows, lo, hi, frozen=frozen)
 
-    x = proj(np.asarray(x0, dtype=float))
-    best = merit_state(sp, x, cfg.penalty)
-    current = best
-    velocity = np.zeros_like(x)
+    # every accepted step lowers the merit, so the current state is the best
+    current = merit_state(sp, proj(np.asarray(x0, dtype=float)), cfg.penalty)
+    velocity = np.zeros_like(current.x)
     momentum_on = False
 
     try:
         for _ in range(cfg.iterations):
-            if deadline is not None and time.monotonic() > deadline:
-                best.warning = TIME_LIMIT_WARNING
-                return best
             progress = False
             g = _merit_gradient(sp, current.x, cfg.penalty)
             # diagonal curvature scaling of the direction
@@ -407,56 +399,12 @@ def pgd_improve(sp: StandardProblem, x0, cfg: Optional[PgdConfig] = None, deadli
             if swept.merit < current.merit - 1e-12:
                 current = swept
                 progress = True
-            if current.merit < best.merit:
-                best = current
             if not progress:
                 break
-
-        best = _polish(sp, best, cfg, proj, deadline)
     except EvaluationError as exc:
-        best.warning = f"gradient evaluation failed: {exc}"
-    if best.merit == math.inf and best.warning is None:
-        best.warning = "no point with a finite merit was found"
-    return best
-
-
-def _polish(sp: StandardProblem, best: MeritState, cfg: PgdConfig, proj, deadline) -> MeritState:
-    """Gauss-Newton steps on the violated nonlinear constraints."""
-    state = best
-    for _ in range(cfg.polish_iters):
-        total = state.violations.sum()
-        if total <= 1e-12:
-            break
-        if deadline is not None and time.monotonic() > deadline:
-            best.warning = TIME_LIMIT_WARNING
-            break
-        step = np.zeros_like(state.x)
-        for con, v in zip(sp.nonlinear, state.violations):
-            if v <= 0.0:
-                continue
-            value = con.value(state.x)
-            grad = con.grad(state.x)
-            nrm2 = float(grad @ grad)
-            if nrm2 < 1e-18:
-                continue
-            step -= (value / nrm2) * grad
-        if not np.any(step):
-            break
-        damp = 1.0
-        improved = None
-        for _ in range(12):
-            try:
-                cand = merit_state(sp, proj(state.x + damp * step), cfg.penalty)
-            except ProjectionStall:
-                damp *= 0.5
-                continue
-            if cand.violations.sum() < total - 1e-15 and cand.merit < math.inf:
-                improved = cand
-                break
-            damp *= 0.5
-        if improved is None:
-            break
-        state = improved
-        if state.merit < best.merit:
-            best = state
-    return best
+        current.warning = f"gradient evaluation failed: {exc}"
+    except TimeLimitReached:
+        current.warning = TIME_LIMIT_WARNING
+    if current.merit == math.inf and current.warning is None:
+        current.warning = "no point with a finite merit was found"
+    return current

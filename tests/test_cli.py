@@ -1,12 +1,16 @@
 import json
 import os
+import tempfile
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from surropt import cli, driver, milp
 from surropt.encoder import assemble
-from surropt.expr import load_problem
+from surropt.expr import eval_expr, load_problem, parse_expr
 
 ILLUSTRATIVE = os.path.join(os.path.dirname(__file__), "..", "problems", "illustrative.prob")
 
@@ -198,3 +202,72 @@ def test_empty_qsigmoid_exits_64(flags, capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["bench", "qsigmoid", *flags])
     assert err.value.code == 64
+
+
+_NAMES = ("x", "y")
+
+
+@st.composite
+def _expressions(draw, depth=3):
+    """Expression text over x and y; ln, sqrt and division can leave their domains."""
+    if depth == 0 or (depth < 3 and draw(st.booleans())):
+        return draw(st.sampled_from(_NAMES + ("0.5", "2", "-1")))
+    if draw(st.booleans()):
+        fn = draw(st.sampled_from(["ln", "sqrt", "sin", "abs"]))
+        return f"{fn}({draw(_expressions(depth - 1))})"
+    op = draw(st.sampled_from(["+", "-", "*", "/"]))
+    return f"({draw(_expressions(depth - 1))}){op}({draw(_expressions(depth - 1))})"
+
+
+@st.composite
+def _problems(draw):
+    variables = []
+    for name in _NAMES:
+        lower = draw(st.sampled_from([-2.0, -0.5, 0.0, 0.3]))
+        # a negative width makes the box empty
+        width = draw(st.sampled_from([-0.5, 0.0, 0.2, 1.0, 1.0, 3.0, 3.0, 3.0]))
+        variables.append({"name": name, "lower": lower, "upper": lower + width})
+    constraints = [
+        {"name": f"g{i}", "expression": draw(_expressions()),
+         "sense": draw(st.sampled_from(["<=0", ">=0", "=0"]))}
+        for i in range(draw(st.integers(1, 2)))
+    ]
+    objective = draw(st.one_of(
+        st.builds(lambda e: {"expression": e}, _expressions()),
+        st.just({"linear": [1.0, -1.0]}),
+    ))
+    doc = {"schema": 1, "name": "hostile", "variables": variables,
+           "objective": objective, "constraints": constraints}
+    return doc, draw(st.sampled_from(["0.01", "0.5", "5"]))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_problems())
+def test_solve_exits_with_a_documented_code_on_hostile_problems(case):
+    doc, time_limit = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path, report_path = os.path.join(tmp, "case.prob"), os.path.join(tmp, "report.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        argv = ["solve", path, "--time-limit", time_limit, "--report", report_path,
+                "--no-oct-sampling", "--no-robust", "--no-relax"]
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code in (0, 2, 3, 64)
+        if not os.path.exists(report_path):
+            return
+        with open(report_path, encoding="utf-8") as fh:
+            report = json.load(fh)
+    if report["status"] != "ok":
+        return
+    # an ok point must hold up under the plain expression evaluator
+    x = np.array(report["x"])
+    names = {name: i for i, name in enumerate(_NAMES)}
+    for v, spec in zip(x, doc["variables"]):
+        assert spec["lower"] - 1e-6 <= v <= spec["upper"] + 1e-6
+    for con in doc["constraints"]:
+        value = eval_expr(parse_expr(con["expression"], names), x)
+        slack = {"<=0": value, ">=0": -value, "=0": abs(value)}[con["sense"]]
+        assert slack <= 1e-6

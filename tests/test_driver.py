@@ -450,3 +450,59 @@ def test_refinement_stops_at_the_time_limit():
     report = solve_global(problem, RunConfig(seed=0, time_limit=2.0))
     assert report.status == "time_limit"
     assert time.monotonic() - tick < 3.0
+
+
+def test_sampling_evaluates_nothing_after_the_time_limit(monkeypatch):
+    # each evaluation takes a millisecond; the kNN batch used to run all of
+    # its evaluations, seconds past the limit
+    from surropt import driver
+
+    starts = []
+
+    def slow(fn):
+        def evaluate(x):
+            starts.append(time.monotonic())
+            time.sleep(1e-3)
+            return fn(x)
+        return evaluate
+
+    deadlines = []
+
+    def standardize_seen(problem, deadline=None):
+        deadlines.append(deadline)
+        return standardize(problem, deadline)
+
+    monkeypatch.setattr(driver, "standardize", standardize_seen)
+    problem = generate_quadratic_sigmoid(10, 2, seed=2024)
+    problem = replace(
+        problem, nonlinear=tuple(replace(c, evaluator=slow(c.evaluator)) for c in problem.nonlinear)
+    )
+    tick = time.monotonic()
+    report = solve_global(problem, RunConfig(seed=0, time_limit=2.0))
+    assert time.monotonic() - tick < 3.0
+    assert report.status == "time_limit"
+    # 10 ms allow for the instant between the boundary's check and the call
+    assert max(starts) <= deadlines[0] + 0.01
+
+
+def test_deadline_passing_in_the_milp_solve_reports_time_limit(monkeypatch):
+    # the MILP point itself comes too late to evaluate: the cell keeps its
+    # MILP counters, and the run reports instead of raising
+    from surropt import driver
+
+    solutions = []
+    solve = milp.solve
+
+    def late_solve(model, time_limit=None, **kw):
+        solutions.append(solve(model, time_limit=time_limit, **kw))
+        time.sleep(time_limit + 0.01)
+        return solutions[-1]
+
+    monkeypatch.setattr(driver.milp, "solve", late_solve)
+    cfg = _fast_config(rho_grid=(0.0,), lambda_grid=(None,), time_limit=3.0)
+    report = solve_global(illustrative_problem(), cfg)
+    assert report.status == "time_limit"
+    assert report.x is None
+    [cell] = report.cells
+    assert solutions[0].status == "optimal"
+    assert (cell.status, cell.nodes, cell.pivots) == ("time_limit", solutions[0].nodes, solutions[0].pivots)

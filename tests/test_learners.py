@@ -396,18 +396,6 @@ def test_select_regressor_scores_r2():
     assert sur.validation_score > 0.99
 
 
-def test_surrogate_dump_load_roundtrip():
-    rng = np.random.default_rng(12)
-    X = rng.uniform(0, 1, size=(80, 2))
-    y = (X[:, 0] <= 0.6).astype(float)
-    for family in ("svm", "tree", "gbm", "mlp"):
-        sur = L.select_surrogate(X, y, "classifier", candidates=(family,), seed=3)
-        back = L.load_surrogate(L.dump_surrogate(sur))
-        assert back.family == sur.family
-        for point in rng.uniform(0, 1, size=(25, 2)):
-            assert back.raw(point) == pytest.approx(sur.raw(point), abs=1e-12)
-
-
 def test_batched_predict_matches_predict_one():
     rng = np.random.default_rng(21)
     X = rng.uniform(-1, 1, size=(150, 3))

@@ -298,7 +298,7 @@ def test_pgd_never_raises_or_degrades_on_failing_black_boxes(data, n):
         ),
         bound_provenance=("user",) * n,
     )
-    cfg = PgdConfig(iterations=4, polish_iters=8)
+    cfg = PgdConfig(iterations=4)
     start = merit_state(sp, x0, cfg.penalty)
     out = pgd_improve(sp, x0, cfg)
     assert out.merit <= start.merit
