@@ -2,9 +2,9 @@
 
 ``sample`` and ``train`` are the front of the pipeline, shared by
 ``solve_global`` and by any caller that needs the trained surrogates (the
-CLI's ``export-lp``, the tests). The (rho, lambda) grid reuses the
-surrogates trained up front; only the encoding and MILP solve repeat per
-cell. Each rho first solves without relaxation and falls back to the
+CLI's ``export-lp``, the tests). ``solve_grid`` runs the (rho, lambda) grid
+on the surrogates trained up front; only the encoding and MILP solve repeat
+per cell. Each rho first solves without relaxation and falls back to the
 relaxed model only when that solve is infeasible. Every cell's incumbent is
 refined by projected gradient descent and the best refined merit among
 feasibility-passing cells wins.
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -35,7 +36,7 @@ from .encoder import (
     RobustConfig,
     assemble,
 )
-from .errors import InfeasibleApproximation, SolverError, TimeLimitReached
+from .errors import DegenerateDataset, InfeasibleApproximation, SolverError, TimeLimitReached
 from .learners import LearnerParams, Surrogate, select_surrogate, train_tree
 from .model import (
     LinearObjective,
@@ -286,7 +287,10 @@ def train(sp: StandardProblem, datasets, cfg: RunConfig, deadline=None) -> Train
 
     A dataset with values gets a regressor; one with labels of both kinds
     gets a classifier, and one with a single label kind gets the matching
-    ``ALWAYS_*`` marker instead. Stops early, with ``complete`` False, when
+    ``ALWAYS_*`` marker instead; so does an equality constraint with no
+    finite value, which gets ``ALWAYS_INFEASIBLE``. A dataset no family can
+    be trained on raises ``DegenerateDataset`` naming its constraint, or
+    ``objective``. Stops early, with ``complete`` False, when
     ``deadline`` passes.
     """
     out = Trained(constraints=[], objective=None, families={}, runs=0, complete=False)
@@ -299,12 +303,17 @@ def train(sp: StandardProblem, datasets, cfg: RunConfig, deadline=None) -> Train
         else:
             name, seed = sp.nonlinear[i].name or f"g{i}", cfg.seed + 101 * i
         kinds = set(labels.tolist()) if values is None else set()
+        if labels is not None and values is not None and len(values) == 0:
+            kinds = {0.0}  # an equality that failed at every sample point
         if len(kinds) == 1:
             model = ALWAYS_FEASIBLE if 1.0 in kinds else ALWAYS_INFEASIBLE
             out.families[name] = {"family": model, "score": 1.0}
         else:
             task, targets = ("classifier", labels) if values is None else ("regressor", values)
-            model = select_surrogate(points, targets, task=task, seed=seed, params=cfg.learner)
+            try:
+                model = select_surrogate(points, targets, task=task, seed=seed, params=cfg.learner)
+            except DegenerateDataset as exc:
+                raise DegenerateDataset(f"cannot train a surrogate for {name}: {exc}") from exc
             model = replace(model, support=tuple(support), constraint_id=name)
             out.runs += 1
             out.families[name] = {"family": model.family, "score": model.validation_score}
@@ -320,18 +329,29 @@ def train(sp: StandardProblem, datasets, cfg: RunConfig, deadline=None) -> Train
 # Main entry
 # ---------------------------------------------------------------------------
 
+@contextmanager
+def _timed(phases: dict, name: str):
+    """Adds the seconds spent in the block to ``phases[name]``."""
+    tick = time.monotonic()
+    try:
+        yield
+    finally:
+        phases[name] = phases.get(name, 0.0) + time.monotonic() - tick
+
+
 def solve_global(problem: Problem, cfg: Optional[RunConfig] = None) -> RunReport:
+    """Standardize, sample, train, ``solve_grid``, and report the cell whose
+    refined point has the lowest merit, preferring feasible ones.
+
+    Raises ``InfeasibleApproximation`` when every cell is infeasible, and
+    ``SolverError`` when no cell was solved and the MILP solver failed.
+    """
     cfg = cfg or RunConfig()
     t0 = time.monotonic()
     deadline = t0 + cfg.time_limit
-    phases = {
-        "standardize": 0.0,
-        "sampling": 0.0,
-        "training": 0.0,
-        "encoding": 0.0,
-        "solving": 0.0,
-        "refining": 0.0,
-    }
+    phases = dict.fromkeys(
+        ("standardize", "sampling", "training", "encoding", "solving", "refining"), 0.0
+    )
 
     def finish(status, trained=None, cells=(), winner=None):
         best = None if winner is None else winner.refined
@@ -351,136 +371,117 @@ def solve_global(problem: Problem, cfg: Optional[RunConfig] = None) -> RunReport
             problem=sp.name,
         )
 
-    tick = time.monotonic()
-    sp = standardize(problem, deadline)
-    phases["standardize"] = time.monotonic() - tick
-
-    tick = time.monotonic()
+    with _timed(phases, "standardize"):
+        sp = standardize(problem, deadline)
     try:
-        datasets = sample(sp, cfg, deadline)
+        with _timed(phases, "sampling"):
+            datasets = sample(sp, cfg, deadline)
     except TimeLimitReached:
         return finish("time_limit")
-    finally:
-        phases["sampling"] = time.monotonic() - tick
-
-    tick = time.monotonic()
-    trained = train(sp, datasets, cfg, deadline)
-    phases["training"] = time.monotonic() - tick
+    with _timed(phases, "training"):
+        trained = train(sp, datasets, cfg, deadline)
     if not trained.complete or time.monotonic() > deadline:
         return finish("time_limit", trained)
 
+    cells = solve_grid(sp, trained, cfg, deadline, phases)
+    cut_short = any(_cut_short(c) for c in cells)
+    solved = [c for c in cells if c.status == "optimal"]
+    if not solved:
+        if cut_short:
+            return finish("time_limit", trained, cells)
+        if any(c.status == "error" for c in cells):
+            raise SolverError("the MILP solver failed, and no grid cell was solved")
+        raise InfeasibleApproximation("every grid cell was infeasible, even with relaxation")
+    eligible = [c for c in solved if c.feasible]
+    winner = min(eligible or solved, key=lambda c: c.refined.merit)
+    status = "time_limit" if cut_short else "ok" if eligible else "no_feasible_cell"
+    return finish(status, trained, cells, winner)
+
+
+def _cut_short(cell: CellResult) -> bool:
+    """The run's deadline skipped the cell, stopped its solve or its refinement."""
+    return cell.status in ("skipped", "time_limit") or (
+        cell.refined is not None and cell.refined.warning == TIME_LIMIT_WARNING
+    )
+
+
+def solve_grid(sp: StandardProblem, trained: Trained, cfg: RunConfig, deadline: float,
+               phases: dict) -> list[CellResult]:
+    """One ``CellResult`` per (rho, lambda) cell of ``cfg``, rho-major.
+
+    Each rho solves its unrelaxed model once. A lambda encodes and solves
+    the relaxed model only when that solve is not optimal, and after one
+    relaxed model is infeasible the later lambdas are too, with no solve. A
+    model whose ``milp.fingerprint`` equals an earlier one's reuses its
+    solution, and a MILP point refined before reuses its refinement. Each
+    cell's solve gets an equal share of the time left before ``deadline``
+    (a ``time.monotonic()`` instant); a cell that would start after it is
+    ``skipped``. The encoding, solving and refining seconds add to ``phases``.
+    """
     cells = []
-    refined_cache = {}
-    timed_out = False
+    solutions = {}      # milp.fingerprint -> MilpSolution
+    refined_cache = {}  # MILP point bytes -> MeritState
     total_cells = len(cfg.rho_grid) * len(cfg.lambda_grid)
-    solved_models = []  # (model, solution) pairs reused across identical encodings
-
-    def encode(robust_cfg, relax_cfg):
-        tick = time.monotonic()
-        model = assemble(sp, trained.constraints, trained.objective, robust_cfg, relax_cfg)
-        phases["encoding"] += time.monotonic() - tick
-        return model
-
-    def run_solver(model, budget):
-        tick = time.monotonic()
-        for seen_model, seen_sol in solved_models:
-            if milp.models_equal(seen_model, model):
-                phases["solving"] += time.monotonic() - tick
-                return seen_sol
-        sol = milp.solve(model, time_limit=budget, gap_tol=cfg.gap_tol, solver=cfg.solver)
-        solved_models.append((model, sol))
-        phases["solving"] += time.monotonic() - tick
-        return sol
-
     for rho in cfg.rho_grid:
         robust_cfg = RobustConfig(rho=rho, p=cfg.norm_p) if rho > 0 else None
         base = None                 # (model, solution) of the unrelaxed solve
         relaxed_infeasible = False  # the relaxed feasible set does not depend on lambda
         for lam in cfg.lambda_grid:
             cell_tick = time.monotonic()
-            remaining = deadline - time.monotonic()
+            remaining = deadline - cell_tick
             if remaining <= 0:
                 cells.append(CellResult(rho=rho, lam=lam, status="skipped"))
-                timed_out = True
                 continue
             budget = max(0.05, remaining / max(1, total_cells - len(cells)))
-
             if base is None:
-                model = encode(robust_cfg, None)
-                base = (model, run_solver(model, budget))
+                base = _encode_and_solve(
+                    sp, trained, cfg, robust_cfg, None, budget, solutions, phases
+                )
             model, sol = base
             if sol.status != "optimal" and lam is not None:
                 if relaxed_infeasible:
-                    cells.append(
-                        CellResult(rho=rho, lam=lam, status="infeasible",
-                                   wall_time=time.monotonic() - cell_tick)
-                    )
+                    cells.append(CellResult(rho=rho, lam=lam, status="infeasible",
+                                            wall_time=time.monotonic() - cell_tick))
                     continue
-                model = encode(robust_cfg, RelaxConfig(lam))
-                sol = run_solver(model, budget)
+                model, sol = _encode_and_solve(
+                    sp, trained, cfg, robust_cfg, RelaxConfig(lam), budget, solutions, phases
+                )
                 relaxed_infeasible = sol.status == "infeasible"
-            if sol.status != "optimal":
-                cells.append(
-                    CellResult(rho=rho, lam=lam, status=sol.status,
-                               wall_time=time.monotonic() - cell_tick,
-                               **_milp_counters(sol))
-                )
-                timed_out = timed_out or sol.status == "time_limit"
-                continue
-            relax_total = float(sum(sol.x[u] for u in model.registry["relax_vars"]))
-
-            x_mio = np.array([sol.x[c] for c in model.registry["x_vars"]])
-            key = x_mio.tobytes()
-            refine_tick = time.monotonic()
-            if key not in refined_cache:
+            cell = CellResult(rho=rho, lam=lam, status=sol.status,
+                              nodes=sol.nodes, pivots=sol.pivots, gap=sol.gap, bound=sol.bound)
+            if sol.status == "optimal":
+                x_mio = np.array([sol.x[c] for c in model.registry["x_vars"]])
+                key = x_mio.tobytes()
                 try:
-                    refined_cache[key] = pgd_improve(sp, x_mio, cfg.pgd)
+                    with _timed(phases, "refining"):
+                        if key not in refined_cache:
+                            refined_cache[key] = pgd_improve(sp, x_mio, cfg.pgd)
                 except TimeLimitReached:  # no time was left to evaluate the MILP point
-                    cells.append(
-                        CellResult(rho=rho, lam=lam, status="time_limit",
-                                   wall_time=time.monotonic() - cell_tick,
-                                   **_milp_counters(sol))
-                    )
-                    timed_out = True
-                    continue
-                timed_out = timed_out or refined_cache[key].warning == TIME_LIMIT_WARNING
-            refined = refined_cache[key]
-            phases["refining"] += time.monotonic() - refine_tick
+                    cell.status = "time_limit"
+                else:
+                    cell.mio_objective = sol.objective
+                    cell.relax_total = float(sum(sol.x[u] for u in model.registry["relax_vars"]))
+                    cell.refined = refined_cache[key]
+                    cell.max_violation = _full_violation(sp, cell.refined.x)
+                    cell.feasible = cell.max_violation <= cfg.feas_tol
+            cell.wall_time = time.monotonic() - cell_tick
+            cells.append(cell)
+    return cells
 
-            max_violation = _full_violation(sp, refined.x)
-            cells.append(
-                CellResult(
-                    rho=rho,
-                    lam=lam,
-                    status="optimal",
-                    mio_objective=sol.objective,
-                    relax_total=relax_total,
-                    refined=refined,
-                    max_violation=max_violation,
-                    feasible=max_violation <= cfg.feas_tol,
-                    wall_time=time.monotonic() - cell_tick,
-                    **_milp_counters(sol),
-                )
+
+def _encode_and_solve(sp, trained, cfg, robust_cfg, relax_cfg, budget, solutions, phases):
+    """``(model, solution)`` of one encoding; a model whose fingerprint is in
+    ``solutions`` is not solved again."""
+    with _timed(phases, "encoding"):
+        model = assemble(sp, trained.constraints, trained.objective, robust_cfg, relax_cfg)
+    with _timed(phases, "solving"):
+        key = milp.fingerprint(model)
+        sol = solutions.get(key)
+        if sol is None:
+            sol = solutions[key] = milp.solve(
+                model, time_limit=budget, gap_tol=cfg.gap_tol, solver=cfg.solver
             )
-
-    solved = [c for c in cells if c.status == "optimal"]
-    if not solved:
-        if timed_out:
-            return finish("time_limit", trained, cells)
-        if any(c.status == "error" for c in cells):
-            raise SolverError("the MILP solver failed, and no grid cell was solved")
-        raise InfeasibleApproximation(
-            "every grid cell was infeasible, even with relaxation"
-        )
-
-    eligible = [c for c in solved if c.feasible]
-    winner = min(eligible or solved, key=lambda c: c.refined.merit)
-    status = "time_limit" if timed_out else "ok" if eligible else "no_feasible_cell"
-    return finish(status, trained, cells, winner)
-
-
-def _milp_counters(sol: milp.MilpSolution) -> dict:
-    return {"nodes": sol.nodes, "pivots": sol.pivots, "gap": sol.gap, "bound": sol.bound}
+    return model, sol
 
 
 def _full_violation(sp: StandardProblem, x) -> float:

@@ -44,6 +44,7 @@ STALL_LIMIT = 200   # degenerate pivots in a row before Bland's rule takes over
 PRESOLVE_TOL = 1e-6     # row violation bound propagation allows, relative to 1 + |rhs|
 PRESOLVE_STEP = 1e-3    # smallest continuous bound move that counts, relative to its scale
 PRESOLVE_ROUNDS = 100   # propagation rounds before the bounds are taken as they stand
+NODE_LIMIT = 1_000_000  # LP solves after which branch and bound stops as at its time limit
 EXTERNAL_SOLVER_ENV = "GOML_EXTERNAL_SOLVER_CMD"
 
 
@@ -666,7 +667,6 @@ def solve_milp(
     model: MilpModel,
     time_limit: Optional[float] = None,
     gap_tol: float = 1e-6,
-    node_limit: int = 1_000_000,
 ) -> MilpSolution:
     """Branch and bound with best-bound selection and most-fractional branching.
 
@@ -756,7 +756,7 @@ def solve_milp(
     status = "optimal"
 
     while heap:
-        if out_of_time() or nodes_solved >= node_limit:
+        if out_of_time() or nodes_solved >= NODE_LIMIT:
             status = "time_limit"
             break
         node_bound, _, lo, hi, x_lp, basis = heapq.heappop(heap)
@@ -798,7 +798,6 @@ def solve_milp(
     if heap and status != "time_limit":
         best_bound = min(best_bound, min(entry[0] for entry in heap))
     if not heap and status == "optimal":
-        best_bound = incumbent_obj if best_bound > incumbent_obj else best_bound
         best_bound = min(best_bound, incumbent_obj)
     gap = abs(incumbent_obj - best_bound) / max(1.0, abs(incumbent_obj))
     return MilpSolution(
@@ -974,28 +973,23 @@ def read_lp_file(path: str) -> MilpModel:
     return model
 
 
+def fingerprint(model: MilpModel) -> tuple:
+    """Hashable key of what a solve depends on: integrality, bounds, the
+    objective and the rows. Names and the encoder's ``registry`` do not count."""
+    return (
+        tuple(model.integral),
+        tuple(model.lower),
+        tuple(model.upper),
+        tuple(sorted(model.obj.items())),
+        model.obj_const,
+        tuple(model.row_senses),
+        tuple(model.row_rhs),
+        tuple(tuple(sorted(coeffs.items())) for coeffs in model.row_coeffs),
+    )
+
+
 def models_equal(a: MilpModel, b: MilpModel) -> bool:
-    if a.n_vars != b.n_vars or a.n_rows != b.n_rows:
-        return False
-    for j in range(a.n_vars):
-        if a.integral[j] != b.integral[j]:
-            return False
-        if a.lower[j] != b.lower[j] or a.upper[j] != b.upper[j]:
-            return False
-    if set(a.obj) != set(b.obj) or a.obj_const != b.obj_const:
-        return False
-    for j in a.obj:
-        if a.obj[j] != b.obj[j]:
-            return False
-    for i in range(a.n_rows):
-        if a.row_senses[i] != b.row_senses[i] or a.row_rhs[i] != b.row_rhs[i]:
-            return False
-        if set(a.row_coeffs[i]) != set(b.row_coeffs[i]):
-            return False
-        for j in a.row_coeffs[i]:
-            if a.row_coeffs[i][j] != b.row_coeffs[i][j]:
-                return False
-    return True
+    return fingerprint(a) == fingerprint(b)
 
 
 def solve_with_external(model: MilpModel, command: str, time_limit=None) -> MilpSolution:

@@ -357,25 +357,3 @@ def feasibility_labels(values, sense: str, tol: float = FEASIBILITY_TOL) -> np.n
     values = np.asarray(values, dtype=float)
     slack = np.abs(values) if sense == "=0" else values
     return (np.isfinite(values) & (slack <= tol)).astype(float)
-
-
-def structurally_equal(a: Problem, b: Problem) -> bool:
-    """Deep comparison used by tests (variables, rows, constraint identity)."""
-    if len(a.vars) != len(b.vars) or len(a.linear) != len(b.linear):
-        return False
-    if len(a.nonlinear) != len(b.nonlinear):
-        return False
-    for va, vb in zip(a.vars, b.vars):
-        if (va.name, va.index, va.integral) != (vb.name, vb.index, vb.integral):
-            return False
-        if not (np.isclose(va.lower, vb.lower) and np.isclose(va.upper, vb.upper)):
-            return False
-    for ra, rb in zip(a.linear, b.linear):
-        if ra.sense != rb.sense or not np.isclose(ra.rhs, rb.rhs):
-            return False
-        if not np.allclose(ra.coeffs, rb.coeffs):
-            return False
-    for ca, cb in zip(a.nonlinear, b.nonlinear):
-        if ca.sense != cb.sense or ca.support != cb.support:
-            return False
-    return True

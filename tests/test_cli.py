@@ -168,9 +168,10 @@ def test_export_lp_writes_the_first_model_solve_global_encodes(tmp_path, monkeyp
     assert milp.models_equal(milp.read_lp_file(str(out)), models[0])
 
 
-def _problem_file(tmp_path, variables, constraints):
+def _problem_file(tmp_path, variables, constraints, objective=None):
+    objective = objective or {"linear": [1.0] * len(variables)}
     doc = {"schema": 1, "name": "cli-case", "variables": variables,
-           "objective": {"linear": [1.0] * len(variables)}, "constraints": constraints}
+           "objective": objective, "constraints": constraints}
     path = tmp_path / "case.prob"
     path.write_text(json.dumps(doc))
     return str(path)
@@ -195,6 +196,33 @@ def test_unbounded_nonlinear_variable_exits_64(tmp_path, capsys):
     )
     assert cli.main(["solve", path]) == 64
     assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_equality_that_fails_everywhere_exits_2(tmp_path, capsys):
+    # ln is undefined on the whole box, as for its "<=0" twin
+    path = _problem_file(
+        tmp_path,
+        [{"name": "x", "lower": 0, "upper": 1}, {"name": "y", "lower": -0.5, "upper": -0.3}],
+        [{"name": "h", "expression": "ln(y)", "sense": "=0"}],
+    )
+    assert cli.main(["solve", path]) == 2
+
+
+@pytest.mark.parametrize("name, constraint, objective", [
+    ("objective", "y - x", {"expression": "ln(-1 - x*y)"}),
+    # sqrt(x) is finite only where x = 0, too few points to train on
+    ("h", "sqrt(x) - y", None),
+])
+def test_untrainable_dataset_exits_64_naming_it(name, constraint, objective, tmp_path, capsys):
+    path = _problem_file(
+        tmp_path,
+        [{"name": "x", "lower": -1, "upper": 0}, {"name": "y", "lower": 0, "upper": 1}],
+        [{"name": "h", "expression": constraint, "sense": "=0"}],
+        objective,
+    )
+    assert cli.main(["solve", path]) == 64
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"for {name}:" in err
 
 
 @pytest.mark.parametrize("flags", [["--n", "0"], ["--m", "0"]])

@@ -13,6 +13,8 @@ from surropt.driver import (
     generate_quadratic_sigmoid,
     sample,
     solve_global,
+    solve_grid,
+    train,
 )
 from surropt.errors import InfeasibleApproximation
 from surropt.expr import load_problem
@@ -352,11 +354,10 @@ def test_sampling_evaluates_each_point_once():
                 assert values is None
 
 
-def test_shipped_problem_files_match_module_documents():
+def test_shipped_problem_files_match_module_documents(structurally_equal):
     import os
 
     from surropt.benchmarks import ILLUSTRATIVE_DOC, SPEED_REDUCER_DOC, illustrative_problem, speed_reducer_problem
-    from surropt.model import structurally_equal
 
     base = os.path.join(os.path.dirname(__file__), "..", "problems")
     from_file = load_problem(os.path.join(base, "illustrative.prob"))
@@ -506,3 +507,47 @@ def test_deadline_passing_in_the_milp_solve_reports_time_limit(monkeypatch):
     [cell] = report.cells
     assert solutions[0].status == "optimal"
     assert (cell.status, cell.nodes, cell.pivots) == ("time_limit", solutions[0].nodes, solutions[0].pivots)
+
+
+def _cell_key(cell):
+    """Everything a cell reports except its wall time."""
+    refined = cell.refined
+    return (
+        cell.rho, cell.lam, cell.status, cell.mio_objective, cell.relax_total,
+        cell.max_violation, cell.feasible, cell.nodes, cell.pivots, cell.gap, cell.bound,
+        None if refined is None else (refined.x.tobytes(), refined.merit, refined.warning),
+    )
+
+
+# seed 3 encodes four models with one fingerprint, so it solves once
+@pytest.mark.parametrize("seed", [0, 3])
+def test_solve_grid_returns_the_cells_of_solve_global(seed):
+    cfg = RunConfig(seed=seed)
+    report = solve_global(illustrative_problem(), cfg)
+    sp = standardize(illustrative_problem())
+    phases = {}
+    cells = solve_grid(sp, train(sp, sample(sp, cfg), cfg), cfg, time.monotonic() + 60.0, phases)
+    assert [_cell_key(c) for c in cells] == [_cell_key(c) for c in report.cells]
+    assert set(phases) == {"encoding", "solving", "refining"}
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_grid_solves_each_distinct_fingerprint_once(seed, monkeypatch):
+    from surropt import driver
+
+    assembled, solved = [], []
+    assemble, solve = driver.assemble, milp.solve
+
+    def recording_assemble(*args, **kwargs):
+        assembled.append(assemble(*args, **kwargs))
+        return assembled[-1]
+
+    def recording_solve(model, **kwargs):
+        solved.append(milp.fingerprint(model))
+        return solve(model, **kwargs)
+
+    monkeypatch.setattr(driver, "assemble", recording_assemble)
+    monkeypatch.setattr(milp, "solve", recording_solve)
+    solve_global(illustrative_problem(), RunConfig(seed=seed))
+    distinct = {milp.fingerprint(m) for m in assembled}
+    assert len(solved) == len(distinct) and set(solved) == distinct

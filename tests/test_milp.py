@@ -514,6 +514,76 @@ def test_lp_file_roundtrip(tmp_path):
     assert milp.models_equal(model, back)
 
 
+_COEFS = st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 3.0])
+
+
+@st.composite
+def _model_specs(draw):
+    n = draw(st.integers(1, 4))
+    columns = st.sets(st.integers(0, n - 1), min_size=1)
+    return {
+        "vars": [(draw(st.sampled_from([-1.0, 0.0])), draw(st.sampled_from([1.0, 2.0])),
+                  draw(st.booleans())) for _ in range(n)],
+        "obj": {j: draw(_COEFS) for j in draw(columns)},
+        "obj_const": draw(_COEFS),
+        "rows": [({j: draw(_COEFS) for j in draw(columns)}, draw(st.sampled_from(["<=", ">=", "="])),
+                  draw(_COEFS)) for _ in range(draw(st.integers(1, 4)))],
+    }
+
+
+def _build(spec, tag, reverse=False):
+    """The model of ``spec``, its names tagged; ``reverse`` inserts terms backwards."""
+    order = reversed if reverse else list
+    model = milp.MilpModel(name=f"model-{tag}")
+    for j, (lower, upper, integral) in enumerate(spec["vars"]):
+        model.add_var(f"{tag}{j}", lower, upper, integral)
+    for j, coef in order(spec["obj"].items()):
+        model.add_objective_term(j, coef)
+    model.obj_const = spec["obj_const"]
+    for i, (coeffs, sense, rhs) in enumerate(spec["rows"]):
+        model.add_row(dict(order(coeffs.items())), sense, rhs, name=f"{tag}row{i}")
+    model.registry = {"tag": tag}
+    return model
+
+
+def _perturb(model, field, i, j):
+    """Change one compared field of ``model`` in place."""
+    i_var, i_row = i % model.n_vars, i % model.n_rows
+    if field == "lower":
+        model.lower[i_var] -= 1.0
+    elif field == "upper":
+        model.upper[i_var] += 1.0
+    elif field == "integral":
+        model.integral[i_var] = not model.integral[i_var]
+    elif field == "obj":
+        key = sorted(model.obj)[j % len(model.obj)]
+        model.obj[key] += 0.25
+    elif field == "obj_const":
+        model.obj_const += 0.25
+    elif field == "sense":
+        model.row_senses[i_row] = {"<=": ">=", ">=": "=", "=": "<="}[model.row_senses[i_row]]
+    elif field == "rhs":
+        model.row_rhs[i_row] += 0.25
+    else:
+        coeffs = model.row_coeffs[i_row]
+        coeffs[sorted(coeffs)[j % len(coeffs)]] += 0.25
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _model_specs(),
+    st.sampled_from(["lower", "upper", "integral", "obj", "obj_const", "sense", "rhs", "row"]),
+    st.integers(0, 10),
+    st.integers(0, 10),
+)
+def test_models_equal_ignores_names_and_sees_every_compared_field(spec, field, i, j):
+    a, b = _build(spec, "a"), _build(spec, "b", reverse=True)
+    assert milp.models_equal(a, b)
+    assert hash(milp.fingerprint(a)) == hash(milp.fingerprint(b))
+    _perturb(b, field, i, j)
+    assert not milp.models_equal(a, b)
+
+
 def test_lp_file_empty_model(tmp_path):
     model = milp.MilpModel()
     path = tmp_path / "empty.lp"

@@ -15,7 +15,6 @@ from surropt.model import (
     infer_bound,
     feasibility_labels,
     standardize,
-    structurally_equal,
 )
 
 
@@ -39,7 +38,7 @@ def test_standardize_partitions_worked_example():
     assert sp.bound_provenance == ("user", "user")
 
 
-def test_standardize_identity_on_linear_problem():
+def test_standardize_identity_on_linear_problem(structurally_equal):
     p = Problem(
         vars=(VarSpec("x", 0, 0.0, 1.0), VarSpec("y", 1, -1.0, 1.0)),
         objective=LinearObjective(np.array([1.0, 0.0])),
@@ -88,7 +87,7 @@ def test_standardize_unbounded_raises():
         standardize(p)
 
 
-def test_standardize_idempotent():
+def test_standardize_idempotent(structurally_equal):
     sp1 = standardize(illustrative_problem())
     sp2 = standardize(sp1)
     assert structurally_equal(sp1, sp2)
