@@ -93,6 +93,8 @@ class CellResult:
     # counters of the MILP solve behind the cell (a deduplicated solve repeats them)
     nodes: int = 0
     pivots: int = 0
+    rows: int = 0
+    cols: int = 0
     gap: Optional[float] = None
     bound: Optional[float] = None
 
@@ -136,6 +138,8 @@ class RunReport:
                     "relax_total": c.relax_total,
                     "nodes": c.nodes,
                     "pivots": c.pivots,
+                    "rows": c.rows,
+                    "cols": c.cols,
                     "gap": c.gap,
                     "bound": c.bound,
                     "wall_time": round(c.wall_time, 4),
@@ -448,7 +452,8 @@ def solve_grid(sp: StandardProblem, trained: Trained, cfg: RunConfig, deadline: 
                 )
                 relaxed_infeasible = sol.status == "infeasible"
             cell = CellResult(rho=rho, lam=lam, status=sol.status,
-                              nodes=sol.nodes, pivots=sol.pivots, gap=sol.gap, bound=sol.bound)
+                              nodes=sol.nodes, pivots=sol.pivots, rows=sol.rows, cols=sol.cols,
+                              gap=sol.gap, bound=sol.bound)
             if sol.status == "optimal":
                 x_mio = np.array([sol.x[c] for c in model.registry["x_vars"]])
                 key = x_mio.tobytes()

@@ -180,30 +180,32 @@ def encode_tree(tree: ObliqueTree, task: str, m: MilpModel, cols, lo, hi,
     m.add_row(link, "=", 0.0, name=f"{prefix}_value")
 
     robust_on = robust is not None and robust.active
-    norm_vars = {}  # split identity -> t variable
+    # keyed on id() of the tree's own split array, which the tree keeps alive;
+    # a converted copy could be freed and its id reused by another split
+    norm_vars = {}
 
-    def norm_var_for(a):
-        key = id(a)
-        if key not in norm_vars:
-            norm_vars[key] = add_norm_var(m, a, cols, lo, hi, robust.q, f"{prefix}_s{len(norm_vars)}")
-        return norm_vars[key]
+    def norm_var_for(split):
+        if id(split) not in norm_vars:
+            name = f"{prefix}_s{len(norm_vars)}"
+            norm_vars[id(split)] = add_norm_var(m, split, cols, lo, hi, robust.q, name)
+        return norm_vars[id(split)]
 
     for i, (_, path) in enumerate(leaves):
-        for j, (a, b, on_left) in enumerate(path):
-            a = np.asarray(a, dtype=float)
+        for j, (split, b, on_left) in enumerate(path):
+            a = np.asarray(split, dtype=float)
             margin = robust.rho * _norm_upper(a, lo, hi, robust.q) if robust_on else 0.0
             M = big_m_value(a, b, lo, hi) + BIG_M_SAFETY * margin
             coeffs = {cols[k]: a[k] for k in range(len(a)) if a[k] != 0.0}
             if on_left:
                 # a.x <= b + M(1-z), robust: a.x + rho||a*x||_q <= b + M(1-z)
                 if robust_on:
-                    coeffs[norm_var_for(a)] = robust.rho
+                    coeffs[norm_var_for(split)] = robust.rho
                 coeffs[zs[i]] = M
                 m.add_row(coeffs, "<=", b + M, name=f"{prefix}_l{i}_{j}")
             else:
                 # a.x >= b - M(1-z) + eps, robust: a.x - rho||a*x||_q >= ...
                 if robust_on:
-                    coeffs[norm_var_for(a)] = -robust.rho
+                    coeffs[norm_var_for(split)] = -robust.rho
                 coeffs[zs[i]] = -M
                 m.add_row(coeffs, ">=", b - M + _split_eps(a), name=f"{prefix}_r{i}_{j}")
     return SurrogateEncoding(output=y, binaries=zs)

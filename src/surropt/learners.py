@@ -633,11 +633,12 @@ def select_surrogate(
     seed: int = 0,
     params: Optional[LearnerParams] = None,
 ) -> Surrogate:
-    """Train every candidate family and keep the best validation performer.
+    """Train the candidate families in order and keep the best validation performer.
 
     Deterministic stratified split, accuracy for classifiers and R^2 for
     regressors, ties resolved by the fixed family order (cheapest MIO
-    encoding first).
+    encoding first). Neither score exceeds 1.0, so the families after one
+    that scores 1.0 are not trained: they could at best tie.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -685,6 +686,8 @@ def select_surrogate(
                 threshold=threshold,
                 validation_score=score,
             )
+        if best is not None and best.validation_score >= 1.0:
+            break
     if best is None:
         raise DegenerateDataset("no family could be trained on this dataset")
     return best

@@ -12,9 +12,12 @@ one bound, so the parent's optimal basis stays dual feasible. Both methods
 use Dantzig-style choices and fall back to Bland's rule when the objective
 stalls. Branch and bound first tightens the bounds by activity-based
 propagation through the rows, which alone decides a model whose rows
-cannot hold. It then uses best-bound node selection, most-fractional
-branching, and a diving heuristic, and warm-starts every node LP from its
-parent's basis; heap nodes keep bases, never tableaux. An LP-format
+cannot hold. It then drops the fixed columns and the rows that cannot
+bind at those bounds, and runs every node on that one reduced LP, mapping
+the solution back to the model's columns. It uses best-bound node
+selection, most-fractional branching, and a diving heuristic, and
+warm-starts every node LP from its parent's basis; heap nodes keep bases,
+never tableaux. An LP-format
 writer/reader provides the seam for external solvers (see
 GOML_EXTERNAL_SOLVER_CMD in the README).
 """
@@ -64,7 +67,10 @@ class LpProblem:
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
         n = self.c.shape[0]
-        self.rows = np.asarray(self.rows, dtype=float).reshape(-1, n)
+        # a float matrix stays the same object, which keys the warm-start factor
+        self.rows = np.asarray(self.rows, dtype=float)
+        if self.rows.ndim != 2 or self.rows.shape[1] != n:
+            self.rows = self.rows.reshape(-1, n)
         self.rhs = np.asarray(self.rhs, dtype=float)
         self.lower = np.asarray(self.lower, dtype=float)
         self.upper = np.asarray(self.upper, dtype=float)
@@ -80,7 +86,9 @@ class LpBasis:
     ``basic[i]`` is the column basic in tableau row i, and ``at_upper``
     flags the nonbasic columns that sit at their upper bound. The first warm
     solve from a basis stores the refactorized tableau on it, so sibling
-    solves from the same basis share one factorization.
+    solves from the same basis share one factorization. The factor is kept
+    for that LP's ``rows`` array itself, not its values: it serves LPs that
+    share the array, which must not change in place.
     """
 
     basic: np.ndarray
@@ -383,7 +391,9 @@ def _factorize(rows: np.ndarray, basic: np.ndarray) -> Optional[np.ndarray]:
     struct = basic < n
     pos_s, pos_r = struct.nonzero()[0], (~struct).nonzero()[0]
     cols_s, rows_r = basic[pos_s], basic[pos_r] - n
-    rows_p = np.setdiff1d(np.arange(m), rows_r)
+    covered = np.zeros(m, dtype=bool)
+    covered[rows_r] = True
+    rows_p = (~covered).nonzero()[0]
     k = rows_p.size
     rhs = np.zeros((k, n + k))
     rhs[:, :n] = rows[rows_p]
@@ -416,11 +426,11 @@ def _warm_solve(lp: LpProblem, lo, hi, cost, start: LpBasis, budget) -> tuple:
     if m and (basic.min() < 0 or basic.max() >= ncols or np.unique(basic).size != m):
         return None, None
     factor = start.factor
-    if factor is None or not np.array_equal(factor[0], lp.rows):
+    if factor is None or factor[0] is not lp.rows:
         inv_a = _factorize(lp.rows, basic)
         if inv_a is None:
             return None, None
-        start.factor = factor = (lp.rows.copy(), inv_a)
+        start.factor = factor = (lp.rows, inv_a)
     T = np.zeros((m + 1, ncols + 1))
     T[:m, :-1] = factor[1]
     T[m, :-1] = cost - cost[basic] @ factor[1]
@@ -582,6 +592,8 @@ class MilpSolution:
     gap: Optional[float] = None
     nodes: int = 0   # solve_lp calls, the root and dive steps included; 0 when propagation decides
     pivots: int = 0  # simplex pivots summed over those calls
+    rows: int = 0    # rows and columns of the reduced LP those calls solved;
+    cols: int = 0    # 0 when propagation decides
 
 
 def _tighter(new: np.ndarray, old: np.ndarray, width: np.ndarray, integral: np.ndarray) -> np.ndarray:
@@ -663,6 +675,40 @@ def _propagate(rows, senses, rhs, lower, upper, integral) -> Optional[tuple]:
     return lo, hi
 
 
+def _reduce(lp: LpProblem) -> tuple:
+    """The LP that branch and bound runs on, given the propagated bounds.
+
+    A column with lower == upper is fixed: its value moves into the
+    right-hand sides and the objective constant. A row that no point of the
+    box can violate goes: a ``<=`` row whose greatest activity is at most
+    its rhs, a ``>=`` row whose least activity is at least its rhs, and an
+    ``=`` row with both. Branching only narrows the box, so those rows hold
+    at every node. Returns the LP over the other rows and columns, the
+    indices of its columns in ``lp``, and a point of ``lp``'s size with the
+    fixed values in place.
+    """
+    rows, lower, upper = lp.rows, lp.lower, lp.upper
+    senses = np.asarray(lp.senses)
+    fixed = (lower == upper) & np.isfinite(lower)
+    x_fixed = np.where(fixed, lower, 0.0)
+    cols = np.flatnonzero(~fixed)
+    pos, neg = rows > 0.0, rows < 0.0
+    with np.errstate(invalid="ignore"):  # 0 * inf at zero entries, which the where drops
+        most = np.where(pos, rows * upper, np.where(neg, rows * lower, 0.0)).sum(axis=1)
+        least = np.where(pos, rows * lower, np.where(neg, rows * upper, 0.0)).sum(axis=1)
+    keep = ~(((senses == ">=") | (most <= lp.rhs)) & ((senses == "<=") | (least >= lp.rhs)))
+    reduced = LpProblem(
+        c=lp.c[cols],
+        rows=rows[np.ix_(keep, cols)],
+        senses=[s for s, k in zip(lp.senses, keep) if k],
+        rhs=lp.rhs[keep] - rows[keep] @ x_fixed,
+        lower=lower[cols],
+        upper=upper[cols],
+        const=lp.const + float(lp.c @ x_fixed),
+    )
+    return reduced, cols, x_fixed
+
+
 def solve_milp(
     model: MilpModel,
     time_limit: Optional[float] = None,
@@ -671,40 +717,48 @@ def solve_milp(
     """Branch and bound with best-bound selection and most-fractional branching.
 
     Bound propagation (``_propagate``) runs first: a model it proves
-    infeasible is decided with no LP at all, and every other solve starts
-    from the tightened bounds. Every node LP after the root is warm-started
-    from a parent basis: each dive step from the previous step, each child
-    from the popped node.
+    infeasible is decided with no LP at all. Every other solve runs on one
+    reduced LP (``_reduce``) at the tightened bounds, without the fixed
+    columns and the rows no point of the box can violate, so node LPs differ
+    only in their bounds; the solution is mapped back to the model's
+    columns. Every node LP after the root is warm-started from a parent
+    basis: each dive step from the previous step, each child from the
+    popped node.
     """
     start = time.monotonic()
-    int_idx = model.integer_indices()
     _, rows, rhs = model._dense_parts()
     bounds = _propagate(rows, model.row_senses, rhs, np.array(model.lower, dtype=float),
                         np.array(model.upper, dtype=float), model.integral)
     if bounds is None:
         return MilpSolution(status="infeasible")
-    lower, upper = bounds
+    lp, cols, x_fixed = _reduce(model.to_lp(*bounds))
+    lower, upper = lp.lower, lp.upper
+    int_idx = np.flatnonzero(np.array(model.integral, dtype=bool)[cols])
+    size = {"rows": lp.rhs.size, "cols": cols.size}
 
     def out_of_time() -> bool:
         return time_limit is not None and time.monotonic() - start > time_limit
 
-    root = solve_lp(model.to_lp(lower, upper))
+    def lp_at(lo, hi) -> LpProblem:
+        return LpProblem(lp.c, lp.rows, lp.senses, lp.rhs, lo, hi, lp.const)
+
+    root = solve_lp(lp)
     pivots = root.pivots
     if root.status != "optimal":
-        return MilpSolution(status=root.status, nodes=1, pivots=pivots)
+        return MilpSolution(status=root.status, nodes=1, pivots=pivots, **size)
 
     def fractional(x) -> Optional[int]:
-        worst, worst_j = INT_TOL, None
-        for j in int_idx:
-            dist = abs(x[j] - round(x[j]))
-            if dist > worst:
-                worst, worst_j = dist, j
-        return worst_j
+        """The first integer column farthest from an integer, if beyond INT_TOL."""
+        dist = np.abs(x[int_idx] - np.round(x[int_idx]))
+        if dist.max(initial=0.0) <= INT_TOL:
+            return None
+        return int(int_idx[dist.argmax()])
 
     def snap(x) -> np.ndarray:
-        out = x.copy()
-        for j in int_idx:
-            out[j] = round(out[j])
+        """The model-sized point of a reduced LP point, integer columns rounded."""
+        out = x_fixed.copy()
+        out[cols] = x
+        out[cols[int_idx]] = np.round(x[int_idx])
         return out
 
     incumbent_x = None
@@ -716,7 +770,7 @@ def solve_milp(
         x = snap(root.x)
         return MilpSolution(
             status="optimal", x=x, objective=root.objective,
-            bound=root.objective, gap=0.0, nodes=1, pivots=pivots,
+            bound=root.objective, gap=0.0, nodes=1, pivots=pivots, **size,
         )
 
     # Diving heuristic: repeatedly fix the most fractional integer variable
@@ -735,7 +789,7 @@ def solve_milp(
         for candidate in dict.fromkeys((near, far)):
             trial_lo = _with(dive_lo, j, candidate)
             trial_hi = _with(dive_hi, j, candidate)
-            trial = solve_lp(model.to_lp(trial_lo, trial_hi), start=dive_basis)
+            trial = solve_lp(lp_at(trial_lo, trial_hi), start=dive_basis)
             nodes_solved += 1
             pivots += trial.pivots
             if trial.status == "optimal":
@@ -776,7 +830,7 @@ def solve_milp(
         ):
             if child_lo[j] > child_hi[j] + 1e-12:
                 continue
-            sol = solve_lp(model.to_lp(child_lo, child_hi), start=basis)
+            sol = solve_lp(lp_at(child_lo, child_hi), start=basis)
             nodes_solved += 1
             pivots += sol.pivots
             if sol.status != "optimal":
@@ -792,8 +846,9 @@ def solve_milp(
 
     if incumbent_x is None:
         if status == "time_limit":
-            return MilpSolution(status="time_limit", bound=best_bound, nodes=nodes_solved, pivots=pivots)
-        return MilpSolution(status="infeasible", nodes=nodes_solved, pivots=pivots)
+            return MilpSolution(status="time_limit", bound=best_bound, nodes=nodes_solved, pivots=pivots,
+                                **size)
+        return MilpSolution(status="infeasible", nodes=nodes_solved, pivots=pivots, **size)
 
     if heap and status != "time_limit":
         best_bound = min(best_bound, min(entry[0] for entry in heap))
@@ -808,6 +863,7 @@ def solve_milp(
         gap=gap,
         nodes=nodes_solved,
         pivots=pivots,
+        **size,
     )
 
 

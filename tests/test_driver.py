@@ -375,13 +375,16 @@ def test_report_to_dict_is_json_friendly():
     assert "objective" in text
     cells = json.loads(text)["cells"]
     for cell, result in zip(cells, report.cells):
-        assert (cell["nodes"], cell["pivots"], cell["gap"], cell["bound"]) == (
-            result.nodes, result.pivots, result.gap, result.bound
+        assert (cell["nodes"], cell["pivots"], cell["rows"], cell["cols"], cell["gap"], cell["bound"]) == (
+            result.nodes, result.pivots, result.rows, result.cols, result.gap, result.bound
         )
         assert cell["wall_time"] == round(result.wall_time, 4)
         assert cell["warning"] == (None if result.refined is None else result.refined.warning)
         if cell["status"] == "optimal":
             assert cell["nodes"] >= 1 and cell["gap"] is not None
+        if cell["nodes"] == 0:
+            assert (cell["rows"], cell["cols"]) == (0, 0)
+    assert any(cell["cols"] > 0 for cell in cells)
 
 
 class _SupportCounter:
@@ -514,7 +517,8 @@ def _cell_key(cell):
     refined = cell.refined
     return (
         cell.rho, cell.lam, cell.status, cell.mio_objective, cell.relax_total,
-        cell.max_violation, cell.feasible, cell.nodes, cell.pivots, cell.gap, cell.bound,
+        cell.max_violation, cell.feasible, cell.nodes, cell.pivots, cell.rows, cell.cols,
+        cell.gap, cell.bound,
         None if refined is None else (refined.x.tobytes(), refined.merit, refined.warning),
     )
 

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -128,6 +129,43 @@ def test_robust_zero_rho_identical_rows():
     E.encode_tree(tree, "classifier", robust, cols2, lo, hi,
                   robust=E.RobustConfig(rho=0.0, p=1.0), prefix="t")
     assert milp.models_equal(plain, robust)
+
+
+def _norm_vars(m):
+    return sum(1 for name in m.var_names if name.endswith("_norm"))
+
+
+def test_robust_tree_gets_one_norm_variable_per_split():
+    tree = _four_leaf_mixed_tree()
+
+    def as_lists(node):
+        if not node.is_leaf:
+            node.a = [float(v) for v in node.a]
+            as_lists(node.left)
+            as_lists(node.right)
+
+    as_lists(tree.root)
+    lo, hi = np.array([0.51, 0.3]), np.array([1.5, 1.6])
+    m, cols = _box_model(lo, hi)
+    E.encode_tree(tree, "classifier", m, cols, lo, hi, robust=E.RobustConfig(rho=0.1, p=1.0), prefix="t")
+    assert _norm_vars(m) == 3
+
+
+def test_robust_tree_encoding_survives_a_pickle_round_trip():
+    rng = np.random.default_rng(23)
+    lo, hi = -np.ones(2), np.ones(2)
+    X = rng.uniform(lo, hi, size=(220, 2))
+    y = (X[:, 0] ** 2 + X[:, 1] <= 0.2).astype(float)
+    tree = L.train_tree(X, y, "classifier")
+
+    def encoded(t):
+        m, cols = _box_model(lo, hi)
+        E.encode_tree(t, "classifier", m, cols, lo, hi, robust=E.RobustConfig(rho=0.1, p=1.0), prefix="t")
+        return m
+
+    plain = encoded(tree)
+    assert _norm_vars(plain) > 1
+    assert milp.fingerprint(encoded(pickle.loads(pickle.dumps(tree)))) == milp.fingerprint(plain)
 
 
 def test_robustify_linear_one_dimensional_example():

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -373,6 +374,31 @@ def test_select_tie_break_prefers_svm():
     assert sur.validation_score == 1.0
     assert sur.family == "svm"
     assert sur.threshold == 0.0
+
+
+def test_select_stops_after_a_perfect_score(monkeypatch):
+    # a band in x0: no line separates it, a tree does
+    rng = np.random.default_rng(0)
+    X = rng.uniform(0, 1, size=(200, 2))
+    X = X[np.abs(np.abs(X[:, 0] - 0.5) - 0.2) > 0.05]
+    y = (np.abs(X[:, 0] - 0.5) > 0.2).astype(float)
+    # the full loop: each family alone sees the same seeded split
+    alone = [L.select_surrogate(X, y, "classifier", candidates=(f,), seed=1) for f in L.FAMILY_ORDER]
+    best = max(alone, key=lambda s: s.validation_score)  # the first of equal scores
+
+    trained = []
+    train_family = L._train_family
+
+    def recording(family, *args):
+        trained.append(family)
+        return train_family(family, *args)
+
+    monkeypatch.setattr(L, "_train_family", recording)
+    sur = L.select_surrogate(X, y, "classifier", seed=1)
+    assert sur.validation_score == 1.0
+    assert trained == ["svm", "tree"]
+    assert (sur.family, sur.validation_score) == (best.family, best.validation_score)
+    assert pickle.dumps(sur.model) == pickle.dumps(best.model)
 
 
 def test_select_single_label_raises():

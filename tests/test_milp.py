@@ -344,6 +344,77 @@ def test_speed_reducer_robust_models_are_decided_by_propagation():
             assert (sol.status, sol.nodes, sol.pivots) == ("infeasible", 0, 0), (rho, relax)
 
 
+def _model_with_settled_parts(rng):
+    """A random mixed model plus fixed columns and rows no point of the box
+    can violate; returns it with the counts of both."""
+    m = _random_mixed_model(rng)
+    for i in range(int(rng.integers(0, 4))):
+        integral = bool(rng.random() < 0.5)
+        v = float(rng.integers(-2, 3)) if integral else float(rng.uniform(-2, 2))
+        j = m.add_var(f"f{i}", v, v, integral=integral)
+        m.add_objective_term(j, float(rng.normal()))
+        for coeffs in m.row_coeffs:
+            if rng.random() < 0.5:
+                coeffs[j] = float(rng.normal())
+    n_fixed = sum(lo == hi for lo, hi in zip(m.lower, m.upper))
+    boxed = [j for j in range(m.n_vars) if np.isfinite(m.lower[j]) and np.isfinite(m.upper[j])]
+    n_slack = int(rng.integers(0, 4))
+    for _ in range(n_slack):
+        coeffs = {j: float(rng.normal()) for j in boxed if rng.random() < 0.7}
+        most = sum(a * (m.upper[j] if a > 0 else m.lower[j]) for j, a in coeffs.items())
+        least = sum(a * (m.lower[j] if a > 0 else m.upper[j]) for j, a in coeffs.items())
+        gap = 1e-3 + float(rng.exponential(1.0))
+        if rng.random() < 0.5:
+            m.add_row(coeffs, "<=", most + gap)
+        else:
+            m.add_row(coeffs, ">=", least - gap)
+    return m, n_fixed, n_slack
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_reduced_branch_and_bound_matches_scipy_on_models_with_settled_parts(seed):
+    model, n_fixed, n_slack = _model_with_settled_parts(np.random.default_rng(seed))
+    sol = milp.solve_milp(model)
+    ref_status, ref_obj = _scipy_milp(model)
+    assert sol.status == ref_status
+    if sol.nodes:
+        # propagation only narrows the box, so what was settled before it stays settled
+        assert sol.rows <= model.n_rows - n_slack and sol.cols <= model.n_vars - n_fixed
+    else:
+        assert (sol.rows, sol.cols) == (0, 0)
+    if ref_status == "optimal":
+        assert sol.objective == pytest.approx(ref_obj, abs=1e-6, rel=1e-6)
+        assert sol.x.shape == (model.n_vars,)
+        assert model.row_residuals(sol.x).max(initial=0.0) <= 1e-6
+        assert np.all(np.array(model.lower) - 1e-7 <= sol.x)
+        assert np.all(sol.x <= np.array(model.upper) + 1e-7)
+        for j in model.integer_indices():
+            assert sol.x[j] == round(sol.x[j])
+
+
+def test_speed_reducer_branch_and_bound_runs_on_less_than_half_the_rows():
+    """Seed 3's rho=0.01 model has 183 rows; after propagation most of them
+    cannot bind, and branch and bound leaves them out."""
+    from surropt import driver
+    from surropt.benchmarks import speed_reducer_problem
+    from surropt.encoder import RobustConfig
+    from surropt.model import standardize
+
+    cfg = driver.RunConfig(seed=3)
+    sp = standardize(speed_reducer_problem())
+    trained = driver.train(sp, driver.sample(sp, cfg), cfg)
+    robust = RobustConfig(rho=0.01, p=cfg.norm_p)
+    model = driver.assemble(sp, trained.constraints, trained.objective, robust, None)
+    sol = milp.solve_milp(model)
+    assert sol.status == "optimal"
+    assert 0 < 2 * sol.rows < model.n_rows and sol.cols < model.n_vars
+    ref_status, ref_obj = _scipy_milp(model)
+    assert ref_status == "optimal"
+    assert sol.objective == pytest.approx(ref_obj, abs=1e-6, rel=1e-6)
+    assert model.row_residuals(sol.x).max(initial=0.0) <= 1e-6
+
+
 def _propagation_case(rng, hold):
     """Rows over mixed columns; with ``hold`` each row holds at a point x0
     inside the bounds whose integer coordinates are integers."""
