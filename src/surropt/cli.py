@@ -63,8 +63,8 @@ def build_parser() -> _Parser:
 
 
 def _add_run_flags(p) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--time-limit", type=float, default=1500.0)
+    p.add_argument("--seed", type=int, default=RunConfig.seed)
+    p.add_argument("--time-limit", type=float, default=RunConfig.time_limit)
     p.add_argument("--rho", type=float, nargs="*", default=None, help="robustness grid")
     p.add_argument("--lam", "--lambda", dest="lam", nargs="*", default=None,
                    help="relaxation penalties; 'none' = unrelaxed cell")

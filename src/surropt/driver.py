@@ -9,13 +9,13 @@ relaxed model only when that solve is infeasible. Every cell's incumbent is
 refined by projected gradient descent and the best refined merit among
 feasibility-passing cells wins.
 
-The run's deadline is enforced where evaluations happen: ``standardize``
-hands it to the constraint and objective objects, whose ``value`` raises
-``TimeLimitReached`` instead of evaluating a new point once it has passed.
-``solve_global`` turns that into a ``time_limit`` report; refinement
-returns its best point with a warning. Only work that evaluates nothing
-(training, the grid's cells, an adaptive round's polyhedra) checks the
-deadline itself.
+The run's deadline is ``StandardProblem.deadline``, set by ``standardize``
+and enforced where evaluations happen: the constraint and objective
+objects' ``value`` raises ``TimeLimitReached`` instead of evaluating a new
+point once it has passed. ``solve_global`` turns that into a ``time_limit``
+report; refinement returns its best point with a warning. Only work that
+evaluates nothing (training, the grid's cells, an adaptive round's
+polyhedra) checks ``sp.deadline`` itself.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .encoder import (
     assemble,
 )
 from .errors import DegenerateDataset, InfeasibleApproximation, SolverError, TimeLimitReached
-from .learners import LearnerParams, Surrogate, select_surrogate, train_tree
+from .learners import Surrogate, select_surrogate, train_tree
 from .model import (
     LinearObjective,
     NonlinearObjective,
@@ -48,29 +48,32 @@ from .model import (
 )
 from .refine import TIME_LIMIT_WARNING, MeritState, PgdConfig, pgd_improve
 
+FEAS_TOL = 1e-6  # largest violation of a refined point that counts as feasible
+
 
 @dataclass
 class RunConfig:
-    """Run settings. Each enhancement turns off through its own field:
-    ``sampler.adaptive_rounds=0`` (adaptive sampling), ``rho_grid=(0.0,)``
-    (robustness), ``lambda_grid=(None,)`` (relaxation) and
-    ``pgd.momentum=0.0`` (refinement momentum)."""
+    """The settings a caller varies. Each enhancement turns off through its
+    own field: ``sampler.adaptive_rounds=0`` (adaptive sampling),
+    ``rho_grid=(0.0,)`` (robustness), ``lambda_grid=(None,)`` (relaxation)
+    and ``pgd.momentum=0.0`` (refinement momentum). ``norm_p`` is 1 or inf,
+    the norms the encoder linearizes. Learner hyperparameters are the
+    trainers' defaults, and the tolerances are module constants."""
 
     sampler: sampling.SamplerConfig = field(default_factory=sampling.SamplerConfig)
-    learner: LearnerParams = field(default_factory=LearnerParams)
     pgd: PgdConfig = field(default_factory=PgdConfig)
     rho_grid: tuple = (0.0, 0.01, 0.1, 1.0)
     lambda_grid: tuple = (None, 1e2, 1e4)  # None = no relaxation fallback
     norm_p: float = 1.0
     time_limit: float = 1500.0
     seed: int = 0
-    gap_tol: float = 1e-6
     solver: str = "builtin"
-    feas_tol: float = 1e-6
 
     def __post_init__(self):
         if not self.rho_grid or not self.lambda_grid:
             raise ValueError("grids must be nonempty")
+        if self.norm_p not in (1.0, math.inf):
+            raise ValueError(f"norm_p must be 1 or inf, got {self.norm_p}")
         if any(not rho >= 0 for rho in self.rho_grid):
             raise ValueError("robustness radii must be nonnegative")
         if any(lam is not None and not lam > 0 for lam in self.lambda_grid):
@@ -185,7 +188,7 @@ def _static_sample(sp: StandardProblem, support, cfg: RunConfig, rng) -> np.ndar
     lo_all, hi_all = sp.box()
     lo, hi = lo_all[support], hi_all[support]
     d = len(support)
-    cap = 2 ** min(d, cfg.sampler.corner_cap_exp)
+    cap = 2 ** min(d, sampling.CORNER_CAP_EXP)
     points = np.vstack(
         [
             sampling.boundary_sample(lo, hi, cap, rng),
@@ -195,12 +198,12 @@ def _static_sample(sp: StandardProblem, support, cfg: RunConfig, rng) -> np.ndar
     return _round_integrals(points, sp, support)
 
 
-def _sample_constraint(sp: StandardProblem, con, cfg: RunConfig, rng, deadline=None):
+def _sample_constraint(sp: StandardProblem, con, cfg: RunConfig, rng):
     """Labeled feasibility samples over the constraint's own support box.
 
     Each point is evaluated once, after rounding; its label follows from
     its value, and a point where the evaluator fails is infeasible.
-    ``deadline`` ends the adaptive round's region sampling early.
+    ``sp.deadline`` ends the adaptive round's region sampling early.
     """
     support = sorted(con.support)
     lo_all, hi_all = sp.box()
@@ -217,23 +220,17 @@ def _sample_constraint(sp: StandardProblem, con, cfg: RunConfig, rng, deadline=N
         return np.vstack([points, batch]), new_values, feasibility_labels(new_values, con.sense)
 
     if len(np.unique(labels)) == 2:
-        knn_pts = sampling.knn_boundary_sample(
-            points, labels, values, cfg.sampler.knn_k, lo, hi
-        )
+        knn_pts = sampling.knn_boundary_sample(points, labels, values, sampling.KNN_K, lo, hi)
         if len(knn_pts):
             points, values, labels = extend(knn_pts)
 
     if len(np.unique(labels)) == 2:
         def committee_tree(X, y, seed):
-            return train_tree(
-                X, y, task="classifier",
-                max_depth=cfg.learner.tree_depth, oblique=True, seed=seed,
-            )
+            return train_tree(X, y, task="classifier", seed=seed)
 
         for _ in range(cfg.sampler.adaptive_rounds):
             result = sampling.oct_adaptive_sample(
-                points, labels, cfg.sampler, rng, committee_tree, lo, hi,
-                deadline=deadline,
+                points, labels, cfg.sampler, rng, committee_tree, lo, hi, deadline=sp.deadline
             )
             if len(result.points) == 0:
                 break
@@ -266,27 +263,26 @@ def _sample_objective(sp: StandardProblem, cfg: RunConfig, rng):
     return support, points[kept], None, values[kept]
 
 
-def sample(sp: StandardProblem, cfg: RunConfig, deadline=None) -> list:
+def sample(sp: StandardProblem, cfg: RunConfig) -> list:
     """One dataset ``(support, points, labels, values)`` per nonlinear
     constraint, then one for a nonlinear objective (its ``labels`` are None).
 
     ``values`` is None for an inequality constraint. Each dataset draws from
-    its own stream of ``cfg.seed``. The evaluations stop at the deadline
-    ``standardize`` gave ``sp``, raising ``TimeLimitReached``; ``deadline``
-    (a ``time.monotonic()`` instant) also cuts the evaluation-free region
-    sampling of an adaptive round short.
+    its own stream of ``cfg.seed``. At ``sp.deadline`` the evaluations stop,
+    raising ``TimeLimitReached``, and so does the evaluation-free region
+    sampling of an adaptive round.
     """
     streams = np.random.SeedSequence(cfg.seed).spawn(len(sp.nonlinear) + 1)
     datasets = []
     for i, con in enumerate(sp.nonlinear):
         rng = np.random.default_rng(streams[i])
-        datasets.append(_sample_constraint(sp, con, cfg, rng, deadline=deadline))
+        datasets.append(_sample_constraint(sp, con, cfg, rng))
     if isinstance(sp.objective, NonlinearObjective):
         datasets.append(_sample_objective(sp, cfg, np.random.default_rng(streams[-1])))
     return datasets
 
 
-def train(sp: StandardProblem, datasets, cfg: RunConfig, deadline=None) -> Trained:
+def train(sp: StandardProblem, datasets, cfg: RunConfig) -> Trained:
     """Select one surrogate per dataset of ``sample``.
 
     A dataset with values gets a regressor; one with labels of both kinds
@@ -295,11 +291,11 @@ def train(sp: StandardProblem, datasets, cfg: RunConfig, deadline=None) -> Train
     finite value, which gets ``ALWAYS_INFEASIBLE``. A dataset no family can
     be trained on raises ``DegenerateDataset`` naming its constraint, or
     ``objective``. Stops early, with ``complete`` False, when
-    ``deadline`` passes.
+    ``sp.deadline`` passes.
     """
     out = Trained(constraints=[], objective=None, families={}, runs=0, complete=False)
     for i, (support, points, labels, values) in enumerate(datasets):
-        if deadline is not None and time.monotonic() > deadline:
+        if time.monotonic() > sp.deadline:
             return out
         is_objective = i == len(sp.nonlinear)
         if is_objective:
@@ -315,7 +311,7 @@ def train(sp: StandardProblem, datasets, cfg: RunConfig, deadline=None) -> Train
         else:
             task, targets = ("classifier", labels) if values is None else ("regressor", values)
             try:
-                model = select_surrogate(points, targets, task=task, seed=seed, params=cfg.learner)
+                model = select_surrogate(points, targets, task=task, seed=seed)
             except DegenerateDataset as exc:
                 raise DegenerateDataset(f"cannot train a surrogate for {name}: {exc}") from exc
             model = replace(model, support=tuple(support), constraint_id=name)
@@ -352,7 +348,6 @@ def solve_global(problem: Problem, cfg: Optional[RunConfig] = None) -> RunReport
     """
     cfg = cfg or RunConfig()
     t0 = time.monotonic()
-    deadline = t0 + cfg.time_limit
     phases = dict.fromkeys(
         ("standardize", "sampling", "training", "encoding", "solving", "refining"), 0.0
     )
@@ -376,18 +371,18 @@ def solve_global(problem: Problem, cfg: Optional[RunConfig] = None) -> RunReport
         )
 
     with _timed(phases, "standardize"):
-        sp = standardize(problem, deadline)
+        sp = standardize(problem, t0 + cfg.time_limit)
     try:
         with _timed(phases, "sampling"):
-            datasets = sample(sp, cfg, deadline)
+            datasets = sample(sp, cfg)
     except TimeLimitReached:
         return finish("time_limit")
     with _timed(phases, "training"):
-        trained = train(sp, datasets, cfg, deadline)
-    if not trained.complete or time.monotonic() > deadline:
+        trained = train(sp, datasets, cfg)
+    if not trained.complete or time.monotonic() > sp.deadline:
         return finish("time_limit", trained)
 
-    cells = solve_grid(sp, trained, cfg, deadline, phases)
+    cells = solve_grid(sp, trained, cfg, phases)
     cut_short = any(_cut_short(c) for c in cells)
     solved = [c for c in cells if c.status == "optimal"]
     if not solved:
@@ -409,8 +404,7 @@ def _cut_short(cell: CellResult) -> bool:
     )
 
 
-def solve_grid(sp: StandardProblem, trained: Trained, cfg: RunConfig, deadline: float,
-               phases: dict) -> list[CellResult]:
+def solve_grid(sp: StandardProblem, trained: Trained, cfg: RunConfig, phases: dict) -> list[CellResult]:
     """One ``CellResult`` per (rho, lambda) cell of ``cfg``, rho-major.
 
     Each rho solves its unrelaxed model once. A lambda encodes and solves
@@ -418,9 +412,9 @@ def solve_grid(sp: StandardProblem, trained: Trained, cfg: RunConfig, deadline: 
     relaxed model is infeasible the later lambdas are too, with no solve. A
     model whose ``milp.fingerprint`` equals an earlier one's reuses its
     solution, and a MILP point refined before reuses its refinement. Each
-    cell's solve gets an equal share of the time left before ``deadline``
-    (a ``time.monotonic()`` instant); a cell that would start after it is
-    ``skipped``. The encoding, solving and refining seconds add to ``phases``.
+    cell's solve gets an equal share of the time left before ``sp.deadline``;
+    a cell that would start after it is ``skipped``. The encoding, solving
+    and refining seconds add to ``phases``.
     """
     cells = []
     solutions = {}      # milp.fingerprint -> MilpSolution
@@ -432,7 +426,7 @@ def solve_grid(sp: StandardProblem, trained: Trained, cfg: RunConfig, deadline: 
         relaxed_infeasible = False  # the relaxed feasible set does not depend on lambda
         for lam in cfg.lambda_grid:
             cell_tick = time.monotonic()
-            remaining = deadline - cell_tick
+            remaining = sp.deadline - cell_tick
             if remaining <= 0:
                 cells.append(CellResult(rho=rho, lam=lam, status="skipped"))
                 continue
@@ -468,7 +462,7 @@ def solve_grid(sp: StandardProblem, trained: Trained, cfg: RunConfig, deadline: 
                     cell.relax_total = float(sum(sol.x[u] for u in model.registry["relax_vars"]))
                     cell.refined = refined_cache[key]
                     cell.max_violation = _full_violation(sp, cell.refined.x)
-                    cell.feasible = cell.max_violation <= cfg.feas_tol
+                    cell.feasible = cell.max_violation <= FEAS_TOL
             cell.wall_time = time.monotonic() - cell_tick
             cells.append(cell)
     return cells
@@ -483,9 +477,7 @@ def _encode_and_solve(sp, trained, cfg, robust_cfg, relax_cfg, budget, solutions
         key = milp.fingerprint(model)
         sol = solutions.get(key)
         if sol is None:
-            sol = solutions[key] = milp.solve(
-                model, time_limit=budget, gap_tol=cfg.gap_tol, solver=cfg.solver
-            )
+            sol = solutions[key] = milp.solve(model, time_limit=budget, solver=cfg.solver)
     return model, sol
 
 

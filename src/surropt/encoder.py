@@ -33,8 +33,8 @@ class RobustConfig:
     """Uncertainty radius and the norm of the coefficient uncertainty set.
 
     ``p`` names the uncertainty set's norm; rows are tightened with the dual
-    norm q (p=1 -> q=inf, p=inf -> q=1). The conic q=2 case is only valid for
-    LP-file export, never for the built-in solver.
+    norm q (p=1 -> q=inf, p=inf -> q=1). No other norm has a linear
+    encoding.
     """
 
     rho: float = 0.0
@@ -50,8 +50,6 @@ class RobustConfig:
             return math.inf
         if math.isinf(self.p):
             return 1.0
-        if self.p == 2.0:
-            return 2.0
         raise UnsupportedNorm(f"no dual-norm rule for p={self.p}")
 
     @property
@@ -423,9 +421,7 @@ def _dual_norm(vec, q: float) -> float:
     vec = np.abs(np.asarray(vec, dtype=float))
     if math.isinf(q):
         return float(vec.max()) if vec.size else 0.0
-    if q == 1.0:
-        return float(vec.sum())
-    return float(np.linalg.norm(vec, 2))
+    return float(vec.sum())
 
 
 def robust_feasible(sur: Surrogate, x, cfg: Optional[RobustConfig]) -> bool:

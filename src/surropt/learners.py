@@ -12,27 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import DegenerateDataset
 
 FAMILY_ORDER = ("svm", "tree", "gbm", "mlp")  # tie-break: cheapest encoding first
-
-
-@dataclass
-class LearnerParams:
-    tree_depth: int = 4
-    tree_oblique: bool = True
-    gbm_trees: int = 10
-    gbm_lr: float = 0.3
-    gbm_depth: int = 2
-    mlp_hidden: tuple = (8,)
-    mlp_epochs: int = 600
-    mlp_lr: float = 0.01
-    svc_epochs: int = 300
-    svr_epochs: int = 200
+SPLIT_RATIO = 0.7  # share of each label (or of a regression set) used for training
+SVC_REG = 1e-3     # ridge weight of the hinge loss
+SVR_REG = 1e-8     # ridge weight of the insensitive loss
+SVR_BAND = 0.01    # insensitive band, in standard deviations of the targets
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +199,7 @@ def _standardize(X):
     return (X - mu) / sd, mu, sd
 
 
-def train_svc(X, y, seed: int = 0, epochs: int = 300, reg: float = 1e-3) -> LinearModel:
+def train_svc(X, y, seed: int = 0, epochs: int = 300) -> LinearModel:
     """Hinge-loss linear classifier by full-batch projected subgradient."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -227,13 +216,13 @@ def train_svc(X, y, seed: int = 0, epochs: int = 300, reg: float = 1e-3) -> Line
     w_avg = np.zeros(n)
     b_avg = 0.0
     avg_count = 0
-    radius = 1.0 / math.sqrt(reg)
+    radius = 1.0 / math.sqrt(SVC_REG)
     for step in range(1, epochs + 1):
         margins = t * (Xs @ w + b)
         viol = margins < 1.0
-        gw = reg * w - (t[viol, None] * Xs[viol]).sum(axis=0) / m
+        gw = SVC_REG * w - (t[viol, None] * Xs[viol]).sum(axis=0) / m
         gb = -t[viol].sum() / m
-        eta = 1.0 / (reg * (step + 10.0))
+        eta = 1.0 / (SVC_REG * (step + 10.0))
         w -= eta * gw
         b -= eta * gb
         nw = np.linalg.norm(w)
@@ -250,9 +239,9 @@ def train_svc(X, y, seed: int = 0, epochs: int = 300, reg: float = 1e-3) -> Line
     return LinearModel(beta0=beta0, beta=beta)
 
 
-def train_svr(X, y, seed: int = 0, epochs: int = 200, reg: float = 1e-8, eps: Optional[float] = None) -> LinearModel:
+def train_svr(X, y, seed: int = 0, epochs: int = 200) -> LinearModel:
     """Linear regression with an insensitive band: residuals smaller than
-    eps (default 1 percent of the label spread) carry no loss."""
+    SVR_BAND standard deviations of the labels carry no loss."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     m, n = X.shape
@@ -264,16 +253,15 @@ def train_svr(X, y, seed: int = 0, epochs: int = 200, reg: float = 1e-8, eps: Op
     if y_sd < 1e-15:
         return LinearModel(beta0=float(y_mu), beta=np.zeros(n))
     ys = (y - y_mu) / y_sd
-    eps_s = 0.01 if eps is None else eps / y_sd
     # least-squares start, then polish under the insensitive loss
     A = np.hstack([Xs, np.ones((m, 1))])
     coef, *_ = np.linalg.lstsq(A, ys, rcond=None)
     w, b = coef[:n].copy(), float(coef[n])
     for step in range(1, epochs + 1):
         r = Xs @ w + b - ys
-        active = np.abs(r) > eps_s
+        active = np.abs(r) > SVR_BAND
         sign = np.sign(r) * active
-        gw = reg * w + (sign[:, None] * Xs).sum(axis=0) / m
+        gw = SVR_REG * w + (sign[:, None] * Xs).sum(axis=0) / m
         gb = sign.sum() / m
         eta = 0.05 / (1.0 + 0.2 * step)
         w -= eta * gw
@@ -598,17 +586,17 @@ def train_mlp(
 _CLF_THRESHOLD = {"svm": 0.0, "tree": 0.5, "gbm": 0.5, "mlp": 0.0}
 
 
-def _train_family(family, X, y, task, params: LearnerParams, seed: int):
+def _train_family(family, X, y, task, seed: int):
     if family == "svm":
         if task == "classifier":
-            return train_svc(X, y, seed=seed, epochs=params.svc_epochs)
-        return train_svr(X, y, seed=seed, epochs=params.svr_epochs)
+            return train_svc(X, y, seed=seed)
+        return train_svr(X, y, seed=seed)
     if family == "tree":
-        return train_tree(X, y, task=task, max_depth=params.tree_depth, oblique=params.tree_oblique, seed=seed)
+        return train_tree(X, y, task=task, seed=seed)
     if family == "gbm":
-        return train_gbm(X, y, task=task, n_trees=params.gbm_trees, lr=params.gbm_lr, depth=params.gbm_depth, seed=seed)
+        return train_gbm(X, y, task=task, seed=seed)
     if family == "mlp":
-        return train_mlp(X, y, task=task, hidden=params.mlp_hidden, epochs=params.mlp_epochs, lr=params.mlp_lr, seed=seed)
+        return train_mlp(X, y, task=task, seed=seed)
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -629,9 +617,7 @@ def select_surrogate(
     y,
     task: str = "classifier",
     candidates=FAMILY_ORDER,
-    split_ratio: float = 0.7,
     seed: int = 0,
-    params: Optional[LearnerParams] = None,
 ) -> Surrogate:
     """Train the candidate families in order and keep the best validation performer.
 
@@ -647,7 +633,6 @@ def select_surrogate(
         raise DegenerateDataset("need at least 10 samples to split and select")
     if task == "classifier" and len(np.unique(y)) < 2:
         raise DegenerateDataset("single-label dataset")
-    params = params or LearnerParams()
     rng = np.random.default_rng(seed)
 
     if task == "classifier":
@@ -656,7 +641,7 @@ def select_surrogate(
         for lbl in (0.0, 1.0):
             idx = np.nonzero(y == lbl)[0]
             idx = idx[rng.permutation(len(idx))]
-            cut = max(1, int(round(split_ratio * len(idx))))
+            cut = max(1, int(round(SPLIT_RATIO * len(idx))))
             cut = min(cut, len(idx) - 1) if len(idx) > 1 else cut
             train_idx.extend(idx[:cut])
             val_idx.extend(idx[cut:])
@@ -664,7 +649,7 @@ def select_surrogate(
         val_idx = np.array(sorted(val_idx))
     else:
         perm = rng.permutation(m)
-        cut = max(2, int(round(split_ratio * m)))
+        cut = max(2, int(round(SPLIT_RATIO * m)))
         train_idx = np.sort(perm[:cut])
         val_idx = np.sort(perm[cut:])
     if len(val_idx) == 0:
@@ -673,7 +658,7 @@ def select_surrogate(
     best = None
     for family in candidates:
         try:
-            model = _train_family(family, X[train_idx], y[train_idx], task, params, seed)
+            model = _train_family(family, X[train_idx], y[train_idx], task, seed)
         except DegenerateDataset:
             continue
         score = _score(model, family, X[val_idx], y[val_idx], task)

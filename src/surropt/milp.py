@@ -31,7 +31,7 @@ import shlex
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -48,6 +48,7 @@ PRESOLVE_TOL = 1e-6     # row violation bound propagation allows, relative to 1 
 PRESOLVE_STEP = 1e-3    # smallest continuous bound move that counts, relative to its scale
 PRESOLVE_ROUNDS = 100   # propagation rounds before the bounds are taken as they stand
 NODE_LIMIT = 1_000_000  # LP solves after which branch and bound stops as at its time limit
+GAP_TOL = 1e-6          # relative gap at which a node can no longer improve the incumbent
 EXTERNAL_SOLVER_ENV = "GOML_EXTERNAL_SOLVER_CMD"
 
 
@@ -539,31 +540,19 @@ class MilpModel:
     def integer_indices(self) -> list[int]:
         return [j for j, flag in enumerate(self.integral) if flag]
 
-    def _dense_parts(self):
-        """Dense objective/rows, cached; invalidated by any later mutation."""
-        key = (self.n_vars, self.n_rows, tuple(sorted(self.obj.items())))
-        cached = getattr(self, "_dense_cache", None)
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        n = self.n_vars
-        c = np.zeros(n)
+    def to_lp(self, lower=None, upper=None) -> LpProblem:
+        c = np.zeros(self.n_vars)
         for j, v in self.obj.items():
             c[j] = v
-        rows = np.zeros((self.n_rows, n))
+        rows = np.zeros((self.n_rows, self.n_vars))
         for i, coeffs in enumerate(self.row_coeffs):
             for j, v in coeffs.items():
                 rows[i, j] = v
-        parts = (c, rows, np.array(self.row_rhs, dtype=float))
-        self._dense_cache = (key, parts)
-        return parts
-
-    def to_lp(self, lower=None, upper=None) -> LpProblem:
-        c, rows, rhs = self._dense_parts()
         return LpProblem(
             c=c,
             rows=rows,
             senses=list(self.row_senses),
-            rhs=rhs,
+            rhs=np.array(self.row_rhs, dtype=float),
             lower=np.array(self.lower if lower is None else lower, dtype=float),
             upper=np.array(self.upper if upper is None else upper, dtype=float),
             const=self.obj_const,
@@ -709,29 +698,27 @@ def _reduce(lp: LpProblem) -> tuple:
     return reduced, cols, x_fixed
 
 
-def solve_milp(
-    model: MilpModel,
-    time_limit: Optional[float] = None,
-    gap_tol: float = 1e-6,
-) -> MilpSolution:
+def solve_milp(model: MilpModel, time_limit: Optional[float] = None) -> MilpSolution:
     """Branch and bound with best-bound selection and most-fractional branching.
 
-    Bound propagation (``_propagate``) runs first: a model it proves
+    The model's rows are made dense once (``to_lp``). Bound propagation
+    (``_propagate``) runs on them first: a model it proves
     infeasible is decided with no LP at all. Every other solve runs on one
     reduced LP (``_reduce``) at the tightened bounds, without the fixed
     columns and the rows no point of the box can violate, so node LPs differ
     only in their bounds; the solution is mapped back to the model's
     columns. Every node LP after the root is warm-started from a parent
     basis: each dive step from the previous step, each child from the
-    popped node.
+    popped node. A node whose bound lies within ``GAP_TOL`` of the incumbent
+    is pruned, so an ``optimal`` solution has a gap of at most ``GAP_TOL``;
+    an exhausted tree reports the incumbent's objective as the bound.
     """
     start = time.monotonic()
-    _, rows, rhs = model._dense_parts()
-    bounds = _propagate(rows, model.row_senses, rhs, np.array(model.lower, dtype=float),
-                        np.array(model.upper, dtype=float), model.integral)
+    lp = model.to_lp()
+    bounds = _propagate(lp.rows, lp.senses, lp.rhs, lp.lower, lp.upper, model.integral)
     if bounds is None:
         return MilpSolution(status="infeasible")
-    lp, cols, x_fixed = _reduce(model.to_lp(*bounds))
+    lp, cols, x_fixed = _reduce(replace(lp, lower=bounds[0], upper=bounds[1]))
     lower, upper = lp.lower, lp.upper
     int_idx = np.flatnonzero(np.array(model.integral, dtype=bool)[cols])
     size = {"rows": lp.rhs.size, "cols": cols.size}
@@ -815,7 +802,7 @@ def solve_milp(
             break
         node_bound, _, lo, hi, x_lp, basis = heapq.heappop(heap)
         best_bound = node_bound
-        if incumbent_x is not None and node_bound >= incumbent_obj - gap_tol * max(1.0, abs(incumbent_obj)):
+        if incumbent_x is not None and node_bound >= incumbent_obj - GAP_TOL * max(1.0, abs(incumbent_obj)):
             best_bound = incumbent_obj
             break
         j = fractional(x_lp)
@@ -835,7 +822,7 @@ def solve_milp(
             pivots += sol.pivots
             if sol.status != "optimal":
                 continue
-            if incumbent_x is not None and sol.objective >= incumbent_obj - gap_tol * max(1.0, abs(incumbent_obj)):
+            if incumbent_x is not None and sol.objective >= incumbent_obj - GAP_TOL * max(1.0, abs(incumbent_obj)):
                 continue
             if fractional(sol.x) is None:
                 if sol.objective < incumbent_obj:
@@ -850,10 +837,10 @@ def solve_milp(
                                 **size)
         return MilpSolution(status="infeasible", nodes=nodes_solved, pivots=pivots, **size)
 
-    if heap and status != "time_limit":
-        best_bound = min(best_bound, min(entry[0] for entry in heap))
-    if not heap and status == "optimal":
-        best_bound = min(best_bound, incumbent_obj)
+    if status == "optimal":
+        # an exhausted tree proves the incumbent; nodes left by the gap test
+        # lie within GAP_TOL of it
+        best_bound = min(heap[0][0], incumbent_obj) if heap else incumbent_obj
     gap = abs(incumbent_obj - best_bound) / max(1.0, abs(incumbent_obj))
     return MilpSolution(
         status=status if status == "time_limit" else "optimal",
@@ -1107,7 +1094,7 @@ def _read_solution(path: str) -> tuple:
     return status, objective, values
 
 
-def solve(model: MilpModel, time_limit=None, gap_tol: float = 1e-6, solver: str = "builtin") -> MilpSolution:
+def solve(model: MilpModel, time_limit=None, solver: str = "builtin") -> MilpSolution:
     """Dispatch between the built-in solver and the external seam."""
     if solver == "external":
         command = os.environ.get(EXTERNAL_SOLVER_ENV)
@@ -1116,4 +1103,4 @@ def solve(model: MilpModel, time_limit=None, gap_tol: float = 1e-6, solver: str 
         return solve_with_external(model, command, time_limit=time_limit)
     if solver != "builtin":
         raise ValueError(f"unknown solver {solver!r}")
-    return solve_milp(model, time_limit=time_limit, gap_tol=gap_tol)
+    return solve_milp(model, time_limit=time_limit)

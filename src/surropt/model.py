@@ -77,13 +77,13 @@ class _Evaluated:
         object.__setattr__(self, "support", frozenset(self.support))
         object.__setattr__(self, "_index", np.array(sorted(self.support), dtype=int))
         object.__setattr__(self, "_memo", {})
-        object.__setattr__(self, "_deadline", None)
+        object.__setattr__(self, "_deadline", math.inf)
 
     def value(self, x) -> float:
         x = np.asarray(x, dtype=float)
         key = x[self._index].tobytes()
         if key not in self._memo:
-            if self._deadline is not None and time.monotonic() > self._deadline:
+            if time.monotonic() > self._deadline:
                 raise TimeLimitReached("the run's time limit passed")
             try:
                 self._memo[key] = float(self.evaluator(x))
@@ -203,10 +203,12 @@ class StandardProblem(Problem):
     """Problem with finite bounds on every nonlinear-involved variable.
 
     ``bound_provenance[i]`` records whether variable i's box came from the
-    user ("user") or from a bound LP ("inferred").
+    user ("user") or from a bound LP ("inferred"). ``deadline`` is the run's
+    ``time.monotonic()`` instant after which no new point is evaluated.
     """
 
     bound_provenance: tuple[str, ...] = ()
+    deadline: float = math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -221,16 +223,18 @@ def _fresh(obj, deadline):
     return copy
 
 
-def standardize(problem: Problem, deadline: Optional[float] = None) -> StandardProblem:
+def standardize(problem: Problem, deadline: float = math.inf) -> StandardProblem:
     """Bring a problem to standard form.
 
     Affine expression-backed constraints move into the linear rows,
     single-variable rows tighten the variable box, and every variable used
     by a nonlinear constraint (or nonlinear objective) receives finite
     bounds, inferred by LP when not explicit. The nonlinear constraints and
-    the objective are fresh copies, with empty evaluation memos; past
-    ``deadline`` (a ``time.monotonic()`` instant) they evaluate no new
-    point. Idempotent.
+    the objective are fresh copies, with empty evaluation memos.
+    ``deadline`` (a ``time.monotonic()`` instant) becomes the result's
+    ``deadline``, the run's one deadline: past it the fresh copies evaluate
+    no new point, and the pipeline steps that take ``sp`` stop there.
+    Idempotent.
     """
     n = problem.n
     objective = _fresh(problem.objective, deadline)
@@ -320,6 +324,7 @@ def standardize(problem: Problem, deadline: Optional[float] = None) -> StandardP
         name=problem.name,
         known_optimum=problem.known_optimum,
         bound_provenance=tuple(provenance),
+        deadline=deadline,
     )
 
 

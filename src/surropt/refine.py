@@ -26,21 +26,19 @@ from .errors import EvaluationError, ProjectionStall, TimeLimitReached
 from .model import StandardProblem
 
 TIME_LIMIT_WARNING = "stopped at the time limit"
+PENALTY = 1e3       # merit weight of the summed nonlinear violations
+MAX_HALVINGS = 20   # backtracking halvings of a gradient step
+STEP_TOL = 1e-9     # direction norm below which no gradient step is tried
 
 
 @dataclass
 class PgdConfig:
     iterations: int = 10
-    max_halvings: int = 20
     momentum: float = 0.9
-    penalty: float = 1e3
-    step_tol: float = 1e-9
 
     def __post_init__(self):
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum coefficient must lie in [0, 1)")
-        if self.penalty <= 0:
-            raise ValueError("violation penalty must be positive")
 
 
 @dataclass
@@ -178,29 +176,29 @@ def project(x, rows, lo, hi, frozen=None, tol: float = 1e-9) -> np.ndarray:
 # PGD with conditional momentum
 # ---------------------------------------------------------------------------
 
-def merit_state(sp: StandardProblem, x, penalty: float) -> MeritState:
+def merit_state(sp: StandardProblem, x) -> MeritState:
     """A failed or non-finite evaluation makes the merit inf, so such a
     point never wins a comparison."""
     v = np.array([con.violation(x) for con in sp.nonlinear])
     f = sp.objective.value(x)
-    merit = f + penalty * v.sum()
+    merit = f + PENALTY * v.sum()
     return MeritState(x=np.asarray(x, dtype=float), objective=f, violations=v,
                       merit=merit if math.isfinite(merit) else math.inf)
 
 
-def _merit_gradient(sp: StandardProblem, x, penalty: float) -> np.ndarray:
+def _merit_gradient(sp: StandardProblem, x) -> np.ndarray:
     g = sp.objective.grad(x)
     for con in sp.nonlinear:
         value = con.value(x)
         if con.sense == "=0":
             if abs(value) > 0.0:
-                g = g + penalty * math.copysign(1.0, value) * con.grad(x)
+                g = g + PENALTY * math.copysign(1.0, value) * con.grad(x)
         elif value > 0.0:
-            g = g + penalty * con.grad(x)
+            g = g + PENALTY * con.grad(x)
     return g
 
 
-def _diag_curvature(sp: StandardProblem, x, penalty, merit0, lo, hi, frozen) -> np.ndarray:
+def _diag_curvature(sp: StandardProblem, x, merit0, lo, hi, frozen) -> np.ndarray:
     """Second differences of the merit along each coordinate.
 
     Probes shrink to stay inside the box, so bound-pinned coordinates report
@@ -222,8 +220,8 @@ def _diag_curvature(sp: StandardProblem, x, penalty, merit0, lo, hi, frozen) -> 
         xm = x.copy()
         xp[j] += h
         xm[j] -= h
-        mp = merit_state(sp, xp, penalty).merit
-        mm = merit_state(sp, xm, penalty).merit
+        mp = merit_state(sp, xp).merit
+        mm = merit_state(sp, xm).merit
         if math.isfinite(mp) and math.isfinite(mm) and math.isfinite(merit0):
             curv[j] = (mp - 2.0 * merit0 + mm) / (h * h)
     return curv
@@ -271,7 +269,7 @@ def _coordinate_interval(x, j, rows, lo, hi):
     return a_lo, a_hi
 
 
-def _coordinate_sweep(sp: StandardProblem, state: MeritState, penalty, rows, lo, hi, frozen) -> MeritState:
+def _coordinate_sweep(sp: StandardProblem, state: MeritState, rows, lo, hi, frozen) -> MeritState:
     """One pass of per-coordinate merit line searches.
 
     Each coordinate moves inside its exact row/box interval: a coarse grid
@@ -289,7 +287,7 @@ def _coordinate_sweep(sp: StandardProblem, state: MeritState, penalty, rows, lo,
         def merit_at(alpha, j=j):
             xc = current.x.copy()
             xc[j] += alpha
-            return merit_state(sp, xc, penalty)
+            return merit_state(sp, xc)
 
         cands = [(0.0, current)] + [(alpha, merit_at(alpha)) for alpha in np.linspace(a_lo, a_hi, 9)]
         alpha_best, best_here = min(cands, key=lambda t: t[1].merit)
@@ -358,28 +356,28 @@ def pgd_improve(sp: StandardProblem, x0, cfg: Optional[PgdConfig] = None) -> Mer
         return project(p, rows, lo, hi, frozen=frozen)
 
     # every accepted step lowers the merit, so the current state is the best
-    current = merit_state(sp, proj(np.asarray(x0, dtype=float)), cfg.penalty)
+    current = merit_state(sp, proj(np.asarray(x0, dtype=float)))
     velocity = np.zeros_like(current.x)
     momentum_on = False
 
     try:
         for _ in range(cfg.iterations):
             progress = False
-            g = _merit_gradient(sp, current.x, cfg.penalty)
+            g = _merit_gradient(sp, current.x)
             # diagonal curvature scaling of the direction
-            curv = _diag_curvature(sp, current.x, cfg.penalty, current.merit, lo, hi, frozen)
+            curv = _diag_curvature(sp, current.x, current.merit, lo, hi, frozen)
             g = _scale_by_curvature(g, curv, lo, hi, frozen)
             move = _cone_filter(-g, current.x, rows, lo, hi, frozen)
             d = -move
             if momentum_on:
                 d = d + cfg.momentum * velocity
             norm_d = float(np.linalg.norm(d))
-            if norm_d > cfg.step_tol:
+            if norm_d > STEP_TOL:
                 alpha = 1.0
                 accepted = None
-                for _ in range(cfg.max_halvings + 1):
+                for _ in range(MAX_HALVINGS + 1):
                     try:
-                        cand = merit_state(sp, proj(current.x - alpha * d), cfg.penalty)
+                        cand = merit_state(sp, proj(current.x - alpha * d))
                     except ProjectionStall:
                         alpha *= 0.5
                         continue
@@ -395,7 +393,7 @@ def pgd_improve(sp: StandardProblem, x0, cfg: Optional[PgdConfig] = None) -> Mer
                     momentum_on = cfg.momentum > 0.0
                     current = accepted
                     progress = True
-            swept = _coordinate_sweep(sp, current, cfg.penalty, rows, lo, hi, frozen)
+            swept = _coordinate_sweep(sp, current, rows, lo, hi, frozen)
             if swept.merit < current.merit - 1e-12:
                 current = swept
                 progress = True

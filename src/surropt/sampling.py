@@ -21,6 +21,8 @@ from .errors import DegenerateDataset, EmptyPolyhedron, NumericalCollapse
 
 STRICT_MARGIN = 1e-7  # closed-set stand-in for strict split sides
 CONTAIN_TOL = 1e-9
+KNN_K = 10            # neighbors searched for opposite labels by secant sampling
+CORNER_CAP_EXP = 10   # enumerate at most 2^this box corners
 
 
 @dataclass
@@ -72,19 +74,17 @@ class SamplerConfig:
     """Knobs for the whole sampling pipeline."""
 
     n_lh: int = 300
-    knn_k: int = 10
     committee_size: int = 5          # trees trained on random subsets
     subset_size: Optional[int] = None  # default: min(|D|, max(50, |D|/2))
     discordance: float = 0.5           # committee vote-gap threshold in [0, 1]
     hr_per_poly: int = 10
     hr_burn_in: int = 20
     adaptive_rounds: int = 1
-    corner_cap_exp: int = 10           # enumerate at most 2^this corners
 
     def __post_init__(self):
         if not 0.0 <= self.discordance <= 1.0:
             raise ValueError("discordance must lie in [0, 1]")
-        for field_name in ("n_lh", "knn_k", "committee_size", "hr_per_poly"):
+        for field_name in ("n_lh", "committee_size", "hr_per_poly"):
             if getattr(self, field_name) <= 0:
                 raise ValueError(f"{field_name} must be positive")
 
@@ -296,7 +296,7 @@ def oct_adaptive_sample(
     train_tree,
     lo,
     hi,
-    deadline: Optional[float] = None,
+    deadline: float = math.inf,
 ) -> AdaptiveSampleResult:
     """One adaptive round: train a tree committee on random subsets, locate
     high-disagreement dataset points, intersect the leaf regions the
@@ -304,9 +304,9 @@ def oct_adaptive_sample(
     (unlabeled) samples.
 
     ``train_tree(X, y, seed)`` must return a tree exposing ``predict(X)``
-    (one prediction per row) and ``leaf_path``. When a ``deadline``
-    (time.monotonic seconds) passes mid-round, the round stops early and
-    returns whatever it has gathered.
+    (one prediction per row) and ``leaf_path``. When ``deadline``
+    (a ``time.monotonic()`` instant) passes mid-round, the round stops early
+    and returns whatever it has gathered.
     """
     points = np.asarray(points, dtype=float)
     labels = np.asarray(labels, dtype=float)
@@ -355,7 +355,7 @@ def oct_adaptive_sample(
     new_pts = []
     sources = []
     for pi, poly in enumerate(polys):
-        if deadline is not None and time.monotonic() > deadline:
+        if time.monotonic() > deadline:
             break
         try:
             center, radius = chebyshev_center(poly)

@@ -371,7 +371,7 @@ def test_criterion_12_pgd_non_degradation():
         lo, hi = sp.box()
         for _ in range(25):
             x0 = rng.uniform(lo, hi)
-            start = merit_state(sp, x0, cfg.penalty)
+            start = merit_state(sp, x0)
             out = pgd_improve(sp, x0, cfg)
             worst = max(worst, out.merit - start.merit)
     _verdict(12, worst <= 1e-12, f"50 starts, max merit increase {worst:.2e}")

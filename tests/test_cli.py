@@ -1,7 +1,7 @@
 import json
 import os
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -150,6 +150,26 @@ def test_no_flags_set_the_enhancement_fields():
     # each flag leaves the other enhancements' fields alone
     off = config("--no-oct-sampling")
     assert (off.rho_grid, off.lambda_grid, off.pgd) == (default.rho_grid, default.lambda_grid, default.pgd)
+
+
+def test_run_settings_surface():
+    # every setting a caller can vary; the rest are module constants
+    from surropt.refine import PgdConfig
+    from surropt.sampling import SamplerConfig
+
+    def names(cls):
+        return [f.name for f in fields(cls)]
+
+    assert names(driver.RunConfig) == [
+        "sampler", "pgd", "rho_grid", "lambda_grid", "norm_p", "time_limit", "seed", "solver"
+    ]
+    assert names(SamplerConfig) == [
+        "n_lh", "committee_size", "subset_size", "discordance", "hr_per_poly", "hr_burn_in",
+        "adaptive_rounds",
+    ]
+    assert names(PgdConfig) == ["iterations", "momentum"]
+    args = cli.build_parser().parse_args(["solve", "p.prob"])
+    assert cli._config_from_args(args) == driver.RunConfig()
 
 
 def test_export_lp_writes_the_first_model_solve_global_encodes(tmp_path, monkeypatch):

@@ -147,6 +147,12 @@ def test_toggles_off_bit_reproducible():
     assert len(a.cells) == 1
 
 
+@pytest.mark.parametrize("norm_p", [2.0, 3.0, 0.5, math.nan])
+def test_unsupported_norm_is_rejected_up_front(norm_p):
+    with pytest.raises(ValueError, match="norm_p"):
+        RunConfig(norm_p=norm_p)
+
+
 def test_report_best_is_min_over_feasible_cells():
     problem = generate_quadratic_sigmoid(4, 2, seed=6)
     report = solve_global(problem, _fast_config())
@@ -530,7 +536,7 @@ def test_solve_grid_returns_the_cells_of_solve_global(seed):
     report = solve_global(illustrative_problem(), cfg)
     sp = standardize(illustrative_problem())
     phases = {}
-    cells = solve_grid(sp, train(sp, sample(sp, cfg), cfg), cfg, time.monotonic() + 60.0, phases)
+    cells = solve_grid(sp, train(sp, sample(sp, cfg), cfg), cfg, phases)
     assert [_cell_key(c) for c in cells] == [_cell_key(c) for c in report.cells]
     assert set(phases) == {"encoding", "solving", "refining"}
 

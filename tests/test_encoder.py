@@ -40,9 +40,9 @@ def test_big_m_examples():
 def test_robust_config_dual_norms():
     assert E.RobustConfig(rho=0.1, p=1.0).q == math.inf
     assert E.RobustConfig(rho=0.1, p=math.inf).q == 1.0
-    assert E.RobustConfig(rho=0.1, p=2.0).q == 2.0
-    with pytest.raises(UnsupportedNorm):
-        E.RobustConfig(rho=0.1, p=3.0).q
+    for p in (2.0, 3.0):
+        with pytest.raises(UnsupportedNorm):
+            E.RobustConfig(rho=0.1, p=p).q
 
 
 def test_encode_svr_fidelity_at_fixed_point():

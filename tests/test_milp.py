@@ -1,10 +1,11 @@
 import itertools
+import math
 import sys
 import time
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from surropt import milp
@@ -215,8 +216,8 @@ def test_pivot_budget_failure():
 # Differential checks against scipy (HiGHS) and warm-start properties
 # ---------------------------------------------------------------------------
 
-def _scipy_milp(model):
-    """(status, objective) of the model under scipy.optimize.milp."""
+def _highs_milp(model):
+    """scipy.optimize.milp's result for the model (its objective lacks ``obj_const``)."""
     from scipy.optimize import Bounds, LinearConstraint
     from scipy.optimize import milp as highs_milp
 
@@ -234,15 +235,67 @@ def _scipy_milp(model):
             ub[i] = model.row_rhs[i]
         if model.row_senses[i] != "<=":
             lb[i] = model.row_rhs[i]
-    res = highs_milp(
+    return highs_milp(
         c,
         constraints=LinearConstraint(A, lb, ub) if model.n_rows else None,
         integrality=np.array(model.integral, dtype=int),
         bounds=Bounds(model.lower, model.upper),
         options={"mip_rel_gap": 1e-9},
     )
+
+
+def _scipy_milp(model):
+    """(status, objective) of the model under scipy.optimize.milp."""
+    res = _highs_milp(model)
     status = {0: "optimal", 2: "infeasible"}.get(res.status, f"scipy status {res.status}")
     return status, (res.fun + model.obj_const if res.status == 0 else None)
+
+
+def _lp_objective_at(model, fixed):
+    """Objective of the model with the columns of ``fixed`` (index -> value)
+    fixed, by scipy's linprog at 1e-10 tolerances; None when infeasible."""
+    from scipy.optimize import linprog
+
+    lower, upper = list(model.lower), list(model.upper)
+    for j, v in fixed.items():
+        lower[j] = upper[j] = float(v)
+    lp = model.to_lp(lower, upper)
+    sign = np.array([-1.0 if s == ">=" else 1.0 for s in lp.senses])
+    ineq = np.array([s != "=" for s in lp.senses], dtype=bool)
+    res = linprog(
+        lp.c,
+        A_ub=(lp.rows * sign[:, None])[ineq], b_ub=(lp.rhs * sign)[ineq],
+        A_eq=lp.rows[~ineq], b_eq=lp.rhs[~ineq],
+        bounds=[(lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)
+                for lo, hi in zip(lower, upper)],
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    return res.fun + lp.const if res.status == 0 else None
+
+
+def _exact_reference(model):
+    """(status, objective) of a model whose integer columns are all boxed.
+
+    HiGHS picks the integer point; the LP over the other columns is then
+    solved again at 1e-10 tolerances, since HiGHS's own point may violate a
+    row by up to 1e-7. When HiGHS gives no verdict, every integer point is
+    tried.
+    """
+    res = _highs_milp(model)
+    ints = model.integer_indices()
+    if res.status == 2:
+        return "infeasible", None
+    if res.status == 0:
+        objective = _lp_objective_at(model, {j: round(res.x[j]) for j in ints})
+        if objective is not None:
+            return "optimal", objective
+    ranges = [range(math.ceil(model.lower[j]), math.floor(model.upper[j]) + 1) for j in ints]
+    objectives = [
+        objective for point in itertools.product(*ranges)
+        if (objective := _lp_objective_at(model, dict(zip(ints, point)))) is not None
+    ]
+    return ("optimal", min(objectives)) if objectives else ("infeasible", None)
 
 
 def _assert_matches_scipy(model):
@@ -373,10 +426,12 @@ def _model_with_settled_parts(rng):
 
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
+@example(seed=35361)     # HiGHS gives no verdict (status 4); the model is infeasible
+@example(seed=41812075)  # HiGHS's point violates an = row by 9.2e-8; the tree is exhausted
 def test_reduced_branch_and_bound_matches_scipy_on_models_with_settled_parts(seed):
     model, n_fixed, n_slack = _model_with_settled_parts(np.random.default_rng(seed))
     sol = milp.solve_milp(model)
-    ref_status, ref_obj = _scipy_milp(model)
+    ref_status, ref_obj = _exact_reference(model)
     assert sol.status == ref_status
     if sol.nodes:
         # propagation only narrows the box, so what was settled before it stays settled
@@ -385,6 +440,7 @@ def test_reduced_branch_and_bound_matches_scipy_on_models_with_settled_parts(see
         assert (sol.rows, sol.cols) == (0, 0)
     if ref_status == "optimal":
         assert sol.objective == pytest.approx(ref_obj, abs=1e-6, rel=1e-6)
+        assert sol.gap <= milp.GAP_TOL
         assert sol.x.shape == (model.n_vars,)
         assert model.row_residuals(sol.x).max(initial=0.0) <= 1e-6
         assert np.all(np.array(model.lower) - 1e-7 <= sol.x)

@@ -151,7 +151,7 @@ def _linear_sp():
 def test_pgd_linear_problem_descends_to_face():
     sp = _linear_sp()
     out = pgd_improve(sp, np.array([0.8, 0.8]))
-    assert out.merit <= merit_state(sp, np.array([0.8, 0.8]), 1e3).merit
+    assert out.merit <= merit_state(sp, np.array([0.8, 0.8])).merit
     # optimum of x1+x2 over the wedge is the row face
     assert out.objective == pytest.approx(0.5, abs=1e-6)
 
@@ -178,7 +178,7 @@ def test_pgd_never_degrades_merit():
     cfg = PgdConfig()
     for _ in range(25):
         x0 = rng.uniform(lo, hi)
-        start = merit_state(sp, x0, cfg.penalty)
+        start = merit_state(sp, x0)
         out = pgd_improve(sp, x0, cfg)
         assert out.merit <= start.merit + 1e-12
 
@@ -299,7 +299,7 @@ def test_pgd_never_raises_or_degrades_on_failing_black_boxes(data, n):
         bound_provenance=("user",) * n,
     )
     cfg = PgdConfig(iterations=4)
-    start = merit_state(sp, x0, cfg.penalty)
+    start = merit_state(sp, x0)
     out = pgd_improve(sp, x0, cfg)
     assert out.merit <= start.merit
     if out.merit == math.inf:
