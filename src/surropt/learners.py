@@ -531,12 +531,17 @@ def train_mlp(
         z /= m
         for layer in range(last, -1, -1):
             np.matmul(backTs[layer + 1], acts[layer], out=gWs[layer])
-            np.sum(back[layer + 1], axis=1, out=gbs[layer])
+            if gbs[layer].shape[1] == 1:
+                # a one-unit column is contiguous, where np.sum adds pairwise
+                np.sum(back[layer + 1], axis=1, out=gbs[layer])
+            else:
+                # adds the samples in order, as np.sum does here: same bits, faster
+                np.einsum("rmh->rh", back[layer + 1], out=gbs[layer])
             if layer > 0:
                 below = back[layer]
                 if layer == last:
                     # a K=1 product is an outer product: same bits, no matmul
-                    np.multiply(back[layer + 1], Ws[layer], out=below)
+                    np.einsum("rmi,rih->rmh", back[layer + 1], Ws[layer], out=below)
                 else:
                     np.matmul(back[layer + 1], Ws[layer], out=below)
                 np.greater(acts[layer], 0, out=alive[layer])

@@ -29,6 +29,10 @@ TIME_LIMIT_WARNING = "stopped at the time limit"
 PENALTY = 1e3       # merit weight of the summed nonlinear violations
 MAX_HALVINGS = 20   # backtracking halvings of a gradient step
 STEP_TOL = 1e-9     # direction norm below which no gradient step is tried
+GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section fraction, about 0.382
+# bracket width, in coordinate-sweep grid spacings, that ends a line search;
+# wider stops cost the speed reducer objective, narrower ones only add probes
+SWEEP_STOP = 1e-4
 
 
 @dataclass
@@ -272,9 +276,13 @@ def _coordinate_interval(x, j, rows, lo, hi):
 def _coordinate_sweep(sp: StandardProblem, state: MeritState, rows, lo, hi, frozen) -> MeritState:
     """One pass of per-coordinate merit line searches.
 
-    Each coordinate moves inside its exact row/box interval: a coarse grid
-    locates the basin, a few ternary steps refine it. Decoupled moves reach
-    flat coordinates that a shared step length starves.
+    Each coordinate moves inside its exact row/box interval: a 9-point grid
+    locates the basin, then a golden-section search (Kiefer, 1953) refines
+    the two grid cells beside the grid's best point, clamped to the
+    interval. Each round probes one point, the golden point of the wider
+    side of the best point seen, and the search stops once the bracket is
+    narrower than ``SWEEP_STOP`` grid spacings. Decoupled moves reach flat
+    coordinates that a shared step length starves.
     """
     current = state
     for j in range(current.x.shape[0]):
@@ -291,18 +299,23 @@ def _coordinate_sweep(sp: StandardProblem, state: MeritState, rows, lo, hi, froz
 
         cands = [(0.0, current)] + [(alpha, merit_at(alpha)) for alpha in np.linspace(a_lo, a_hi, 9)]
         alpha_best, best_here = min(cands, key=lambda t: t[1].merit)
-        span = (a_hi - a_lo) / 8.0
-        left, right = alpha_best - span, alpha_best + span
-        for _ in range(25):
-            third = (right - left) / 3.0
-            for alpha in (left + third, right - third):
-                alpha = min(max(alpha, a_lo), a_hi)
-                st = merit_at(alpha)
-                if st.merit < best_here.merit:
-                    alpha_best, best_here = alpha, st
-            left, right = alpha_best - third, alpha_best + third
-            if third < 1e-12:
-                break
+        spacing = (a_hi - a_lo) / 8.0
+        left, right = max(alpha_best - spacing, a_lo), min(alpha_best + spacing, a_hi)
+        while right - left > SWEEP_STOP * spacing:
+            if right - alpha_best > alpha_best - left:
+                alpha = alpha_best + GOLDEN * (right - alpha_best)
+            else:
+                alpha = alpha_best - GOLDEN * (alpha_best - left)
+            if alpha == alpha_best:
+                break  # the bracket is below the resolution of alpha
+            st = merit_at(alpha)
+            if st.merit < best_here.merit:
+                left, right = (alpha_best, right) if alpha > alpha_best else (left, alpha_best)
+                alpha_best, best_here = alpha, st
+            elif alpha > alpha_best:
+                right = alpha
+            else:
+                left = alpha
         if best_here.merit < current.merit - 1e-12:
             current = best_here
     return current

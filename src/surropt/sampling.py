@@ -181,13 +181,24 @@ def knn_boundary_sample(points, labels, values, k: int, lo, hi) -> np.ndarray:
 
 
 def _dedupe(pts: np.ndarray, tol: float) -> np.ndarray:
-    kept = np.empty_like(pts)
-    count = 0
-    for p in pts:
-        if count == 0 or np.abs(kept[:count] - p).max(axis=1).min() > tol:
-            kept[count] = p
-            count += 1
-    return kept[:count].copy()
+    """The points in order, less each one within ``tol`` (max norm) of an
+    earlier kept point.
+
+    A match needs first coordinates within ``tol``, so each point is tested
+    only against the earlier kept points in its window of the points sorted
+    on the first coordinate. The window reaches 2 tol, twice what a match
+    needs, so rounding at its edges loses no match.
+    """
+    order = np.argsort(pts[:, 0], kind="stable")
+    first = pts[order, 0]
+    starts = np.searchsorted(first, pts[:, 0] - 2.0 * tol, side="left")
+    ends = np.searchsorted(first, pts[:, 0] + 2.0 * tol, side="right")
+    keep = np.zeros(pts.shape[0], dtype=bool)
+    for i, p in enumerate(pts):
+        near = order[starts[i]:ends[i]]
+        near = near[keep[near]]  # kept so far; later points are not kept yet
+        keep[i] = near.size == 0 or np.abs(pts[near] - p).max(axis=1).min() > tol
+    return pts[keep]
 
 
 # ---------------------------------------------------------------------------

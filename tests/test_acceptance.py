@@ -27,10 +27,11 @@ from surropt.driver import (
 )
 from surropt.expr import DomainError  # noqa: F401  (re-exported for helpers)
 from surropt import expr as E
-from surropt.model import standardize
+from surropt.model import NonlinearObjective, standardize
 from surropt.refine import PgdConfig, merit_state, pgd_improve
 
 QSIGMOID_ORACLE = -12.06510798946531  # tests/oracle_qsigmoid.py, n=10 m=2 seed=2024
+SPEED_REDUCER_EVALUATIONS = 11_000    # evaluator calls allowed to the seed-3 solve
 
 
 def _verdict(number, passed, detail):
@@ -52,11 +53,31 @@ def illustrative_runs():
     return runs
 
 
+def _counted(problem, calls: list):
+    """The same problem with every evaluator wrapped by a call counter."""
+    from dataclasses import replace
+
+    def wrap(fn):
+        def evaluator(x):
+            calls[0] += 1
+            return fn(x)
+        return evaluator
+
+    nonlinear = tuple(replace(con, evaluator=wrap(con.evaluator)) for con in problem.nonlinear)
+    objective = problem.objective
+    if isinstance(objective, NonlinearObjective):
+        objective = replace(objective, evaluator=wrap(objective.evaluator))
+    return replace(problem, nonlinear=nonlinear, objective=objective)
+
+
 @pytest.fixture(scope="module")
 def speed_reducer_run():
+    """The seed-3 report, its wall time and its evaluator calls."""
+    calls = [0]
+    problem = _counted(speed_reducer_problem(), calls)
     t0 = time.monotonic()
-    report = solve_global(speed_reducer_problem(), RunConfig(seed=3, time_limit=540))
-    return report, time.monotonic() - t0
+    report = solve_global(problem, RunConfig(seed=3, time_limit=540))
+    return report, time.monotonic() - t0, calls[0]
 
 
 def test_criterion_1_illustrative_optimum(illustrative_runs):
@@ -97,7 +118,7 @@ def test_criterion_2_intermediate_mio_incumbent():
 
 
 def test_criterion_3_speed_reducer(speed_reducer_run):
-    report, wall = speed_reducer_run
+    report, wall, _ = speed_reducer_run
     sp = standardize(speed_reducer_problem())
     x = report.x
     worst = max(con.violation(x) for con in sp.nonlinear)
@@ -117,6 +138,13 @@ def test_criterion_3_speed_reducer(speed_reducer_run):
         ok,
         f"objective {report.objective:.4f}, max violation {worst:.2e}, x3={x[2]}, {wall:.0f}s",
     )
+
+
+def test_speed_reducer_evaluation_budget(speed_reducer_run):
+    # refinement's line searches make most of this solve's evaluator calls
+    # (about 10,500 in all); a change that makes them dearer fails here
+    _, _, calls = speed_reducer_run
+    assert calls <= SPEED_REDUCER_EVALUATIONS, f"{calls} evaluator calls"
 
 
 def test_criterion_4_encoding_fidelity():

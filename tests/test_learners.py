@@ -3,6 +3,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surropt import learners as L
 from surropt.errors import DegenerateDataset
@@ -314,7 +316,7 @@ def _reference_mlp(X, y, task, hidden, epochs, lr, seed, restarts):
     return list(zip(Ws, bs))
 
 
-@pytest.mark.parametrize("hidden", [(8,), (4, 3)])
+@pytest.mark.parametrize("hidden", [(8,), (4, 3), (3, 1)])
 @pytest.mark.parametrize("task", ["classifier", "regressor"])
 @pytest.mark.parametrize("restarts", [1, 3])
 def test_mlp_stacked_restarts_match_reference_loop(hidden, task, restarts):
@@ -330,6 +332,25 @@ def test_mlp_stacked_restarts_match_reference_loop(hidden, task, restarts):
     assert len(net.layers) == len(ref)
     for (W, b), (W_ref, b_ref) in zip(net.layers, ref):
         assert np.array_equal(W, W_ref) and np.array_equal(b, b_ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    R=st.integers(1, 4),
+    m=st.integers(1, 300),
+    h=st.integers(2, 32),
+    scale_exp=st.integers(-8, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mlp_einsum_kernels_match_numpy_bit_for_bit(R, m, h, scale_exp, seed):
+    # train_mlp's bias gradient of a layer of width >= 2 and its output-layer
+    # outer product use einsum; each must give the bits of the plain kernel
+    rng = np.random.default_rng(seed)
+    back = rng.normal(size=(R, m, h)) * 10.0 ** scale_exp
+    assert np.array_equal(np.einsum("rmh->rh", back), np.sum(back, axis=1))
+    column = rng.normal(size=(R, m, 1)) * 10.0 ** scale_exp
+    W = rng.normal(size=(R, 1, h))
+    assert np.array_equal(np.einsum("rmi,rih->rmh", column, W), np.multiply(column, W))
 
 
 def test_mlp_zero_weights_bias_pass_through():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls
 
+from surropt import refine
 from surropt.driver import generate_quadratic_sigmoid
 from surropt.errors import EvaluationError, ProjectionStall
 from surropt.model import (
@@ -168,6 +169,30 @@ def test_pgd_stays_at_smooth_local_optimum():
     )
     out = pgd_improve(sp, np.array([0.3]))
     assert out.x[0] == pytest.approx(0.3, abs=1e-6)
+
+
+def test_coordinate_sweep_probe_budget_and_accuracy():
+    # a separable quadratic: one sweep minimises each coordinate in turn;
+    # x2's minimiser lies past its upper bound, so its search ends there
+    target = np.array([0.3137, 1.2345, 4.0])
+    calls = [0]
+
+    def f(x):
+        calls[0] += 1
+        return float(((x - target) ** 2 * np.array([1.0, 3.0, 0.5])).sum())
+
+    sp = StandardProblem(
+        vars=tuple(VarSpec(f"x{j}", j, -1.0, 3.0) for j in range(3)),
+        objective=NonlinearObjective(evaluator=f, support=frozenset(range(3))),
+        bound_provenance=("user",) * 3,
+    )
+    lo, hi = sp.box()
+    state = merit_state(sp, np.zeros(3))
+    calls[0] = 0
+    out = refine._coordinate_sweep(sp, state, (), lo, hi, np.zeros(3, dtype=bool))
+    assert calls[0] <= 3 * (9 + 25)
+    minimiser = np.clip(target, lo, hi)
+    assert np.all(np.abs(out.x - minimiser) <= refine.SWEEP_STOP * (hi - lo) / 8.0)
 
 
 def test_pgd_never_degrades_merit():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surropt import sampling as S
 from surropt.errors import DegenerateDataset, EmptyPolyhedron, NumericalCollapse
@@ -113,6 +115,38 @@ def test_knn_skips_pairs_with_non_finite_values():
     assert len(new) > 0
     assert np.isfinite(new).all()
     assert np.allclose(new[:, 1], 0.5)
+
+
+def _dedupe_reference(pts, tol):
+    """Quadratic reference: keep each point unless an earlier kept one lies
+    within tol of it in the max norm."""
+    kept = []
+    for p in pts:
+        if not kept or np.abs(np.array(kept) - p).max(axis=1).min() > tol:
+            kept.append(p)
+    return np.array(kept).reshape(-1, pts.shape[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    d=st.integers(1, 4),
+    tol_exp=st.integers(-9, -1),
+    scale_exp=st.integers(-6, 9),
+    n_dups=st.integers(0, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dedupe_matches_quadratic_reference(n, d, tol_exp, scale_exp, n_dups, seed):
+    # near-duplicates are planted strictly inside, exactly at and outside
+    # tol of a base point, in every coordinate or in one
+    rng = np.random.default_rng(seed)
+    tol = 10.0 ** tol_exp
+    base = rng.uniform(-1.0, 1.0, size=(n, d)) * 10.0 ** scale_exp
+    offsets = tol * rng.choice([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0], size=(n_dups, d))
+    offsets[rng.random(n_dups) < 0.3, 1:] = 0.0
+    dups = base[rng.integers(0, n, size=n_dups)] + offsets
+    pts = np.vstack([base, dups])[rng.permutation(n + n_dups)]
+    assert np.array_equal(S._dedupe(pts, tol), _dedupe_reference(pts, tol))
 
 
 def test_chebyshev_unit_box():
