@@ -664,10 +664,40 @@ def _propagate(rows, senses, rhs, lower, upper, integral) -> Optional[tuple]:
     return lo, hi
 
 
-def _reduce(lp: LpProblem) -> tuple:
+def _fold_singletons(lp: LpProblem, integral) -> tuple:
+    """Bounds with each singleton row folded in, and which rows were folded.
+
+    A row with one entry among the unfixed columns only bounds that column,
+    at ``rhs / a`` after the fixed columns' share, rounded inward for an
+    integer column as ``_propagate`` rounds. Where the folded bounds of a
+    column would cross, its rows and bounds stay as they are.
+    """
+    rows, lower, upper = lp.rows, lp.lower, lp.upper
+    fixed = (lower == upper) & np.isfinite(lower)
+    live = (rows != 0.0) & ~fixed
+    single = np.flatnonzero(live.sum(axis=1) == 1)
+    j = live[single].argmax(axis=1)
+    a = rows[single, j]
+    bound = (lp.rhs[single] - rows[single] @ np.where(fixed, lower, 0.0)) / a
+    senses = np.asarray(lp.senses)[single]
+    caps = (senses == "=") | ((senses == "<=") == (a > 0.0))
+    floors = (senses == "=") | ((senses == ">=") == (a > 0.0))
+    integral = np.asarray(integral, dtype=bool)
+    hi, lo = upper.copy(), lower.copy()
+    np.minimum.at(hi, j[caps], np.where(integral[j], np.floor(bound + INT_TOL), bound)[caps])
+    np.maximum.at(lo, j[floors], np.where(integral[j], np.ceil(bound - INT_TOL), bound)[floors])
+    crossed = lo > hi
+    lo[crossed], hi[crossed] = lower[crossed], upper[crossed]
+    folded = np.zeros(rows.shape[0], dtype=bool)
+    folded[single[~crossed[j]]] = True
+    return lo, hi, folded
+
+
+def _reduce(lp: LpProblem, integral) -> tuple:
     """The LP that branch and bound runs on, given the propagated bounds.
 
-    A column with lower == upper is fixed: its value moves into the
+    Singleton rows become column bounds first (``_fold_singletons``). A
+    column with lower == upper is fixed: its value moves into the
     right-hand sides and the objective constant. A row that no point of the
     box can violate goes: a ``<=`` row whose greatest activity is at most
     its rhs, a ``>=`` row whose least activity is at least its rhs, and an
@@ -676,7 +706,8 @@ def _reduce(lp: LpProblem) -> tuple:
     indices of its columns in ``lp``, and a point of ``lp``'s size with the
     fixed values in place.
     """
-    rows, lower, upper = lp.rows, lp.lower, lp.upper
+    rows = lp.rows
+    lower, upper, folded = _fold_singletons(lp, integral)
     senses = np.asarray(lp.senses)
     fixed = (lower == upper) & np.isfinite(lower)
     x_fixed = np.where(fixed, lower, 0.0)
@@ -685,7 +716,7 @@ def _reduce(lp: LpProblem) -> tuple:
     with np.errstate(invalid="ignore"):  # 0 * inf at zero entries, which the where drops
         most = np.where(pos, rows * upper, np.where(neg, rows * lower, 0.0)).sum(axis=1)
         least = np.where(pos, rows * lower, np.where(neg, rows * upper, 0.0)).sum(axis=1)
-    keep = ~(((senses == ">=") | (most <= lp.rhs)) & ((senses == "<=") | (least >= lp.rhs)))
+    keep = ~folded & ~(((senses == ">=") | (most <= lp.rhs)) & ((senses == "<=") | (least >= lp.rhs)))
     reduced = LpProblem(
         c=lp.c[cols],
         rows=rows[np.ix_(keep, cols)],
@@ -704,8 +735,9 @@ def solve_milp(model: MilpModel, time_limit: Optional[float] = None) -> MilpSolu
     The model's rows are made dense once (``to_lp``). Bound propagation
     (``_propagate``) runs on them first: a model it proves
     infeasible is decided with no LP at all. Every other solve runs on one
-    reduced LP (``_reduce``) at the tightened bounds, without the fixed
-    columns and the rows no point of the box can violate, so node LPs differ
+    reduced LP (``_reduce``) at the tightened bounds, with singleton rows
+    folded into the bounds, and without the fixed columns and the rows no
+    point of the box can violate, so node LPs differ
     only in their bounds; the solution is mapped back to the model's
     columns. Every node LP after the root is warm-started from a parent
     basis: each dive step from the previous step, each child from the
@@ -718,7 +750,7 @@ def solve_milp(model: MilpModel, time_limit: Optional[float] = None) -> MilpSolu
     bounds = _propagate(lp.rows, lp.senses, lp.rhs, lp.lower, lp.upper, model.integral)
     if bounds is None:
         return MilpSolution(status="infeasible")
-    lp, cols, x_fixed = _reduce(replace(lp, lower=bounds[0], upper=bounds[1]))
+    lp, cols, x_fixed = _reduce(replace(lp, lower=bounds[0], upper=bounds[1]), model.integral)
     lower, upper = lp.lower, lp.upper
     int_idx = np.flatnonzero(np.array(model.integral, dtype=bool)[cols])
     size = {"rows": lp.rhs.size, "cols": cols.size}

@@ -12,6 +12,11 @@ fails; such a point has merit inf and is never accepted. ``value`` also
 stops the run at its deadline, which ends refinement with a warning.
 Gradients call the evaluators directly, and a failure there ends
 refinement with a warning too.
+
+A line-search probe only has to beat a bar, so it stops evaluating once
+its merit cannot beat it (``merit_state``'s ``below``). Every
+accept/reject decision is the one full evaluation would make, and an
+accepted point is always evaluated in full.
 """
 
 from __future__ import annotations
@@ -180,25 +185,41 @@ def project(x, rows, lo, hi, frozen=None, tol: float = 1e-9) -> np.ndarray:
 # PGD with conditional momentum
 # ---------------------------------------------------------------------------
 
-def merit_state(sp: StandardProblem, x) -> MeritState:
+def merit_state(sp: StandardProblem, x, below: float = math.inf) -> MeritState:
     """A failed or non-finite evaluation makes the merit inf, so such a
-    point never wins a comparison."""
-    v = np.array([con.violation(x) for con in sp.nonlinear])
+    point never wins a comparison.
+
+    With a finite ``below``, the objective is evaluated first, then the
+    constraints in order until the merit with the rest taken as 0, a lower
+    bound as violations are >= 0, is not below ``below``. Such a point comes
+    back with merit inf and partial violations; it loses to ``below`` as its
+    full merit would.
+    """
+    x = np.asarray(x, dtype=float)
     f = sp.objective.value(x)
+    v = np.zeros(len(sp.nonlinear))
+    for i, con in enumerate(sp.nonlinear):
+        if below < math.inf and not (f + PENALTY * v.sum() < below):
+            return MeritState(x=x, objective=f, violations=v, merit=math.inf)
+        v[i] = con.violation(x)
     merit = f + PENALTY * v.sum()
-    return MeritState(x=np.asarray(x, dtype=float), objective=f, violations=v,
+    return MeritState(x=x, objective=f, violations=v,
                       merit=merit if math.isfinite(merit) else math.inf)
 
 
 def _merit_gradient(sp: StandardProblem, x) -> np.ndarray:
+    """Gradient of the merit. Next to an infinite value, central differences
+    give infinite terms, whose sum can be NaN; ``_scale_by_curvature`` does
+    not move such a component."""
     g = sp.objective.grad(x)
-    for con in sp.nonlinear:
-        value = con.value(x)
-        if con.sense == "=0":
-            if abs(value) > 0.0:
-                g = g + PENALTY * math.copysign(1.0, value) * con.grad(x)
-        elif value > 0.0:
-            g = g + PENALTY * con.grad(x)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for con in sp.nonlinear:
+            value = con.value(x)
+            if con.sense == "=0":
+                if abs(value) > 0.0:
+                    g = g + PENALTY * math.copysign(1.0, value) * con.grad(x)
+            elif value > 0.0:
+                g = g + PENALTY * con.grad(x)
     return g
 
 
@@ -233,16 +254,18 @@ def _diag_curvature(sp: StandardProblem, x, merit0, lo, hi, frozen) -> np.ndarra
 
 def _scale_by_curvature(g: np.ndarray, curv: np.ndarray, lo, hi, frozen) -> np.ndarray:
     """Per-coordinate step proposal: a Newton step g/curv where curvature is
-    meaningful, a full box-width move where the merit is locally flat."""
+    meaningful, a full box-width move where the merit is locally flat, and
+    no move where the gradient is 0, not finite, or too small to scale."""
     n = g.shape[0]
     width = np.where(np.isfinite(hi - lo) & (hi > lo), hi - lo, 1.0)
     d = np.zeros(n)
     for j in range(n):
-        if frozen[j] or g[j] == 0.0:
+        if frozen[j] or g[j] == 0.0 or not math.isfinite(g[j]):
             continue
         gj = abs(g[j])
         denom = max(curv[j], gj / width[j])
-        d[j] = math.copysign(gj / denom, g[j])
+        if denom > 0.0:  # gj / width underflows to 0 for a subnormal gj
+            d[j] = math.copysign(gj / denom, g[j])
     return d
 
 
@@ -292,13 +315,17 @@ def _coordinate_sweep(sp: StandardProblem, state: MeritState, rows, lo, hi, froz
         if a_hi - a_lo < 1e-12:
             continue
 
-        def merit_at(alpha, j=j):
+        def merit_at(alpha, below, j=j):
             xc = current.x.copy()
             xc[j] += alpha
-            return merit_state(sp, xc)
+            return merit_state(sp, xc, below)
 
-        cands = [(0.0, current)] + [(alpha, merit_at(alpha)) for alpha in np.linspace(a_lo, a_hi, 9)]
-        alpha_best, best_here = min(cands, key=lambda t: t[1].merit)
+        # the first grid point of least merit, as min() would pick it
+        alpha_best, best_here = 0.0, current
+        for alpha in np.linspace(a_lo, a_hi, 9):
+            st = merit_at(alpha, best_here.merit)
+            if st.merit < best_here.merit:
+                alpha_best, best_here = alpha, st
         spacing = (a_hi - a_lo) / 8.0
         left, right = max(alpha_best - spacing, a_lo), min(alpha_best + spacing, a_hi)
         while right - left > SWEEP_STOP * spacing:
@@ -308,7 +335,7 @@ def _coordinate_sweep(sp: StandardProblem, state: MeritState, rows, lo, hi, froz
                 alpha = alpha_best - GOLDEN * (alpha_best - left)
             if alpha == alpha_best:
                 break  # the bracket is below the resolution of alpha
-            st = merit_at(alpha)
+            st = merit_at(alpha, best_here.merit)
             if st.merit < best_here.merit:
                 left, right = (alpha_best, right) if alpha > alpha_best else (left, alpha_best)
                 alpha_best, best_here = alpha, st
@@ -390,7 +417,8 @@ def pgd_improve(sp: StandardProblem, x0, cfg: Optional[PgdConfig] = None) -> Mer
                 accepted = None
                 for _ in range(MAX_HALVINGS + 1):
                     try:
-                        cand = merit_state(sp, proj(current.x - alpha * d))
+                        cand = merit_state(sp, proj(current.x - alpha * d),
+                                           current.merit - 1e-12)
                     except ProjectionStall:
                         alpha *= 0.5
                         continue

@@ -61,12 +61,17 @@ class Polyhedron:
         return bool(np.all(A @ x <= b + tol))
 
     def canonical_key(self, decimals: int = 10):
-        """Hashable identity used to drop duplicate polyhedra."""
-        rows = sorted(
-            (tuple(np.round(self.A[i], decimals)) + (round(float(self.b[i]), decimals),))
-            for i in range(self.A.shape[0])
-        )
-        return tuple(rows)
+        """Hashable identity used to drop duplicate polyhedra: the shape and
+        bytes of ``[A | b]`` rounded to ``decimals``, rows sorted.
+
+        ``b`` rounds as Python's ``round`` does, and adding 0.0 turns -0.0
+        into 0.0, so two keys match when their rows match as numbers.
+        """
+        M = np.column_stack(
+            [np.round(self.A, decimals), [round(v, decimals) for v in self.b.tolist()]]
+        ) + 0.0
+        M = M[np.lexsort(M.T[::-1])]
+        return M.shape, M.tobytes()
 
 
 @dataclass

@@ -430,14 +430,20 @@ def _model_with_settled_parts(rng):
 @example(seed=41812075)  # HiGHS's point violates an = row by 9.2e-8; the tree is exhausted
 def test_reduced_branch_and_bound_matches_scipy_on_models_with_settled_parts(seed):
     model, n_fixed, n_slack = _model_with_settled_parts(np.random.default_rng(seed))
-    sol = milp.solve_milp(model)
-    ref_status, ref_obj = _exact_reference(model)
-    assert sol.status == ref_status
+    sol = _assert_matches_exact_reference(model)
     if sol.nodes:
         # propagation only narrows the box, so what was settled before it stays settled
         assert sol.rows <= model.n_rows - n_slack and sol.cols <= model.n_vars - n_fixed
     else:
         assert (sol.rows, sol.cols) == (0, 0)
+
+
+def _assert_matches_exact_reference(model):
+    """Solve the model; its status, objective and point must agree with
+    ``_exact_reference``. Returns the solution."""
+    sol = milp.solve_milp(model)
+    ref_status, ref_obj = _exact_reference(model)
+    assert sol.status == ref_status
     if ref_status == "optimal":
         assert sol.objective == pytest.approx(ref_obj, abs=1e-6, rel=1e-6)
         assert sol.gap <= milp.GAP_TOL
@@ -447,6 +453,38 @@ def test_reduced_branch_and_bound_matches_scipy_on_models_with_settled_parts(see
         assert np.all(sol.x <= np.array(model.upper) + 1e-7)
         for j in model.integer_indices():
             assert sol.x[j] == round(sol.x[j])
+    return sol
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_branch_and_bound_matches_scipy_with_singleton_rows(seed):
+    # one-entry rows of either sign and any sense, on integer columns too,
+    # where rhs / a is often fractional; _reduce folds them into the bounds
+    rng = np.random.default_rng(seed)
+    model = _random_mixed_model(rng)
+    for _ in range(int(rng.integers(1, 4))):
+        j = int(rng.integers(0, model.n_vars))
+        lo, hi = max(model.lower[j], -4.0), min(model.upper[j], 4.0)
+        a = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 3.0))
+        sense = ("<=", ">=", "=")[int(rng.integers(0, 3))]
+        model.add_row({j: a}, sense, a * float(rng.uniform(lo - 0.5, hi + 0.5)))
+    _assert_matches_exact_reference(model)
+
+
+def test_reduce_folds_a_singleton_row_into_its_column_bound():
+    # propagation leaves x's bound 1e-6 * (1 + 0.5) above the row x <= 0.5,
+    # so without the fold the row would stay in the reduced LP
+    m = milp.MilpModel()
+    x, y = m.add_var("x", 0.0, 1.0), m.add_var("y", 0.0, 1.0)
+    m.add_row({x: 1.0}, "<=", 0.5)
+    m.add_row({x: 1.0, y: 1.0}, "<=", 1.2)
+    m.add_objective_term(x, -1.0)
+    m.add_objective_term(y, -1.0)
+    sol = milp.solve_milp(m)
+    assert sol.status == "optimal" and sol.objective == pytest.approx(-1.2)
+    assert (sol.rows, sol.cols) == (1, 2)
+    assert sol.x[x] <= 0.5
 
 
 def test_speed_reducer_branch_and_bound_runs_on_less_than_half_the_rows():
@@ -469,6 +507,22 @@ def test_speed_reducer_branch_and_bound_runs_on_less_than_half_the_rows():
     assert ref_status == "optimal"
     assert sol.objective == pytest.approx(ref_obj, abs=1e-6, rel=1e-6)
     assert model.row_residuals(sol.x).max(initial=0.0) <= 1e-6
+
+
+
+def test_reduce_keeps_singleton_rows_whose_bounds_would_cross():
+    # x >= 0.5 and x <= 0.5 - 1e-8 cross by less than the simplex tolerance;
+    # folded, they would leave a box with lower > upper and no point at all
+    m = milp.MilpModel()
+    x, b = m.add_var("x", 0.0, 1.0), m.add_binary("b")
+    m.add_row({x: 1.0}, ">=", 0.5)
+    m.add_row({x: 1.0}, "<=", 0.5 - 1e-8)
+    m.add_row({x: 1.0, b: 1.0}, "<=", 1.3)
+    m.add_objective_term(x, 1.0)
+    m.add_objective_term(b, -1.0)
+    sol = milp.solve_milp(m)
+    assert sol.status == "optimal" and sol.rows == 2
+    assert sol.x[x] == pytest.approx(0.5, abs=1e-7)
 
 
 def _propagation_case(rng, hold):

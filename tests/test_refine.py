@@ -329,3 +329,120 @@ def test_pgd_never_raises_or_degrades_on_failing_black_boxes(data, n):
     assert out.merit <= start.merit
     if out.merit == math.inf:
         assert out.warning is not None
+
+
+def _merit_state_reference(sp, x, below=math.inf):
+    """The full-evaluation merit: every constraint, then the objective,
+    whatever ``below`` says."""
+    v = np.array([con.violation(x) for con in sp.nonlinear])
+    f = sp.objective.value(x)
+    merit = f + refine.PENALTY * v.sum()
+    return refine.MeritState(x=np.asarray(x, dtype=float), objective=f, violations=v,
+                             merit=merit if math.isfinite(merit) else math.inf)
+
+
+def _hostile_problem(data, n):
+    """A problem factory and a start point, drawn from ``data``.
+
+    The box is [-1, 1]^n with one linear row through it, 1-4 nonlinear
+    constraints and a linear, smooth or partly flat objective. Each black
+    box may raise EvaluationError past one random half-space, or return inf
+    or NaN there. ``make(calls)`` builds a fresh problem, with empty memos,
+    whose evaluators count their calls in ``calls[0]``.
+    """
+    coords = st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n).map(np.array)
+    unit = st.floats(-1.0, 1.0)
+    hazards = st.sampled_from(["none", "raise", "inf", "nan"])
+    row_a, row_at, x0 = data.draw(coords), data.draw(coords), data.draw(coords)
+    row_slack = data.draw(st.floats(0.0, 1.0))
+    frozen0 = n > 1 and data.draw(st.booleans())
+    cons = [
+        (data.draw(st.sampled_from(["ball", "wave"])), data.draw(st.sampled_from(["<=0", "=0"])),
+         data.draw(coords), data.draw(st.floats(0.05, 4.0)), data.draw(hazards),
+         data.draw(coords), data.draw(unit))
+        for _ in range(data.draw(st.integers(1, 4)))
+    ]
+    obj_kind = data.draw(st.sampled_from(["linear", "smooth", "plateau"]))
+    tilt, level = data.draw(coords), data.draw(st.floats(-1.0, 0.5))
+    obj_hazard, obj_cut, obj_off = data.draw(hazards), data.draw(coords), data.draw(unit)
+
+    def make(calls):
+        def black_box(fn, hazard, cut, off):
+            def evaluate(x):
+                calls[0] += 1
+                if hazard != "none" and cut @ x > off:
+                    if hazard == "raise":
+                        raise EvaluationError("outside the domain")
+                    return math.inf if hazard == "inf" else math.nan
+                return fn(x)
+            return evaluate
+
+        def con_fn(kind, c, r):
+            if kind == "ball":
+                return lambda x: float((x - c) @ (x - c)) - r**2
+            return lambda x: math.sin(3.0 * float(c @ x)) - r + 0.5
+
+        nonlinear = tuple(
+            NonlinearConstraint(evaluator=black_box(con_fn(kind, c, r), hz, cut, off),
+                                sense=sense, support=frozenset(range(n)))
+            for kind, sense, c, r, hz, cut, off in cons
+        )
+        if obj_kind == "linear":
+            objective = LinearObjective(tilt)
+        else:
+            def smooth(x):
+                return float(tilt @ x + 0.1 * x @ x)
+
+            fn = smooth if obj_kind == "smooth" else (lambda x: max(smooth(x), level))
+            objective = NonlinearObjective(evaluator=black_box(fn, obj_hazard, obj_cut, obj_off),
+                                           support=frozenset(range(n)))
+        return StandardProblem(
+            vars=tuple(VarSpec(f"x{j}", j, -1.0, 1.0, integral=frozen0 and j == 0)
+                       for j in range(n)),
+            objective=objective,
+            linear=_rows((row_a, "<=", float(row_a @ row_at) + row_slack)),
+            nonlinear=nonlinear,
+            bound_provenance=("user",) * n,
+        )
+
+    if frozen0:
+        # the frozen start coordinate is an integer, and the row holds there
+        x0[0] = row_at[0] = round(x0[0])
+    return make, x0
+
+
+def _same_state(a, b) -> bool:
+    """Bit-identical x, objective, violations and merit, and the same warning."""
+    def bits(v):
+        return np.asarray(v, dtype=float).tobytes()
+    return (bits(a.x) == bits(b.x) and bits(a.objective) == bits(b.objective)
+            and bits(a.violations) == bits(b.violations) and bits(a.merit) == bits(b.merit)
+            and a.warning == b.warning)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), n=st.integers(1, 3))
+def test_lazy_merit_leaves_pgd_unchanged_with_fewer_calls(data, n):
+    make, x0 = _hostile_problem(data, n)
+    lazy_calls, full_calls = [0], [0]
+    lazy = pgd_improve(make(lazy_calls), x0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(refine, "merit_state", _merit_state_reference)
+        full = pgd_improve(make(full_calls), x0)
+    assert _same_state(lazy, full)
+    assert lazy_calls[0] <= full_calls[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 3))
+def test_merit_state_is_exact_or_loses_to_its_bar(data, n):
+    make, _ = _hostile_problem(data, n)
+    x = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n).map(np.array))
+    below = data.draw(st.one_of(st.floats(-3.0, 3e3), st.just(math.inf)))
+    lazy_calls, full_calls = [0], [0]
+    lazy = merit_state(make(lazy_calls), x, below)
+    full = _merit_state_reference(make(full_calls), x)
+    assert _same_state(lazy, full) or (lazy.merit == math.inf and full.merit >= below)
+    assert lazy_calls[0] <= full_calls[0]
+    if below == math.inf:
+        assert _same_state(lazy, full)

@@ -149,6 +149,57 @@ def test_dedupe_matches_quadratic_reference(n, d, tol_exp, scale_exp, n_dups, se
     assert np.array_equal(S._dedupe(pts, tol), _dedupe_reference(pts, tol))
 
 
+
+def _canonical_key_reference(poly, decimals=10):
+    """The tuple key: rows of A rounded by numpy and b by Python's round,
+    as tuples of floats, sorted."""
+    return tuple(sorted(
+        (tuple(np.round(poly.A[i], decimals)) + (round(float(poly.b[i]), decimals),))
+        for i in range(poly.A.shape[0])
+    ))
+
+
+# halfway between two multiples of 1e-10, where rounding rules disagree
+_TIES = st.integers(-10**7, 10**7).map(lambda k: (k + 0.5) / 1e10)
+_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-11, -1e-11, 5e-11, -5e-11]),
+    _TIES,
+    st.floats(-1e-9, 1e-9),
+    st.floats(-1e6, 1e6),
+)
+_TWINS = {
+    "negated": lambda v: -v,
+    "up": lambda v: float(np.nextafter(v, np.inf)),
+    "down": lambda v: float(np.nextafter(v, -np.inf)),
+    "rounded": lambda v: round(v, 10),
+    "tie": lambda v: (math.floor(v * 1e10) + 0.5) / 1e10,
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), m=st.integers(0, 6), n=st.integers(1, 3))
+def test_canonical_key_matches_reference_duplicate_decisions(data, m, n):
+    # a second [A | b] with its rows permuted and a few entries moved to a
+    # signed zero, a neighbouring float, a rounding tie or their rounding
+    M = np.array(data.draw(st.lists(_ENTRIES, min_size=m * (n + 1), max_size=m * (n + 1))))
+    M = M.reshape(m, n + 1)
+    twin = M[data.draw(st.permutations(range(m)))] if m else M.copy()
+    for _ in range(data.draw(st.integers(0, 3)) if m else 0):
+        i, j = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, n))
+        twin[i, j] = _TWINS[data.draw(st.sampled_from(sorted(_TWINS)))](float(twin[i, j]))
+    P, Q = (S.Polyhedron(A=X[:, :n], b=X[:, n], lo=-np.ones(n), hi=np.ones(n)) for X in (M, twin))
+    same = P.canonical_key() == Q.canonical_key()
+    assert same == (_canonical_key_reference(P) == _canonical_key_reference(Q))
+
+
+def test_canonical_key_tells_shapes_apart():
+    # [[1, 3], [2, 4]] and [[1, 3, 2, 4]] have the same bytes in row order
+    two = S.Polyhedron(A=[[1.0], [2.0]], b=[3.0, 4.0], lo=[0.0], hi=[1.0])
+    one = S.Polyhedron(A=[[1.0, 3.0, 2.0]], b=[4.0], lo=np.zeros(3), hi=np.ones(3))
+    assert two.canonical_key() != one.canonical_key()
+    assert _canonical_key_reference(two) != _canonical_key_reference(one)
+
+
 def test_chebyshev_unit_box():
     poly = S.Polyhedron(A=np.empty((0, 2)), b=np.empty(0), lo=np.zeros(2), hi=np.ones(2))
     center, radius = S.chebyshev_center(poly)
