@@ -180,13 +180,6 @@ class Surrogate:
     support: tuple = ()
     constraint_id: str = ""
 
-    def raw(self, x) -> float:
-        """Model-native output: margin, leaf value, weighted sum, or logit."""
-        return float(self.model.predict_one(x))
-
-    def decision(self, x) -> bool:
-        return self.raw(x) >= self.threshold
-
 
 # ---------------------------------------------------------------------------
 # Linear SVM training

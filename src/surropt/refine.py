@@ -148,11 +148,13 @@ def project(x, rows, lo, hi, frozen=None, tol: float = 1e-9) -> np.ndarray:
             r = np.linalg.lstsq(N.T, g, rcond=None)[0]
             d = g - N.T @ r
             # partial step: the first active inequality whose multiplier hits zero
+            # (a quotient that overflows, over a subnormal r, never blocks first)
             t1, block = math.inf, None
-            for i in np.flatnonzero(~eq[active] & (r > 0.0)):
-                ratio = max(mu[i] / r[i], 0.0)
-                if ratio < t1:
-                    t1, block = ratio, i
+            with np.errstate(over="ignore"):
+                for i in np.flatnonzero(~eq[active] & (r > 0.0)):
+                    ratio = max(mu[i] / r[i], 0.0)
+                    if ratio < t1:
+                        t1, block = ratio, i
             dd = float(d @ d)
             t2 = (float(g @ z) - hp) / dd if dd > _DEPENDENT else math.inf
             t = min(t1, t2)
@@ -209,8 +211,8 @@ def merit_state(sp: StandardProblem, x, below: float = math.inf) -> MeritState:
 
 def _merit_gradient(sp: StandardProblem, x) -> np.ndarray:
     """Gradient of the merit. Next to an infinite value, central differences
-    give infinite terms, whose sum can be NaN; ``_scale_by_curvature`` does
-    not move such a component."""
+    (or a gradient callback) give infinite terms, whose sum can be NaN; such
+    components come back as 0 here, so the step does not move them."""
     g = sp.objective.grad(x)
     with np.errstate(invalid="ignore", over="ignore"):
         for con in sp.nonlinear:
@@ -220,53 +222,7 @@ def _merit_gradient(sp: StandardProblem, x) -> np.ndarray:
                     g = g + PENALTY * math.copysign(1.0, value) * con.grad(x)
             elif value > 0.0:
                 g = g + PENALTY * con.grad(x)
-    return g
-
-
-def _diag_curvature(sp: StandardProblem, x, merit0, lo, hi, frozen) -> np.ndarray:
-    """Second differences of the merit along each coordinate.
-
-    Probes shrink to stay inside the box, so bound-pinned coordinates report
-    zero instead of a clipping artifact, as do coordinates where a merit is
-    not finite. Penalty kinks of active nonlinear
-    constraints show up as huge curvature, which is exactly what keeps the
-    direction from ramming walls.
-    """
-    n = x.shape[0]
-    curv = np.zeros(n)
-    for j in range(n):
-        if frozen[j]:
-            continue
-        h = 1e-4 * max(1.0, abs(x[j]))
-        h = min(h, hi[j] - x[j], x[j] - lo[j])
-        if h < 1e-9:
-            continue
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += h
-        xm[j] -= h
-        mp = merit_state(sp, xp).merit
-        mm = merit_state(sp, xm).merit
-        if math.isfinite(mp) and math.isfinite(mm) and math.isfinite(merit0):
-            curv[j] = (mp - 2.0 * merit0 + mm) / (h * h)
-    return curv
-
-
-def _scale_by_curvature(g: np.ndarray, curv: np.ndarray, lo, hi, frozen) -> np.ndarray:
-    """Per-coordinate step proposal: a Newton step g/curv where curvature is
-    meaningful, a full box-width move where the merit is locally flat, and
-    no move where the gradient is 0, not finite, or too small to scale."""
-    n = g.shape[0]
-    width = np.where(np.isfinite(hi - lo) & (hi > lo), hi - lo, 1.0)
-    d = np.zeros(n)
-    for j in range(n):
-        if frozen[j] or g[j] == 0.0 or not math.isfinite(g[j]):
-            continue
-        gj = abs(g[j])
-        denom = max(curv[j], gj / width[j])
-        if denom > 0.0:  # gj / width underflows to 0 for a subnormal gj
-            d[j] = math.copysign(gj / denom, g[j])
-    return d
+    return np.where(np.isfinite(g), g, 0.0)
 
 
 def _coordinate_interval(x, j, rows, lo, hi):
@@ -404,9 +360,6 @@ def pgd_improve(sp: StandardProblem, x0, cfg: Optional[PgdConfig] = None) -> Mer
         for _ in range(cfg.iterations):
             progress = False
             g = _merit_gradient(sp, current.x)
-            # diagonal curvature scaling of the direction
-            curv = _diag_curvature(sp, current.x, current.merit, lo, hi, frozen)
-            g = _scale_by_curvature(g, curv, lo, hi, frozen)
             move = _cone_filter(-g, current.x, rows, lo, hi, frozen)
             d = -move
             if momentum_on:

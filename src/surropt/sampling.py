@@ -89,9 +89,13 @@ class SamplerConfig:
     def __post_init__(self):
         if not 0.0 <= self.discordance <= 1.0:
             raise ValueError("discordance must lie in [0, 1]")
-        for field_name in ("n_lh", "committee_size", "hr_per_poly"):
+        for field_name in ("n_lh", "hr_per_poly"):
             if getattr(self, field_name) <= 0:
                 raise ValueError(f"{field_name} must be positive")
+        if self.committee_size < 2:
+            raise ValueError("committee_size must be at least 2")
+        if self.subset_size is not None and self.subset_size < 1:
+            raise ValueError("subset_size must be None or at least 1")
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +332,6 @@ def oct_adaptive_sample(
     labels = np.asarray(labels, dtype=float)
     m = points.shape[0]
     K = cfg.committee_size
-    if K < 2:
-        raise ValueError("committee needs at least two members")
     C = cfg.subset_size
     if C is None:
         C = min(m, max(50, m // 2))

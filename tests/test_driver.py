@@ -153,6 +153,14 @@ def test_unsupported_norm_is_rejected_up_front(norm_p):
         RunConfig(norm_p=norm_p)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("committee_size", 1), ("committee_size", 0), ("subset_size", 0), ("subset_size", -5),
+])
+def test_bad_committee_settings_are_rejected_up_front(field, value):
+    with pytest.raises(ValueError, match=field):
+        SamplerConfig(**{field: value})
+
+
 def test_report_best_is_min_over_feasible_cells():
     problem = generate_quadratic_sigmoid(4, 2, seed=6)
     report = solve_global(problem, _fast_config())

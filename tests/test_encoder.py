@@ -212,7 +212,7 @@ def test_gbm_encoding_reproduces_predict():
         m.add_objective_term(enc.output, 1.0)
         sol = milp.solve_milp(m)
         assert sol.status == "optimal"
-        assert sol.objective == pytest.approx(sur.raw(x), abs=1e-9)
+        assert sol.objective == pytest.approx(sur.model.predict_one(x), abs=1e-9)
 
 
 def test_mlp_relu_negative_branch():
@@ -258,7 +258,7 @@ def test_fidelity_all_families_regression_and_verdicts():
                 low = milp.solve_milp(m)
                 m.obj = {enc.output: -1.0}
                 high = milp.solve_milp(m)
-                want = sur.raw(x)
+                want = sur.model.predict_one(x)
                 assert low.objective == pytest.approx(want, abs=1e-6)
                 assert -high.objective == pytest.approx(want, abs=1e-6)
             else:
@@ -269,7 +269,7 @@ def test_fidelity_all_families_regression_and_verdicts():
                     m.add_row({enc.output: 1.0}, ">=", sur.threshold)
                 E.fix_point(m, cols, x)
                 sol = milp.solve_milp(m)
-                assert (sol.status == "optimal") == sur.decision(x)
+                assert (sol.status == "optimal") == (sur.model.predict_one(x) >= sur.threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +294,7 @@ def test_robust_nestedness_all_families_both_norms():
                 if E.robust_feasible(sur, point, tight):
                     assert E.robust_feasible(sur, point, loose)
                 if E.robust_feasible(sur, point, loose):
-                    assert E.robust_feasible(sur, point, None) or sur.decision(point)
+                    assert E.robust_feasible(sur, point, None) or (sur.model.predict_one(point) >= sur.threshold)
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,16 @@ def test_project_non_finite_point_raises():
             project(bad, _rows(([1.0, 0.0], "<=", 1.0)), np.zeros(2), np.ones(2))
 
 
+def test_project_survives_a_subnormal_row_coefficient():
+    # a multiplier over the subnormal coefficient overflows; such a ratio
+    # can never block first, so the projection ends as in exact arithmetic
+    rows = _rows(([-1.0, 0.0, 2.2250738585e-313], "<=", 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        x = project([-1.8, 0.0, 2.00095], rows, -np.ones(3), np.ones(3))
+    assert np.allclose(x, [0.0, 0.0, 1.0], atol=1e-9)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -266,27 +276,32 @@ def test_pgd_reports_warning_on_failing_evaluator():
     assert out.warning is not None
 
 
-def test_pgd_nan_merit_leaves_curvature_finite():
-    # the constraint is NaN on the right half of the box, so the start and
-    # probe merits are infinite; curvature there is left at zero instead of
-    # taking inf - inf
-    sp = StandardProblem(
-        vars=(VarSpec("x", 0, 0.0, 1.0),),
-        objective=LinearObjective(np.array([-1.0])),
-        nonlinear=(
-            NonlinearConstraint(
-                evaluator=lambda x: math.nan if x[0] > 0.5 else x[0] - 0.4,
-                sense="<=0",
-                support=frozenset({0}),
-                gradient=lambda x: np.array([1.0]),
+def test_pgd_skips_non_finite_merits_and_gradient_components():
+    # the constraint is NaN on the right half of the box, so merits there are
+    # infinite; its gradient callback returns a finite, an infinite or a NaN
+    # component. A non-finite component must not reach the cone filter, where
+    # the row's 0 coefficient would meet it, nor the step.
+    for grad_x, x0 in ((1.0, 0.7), (math.inf, 0.45), (-math.inf, 0.45), (math.nan, 0.45)):
+        sp = StandardProblem(
+            vars=(VarSpec("x", 0, 0.0, 1.0), VarSpec("y", 1, 0.0, 1.0)),
+            objective=LinearObjective(np.array([-1.0, 0.0])),
+            linear=_rows(([0.0, 1.0], "<=", 0.9)),
+            nonlinear=(
+                NonlinearConstraint(
+                    evaluator=lambda x: math.nan if x[0] > 0.5 else x[0] - 0.4,
+                    sense="<=0",
+                    support=frozenset({0}),
+                    gradient=lambda x, grad_x=grad_x: np.array([grad_x, 0.0]),
+                ),
             ),
-        ),
-        bound_provenance=("user",),
-    )
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        out = pgd_improve(sp, np.array([0.7]))
-    assert out.x[0] == pytest.approx(0.4, abs=1e-6)
+            bound_provenance=("user", "user"),
+        )
+        start = merit_state(sp, [x0, 0.5]).merit
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = pgd_improve(sp, np.array([x0, 0.5]))
+        assert out.merit <= start
+        assert out.x[0] == pytest.approx(0.4, abs=1e-6)
 
 
 @settings(max_examples=80, deadline=None)
