@@ -14,9 +14,12 @@ Gradients call the evaluators directly, and a failure there ends
 refinement with a warning too.
 
 A line-search probe only has to beat a bar, so it stops evaluating once
-its merit cannot beat it (``merit_state``'s ``below``). Every
-accept/reject decision is the one full evaluation would make, and an
-accepted point is always evaluated in full.
+its merit cannot beat it (``merit_state``'s ``below``). It tries the
+constraints in the order of the violations of the last probe that lost,
+largest first (``merit_state``'s ``order``), as the constraint that
+rejected one probe usually rejects the next. Every accept/reject decision
+is the one full evaluation would make, in any order, and an accepted point
+is always evaluated in full.
 """
 
 from __future__ import annotations
@@ -187,26 +190,37 @@ def project(x, rows, lo, hi, frozen=None, tol: float = 1e-9) -> np.ndarray:
 # PGD with conditional momentum
 # ---------------------------------------------------------------------------
 
-def merit_state(sp: StandardProblem, x, below: float = math.inf) -> MeritState:
+def merit_state(sp: StandardProblem, x, below: float = math.inf, order=None) -> MeritState:
     """A failed or non-finite evaluation makes the merit inf, so such a
     point never wins a comparison.
 
     With a finite ``below``, the objective is evaluated first, then the
-    constraints in order until the merit with the rest taken as 0, a lower
-    bound as violations are >= 0, is not below ``below``. Such a point comes
-    back with merit inf and partial violations; it loses to ``below`` as its
-    full merit would.
+    constraints in the order of the indices in ``order`` (default: index
+    order) until the merit with the rest taken as 0, a lower bound as
+    violations are >= 0, is not below ``below``. Such a point comes back
+    with merit inf and partial violations; it loses to ``below`` as its
+    full merit would. ``violations`` stays indexed by constraint, so the
+    sum adds its terms in the same order whatever ``order`` says: the
+    order changes no decision, only the evaluations a losing point costs.
+
+    A point that loses to ``below`` re-sorts ``order`` in place by its
+    violations, largest first (a stable sort), so the constraint that
+    rejected it is tried first on the next probe.
     """
     x = np.asarray(x, dtype=float)
     f = sp.objective.value(x)
     v = np.zeros(len(sp.nonlinear))
-    for i, con in enumerate(sp.nonlinear):
+    merit = math.inf
+    for i in range(len(v)) if order is None else order:
         if below < math.inf and not (f + PENALTY * v.sum() < below):
-            return MeritState(x=x, objective=f, violations=v, merit=math.inf)
-        v[i] = con.violation(x)
-    merit = f + PENALTY * v.sum()
-    return MeritState(x=x, objective=f, violations=v,
-                      merit=merit if math.isfinite(merit) else math.inf)
+            break
+        v[i] = sp.nonlinear[i].violation(x)
+    else:
+        merit = f + PENALTY * v.sum()
+        merit = merit if math.isfinite(merit) else math.inf
+    if order is not None and not merit < below:
+        order.sort(key=v.__getitem__, reverse=True)
+    return MeritState(x=x, objective=f, violations=v, merit=merit)
 
 
 def _merit_gradient(sp: StandardProblem, x) -> np.ndarray:
@@ -252,7 +266,8 @@ def _coordinate_interval(x, j, rows, lo, hi):
     return a_lo, a_hi
 
 
-def _coordinate_sweep(sp: StandardProblem, state: MeritState, rows, lo, hi, frozen) -> MeritState:
+def _coordinate_sweep(sp: StandardProblem, state: MeritState, rows, lo, hi, frozen,
+                      order=None) -> MeritState:
     """One pass of per-coordinate merit line searches.
 
     Each coordinate moves inside its exact row/box interval: a 9-point grid
@@ -261,7 +276,8 @@ def _coordinate_sweep(sp: StandardProblem, state: MeritState, rows, lo, hi, froz
     interval. Each round probes one point, the golden point of the wider
     side of the best point seen, and the search stops once the bracket is
     narrower than ``SWEEP_STOP`` grid spacings. Decoupled moves reach flat
-    coordinates that a shared step length starves.
+    coordinates that a shared step length starves. Probes evaluate the
+    constraints in ``order`` (see ``merit_state``).
     """
     current = state
     for j in range(current.x.shape[0]):
@@ -274,7 +290,7 @@ def _coordinate_sweep(sp: StandardProblem, state: MeritState, rows, lo, hi, froz
         def merit_at(alpha, below, j=j):
             xc = current.x.copy()
             xc[j] += alpha
-            return merit_state(sp, xc, below)
+            return merit_state(sp, xc, below, order)
 
         # the first grid point of least merit, as min() would pick it
         alpha_best, best_here = 0.0, current
@@ -355,6 +371,8 @@ def pgd_improve(sp: StandardProblem, x0, cfg: Optional[PgdConfig] = None) -> Mer
     current = merit_state(sp, proj(np.asarray(x0, dtype=float)))
     velocity = np.zeros_like(current.x)
     momentum_on = False
+    # constraint order of the line-search probes, likeliest rejecter first
+    order = list(range(len(sp.nonlinear)))
 
     try:
         for _ in range(cfg.iterations):
@@ -371,7 +389,7 @@ def pgd_improve(sp: StandardProblem, x0, cfg: Optional[PgdConfig] = None) -> Mer
                 for _ in range(MAX_HALVINGS + 1):
                     try:
                         cand = merit_state(sp, proj(current.x - alpha * d),
-                                           current.merit - 1e-12)
+                                           current.merit - 1e-12, order)
                     except ProjectionStall:
                         alpha *= 0.5
                         continue
@@ -387,7 +405,7 @@ def pgd_improve(sp: StandardProblem, x0, cfg: Optional[PgdConfig] = None) -> Mer
                     momentum_on = cfg.momentum > 0.0
                     current = accepted
                     progress = True
-            swept = _coordinate_sweep(sp, current, rows, lo, hi, frozen)
+            swept = _coordinate_sweep(sp, current, rows, lo, hi, frozen, order)
             if swept.merit < current.merit - 1e-12:
                 current = swept
                 progress = True

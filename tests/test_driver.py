@@ -19,7 +19,7 @@ from surropt.driver import (
 from surropt.errors import InfeasibleApproximation
 from surropt.expr import load_problem
 from surropt.model import NonlinearObjective, feasibility_labels, standardize
-from surropt.refine import PgdConfig
+from surropt.refine import TIME_LIMIT_WARNING, PgdConfig
 from surropt.sampling import SamplerConfig
 
 
@@ -451,23 +451,36 @@ def test_evaluation_memo_lasts_one_solve():
     assert np.array_equal(first.x, second.x)
 
 
-def test_refinement_stops_at_the_time_limit():
-    # each evaluation takes a millisecond; refinement alone used to run
-    # seconds past the limit
+def test_refinement_stops_at_the_time_limit(monkeypatch):
+    # evaluations take 20 ms each once refinement has begun, so the deadline
+    # falls inside refinement; refinement alone used to run seconds past it
+    from surropt import driver
+
+    pgd_improve = driver.pgd_improve
+    refining = [False]
+
+    def pgd_seen(*args, **kwargs):
+        refining[0] = True
+        return pgd_improve(*args, **kwargs)
+
     def slow(fn):
         def evaluate(x):
-            time.sleep(1e-3)
+            if refining[0]:
+                time.sleep(20e-3)
             return fn(x)
         return evaluate
 
+    monkeypatch.setattr(driver, "pgd_improve", pgd_seen)
     problem = illustrative_problem()
     problem = replace(
         problem, nonlinear=tuple(replace(c, evaluator=slow(c.evaluator)) for c in problem.nonlinear)
     )
     tick = time.monotonic()
-    report = solve_global(problem, RunConfig(seed=0, time_limit=2.0))
+    report = solve_global(problem, RunConfig(seed=0, time_limit=1.5))
     assert report.status == "time_limit"
-    assert time.monotonic() - tick < 3.0
+    assert any(c.refined is not None and c.refined.warning == TIME_LIMIT_WARNING
+               for c in report.cells)
+    assert time.monotonic() - tick < 1.5 + 1.0
 
 
 def test_sampling_evaluates_nothing_after_the_time_limit(monkeypatch):

@@ -346,9 +346,9 @@ def test_pgd_never_raises_or_degrades_on_failing_black_boxes(data, n):
         assert out.warning is not None
 
 
-def _merit_state_reference(sp, x, below=math.inf):
+def _merit_state_reference(sp, x, below=math.inf, order=None):
     """The full-evaluation merit: every constraint, then the objective,
-    whatever ``below`` says."""
+    whatever ``below`` and ``order`` say."""
     v = np.array([con.violation(x) for con in sp.nonlinear])
     f = sp.objective.value(x)
     merit = f + refine.PENALTY * v.sum()
@@ -455,9 +455,12 @@ def test_merit_state_is_exact_or_loses_to_its_bar(data, n):
     x = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n).map(np.array))
     below = data.draw(st.one_of(st.floats(-3.0, 3e3), st.just(math.inf)))
     lazy_calls, full_calls = [0], [0]
-    lazy = merit_state(make(lazy_calls), x, below)
+    sp = make(lazy_calls)
+    order = data.draw(st.permutations(range(len(sp.nonlinear))))
+    lazy = merit_state(sp, x, below, order)
     full = _merit_state_reference(make(full_calls), x)
     assert _same_state(lazy, full) or (lazy.merit == math.inf and full.merit >= below)
     assert lazy_calls[0] <= full_calls[0]
+    assert sorted(order) == list(range(len(sp.nonlinear)))
     if below == math.inf:
         assert _same_state(lazy, full)
