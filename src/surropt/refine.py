@@ -20,6 +20,9 @@ largest first (``merit_state``'s ``order``), as the constraint that
 rejected one probe usually rejects the next. Every accept/reject decision
 is the one full evaluation would make, in any order, and an accepted point
 is always evaluated in full.
+
+Backtracking starts at min(1, twice the last step accepted in the call) and
+halves down to 2^-``MAX_HALVINGS``, probing only steps a search from 1 would.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .model import StandardProblem
 
 TIME_LIMIT_WARNING = "stopped at the time limit"
 PENALTY = 1e3       # merit weight of the summed nonlinear violations
-MAX_HALVINGS = 20   # backtracking halvings of a gradient step
+MAX_HALVINGS = 20   # backtracking tries no alpha below 2^-MAX_HALVINGS
 STEP_TOL = 1e-9     # direction norm below which no gradient step is tried
 GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section fraction, about 0.382
 # bracket width, in coordinate-sweep grid spacings, that ends a line search;
@@ -352,12 +355,14 @@ def _cone_filter(move: np.ndarray, x, rows, lo, hi, frozen, tol: float = 1e-9) -
 def pgd_improve(sp: StandardProblem, x0, cfg: Optional[PgdConfig] = None) -> MeritState:
     """Improve an incumbent; never returns a point with merit above the start.
 
-    Iterates x <- project(x - alpha (grad + gamma * velocity)) with
-    backtracking halvings. A point where an evaluation fails has merit inf
-    and is never accepted. When a gradient evaluation fails, or the run's
-    deadline stops an evaluation, the best state found so far comes back
-    with a warning; so does an inf merit. Raises ``TimeLimitReached`` if
-    the deadline has passed before the start point is evaluated.
+    Iterates x <- project(x - alpha (grad + gamma * velocity)). Alpha
+    halves from min(1, 2 * the last accepted alpha), 1 at first, until a
+    step is accepted or alpha < 2^-MAX_HALVINGS. A point where an
+    evaluation fails has merit inf and is never accepted. When a gradient
+    evaluation fails, or the run's deadline stops an evaluation, the best
+    state found so far comes back with a warning; so does an inf merit.
+    Raises ``TimeLimitReached`` if the deadline has passed before the start
+    point is evaluated.
     """
     cfg = cfg or PgdConfig()
     lo, hi = sp.box()
@@ -369,8 +374,8 @@ def pgd_improve(sp: StandardProblem, x0, cfg: Optional[PgdConfig] = None) -> Mer
 
     # every accepted step lowers the merit, so the current state is the best
     current = merit_state(sp, proj(np.asarray(x0, dtype=float)))
-    velocity = np.zeros_like(current.x)
-    momentum_on = False
+    # the last accepted step while momentum is on, else None
+    velocity, first_alpha = None, 1.0
     # constraint order of the line-search probes, likeliest rejecter first
     order = list(range(len(sp.nonlinear)))
 
@@ -378,15 +383,13 @@ def pgd_improve(sp: StandardProblem, x0, cfg: Optional[PgdConfig] = None) -> Mer
         for _ in range(cfg.iterations):
             progress = False
             g = _merit_gradient(sp, current.x)
-            move = _cone_filter(-g, current.x, rows, lo, hi, frozen)
-            d = -move
-            if momentum_on:
+            d = -_cone_filter(-g, current.x, rows, lo, hi, frozen)
+            if velocity is not None:
                 d = d + cfg.momentum * velocity
             norm_d = float(np.linalg.norm(d))
             if norm_d > STEP_TOL:
-                alpha = 1.0
-                accepted = None
-                for _ in range(MAX_HALVINGS + 1):
+                alpha, accepted = first_alpha, None
+                while alpha >= 0.5 ** MAX_HALVINGS:
                     try:
                         cand = merit_state(sp, proj(current.x - alpha * d),
                                            current.merit - 1e-12, order)
@@ -398,13 +401,11 @@ def pgd_improve(sp: StandardProblem, x0, cfg: Optional[PgdConfig] = None) -> Mer
                         break
                     alpha *= 0.5
                 if accepted is None:
-                    momentum_on = False
-                    velocity[:] = 0.0
+                    velocity = None
                 else:
-                    velocity = alpha * d
-                    momentum_on = cfg.momentum > 0.0
-                    current = accepted
-                    progress = True
+                    velocity = alpha * d if cfg.momentum > 0.0 else None
+                    first_alpha = min(1.0, 2.0 * alpha)
+                    current, progress = accepted, True
             swept = _coordinate_sweep(sp, current, rows, lo, hi, frozen, order)
             if swept.merit < current.merit - 1e-12:
                 current = swept

@@ -205,6 +205,55 @@ def test_coordinate_sweep_probe_budget_and_accuracy():
     assert np.all(np.abs(out.x - minimiser) <= refine.SWEEP_STOP * (hi - lo) / 8.0)
 
 
+def test_backtracking_starts_from_twice_the_last_accepted_step(monkeypatch):
+    # f = c x^2 with c = 0.75 * 2^k: a step of alpha along the gradient maps
+    # x to x (1 - 1.5 alpha 2^k), which lowers f only for alpha < 2^-k / 0.75,
+    # so every search accepts 2^-k and rejects 2^(1-k). The sweep is replaced
+    # by a halving of x, and every probe of the second search stalls.
+    k = 5
+    c = 0.75 * 2.0**k
+    sp = StandardProblem(
+        vars=(VarSpec("x", 0, -10.0, 10.0),),
+        objective=NonlinearObjective(
+            evaluator=lambda x: float(c * x[0] ** 2),
+            support=frozenset({0}),
+            gradient=lambda x: np.array([2.0 * c * x[0]]),
+        ),
+        bound_provenance=("user",),
+    )
+    origins, searches = [], []   # per search: its start, gradient and probed alphas
+    merit_gradient, project_ = refine._merit_gradient, refine.project
+
+    def gradient(sp, x):
+        g = merit_gradient(sp, x)
+        origins.append((x[0], g[0]))
+        searches.append([])
+        return g
+
+    def project(p, *args, **kwargs):
+        if searches:
+            x, g = origins[-1]
+            searches[-1].append((x - p[0]) / g)
+            if len(searches) == 2:
+                raise ProjectionStall("stalled on purpose")
+        return project_(p, *args, **kwargs)
+
+    monkeypatch.setattr(refine, "_merit_gradient", gradient)
+    monkeypatch.setattr(refine, "project", project)
+    monkeypatch.setattr(refine, "_coordinate_sweep",
+                        lambda sp, state, *args: merit_state(sp, 0.5 * state.x))
+    pgd_improve(sp, np.array([1.0]), PgdConfig(iterations=4, momentum=0.0))
+
+    assert len(searches) == 4
+    powers = {0.5**h for h in range(refine.MAX_HALVINGS + 1)}
+    assert all(alpha in powers for probes in searches for alpha in probes)
+    assert searches[0] == [0.5**h for h in range(k + 1)]
+    # the stalled search halves down to the floor and no further
+    assert searches[1] == [0.5**h for h in range(k - 1, refine.MAX_HALVINGS + 1)]
+    # and leaves the next search's first step where it was
+    assert searches[2] == searches[3] == [0.5 ** (k - 1), 0.5**k]
+
+
 def test_pgd_never_degrades_merit():
     problem = generate_quadratic_sigmoid(4, 3, seed=5)
     sp = standardize(problem)
