@@ -15,9 +15,9 @@ propagation through the rows, which alone decides a model whose rows
 cannot hold. It then drops the fixed columns and the rows that cannot
 bind at those bounds, and runs every node on that one reduced LP, mapping
 the solution back to the model's columns. It uses best-bound node
-selection, most-fractional branching, and a diving heuristic, and
-warm-starts every node LP from its parent's basis; heap nodes keep bases,
-never tableaux. An LP-format
+selection, a most-fractional diving heuristic, and pseudocost branching
+learned from the dive's and the tree's LPs, and warm-starts every node LP
+from its parent's basis; heap nodes keep bases, never tableaux. An LP-format
 writer/reader provides the seam for external solvers (see
 GOML_EXTERNAL_SOLVER_CMD in the README).
 """
@@ -730,7 +730,7 @@ def _reduce(lp: LpProblem, integral) -> tuple:
 
 
 def solve_milp(model: MilpModel, time_limit: Optional[float] = None) -> MilpSolution:
-    """Branch and bound with best-bound selection and most-fractional branching.
+    """Branch and bound with best-bound selection and pseudocost branching.
 
     The model's rows are made dense once (``to_lp``). Bound propagation
     (``_propagate``) runs on them first: a model it proves
@@ -744,6 +744,14 @@ def solve_milp(model: MilpModel, time_limit: Optional[float] = None) -> MilpSolu
     popped node. A node whose bound lies within ``GAP_TOL`` of the incumbent
     is pruned, so an ``optimal`` solution has a gap of at most ``GAP_TOL``;
     an exhausted tree reports the incumbent's objective as the bound.
+
+    The pseudocosts (``_pseudocost_column``) start empty in each call. Every
+    dive step and every child LP that ends optimal adds one observation:
+    the rise of its objective over its parent's, per unit that the branched
+    column moved. Before each dive LP and each popped node, the time limit
+    and ``NODE_LIMIT`` are checked; a solve stopped by either is
+    ``time_limit`` and reports the least bound among the open nodes and the
+    incumbent.
     """
     start = time.monotonic()
     lp = model.to_lp()
@@ -766,13 +774,6 @@ def solve_milp(model: MilpModel, time_limit: Optional[float] = None) -> MilpSolu
     if root.status != "optimal":
         return MilpSolution(status=root.status, nodes=1, pivots=pivots, **size)
 
-    def fractional(x) -> Optional[int]:
-        """The first integer column farthest from an integer, if beyond INT_TOL."""
-        dist = np.abs(x[int_idx] - np.round(x[int_idx]))
-        if dist.max(initial=0.0) <= INT_TOL:
-            return None
-        return int(int_idx[dist.argmax()])
-
     def snap(x) -> np.ndarray:
         """The model-sized point of a reduced LP point, integer columns rounded."""
         out = x_fixed.copy()
@@ -780,12 +781,19 @@ def solve_milp(model: MilpModel, time_limit: Optional[float] = None) -> MilpSolu
         out[cols[int_idx]] = np.round(x[int_idx])
         return out
 
+    # pseudocosts: per column, the summed per-unit bound gains of pushing it
+    # down (row 0) or up (row 1), and how many gains each sum holds
+    gains, counts = np.zeros((2, cols.size)), np.zeros((2, cols.size))
+
+    def observe(j: int, up: bool, rise: float, dist: float) -> None:
+        gains[int(up), j] += rise / dist
+        counts[int(up), j] += 1
+
     incumbent_x = None
     incumbent_obj = math.inf
     nodes_solved = 1
 
-    j0 = fractional(root.x)
-    if j0 is None:
+    if _fractional(root.x, int_idx) is None:
         x = snap(root.x)
         return MilpSolution(
             status="optimal", x=x, objective=root.objective,
@@ -794,11 +802,12 @@ def solve_milp(model: MilpModel, time_limit: Optional[float] = None) -> MilpSolu
 
     # Diving heuristic: repeatedly fix the most fractional integer variable
     # at its rounded value; a plain all-at-once rounding often breaks the
-    # one-hot rows coming out of tree encodings.
+    # one-hot rows coming out of tree encodings. Each step that solves
+    # seeds the pseudocosts.
     dive_lo, dive_hi = lower.copy(), upper.copy()
     dive_x, dive_obj, dive_basis = root.x, root.objective, root.basis
     for _ in range(min(len(int_idx), 25)):
-        j = fractional(dive_x)
+        j = _fractional(dive_x, int_idx)
         if j is None:
             break
         near = float(np.clip(round(dive_x[j]), dive_lo[j], dive_hi[j]))
@@ -806,12 +815,15 @@ def solve_milp(model: MilpModel, time_limit: Optional[float] = None) -> MilpSolu
         far = float(np.clip(far, dive_lo[j], dive_hi[j]))
         dived = None
         for candidate in dict.fromkeys((near, far)):
+            if out_of_time() or nodes_solved >= NODE_LIMIT:
+                break
             trial_lo = _with(dive_lo, j, candidate)
             trial_hi = _with(dive_hi, j, candidate)
             trial = solve_lp(lp_at(trial_lo, trial_hi), start=dive_basis)
             nodes_solved += 1
             pivots += trial.pivots
             if trial.status == "optimal":
+                observe(j, candidate > dive_x[j], trial.objective - dive_obj, abs(dive_x[j] - candidate))
                 dive_lo, dive_hi = trial_lo, trial_hi
                 dived = trial
                 break
@@ -819,13 +831,12 @@ def solve_milp(model: MilpModel, time_limit: Optional[float] = None) -> MilpSolu
             dive_x = None
             break
         dive_x, dive_obj, dive_basis = dived.x, dived.objective, dived.basis
-    if dive_x is not None and fractional(dive_x) is None:
+    if dive_x is not None and _fractional(dive_x, int_idx) is None:
         incumbent_x = snap(dive_x)
         incumbent_obj = dive_obj
 
     counter = 0
     heap = [(root.objective, counter, lower, upper, root.x, root.basis)]
-    best_bound = root.objective
     status = "optimal"
 
     while heap:
@@ -833,19 +844,18 @@ def solve_milp(model: MilpModel, time_limit: Optional[float] = None) -> MilpSolu
             status = "time_limit"
             break
         node_bound, _, lo, hi, x_lp, basis = heapq.heappop(heap)
-        best_bound = node_bound
         if incumbent_x is not None and node_bound >= incumbent_obj - GAP_TOL * max(1.0, abs(incumbent_obj)):
-            best_bound = incumbent_obj
             break
-        j = fractional(x_lp)
-        if j is None:
+        if _fractional(x_lp, int_idx) is None:
             if node_bound < incumbent_obj:
                 incumbent_obj, incumbent_x = node_bound, snap(x_lp)
             continue
+        j = _pseudocost_column(x_lp, int_idx, gains, counts)
         floor_v = math.floor(x_lp[j] + INT_TOL)
-        for child_lo, child_hi in (
-            (lo, _with(hi, j, float(floor_v))),
-            (_with(lo, j, float(floor_v + 1)), hi),
+        frac = x_lp[j] - floor_v
+        for up, child_lo, child_hi in (
+            (False, lo, _with(hi, j, float(floor_v))),
+            (True, _with(lo, j, float(floor_v + 1)), hi),
         ):
             if child_lo[j] > child_hi[j] + 1e-12:
                 continue
@@ -854,36 +864,64 @@ def solve_milp(model: MilpModel, time_limit: Optional[float] = None) -> MilpSolu
             pivots += sol.pivots
             if sol.status != "optimal":
                 continue
+            observe(j, up, sol.objective - node_bound, 1.0 - frac if up else frac)
             if incumbent_x is not None and sol.objective >= incumbent_obj - GAP_TOL * max(1.0, abs(incumbent_obj)):
                 continue
-            if fractional(sol.x) is None:
+            if _fractional(sol.x, int_idx) is None:
                 if sol.objective < incumbent_obj:
                     incumbent_obj, incumbent_x = sol.objective, snap(sol.x)
             else:
                 counter += 1
                 heapq.heappush(heap, (sol.objective, counter, child_lo, child_hi, sol.x, sol.basis))
 
+    # The open nodes bound what is left; nodes left by the gap test lie
+    # within GAP_TOL of the incumbent, and an exhausted tree proves it.
+    bound = min(heap[0][0], incumbent_obj) if heap else incumbent_obj
     if incumbent_x is None:
         if status == "time_limit":
-            return MilpSolution(status="time_limit", bound=best_bound, nodes=nodes_solved, pivots=pivots,
-                                **size)
+            return MilpSolution(status="time_limit", bound=bound, nodes=nodes_solved, pivots=pivots, **size)
         return MilpSolution(status="infeasible", nodes=nodes_solved, pivots=pivots, **size)
-
-    if status == "optimal":
-        # an exhausted tree proves the incumbent; nodes left by the gap test
-        # lie within GAP_TOL of it
-        best_bound = min(heap[0][0], incumbent_obj) if heap else incumbent_obj
-    gap = abs(incumbent_obj - best_bound) / max(1.0, abs(incumbent_obj))
     return MilpSolution(
-        status=status if status == "time_limit" else "optimal",
+        status=status,
         x=incumbent_x,
         objective=incumbent_obj,
-        bound=best_bound,
-        gap=gap,
+        bound=bound,
+        gap=abs(incumbent_obj - bound) / max(1.0, abs(incumbent_obj)),
         nodes=nodes_solved,
         pivots=pivots,
         **size,
     )
+
+
+def _fractional(x: np.ndarray, int_idx: np.ndarray) -> Optional[int]:
+    """The first integer column farthest from an integer, if beyond INT_TOL."""
+    dist = np.abs(x[int_idx] - np.round(x[int_idx]))
+    if dist.max(initial=0.0) <= INT_TOL:
+        return None
+    return int(int_idx[dist.argmax()])
+
+
+def _pseudocost_column(x: np.ndarray, int_idx: np.ndarray, gains: np.ndarray, counts: np.ndarray) -> int:
+    """The integer column to branch on at x, a point with a fractional one.
+
+    ``gains[d, j] / counts[d, j]`` is column j's pseudocost: the mean rise
+    of the LP bound per unit that j was pushed down (d = 0) or up (d = 1).
+    A direction that j has no observations in takes the mean over all
+    columns' observations in it, or 1 without any. With f the fractional
+    part of x_j, the estimated rises are that mean times f down and times
+    1 - f up, and the column with the largest product of the two (each at
+    least 1e-6) wins, the first one on ties. With no observations at all the
+    product is f (1 - f), so the most fractional column wins.
+    """
+    xi = x[int_idx]
+    f = xi - np.floor(xi)
+    seen = counts[:, int_idx] > 0
+    total = counts.sum(axis=1, keepdims=True)
+    overall = np.divide(gains.sum(axis=1, keepdims=True), total, out=np.ones_like(total), where=total > 0)
+    mean = np.divide(gains[:, int_idx], counts[:, int_idx], out=np.repeat(overall, xi.size, axis=1), where=seen)
+    score = np.maximum(mean[0] * f, 1e-6) * np.maximum(mean[1] * (1.0 - f), 1e-6)
+    score[np.abs(xi - np.round(xi)) <= INT_TOL] = -1.0
+    return int(int_idx[score.argmax()])
 
 
 def _with(arr: np.ndarray, j: int, value: float) -> np.ndarray:

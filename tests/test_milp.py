@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import math
 import sys
@@ -508,6 +509,155 @@ def test_speed_reducer_branch_and_bound_runs_on_less_than_half_the_rows():
     assert sol.objective == pytest.approx(ref_obj, abs=1e-6, rel=1e-6)
     assert model.row_residuals(sol.x).max(initial=0.0) <= 1e-6
 
+
+@pytest.fixture(scope="module")
+def speed_reducer_models():
+    """Seed 3's speed-reducer models without relaxation, by rho (0 and 0.01)."""
+    from surropt import driver
+    from surropt.benchmarks import speed_reducer_problem
+    from surropt.encoder import RobustConfig
+    from surropt.model import standardize
+
+    cfg = driver.RunConfig(seed=3)
+    sp = standardize(speed_reducer_problem())
+    trained = driver.train(sp, driver.sample(sp, cfg), cfg)
+    return {
+        rho: driver.assemble(
+            sp, trained.constraints, trained.objective,
+            RobustConfig(rho=rho, p=cfg.norm_p) if rho > 0 else None, None,
+        )
+        for rho in (0.0, 0.01)
+    }
+
+
+def _pseudocost_reference(x, int_idx, gains, counts):
+    """``milp._pseudocost_column`` as a loop over the candidate columns."""
+    overall = [gains[d].sum() / counts[d].sum() if counts[d].sum() else 1.0 for d in (0, 1)]
+    best, best_score = None, -math.inf
+    for j in int_idx:
+        if abs(x[j] - round(x[j])) <= milp.INT_TOL:
+            continue
+        f = x[j] - math.floor(x[j])
+        mean = [gains[d, j] / counts[d, j] if counts[d, j] else overall[d] for d in (0, 1)]
+        score = max(mean[0] * f, 1e-6) * max(mean[1] * (1.0 - f), 1e-6)
+        if score > best_score:
+            best, best_score = j, score
+    return best
+
+
+def _fractional_point(rng, n):
+    """n values, some integral, some on a 1/8 grid (so with exact ties), the rest anywhere."""
+    kind = rng.integers(0, 3, size=n)
+    whole = rng.integers(-3, 4, size=n).astype(float)
+    return np.where(kind == 0, whole, np.where(kind == 1, whole + rng.integers(1, 8, size=n) / 8.0,
+                                               rng.uniform(-3.0, 3.0, size=n)))
+
+
+def test_pseudocost_branching_without_observations_is_most_fractional():
+    rng = np.random.default_rng(7)
+    for _ in range(500):
+        n = int(rng.integers(1, 12))
+        x = _fractional_point(rng, n)
+        int_idx = np.flatnonzero(rng.random(n) < 0.7)
+        j = milp._fractional(x, int_idx)
+        if j is None:
+            continue
+        empty = np.zeros((2, n))
+        assert milp._pseudocost_column(x, int_idx, empty, empty) == j
+
+
+def test_pseudocost_branching_follows_the_product_score():
+    # column 0 is the most fractional, but its own observations say that
+    # branching it barely moves the bound; column 2 has none and takes the
+    # mean over all observations in each direction
+    x = np.array([0.5, 0.3, 0.8])
+    int_idx = np.arange(3)
+    gains = np.array([[0.1, 10.0, 0.0], [0.1, 10.0, 0.0]])
+    counts = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+    # scores: 0.05 * 0.05, 3 * 7 and (5.05 * 0.8) * (5.05 * 0.2)
+    assert milp._fractional(x, int_idx) == 0
+    assert milp._pseudocost_column(x, int_idx, gains, counts) == 1
+    # column 1 saw no rise down, so its product is floored at 1e-6 * 7; column 2
+    # takes the means over all columns, 0.05 down and 5.05 up: 0.04 * 1.01
+    gains[:, 1] = [0.0, 10.0]
+    assert milp._pseudocost_column(x, int_idx, gains, counts) == 2
+    # with no up observations anywhere, every up estimate is 1 per unit, and
+    # column 0's 0.05 * 0.5 beats column 2's 0.04 * 0.2
+    counts[1] = 0.0
+    assert milp._pseudocost_column(x, int_idx, gains, counts) == 0
+
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        n = int(rng.integers(1, 12))
+        x = _fractional_point(rng, n)
+        int_idx = np.flatnonzero(rng.random(n) < 0.7)
+        if milp._fractional(x, int_idx) is None:
+            continue
+        counts = rng.integers(0, 3, size=(2, n)).astype(float)
+        gains = counts * rng.exponential(1.0, size=(2, n)) * (rng.random((2, n)) < 0.8)
+        assert milp._pseudocost_column(x, int_idx, gains, counts) == _pseudocost_reference(
+            x, int_idx, gains, counts)
+
+
+def test_speed_reducer_branch_and_bound_takes_few_node_lps(speed_reducer_models):
+    """Most-fractional branching took 388 and 380 LPs on these two models."""
+    for rho, model in speed_reducer_models.items():
+        sol = milp.solve_milp(model)
+        ref_status, ref_obj = _scipy_milp(model)
+        assert sol.status == ref_status == "optimal", rho
+        assert sol.objective == pytest.approx(ref_obj, abs=1e-6, rel=1e-6), rho
+        assert sol.nodes <= 120, (rho, sol.nodes)
+
+
+def test_dive_stops_at_the_time_limit(speed_reducer_models, monkeypatch):
+    starts = []
+    solve_lp = milp.solve_lp
+
+    def slow_solve_lp(*args, **kwargs):
+        starts.append(time.monotonic())
+        time.sleep(0.02)
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(milp, "solve_lp", slow_solve_lp)
+    t0 = time.monotonic()
+    sol = milp.solve_milp(speed_reducer_models[0.0], time_limit=0.01)
+    assert sol.status == "time_limit"
+    late = [t for t in starts if t > t0 + 0.01]
+    assert len(late) <= 1, f"{len(late)} of {len(starts)} LPs started after the deadline"
+
+
+@pytest.mark.parametrize("limit", [1, 30])
+def test_node_limited_solve_reports_the_least_open_bound(speed_reducer_models, monkeypatch, limit):
+    # the open nodes are the heap the tree pops from, each (bound, ...), or
+    # the root alone before the first pop
+    heaps, objectives = [], []
+    solve_lp = milp.solve_lp
+
+    def recording_solve_lp(*args, **kwargs):
+        sol = solve_lp(*args, **kwargs)
+        objectives.append(sol.objective)
+        return sol
+
+    class RecordingHeapq:
+        @staticmethod
+        def heappush(heap, item):
+            heaps.append(heap)
+            heapq.heappush(heap, item)
+
+        @staticmethod
+        def heappop(heap):
+            heaps.append(heap)
+            return heapq.heappop(heap)
+
+    monkeypatch.setattr(milp, "solve_lp", recording_solve_lp)
+    monkeypatch.setattr(milp, "heapq", RecordingHeapq)
+    monkeypatch.setattr(milp, "NODE_LIMIT", limit)
+    sol = milp.solve_milp(speed_reducer_models[0.0])
+    assert sol.status == "time_limit"
+    assert sol.nodes == len(objectives) <= limit + 1  # a node's two children are solved together
+    open_bounds = [item[0] for item in heaps[-1]] if heaps else objectives[:1]
+    incumbent = math.inf if sol.objective is None else sol.objective
+    assert sol.bound == min(open_bounds + [incumbent])
 
 
 def test_reduce_keeps_singleton_rows_whose_bounds_would_cross():
