@@ -53,10 +53,6 @@ class EmptyPolyhedron(SurroptError):
     """Polyhedron has no interior point."""
 
 
-class NumericalCollapse(SurroptError):
-    """Sampling chain collapsed to a degenerate region."""
-
-
 class UnsupportedNorm(SurroptError):
     """Requested dual norm cannot be linearized by the built-in solver."""
 

@@ -100,16 +100,23 @@ class ObliqueTree:
                 stack.append((node.right, idx[~left]))
         return out
 
-    def leaf_path(self, x):
-        """Splits along the routing of x as (a, b, went_left) triples."""
-        node = self.root
-        x = np.asarray(x, dtype=float)
-        path = []
-        while not node.is_leaf:
-            went_left = float(node.a @ x) <= node.b
-            path.append((node.a, node.b, went_left))
-            node = node.left if went_left else node.right
-        return path
+    def route(self, X) -> np.ndarray:
+        """Index into ``leaves()`` of the leaf each row of X reaches, with
+        the comparisons of ``predict``."""
+        X = np.asarray(X, dtype=float)
+        out = np.empty(len(X), dtype=int)
+        leaf = 0
+        stack = [(self.root, np.arange(len(X)))]
+        while stack:  # left child first, the order of ``leaves()``
+            node, idx = stack.pop()
+            if node.is_leaf:
+                out[idx] = leaf
+                leaf += 1
+            else:
+                left = _rowwise(node.a[None, :], X[idx])[:, 0] <= node.b
+                stack.append((node.right, idx[~left]))
+                stack.append((node.left, idx[left]))
+        return out
 
     def leaves(self):
         """All leaves as (value, path) with path entries (a, b, on_left_side)."""

@@ -4,7 +4,9 @@ Four stages: box-corner sampling, Latin hypercube filling, secant-step
 boundary refinement between opposite-label neighbors, and committee-driven
 adaptive sampling that trains several trees on random data subsets, finds
 points where the committee disagrees, intersects the leaf regions around
-them, and fills those regions with hit-and-run chains.
+them, and fills those regions with hit-and-run chains. The committee routes
+all those points at once, one polyhedron is built per distinct combination
+of leaves, and the chains of a round run in lockstep as arrays.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import milp
-from .errors import DegenerateDataset, EmptyPolyhedron, NumericalCollapse
+from .errors import DegenerateDataset, EmptyPolyhedron
 
 STRICT_MARGIN = 1e-7  # closed-set stand-in for strict split sides
 CONTAIN_TOL = 1e-9
@@ -242,58 +244,97 @@ def chebyshev_center(poly: Polyhedron):
 
 
 def hit_and_run(
-    poly: Polyhedron,
-    x0,
+    polys: list,
+    starts: list,
     n: int,
     rng: np.random.Generator,
     burn_in: int = 0,
-) -> np.ndarray:
-    """Uniform-limit MCMC samples along random chords of the polyhedron.
+) -> list:
+    """Uniform-limit MCMC samples along random chords, one chain per
+    polyhedron (all of one dimension d), the chains stepped together as
+    arrays.
 
-    Every output satisfies all rows with slack >= -1e-9. Raises
-    NumericalCollapse when 100 consecutive chords degenerate to length below
-    1e-12.
+    Chain p starts at ``starts[p]`` (clipped to the box when outside
+    ``polys[p]``) and returns an ``(n, d)`` array after ``burn_in``
+    discarded steps, or None when 100 consecutive chords degenerate to
+    length below 1e-12 (a zero direction counts as one). Every output
+    satisfies all rows with slack >= -1e-9.
+
+    Draws are taken chain by chain before any step: per step
+    ``rng.normal(size=d)`` and then ``rng.random()`` for the chord position.
+    The rows of all polyhedra are stacked zero-padded, with padded ``b`` =
+    +inf, and each product runs as one matrix-vector product per chain. So
+    a chain that never collapses is bit for bit the chain run alone, one
+    polyhedron after another on the same generator, with each step placed
+    by ``rng.uniform(lam_min, lam_max)``. A collapsed step uses up its
+    draws, and a chain that runs out draws more after all the others.
     """
-    A, b = poly.full_rows()
-    x = np.asarray(x0, dtype=float).copy()
-    if not poly.contains(x, tol=0.0):
-        x = np.clip(x, poly.lo, poly.hi)
-    out = np.empty((n, poly.dim))
-    collapsed = 0
-    produced = 0
-    step = 0
-    while produced < n:
-        u = rng.normal(size=poly.dim)
-        norm = np.linalg.norm(u)
-        if norm == 0.0:
-            continue
-        u /= norm
-        Au = A @ u
-        slack = b - A @ x
-        lam_max = math.inf
-        lam_min = -math.inf
-        pos = Au > 1e-14
-        neg = Au < -1e-14
-        if pos.any():
-            lam_max = float(np.min(slack[pos] / Au[pos]))
-        if neg.any():
-            lam_min = float(np.max(slack[neg] / Au[neg]))
-        if not math.isfinite(lam_max) or not math.isfinite(lam_min):
-            # bounded box guarantees this cannot persist; treat as degenerate
-            collapsed += 1
-        elif lam_max - lam_min < 1e-12:
-            collapsed += 1
-        else:
-            collapsed = 0
-            lam = rng.uniform(lam_min, lam_max)
-            x = x + lam * u
-            step += 1
-            if step > burn_in:
-                out[produced] = x
-                produced += 1
-        if collapsed >= 100:
-            raise NumericalCollapse("hit-and-run chord collapsed 100 times in a row")
-    return out
+    P = len(polys)
+    if P == 0 or n == 0:
+        return [np.empty((0, poly.dim)) for poly in polys]
+    d = polys[0].dim
+    steps = burn_in + n
+    M = max(poly.A.shape[0] for poly in polys) + 2 * d
+    A3 = np.zeros((P, M, d))
+    B = np.full((P, M), np.inf)
+    for p, poly in enumerate(polys):
+        A, b = poly.full_rows()
+        A3[p, :len(b)] = A
+        B[p, :len(b)] = b
+
+    def draw(U, W):
+        """Fill one chain's next directions U and positions W."""
+        for s in range(len(W)):
+            rng.standard_normal(out=U[s])
+            W[s] = rng.random()
+        U += 0.0  # rng.normal(size=d) is 0.0 + 1.0 * z, which has no -0.0
+
+    U = np.empty((P, steps, d))
+    W = np.empty((P, steps))
+    for p in range(P):
+        draw(U[p], W[p])
+    drawn = np.full(P, steps)
+    used = np.zeros(P, dtype=int)
+
+    X = np.array(starts, dtype=float).reshape(P, d)
+    outside = ~(np.matmul(A3, X[:, :, None])[:, :, 0] <= B).all(axis=1)
+    for p in np.nonzero(outside)[0]:
+        X[p] = np.clip(X[p], polys[p].lo, polys[p].hi)
+
+    out = np.empty((P, n, d))
+    live = np.arange(P)  # chain of each row of A3, B and X
+    taken = np.zeros(P, dtype=int)
+    collapsed = np.zeros(P, dtype=int)
+    dead = np.zeros(P, dtype=bool)
+    while live.size:
+        for p in live[used[live] == drawn[live]]:
+            if drawn[p] == U.shape[1]:
+                U = np.concatenate([U, np.empty((P, steps, d))], axis=1)
+                W = np.concatenate([W, np.empty((P, steps))], axis=1)
+            draw(U[p, drawn[p]:drawn[p] + steps], W[p, drawn[p]:drawn[p] + steps])
+            drawn[p] += steps
+        u = U[live, used[live]]
+        w = W[live, used[live]]
+        used[live] += 1
+        norm = np.sqrt(np.matmul(u[:, None, :], u[:, :, None]))[:, 0, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = u / norm[:, None]
+            Au = np.matmul(A3, u[:, :, None])[:, :, 0]
+            ratio = (B - np.matmul(A3, X[:, :, None])[:, :, 0]) / Au
+        lam_max = np.where(Au > 1e-14, ratio, np.inf).min(axis=1)
+        lam_min = np.where(Au < -1e-14, ratio, -np.inf).max(axis=1)
+        ok = np.isfinite(lam_max) & np.isfinite(lam_min) & ~(lam_max - lam_min < 1e-12)
+        lam = lam_min[ok] + (lam_max[ok] - lam_min[ok]) * w[ok]
+        X[ok] = X[ok] + lam[:, None] * u[ok]
+        collapsed[live] = np.where(ok, 0, collapsed[live] + 1)
+        taken[live[ok]] += 1
+        record = ok & (taken[live] > burn_in)
+        out[live[record], taken[live[record]] - burn_in - 1] = X[record]
+        dead[live] = collapsed[live] >= 100
+        keep = (taken[live] < steps) & ~dead[live]
+        if not keep.all():
+            live, A3, B, X = live[keep], A3[keep], B[keep], X[keep]
+    return [None if dead[p] else out[p] for p in range(P)]
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +365,15 @@ def oct_adaptive_sample(
     (unlabeled) samples.
 
     ``train_tree(X, y, seed)`` must return a tree exposing ``predict(X)``
-    (one prediction per row) and ``leaf_path``. When ``deadline``
-    (a ``time.monotonic()`` instant) passes mid-round, the round stops early
-    and returns whatever it has gathered.
+    (one prediction per row), ``leaves()`` (``(value, path)`` pairs, path
+    entries ``(a, b, on_left_side)``) and ``route(X)`` (each row's index
+    into ``leaves()``). Each distinct combination of leaves gives one
+    polyhedron, in the order the ambiguous points first reach it; one
+    ``hit_and_run`` call then fills every polyhedron whose Chebyshev ball
+    is not empty, and a chain that collapses adds nothing. When
+    ``deadline`` (a ``time.monotonic()`` instant) passes while the
+    Chebyshev centers are being found, no further polyhedron is kept and
+    the round samples the ones it has.
     """
     points = np.asarray(points, dtype=float)
     labels = np.asarray(labels, dtype=float)
@@ -346,32 +393,37 @@ def oct_adaptive_sample(
     gap = np.abs(pos - (K - pos))
     ambiguous = np.nonzero(gap <= K * cfg.discordance)[0]
 
+    # one polyhedron per distinct combination of leaves, in the order the
+    # ambiguous points first reach it
     polys = []
-    keys = {}
-    for i in ambiguous:
-        rows_a, rows_b = [], []
-        for tree in committee:
-            for a, bb, went_left in tree.leaf_path(points[i]):
-                if went_left:
-                    rows_a.append(a)
-                    rows_b.append(bb)
-                else:
-                    # strict side a.x > b, closed with a small margin
-                    rows_a.append(-a)
-                    rows_b.append(-(bb + STRICT_MARGIN))
-        poly = Polyhedron(
-            A=np.array(rows_a).reshape(-1, points.shape[1]),
-            b=np.array(rows_b),
-            lo=np.asarray(lo, dtype=float),
-            hi=np.asarray(hi, dtype=float),
-        )
-        key = poly.canonical_key()
-        if key not in keys:
-            keys[key] = len(polys)
-            polys.append(poly)
+    if ambiguous.size:
+        routes = np.column_stack([tree.route(points[ambiguous]) for tree in committee])
+        _, first = np.unique(routes, axis=0, return_index=True)
+        leaves = [tree.leaves() for tree in committee]
+        keys = set()
+        for i in np.sort(first):
+            rows_a, rows_b = [], []
+            for tree_leaves, leaf in zip(leaves, routes[i]):
+                for a, bb, went_left in tree_leaves[leaf][1]:
+                    if went_left:
+                        rows_a.append(a)
+                        rows_b.append(bb)
+                    else:
+                        # strict side a.x > b, closed with a small margin
+                        rows_a.append(-a)
+                        rows_b.append(-(bb + STRICT_MARGIN))
+            poly = Polyhedron(
+                A=np.array(rows_a).reshape(-1, points.shape[1]),
+                b=np.array(rows_b),
+                lo=np.asarray(lo, dtype=float),
+                hi=np.asarray(hi, dtype=float),
+            )
+            key = poly.canonical_key()
+            if key not in keys:
+                keys.add(key)
+                polys.append(poly)
 
-    new_pts = []
-    sources = []
+    kept, centers = [], []
     for pi, poly in enumerate(polys):
         if time.monotonic() > deadline:
             break
@@ -381,16 +433,15 @@ def oct_adaptive_sample(
             continue
         if radius < 1e-9:
             continue
-        try:
-            draws = hit_and_run(poly, center, cfg.hr_per_poly, rng, burn_in=cfg.hr_burn_in)
-        except NumericalCollapse:
-            continue
-        new_pts.extend(draws)
-        sources.extend([pi] * len(draws))
-
+        kept.append(pi)
+        centers.append(center)
+    chains = hit_and_run(
+        [polys[pi] for pi in kept], centers, cfg.hr_per_poly, rng, burn_in=cfg.hr_burn_in
+    )
+    filled = [(pi, draws) for pi, draws in zip(kept, chains) if draws is not None]
     return AdaptiveSampleResult(
-        points=np.array(new_pts).reshape(-1, points.shape[1]),
+        points=np.concatenate([draws for _, draws in filled] + [np.empty((0, points.shape[1]))]),
         committee=committee,
         polyhedra=polys,
-        point_poly=np.array(sources, dtype=int),
+        point_poly=np.array([pi for pi, draws in filled for _ in draws], dtype=int),
     )

@@ -286,7 +286,7 @@ def test_criterion_6_robust_nestedness():
 
 def test_criterion_7_hit_and_run():
     poly = S.Polyhedron(A=np.empty((0, 2)), b=np.empty(0), lo=np.zeros(2), hi=np.ones(2))
-    draws = S.hit_and_run(poly, np.array([0.5, 0.5]), 10_000, np.random.default_rng(11), burn_in=20)
+    [draws] = S.hit_and_run([poly], [np.array([0.5, 0.5])], 10_000, np.random.default_rng(11), burn_in=20)
     contained = bool((draws >= -1e-9).all() and (draws <= 1 + 1e-9).all())
     means = draws.mean(axis=0)
     means_ok = bool((means >= 0.45).all() and (means <= 0.55).all())

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surropt import sampling as S
-from surropt.errors import DegenerateDataset, EmptyPolyhedron, NumericalCollapse
+from surropt.errors import DegenerateDataset, EmptyPolyhedron
 from surropt.learners import train_tree
 
 
@@ -231,7 +231,7 @@ def test_chebyshev_empty():
 
 def test_hit_and_run_containment_and_means():
     poly = S.Polyhedron(A=np.empty((0, 2)), b=np.empty(0), lo=np.zeros(2), hi=np.ones(2))
-    draws = S.hit_and_run(poly, np.array([0.5, 0.5]), 10_000, np.random.default_rng(11), burn_in=20)
+    [draws] = S.hit_and_run([poly], [np.array([0.5, 0.5])], 10_000, np.random.default_rng(11), burn_in=20)
     assert draws.shape == (10_000, 2)
     assert (draws >= -1e-9).all() and (draws <= 1.0 + 1e-9).all()
     means = draws.mean(axis=0)
@@ -242,7 +242,7 @@ def test_hit_and_run_respects_rows():
     poly = S.Polyhedron(
         A=np.array([[1.0, 1.0]]), b=np.array([1.0]), lo=np.zeros(2), hi=np.ones(2)
     )
-    draws = S.hit_and_run(poly, np.array([0.25, 0.25]), 2000, np.random.default_rng(3), burn_in=10)
+    [draws] = S.hit_and_run([poly], [np.array([0.25, 0.25])], 2000, np.random.default_rng(3), burn_in=10)
     assert (draws.sum(axis=1) <= 1.0 + 1e-9).all()
 
 
@@ -250,8 +250,102 @@ def test_hit_and_run_collapse():
     degenerate = S.Polyhedron(
         A=np.empty((0, 2)), b=np.empty(0), lo=np.array([0.3, 0.3]), hi=np.array([0.3, 0.3])
     )
-    with pytest.raises(NumericalCollapse):
-        S.hit_and_run(degenerate, np.array([0.3, 0.3]), 5, np.random.default_rng(0))
+    assert S.hit_and_run([degenerate], [np.array([0.3, 0.3])], 5, np.random.default_rng(0)) == [None]
+
+
+def _hit_and_run_reference(poly, x0, n, rng, burn_in=0):
+    """One chain run alone, as ``hit_and_run`` ran before its chains were
+    stepped together; None where that loop raised on collapse."""
+    A, b = poly.full_rows()
+    x = np.asarray(x0, dtype=float).copy()
+    if not poly.contains(x, tol=0.0):
+        x = np.clip(x, poly.lo, poly.hi)
+    out = np.empty((n, poly.dim))
+    collapsed = 0
+    produced = 0
+    step = 0
+    while produced < n:
+        u = rng.normal(size=poly.dim)
+        norm = np.linalg.norm(u)
+        if norm == 0.0:
+            continue
+        u /= norm
+        Au = A @ u
+        slack = b - A @ x
+        lam_max = math.inf
+        lam_min = -math.inf
+        pos = Au > 1e-14
+        neg = Au < -1e-14
+        if pos.any():
+            lam_max = float(np.min(slack[pos] / Au[pos]))
+        if neg.any():
+            lam_min = float(np.max(slack[neg] / Au[neg]))
+        if not math.isfinite(lam_max) or not math.isfinite(lam_min):
+            collapsed += 1
+        elif lam_max - lam_min < 1e-12:
+            collapsed += 1
+        else:
+            collapsed = 0
+            lam = rng.uniform(lam_min, lam_max)
+            x = x + lam * u
+            step += 1
+            if step > burn_in:
+                out[produced] = x
+                produced += 1
+        if collapsed >= 100:
+            return None
+    return out
+
+
+def _random_polyhedron(rng, d):
+    """A box around an interior point, cut by 0-24 random rows that keep
+    the point strictly inside; returns the polyhedron and the point."""
+    x0 = rng.normal(size=d)
+    lo = x0 - rng.uniform(0.01, 3.0, size=d)
+    hi = x0 + rng.uniform(0.01, 3.0, size=d)
+    m = int(rng.integers(0, 25))
+    A = rng.normal(size=(m, d)) * rng.choice([1e-3, 1.0, 50.0], size=(m, 1))
+    A[rng.random(size=(m, d)) < 0.3] = 0.0
+    b = A @ x0 + rng.uniform(1e-3, 2.0, size=m)
+    return S.Polyhedron(A=A, b=b, lo=lo, hi=hi), x0
+
+
+def test_hit_and_run_lockstep_matches_chains_run_alone():
+    # every chain of one call is byte-identical to the chain run alone on
+    # a shared generator, and the generator ends in the same state
+    rng = np.random.default_rng(2023)
+    chains = 0
+    for case in range(60):
+        d = int(rng.integers(1, 12))
+        made = [_random_polyhedron(rng, d) for _ in range(int(rng.integers(1, 61)))]
+        polys = [poly for poly, _ in made]
+        starts = [x0 for _, x0 in made]
+        n, burn_in = int(rng.integers(1, 13)), int(rng.integers(0, 21))
+        lockstep, alone = np.random.default_rng(case), np.random.default_rng(case)
+        got = S.hit_and_run(polys, starts, n, lockstep, burn_in=burn_in)
+        want = [_hit_and_run_reference(p, x0, n, alone, burn_in) for p, x0 in zip(polys, starts)]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert w is not None and g.shape == (n, d)
+            assert g.tobytes() == w.tobytes()
+        assert lockstep.random() == alone.random()
+        chains += len(got)
+    assert chains > 1000
+
+
+def test_hit_and_run_collapsed_chain_leaves_the_others_whole():
+    rng = np.random.default_rng(5)
+    healthy = [_random_polyhedron(rng, 3) for _ in range(4)]
+    degenerate = S.Polyhedron(
+        A=np.empty((0, 3)), b=np.empty(0), lo=np.array([0.0, 0.2, 0.0]), hi=np.array([1.0, 0.2, 1.0])
+    )
+    polys = [healthy[0][0], healthy[1][0], degenerate, healthy[2][0], healthy[3][0]]
+    starts = [healthy[0][1], healthy[1][1], np.array([0.5, 0.2, 0.5]), healthy[2][1], healthy[3][1]]
+    got = S.hit_and_run(polys, starts, 7, np.random.default_rng(0), burn_in=3)
+    assert got[2] is None
+    for i in (0, 1, 3, 4):
+        assert got[i].shape == (7, 3)
+        assert all(polys[i].contains(x, tol=1e-9) for x in got[i])
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +382,11 @@ class _Stump:
     def predict(self, X):
         return np.array([self.predict_one(x) for x in X])
 
-    def leaf_path(self, x):
-        return [(self.a, self.b, float(self.a @ x) <= self.b)]
+    def leaves(self):
+        return [(1.0, [(self.a, self.b, True)]), (0.0, [(self.a, self.b, False)])]
+
+    def route(self, X):
+        return np.array([0 if float(self.a @ x) <= self.b else 1 for x in X], dtype=int)
 
 
 def test_adaptive_two_disagreeing_stumps_sample_the_gap():
@@ -334,3 +431,64 @@ def test_adaptive_discordance_guarantee_at_samples():
     for point in res.points:
         votes = sum(1.0 if t.predict_one(point) >= 0.5 else 0.0 for t in res.committee)
         assert abs(votes - (K - votes)) <= K * tau + 1e-9
+
+
+def test_route_reaches_the_leaf_predict_one_reaches():
+    rng = np.random.default_rng(12)
+    for seed in range(6):
+        d = int(rng.integers(1, 5))
+        X = rng.uniform(-1, 1, size=(120, d))
+        y = (np.sin(3 * X[:, 0]) + X.sum(axis=1) ** 2 <= 0.5).astype(float)
+        tree = train_tree(X, y, task="classifier", max_depth=4, oblique=True, seed=seed)
+        leaves = tree.leaves()
+        Q = np.vstack([X, rng.uniform(-1.5, 1.5, size=(80, d))])
+        routed = tree.route(Q)
+        assert routed.shape == (len(Q),)
+        for x, leaf in zip(Q, routed):
+            value, path = leaves[leaf]
+            assert value == tree.predict_one(x)
+            assert all((float(a @ x) <= b) == on_left for a, b, on_left in path)
+    assert tree.route(np.empty((0, d))).shape == (0,)
+
+
+def _polyhedra_reference(points, committee, discordance, lo, hi):
+    """The adaptive round's polyhedra built one ambiguous point at a time,
+    each tree walked node by node, duplicates dropped by canonical key."""
+    K = len(committee)
+    pos = sum((np.array([t.predict_one(x) for x in points]) >= 0.5).astype(float) for t in committee)
+    polys, keys = [], set()
+    for i in np.nonzero(np.abs(pos - (K - pos)) <= K * discordance)[0]:
+        rows_a, rows_b = [], []
+        for tree in committee:
+            node = tree.root
+            while not node.is_leaf:
+                if float(node.a @ points[i]) <= node.b:
+                    rows_a.append(node.a)
+                    rows_b.append(node.b)
+                    node = node.left
+                else:
+                    rows_a.append(-node.a)
+                    rows_b.append(-(node.b + S.STRICT_MARGIN))
+                    node = node.right
+        poly = S.Polyhedron(A=np.array(rows_a).reshape(-1, points.shape[1]), b=np.array(rows_b), lo=lo, hi=hi)
+        if poly.canonical_key() not in keys:
+            keys.add(poly.canonical_key())
+            polys.append(poly)
+    return polys
+
+
+def test_adaptive_polyhedra_match_per_point_construction():
+    rng = np.random.default_rng(21)
+    for case in range(4):
+        d = 2 + case
+        X = rng.uniform(0, 1, size=(160, d))
+        y = (np.linalg.norm(X - 0.5, axis=1) <= 0.35).astype(float)
+        cfg = S.SamplerConfig(committee_size=4, subset_size=70, discordance=0.5, hr_per_poly=2, hr_burn_in=2)
+        res = S.oct_adaptive_sample(
+            X, y, cfg, np.random.default_rng(case), _tree_trainer, np.zeros(d), np.ones(d)
+        )
+        want = _polyhedra_reference(X, res.committee, cfg.discordance, np.zeros(d), np.ones(d))
+        assert len(want) > 1
+        assert len(res.polyhedra) == len(want)
+        for got, ref in zip(res.polyhedra, want):
+            assert got.A.tobytes() == ref.A.tobytes() and got.b.tobytes() == ref.b.tobytes()
