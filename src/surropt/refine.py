@@ -1,16 +1,25 @@
 """Local improvement of incumbents by projected gradient descent.
 
 The merit function is objective plus a penalty on nonlinear-constraint
-violations; linear rows and the box are enforced instead by the exact
-Euclidean projection onto their intersection, found by a dual active-set
-method. Momentum is conditional: it stays on only while the
-previous accepted step decreased the merit.
+violations, and it decides which steps are accepted. Each step moves
+along the objective's gradient, with conditional momentum (it stays on
+only while the previous iteration's step was accepted), and projects onto
+the linear rows, the box and every nonlinear constraint linearized at the
+current point: Rosen's gradient projection for nonlinear constraints
+(*J. SIAM* 9(4), 1961). The projection is the exact Euclidean one onto
+their intersection, found by a dual active-set method. A probe that loses
+gets one second-order correction (Fletcher, *Lecture Notes in Math.* 912,
+1982): the same gradients, with the constraint values taken at the probe.
+An iteration whose step accepts nothing falls back on a derivative-free
+coordinate sweep, which also moves a start that lies where evaluations
+fail.
 
 Values come from the constraints' and objective's ``value``, which
 evaluates each point once per solve and gives NaN where an evaluation
-fails; such a point has merit inf and is never accepted. ``value`` also
-stops the run at its deadline, which ends refinement with a warning.
-Gradients call the evaluators directly, and a failure there ends
+fails; such a point has merit inf and is never accepted, and a constraint
+whose value or gradient is not finite is left out of the linearization.
+``value`` also stops the run at its deadline, which ends refinement with a
+warning. Gradients call the evaluators directly, and a failure there ends
 refinement with a warning too.
 
 A line-search probe only has to beat a bar, so it stops evaluating once
@@ -34,12 +43,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import EvaluationError, ProjectionStall, TimeLimitReached
-from .model import StandardProblem
+from .model import LinearConstraint, StandardProblem
 
 TIME_LIMIT_WARNING = "stopped at the time limit"
 PENALTY = 1e3       # merit weight of the summed nonlinear violations
 MAX_HALVINGS = 20   # backtracking tries no alpha below 2^-MAX_HALVINGS
-STEP_TOL = 1e-9     # direction norm below which no gradient step is tried
 GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section fraction, about 0.382
 # bracket width, in coordinate-sweep grid spacings, that ends a line search;
 # wider stops cost the speed reducer objective, narrower ones only add probes
@@ -48,7 +56,7 @@ SWEEP_STOP = 1e-4
 
 @dataclass
 class PgdConfig:
-    iterations: int = 10
+    iterations: int = 30
     momentum: float = 0.9
 
     def __post_init__(self):
@@ -226,20 +234,29 @@ def merit_state(sp: StandardProblem, x, below: float = math.inf, order=None) -> 
     return MeritState(x=x, objective=f, violations=v, merit=merit)
 
 
-def _merit_gradient(sp: StandardProblem, x) -> np.ndarray:
-    """Gradient of the merit. Next to an infinite value, central differences
-    (or a gradient callback) give infinite terms, whose sum can be NaN; such
-    components come back as 0 here, so the step does not move them."""
-    g = sp.objective.grad(x)
+def _gradients(sp: StandardProblem, x) -> list:
+    """(constraint, gradient) for each nonlinear constraint whose value and
+    gradient at x are finite."""
+    out = []
     with np.errstate(invalid="ignore", over="ignore"):
         for con in sp.nonlinear:
-            value = con.value(x)
-            if con.sense == "=0":
-                if abs(value) > 0.0:
-                    g = g + PENALTY * math.copysign(1.0, value) * con.grad(x)
-            elif value > 0.0:
-                g = g + PENALTY * con.grad(x)
-    return np.where(np.isfinite(g), g, 0.0)
+            if math.isfinite(con.value(x)):
+                a = con.grad(x)
+                if np.isfinite(a).all():
+                    out.append((con, a))
+    return out
+
+
+def _linearized(gradients, p) -> tuple:
+    """Rows ``c_i(p) + a_i (y - p) <= 0``, ``=`` for equalities, for each
+    (c_i, a_i) in ``gradients`` whose value at p is finite."""
+    rows = []
+    for con, a in gradients:
+        value = con.value(p)
+        if math.isfinite(value):
+            rows.append(LinearConstraint(a, "=" if con.sense == "=0" else "<=",
+                                         float(a @ p) - value))
+    return tuple(rows)
 
 
 def _coordinate_interval(x, j, rows, lo, hi):
@@ -323,57 +340,31 @@ def _coordinate_sweep(sp: StandardProblem, state: MeritState, rows, lo, hi, froz
     return current
 
 
-def _cone_filter(move: np.ndarray, x, rows, lo, hi, frozen, tol: float = 1e-9) -> np.ndarray:
-    """Drop movement components that push out of active bounds or rows."""
-    v = move.copy()
-    v[frozen] = 0.0
-    for _ in range(3):
-        at_lo = (x <= lo + tol) & (v < 0.0)
-        at_hi = (x >= hi - tol) & (v > 0.0)
-        v[at_lo | at_hi] = 0.0
-        changed = False
-        for row in rows:
-            a = np.asarray(row.coeffs, dtype=float)
-            lhs = float(a @ x)
-            push = float(a @ v)
-            blocked = (
-                (row.sense == "<=" and lhs >= row.rhs - tol and push > tol)
-                or (row.sense == ">=" and lhs <= row.rhs + tol and push < -tol)
-                or (row.sense == "=" and abs(push) > tol)
-            )
-            if blocked:
-                nrm2 = float(a @ a)
-                if nrm2 > 1e-18:
-                    v = v - (push / nrm2) * a
-                    v[frozen] = 0.0
-                    changed = True
-        if not changed:
-            break
-    return v
-
-
 def pgd_improve(sp: StandardProblem, x0, cfg: Optional[PgdConfig] = None) -> MeritState:
     """Improve an incumbent; never returns a point with merit above the start.
 
-    Iterates x <- project(x - alpha (grad + gamma * velocity)). Alpha
-    halves from min(1, 2 * the last accepted alpha), 1 at first, until a
-    step is accepted or alpha < 2^-MAX_HALVINGS. A point where an
-    evaluation fails has merit inf and is never accepted. When a gradient
-    evaluation fails, or the run's deadline stops an evaluation, the best
-    state found so far comes back with a warning; so does an inf merit.
-    Raises ``TimeLimitReached`` if the deadline has passed before the start
-    point is evaluated.
+    Each of ``cfg.iterations`` (30 by default) iterations projects
+    x - alpha (grad f + gamma * velocity) onto the linear rows, the box and
+    the nonlinear constraints linearized at x, c_i(x) + grad c_i(x) (y - x)
+    <= 0 (= for an equality). A losing probe y is retried once at the
+    projection onto c_i(y) + grad c_i(x) (z - y) <= 0. Alpha halves from
+    min(1, 2 * the last accepted alpha), 1 at first, on a losing probe or a
+    ``ProjectionStall``, until a probe is accepted, alpha < 2^-MAX_HALVINGS,
+    or the projection returns x. An iteration that accepts no step runs a
+    coordinate sweep instead, and refinement ends if that fails too.
+
+    When a gradient evaluation fails, or the run's deadline stops an
+    evaluation, the best state found so far comes back with a warning; so
+    does an inf merit. Raises ``TimeLimitReached`` if the deadline has
+    passed before the start point is evaluated.
     """
     cfg = cfg or PgdConfig()
     lo, hi = sp.box()
     frozen = np.array([v.integral for v in sp.vars], dtype=bool)
     rows = sp.linear
 
-    def proj(p):
-        return project(p, rows, lo, hi, frozen=frozen)
-
     # every accepted step lowers the merit, so the current state is the best
-    current = merit_state(sp, proj(np.asarray(x0, dtype=float)))
+    current = merit_state(sp, project(np.asarray(x0, dtype=float), rows, lo, hi, frozen=frozen))
     # the last accepted step while momentum is on, else None
     velocity, first_alpha = None, 1.0
     # constraint order of the line-search probes, likeliest rejecter first
@@ -381,37 +372,39 @@ def pgd_improve(sp: StandardProblem, x0, cfg: Optional[PgdConfig] = None) -> Mer
 
     try:
         for _ in range(cfg.iterations):
-            progress = False
-            g = _merit_gradient(sp, current.x)
-            d = -_cone_filter(-g, current.x, rows, lo, hi, frozen)
+            g = sp.objective.grad(current.x)
+            d = np.where(np.isfinite(g) & ~frozen, g, 0.0)
             if velocity is not None:
                 d = d + cfg.momentum * velocity
-            norm_d = float(np.linalg.norm(d))
-            if norm_d > STEP_TOL:
-                alpha, accepted = first_alpha, None
-                while alpha >= 0.5 ** MAX_HALVINGS:
-                    try:
-                        cand = merit_state(sp, proj(current.x - alpha * d),
-                                           current.merit - 1e-12, order)
-                    except ProjectionStall:
-                        alpha *= 0.5
-                        continue
-                    if cand.merit < current.merit - 1e-12:
+            gradients = _gradients(sp, current.x)
+            linearized = rows + _linearized(gradients, current.x)
+            bar = current.merit - 1e-12
+            alpha, accepted = first_alpha, None
+            while alpha >= 0.5 ** MAX_HALVINGS:
+                try:
+                    y = project(current.x - alpha * d, linearized, lo, hi, frozen=frozen)
+                    if np.abs(y - current.x).max() <= 1e-9:
+                        break  # x itself, up to the projection's tolerance
+                    cand = merit_state(sp, y, bar, order)
+                    if not cand.merit < bar and gradients:
+                        z = project(y, rows + _linearized(gradients, y), lo, hi, frozen=frozen)
+                        cand = merit_state(sp, z, bar, order)
+                    if cand.merit < bar:
                         accepted = cand
                         break
-                    alpha *= 0.5
-                if accepted is None:
-                    velocity = None
-                else:
-                    velocity = alpha * d if cfg.momentum > 0.0 else None
-                    first_alpha = min(1.0, 2.0 * alpha)
-                    current, progress = accepted, True
+                except ProjectionStall:
+                    pass
+                alpha *= 0.5
+            if accepted is not None:
+                velocity = alpha * d if cfg.momentum > 0.0 else None
+                first_alpha = min(1.0, 2.0 * alpha)
+                current = accepted
+                continue
+            velocity = None
             swept = _coordinate_sweep(sp, current, rows, lo, hi, frozen, order)
-            if swept.merit < current.merit - 1e-12:
-                current = swept
-                progress = True
-            if not progress:
+            if not swept.merit < bar:
                 break
+            current = swept
     except EvaluationError as exc:
         current.warning = f"gradient evaluation failed: {exc}"
     except TimeLimitReached:

@@ -97,6 +97,14 @@ def test_qsigmoid_gradients_match_finite_differences():
             assert np.allclose(g, fd, rtol=1e-5, atol=1e-7)
 
 
+def test_held_out_qsigmoid_reaches_its_oracle_value():
+    # every grid cell refines the same MILP point, in a poor basin; the
+    # refined point must still reach the 300-restart oracle value, -5.939
+    report = solve_global(generate_quadratic_sigmoid(6, 2, seed=12), RunConfig(seed=0))
+    assert report.status == "ok"
+    assert report.objective <= -5.93
+
+
 def test_purely_linear_problem_matches_direct_milp():
     doc = {
         "schema": 1,
@@ -452,12 +460,20 @@ def test_evaluation_memo_lasts_one_solve():
 
 
 def test_refinement_stops_at_the_time_limit(monkeypatch):
-    # evaluations take 20 ms each once refinement has begun, so the deadline
-    # falls inside refinement; refinement alone used to run seconds past it
+    # once refinement has begun, its third evaluator call, the first after
+    # the start point's two, sleeps past the deadline; refinement must stop
+    # there with a warning, however quickly it would otherwise have ended
     from surropt import driver
+
+    deadlines = []
+
+    def standardize_seen(problem, deadline=None):
+        deadlines.append(deadline)
+        return standardize(problem, deadline)
 
     pgd_improve = driver.pgd_improve
     refining = [False]
+    calls = []          # start times of the evaluator calls since refinement began
 
     def pgd_seen(*args, **kwargs):
         refining[0] = True
@@ -466,21 +482,26 @@ def test_refinement_stops_at_the_time_limit(monkeypatch):
     def slow(fn):
         def evaluate(x):
             if refining[0]:
-                time.sleep(20e-3)
+                calls.append(time.monotonic())
+                if len(calls) == 3:
+                    time.sleep(max(0.0, deadlines[0] + 0.01 - time.monotonic()))
             return fn(x)
         return evaluate
 
+    monkeypatch.setattr(driver, "standardize", standardize_seen)
     monkeypatch.setattr(driver, "pgd_improve", pgd_seen)
     problem = illustrative_problem()
     problem = replace(
         problem, nonlinear=tuple(replace(c, evaluator=slow(c.evaluator)) for c in problem.nonlinear)
     )
     tick = time.monotonic()
-    report = solve_global(problem, RunConfig(seed=0, time_limit=1.5))
+    report = solve_global(problem, RunConfig(seed=0, time_limit=3.0))
     assert report.status == "time_limit"
     assert any(c.refined is not None and c.refined.warning == TIME_LIMIT_WARNING
                for c in report.cells)
-    assert time.monotonic() - tick < 1.5 + 1.0
+    assert time.monotonic() - tick < 3.0 + 1.0
+    # no evaluator call follows the one that slept
+    assert len(calls) == 3
 
 
 def test_sampling_evaluates_nothing_after_the_time_limit(monkeypatch):

@@ -10,6 +10,7 @@ from scipy.optimize import nnls
 from surropt import refine
 from surropt.driver import generate_quadratic_sigmoid
 from surropt.errors import EvaluationError, ProjectionStall
+from surropt.expr import load_problem
 from surropt.model import (
     LinearConstraint,
     LinearObjective,
@@ -212,23 +213,24 @@ def test_backtracking_starts_from_twice_the_last_accepted_step(monkeypatch):
     # by a halving of x, and every probe of the second search stalls.
     k = 5
     c = 0.75 * 2.0**k
+    origins, searches = [], []   # per search: its start, gradient and probed alphas
+    project_ = refine.project
+
+    def gradient(x):
+        g = np.array([2.0 * c * x[0]])
+        origins.append((x[0], g[0]))
+        searches.append([])
+        return g
+
     sp = StandardProblem(
         vars=(VarSpec("x", 0, -10.0, 10.0),),
         objective=NonlinearObjective(
             evaluator=lambda x: float(c * x[0] ** 2),
             support=frozenset({0}),
-            gradient=lambda x: np.array([2.0 * c * x[0]]),
+            gradient=gradient,
         ),
         bound_provenance=("user",),
     )
-    origins, searches = [], []   # per search: its start, gradient and probed alphas
-    merit_gradient, project_ = refine._merit_gradient, refine.project
-
-    def gradient(sp, x):
-        g = merit_gradient(sp, x)
-        origins.append((x[0], g[0]))
-        searches.append([])
-        return g
 
     def project(p, *args, **kwargs):
         if searches:
@@ -238,7 +240,6 @@ def test_backtracking_starts_from_twice_the_last_accepted_step(monkeypatch):
                 raise ProjectionStall("stalled on purpose")
         return project_(p, *args, **kwargs)
 
-    monkeypatch.setattr(refine, "_merit_gradient", gradient)
     monkeypatch.setattr(refine, "project", project)
     monkeypatch.setattr(refine, "_coordinate_sweep",
                         lambda sp, state, *args: merit_state(sp, 0.5 * state.x))
@@ -252,6 +253,27 @@ def test_backtracking_starts_from_twice_the_last_accepted_step(monkeypatch):
     assert searches[1] == [0.5**h for h in range(k - 1, refine.MAX_HALVINGS + 1)]
     # and leaves the next search's first step where it was
     assert searches[2] == searches[3] == [0.5 ** (k - 1), 0.5**k]
+
+
+@pytest.mark.parametrize("objective, sense, starts", [
+    ("-x1 - x2", "<=0", [(1.0, 0.0), (0.0, -1.0), (0.3, 0.2), (-0.6, 0.8)]),
+    ("x1 + x2", "=0", [(1.0, 0.0), (0.0, 1.0), (-0.2, 0.9)]),
+], ids=["disk", "circle"])
+def test_pgd_follows_a_curved_constraint_to_its_optimum(objective, sense, starts):
+    # a linear objective over the unit disk or the unit circle: the optimum,
+    # -sqrt(2), lies where the constraint curves away from every straight step
+    doc = {
+        "schema": 1,
+        "variables": [{"name": "x1", "lower": -2.0, "upper": 2.0},
+                      {"name": "x2", "lower": -2.0, "upper": 2.0}],
+        "objective": {"expression": objective},
+        "constraints": [{"expression": "x1^2 + x2^2 - 1", "sense": sense}],
+    }
+    problem = load_problem(doc)
+    for start in starts:
+        out = pgd_improve(standardize(problem), np.array(start))
+        assert out.objective == pytest.approx(-math.sqrt(2.0), abs=1e-6)
+        assert out.violations.max() <= 1e-9
 
 
 def test_pgd_never_degrades_merit():
@@ -328,8 +350,8 @@ def test_pgd_reports_warning_on_failing_evaluator():
 def test_pgd_skips_non_finite_merits_and_gradient_components():
     # the constraint is NaN on the right half of the box, so merits there are
     # infinite; its gradient callback returns a finite, an infinite or a NaN
-    # component. A non-finite component must not reach the cone filter, where
-    # the row's 0 coefficient would meet it, nor the step.
+    # component. A non-finite component must reach neither the linearized
+    # rows nor the step, where the linear row's 0 coefficient would meet it.
     for grad_x, x0 in ((1.0, 0.7), (math.inf, 0.45), (-math.inf, 0.45), (math.nan, 0.45)):
         sp = StandardProblem(
             vars=(VarSpec("x", 0, 0.0, 1.0), VarSpec("y", 1, 0.0, 1.0)),
