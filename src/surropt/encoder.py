@@ -412,58 +412,3 @@ def fix_point(m: MilpModel, cols, values) -> None:
     for col, v in zip(cols, values):
         m.add_row({col: 1.0}, "=", float(v), name=f"fix_{col}")
 
-
-# ---------------------------------------------------------------------------
-# Pointwise robust feasibility (no solver involved)
-# ---------------------------------------------------------------------------
-
-def _dual_norm(vec, q: float) -> float:
-    vec = np.abs(np.asarray(vec, dtype=float))
-    if math.isinf(q):
-        return float(vec.max()) if vec.size else 0.0
-    return float(vec.sum())
-
-
-def robust_feasible(sur: Surrogate, x, cfg: Optional[RobustConfig]) -> bool:
-    """Does point x satisfy the surrogate's (possibly robustified) rule?
-
-    Mirrors the MILP encoding arithmetic: split rows shrink by the dual-norm
-    term, so each tree admits at most its nominal leaf.
-    """
-    x = np.asarray(x, dtype=float)
-    rho = cfg.rho if cfg is not None else 0.0
-    q = cfg.q if (cfg is not None and cfg.active) else None
-
-    def tree_leaf_robust(tree: ObliqueTree):
-        node = tree.root
-        while not node.is_leaf:
-            a = node.a
-            lhs = float(a @ x)
-            shift = rho * _dual_norm(a * x, q) if q is not None else 0.0
-            if lhs + shift <= node.b:
-                node = node.left
-            elif lhs - shift >= node.b + _split_eps(a):
-                node = node.right
-            else:
-                return None  # robustly in neither side
-        return float(node.value)
-
-    if sur.family == "svm":
-        margin = sur.model.predict_one(x)
-        if q is not None:
-            margin -= rho * _dual_norm(sur.model.beta * x, q)
-        return margin >= sur.threshold
-    if sur.family == "tree":
-        leaf = tree_leaf_robust(sur.model)
-        return leaf is not None and leaf >= sur.threshold
-    if sur.family == "gbm":
-        total = sur.model.base
-        for w, tree in zip(sur.model.weights, sur.model.trees):
-            leaf = tree_leaf_robust(tree)
-            if leaf is None:
-                return False
-            total += w * leaf
-        return total >= sur.threshold
-    if sur.family == "mlp":
-        return sur.model.predict_one(x) >= sur.threshold
-    raise ValueError(f"unknown family {sur.family!r}")

@@ -22,9 +22,6 @@ from .errors import (
     UnknownIdentifier,
 )
 
-UNARY_OPS = ("neg", "exp", "ln", "sqrt", "sin", "cos", "abs")
-BINARY_OPS = ("+", "-", "*", "/", "^")
-
 _FUNCTIONS = {"exp", "ln", "sqrt", "sin", "cos", "abs"}
 
 

@@ -69,8 +69,9 @@ class _Evaluated:
     object (``standardize`` makes fresh objects, so per solve), and
     ``TimeLimitReached`` instead of a new call once the object's deadline
     has passed; values already known are still returned. ``grad`` uses the
-    expression tree, the gradient callback, or central differences of the
-    evaluator itself.
+    expression tree, the gradient callback, or central differences of
+    ``value``, so a difference is memoized and deadline-checked like any
+    evaluation, and one across a failed evaluation is NaN.
     """
 
     def __post_init__(self):
@@ -97,7 +98,7 @@ class _Evaluated:
             return _expr.grad_expr(self.expr, x)
         if self.gradient is not None:
             return np.asarray(self.gradient(x), dtype=float)
-        return central_difference(self.evaluator, x, self.support)
+        return central_difference(self.value, x, self.support)
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,17 +10,20 @@ current point: Rosen's gradient projection for nonlinear constraints
 their intersection, found by a dual active-set method. A probe that loses
 gets one second-order correction (Fletcher, *Lecture Notes in Math.* 912,
 1982): the same gradients, with the constraint values taken at the probe.
-An iteration whose step accepts nothing falls back on a derivative-free
-coordinate sweep, which also moves a start that lies where evaluations
-fail.
+A search that accepts nothing ends refinement, unless the step was blind
+there: the merit is inf, a nonlinear constraint was left out of the
+linearization, a free component of the objective's gradient is not
+finite, or no probe could be projected. Only then does a derivative-free
+grid of 9 values per coordinate run, which also moves a start that lies
+where evaluations fail.
 
 Values come from the constraints' and objective's ``value``, which
 evaluates each point once per solve and gives NaN where an evaluation
 fails; such a point has merit inf and is never accepted, and a constraint
 whose value or gradient is not finite is left out of the linearization.
-``value`` also stops the run at its deadline, which ends refinement with a
-warning. Gradients call the evaluators directly, and a failure there ends
-refinement with a warning too.
+A black box without a gradient callback is differenced through ``value``
+too. ``value`` also stops the run at its deadline, which ends refinement
+with a warning; so does an expression gradient outside its domain.
 
 A line-search probe only has to beat a bar, so it stops evaluating once
 its merit cannot beat it (``merit_state``'s ``below``). It tries the
@@ -48,10 +51,6 @@ from .model import LinearConstraint, StandardProblem
 TIME_LIMIT_WARNING = "stopped at the time limit"
 PENALTY = 1e3       # merit weight of the summed nonlinear violations
 MAX_HALVINGS = 20   # backtracking tries no alpha below 2^-MAX_HALVINGS
-GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section fraction, about 0.382
-# bracket width, in coordinate-sweep grid spacings, that ends a line search;
-# wider stops cost the speed reducer objective, narrower ones only add probes
-SWEEP_STOP = 1e-4
 
 
 @dataclass
@@ -259,84 +258,30 @@ def _linearized(gradients, p) -> tuple:
     return tuple(rows)
 
 
-def _coordinate_interval(x, j, rows, lo, hi):
-    """Feasible step range along coordinate j under the box and linear rows."""
-    a_lo = lo[j] - x[j]
-    a_hi = hi[j] - x[j]
-    for row in rows:
-        aj = float(row.coeffs[j])
-        if aj == 0.0:
-            continue
-        slack = float(row.rhs - row.coeffs @ x)
-        if row.sense == "<=":
-            bound = slack / aj
-            if aj > 0:
-                a_hi = min(a_hi, bound)
-            else:
-                a_lo = max(a_lo, bound)
-        elif row.sense == ">=":
-            bound = slack / aj
-            if aj > 0:
-                a_lo = max(a_lo, bound)
-            else:
-                a_hi = min(a_hi, bound)
-        else:
-            a_lo = max(a_lo, 0.0)
-            a_hi = min(a_hi, 0.0)
-    return a_lo, a_hi
-
-
-def _coordinate_sweep(sp: StandardProblem, state: MeritState, rows, lo, hi, frozen,
-                      order=None) -> MeritState:
-    """One pass of per-coordinate merit line searches.
-
-    Each coordinate moves inside its exact row/box interval: a 9-point grid
-    locates the basin, then a golden-section search (Kiefer, 1953) refines
-    the two grid cells beside the grid's best point, clamped to the
-    interval. Each round probes one point, the golden point of the wider
-    side of the best point seen, and the search stops once the bracket is
-    narrower than ``SWEEP_STOP`` grid spacings. Decoupled moves reach flat
-    coordinates that a shared step length starves. Probes evaluate the
-    constraints in ``order`` (see ``merit_state``).
+def _coordinate_grid(sp: StandardProblem, state: MeritState, rows, lo, hi, frozen,
+                     order=None) -> MeritState:
+    """The derivative-free fallback: each free coordinate in turn takes 9
+    evenly spaced values over its box range, each point is projected onto
+    the linear rows (a ``ProjectionStall`` skips it), and the first point of
+    least merit is kept. Probes evaluate the constraints in ``order`` (see
+    ``merit_state``).
     """
     current = state
-    for j in range(current.x.shape[0]):
-        if frozen[j]:
-            continue
-        a_lo, a_hi = _coordinate_interval(current.x, j, rows, lo, hi)
-        if a_hi - a_lo < 1e-12:
-            continue
-
-        def merit_at(alpha, below, j=j):
+    width = hi - lo
+    for j in np.flatnonzero(~frozen & (width > 0.0) & np.isfinite(width)):
+        best = current
+        for value in np.linspace(lo[j], hi[j], 9):
             xc = current.x.copy()
-            xc[j] += alpha
-            return merit_state(sp, xc, below, order)
-
-        # the first grid point of least merit, as min() would pick it
-        alpha_best, best_here = 0.0, current
-        for alpha in np.linspace(a_lo, a_hi, 9):
-            st = merit_at(alpha, best_here.merit)
-            if st.merit < best_here.merit:
-                alpha_best, best_here = alpha, st
-        spacing = (a_hi - a_lo) / 8.0
-        left, right = max(alpha_best - spacing, a_lo), min(alpha_best + spacing, a_hi)
-        while right - left > SWEEP_STOP * spacing:
-            if right - alpha_best > alpha_best - left:
-                alpha = alpha_best + GOLDEN * (right - alpha_best)
-            else:
-                alpha = alpha_best - GOLDEN * (alpha_best - left)
-            if alpha == alpha_best:
-                break  # the bracket is below the resolution of alpha
-            st = merit_at(alpha, best_here.merit)
-            if st.merit < best_here.merit:
-                left, right = (alpha_best, right) if alpha > alpha_best else (left, alpha_best)
-                alpha_best, best_here = alpha, st
-            elif alpha > alpha_best:
-                right = alpha
-            else:
-                left = alpha
-        if best_here.merit < current.merit - 1e-12:
-            current = best_here
+            xc[j] = value
+            try:
+                xc = project(xc, rows, lo, hi, frozen=frozen)
+            except ProjectionStall:
+                continue
+            st = merit_state(sp, xc, best.merit, order)
+            if st.merit < best.merit:
+                best = st
+        if best.merit < current.merit - 1e-12:
+            current = best
     return current
 
 
@@ -350,13 +295,18 @@ def pgd_improve(sp: StandardProblem, x0, cfg: Optional[PgdConfig] = None) -> Mer
     projection onto c_i(y) + grad c_i(x) (z - y) <= 0. Alpha halves from
     min(1, 2 * the last accepted alpha), 1 at first, on a losing probe or a
     ``ProjectionStall``, until a probe is accepted, alpha < 2^-MAX_HALVINGS,
-    or the projection returns x. An iteration that accepts no step runs a
-    coordinate sweep instead, and refinement ends if that fails too.
+    or the projection returns x. A search that accepts nothing ends
+    refinement, unless the step was blind: the merit is inf, a nonlinear
+    constraint's value or gradient or a free component of grad f is not
+    finite, or every probe raised ``ProjectionStall``. Then the grid of
+    ``_coordinate_grid`` runs instead, and refinement ends if it finds
+    nothing either.
 
-    When a gradient evaluation fails, or the run's deadline stops an
-    evaluation, the best state found so far comes back with a warning; so
-    does an inf merit. Raises ``TimeLimitReached`` if the deadline has
-    passed before the start point is evaluated.
+    When an expression gradient leaves its domain, or the run's deadline
+    stops an evaluation (a central difference's too), the best state found
+    so far comes back with a warning; so does an inf merit. Raises
+    ``TimeLimitReached`` if the deadline has passed before the start point
+    is evaluated.
     """
     cfg = cfg or PgdConfig()
     lo, hi = sp.box()
@@ -378,11 +328,15 @@ def pgd_improve(sp: StandardProblem, x0, cfg: Optional[PgdConfig] = None) -> Mer
                 d = d + cfg.momentum * velocity
             gradients = _gradients(sp, current.x)
             linearized = rows + _linearized(gradients, current.x)
+            # the step cannot see everything here, so a failed search proves nothing
+            blind = (current.merit == math.inf or len(gradients) < len(sp.nonlinear)
+                     or not np.isfinite(g[~frozen]).all())
             bar = current.merit - 1e-12
-            alpha, accepted = first_alpha, None
+            alpha, accepted, stalled = first_alpha, None, True
             while alpha >= 0.5 ** MAX_HALVINGS:
                 try:
                     y = project(current.x - alpha * d, linearized, lo, hi, frozen=frozen)
+                    stalled = False
                     if np.abs(y - current.x).max() <= 1e-9:
                         break  # x itself, up to the projection's tolerance
                     cand = merit_state(sp, y, bar, order)
@@ -401,10 +355,12 @@ def pgd_improve(sp: StandardProblem, x0, cfg: Optional[PgdConfig] = None) -> Mer
                 current = accepted
                 continue
             velocity = None
-            swept = _coordinate_sweep(sp, current, rows, lo, hi, frozen, order)
-            if not swept.merit < bar:
+            if not (blind or stalled):
                 break
-            current = swept
+            gridded = _coordinate_grid(sp, current, rows, lo, hi, frozen, order)
+            if not gridded.merit < bar:
+                break
+            current = gridded
     except EvaluationError as exc:
         current.warning = f"gradient evaluation failed: {exc}"
     except TimeLimitReached:

@@ -273,8 +273,21 @@ def test_fidelity_all_families_regression_and_verdicts():
 
 
 # ---------------------------------------------------------------------------
-# Robust nestedness (pointwise)
+# Robust nestedness (the encoding at fixed points)
 # ---------------------------------------------------------------------------
+
+def _encoded_feasible(sur, point, robust, lo, hi) -> bool:
+    """Does the surrogate's encoding, robustified by ``robust``, admit the
+    point once every input column is pinned to it?"""
+    m, cols = _box_model(lo, hi)
+    if sur.family == "svm":
+        E.encode_linear_model(sur.model, "classifier", m, cols, lo, hi, robust=robust, prefix="t")
+    else:
+        enc = E._encode_output(sur, m, cols, lo, hi, robust, "t")
+        m.add_row({enc.output: 1.0}, ">=", sur.threshold)
+    E.fix_point(m, cols, point)
+    return milp.solve_milp(m).status == "optimal"
+
 
 def test_robust_nestedness_all_families_both_norms():
     rng = np.random.default_rng(23)
@@ -291,10 +304,12 @@ def test_robust_nestedness_all_families_both_norms():
             tight = E.RobustConfig(rho=0.1, p=p)
             loose = E.RobustConfig(rho=0.01, p=p)
             for point in rng.uniform(lo, hi, size=(100, 2)):
-                if E.robust_feasible(sur, point, tight):
-                    assert E.robust_feasible(sur, point, loose)
-                if E.robust_feasible(sur, point, loose):
-                    assert E.robust_feasible(sur, point, None) or (sur.model.predict_one(point) >= sur.threshold)
+                in_loose = _encoded_feasible(sur, point, loose, lo, hi)
+                if _encoded_feasible(sur, point, tight, lo, hi):
+                    assert in_loose
+                if in_loose:
+                    assert (_encoded_feasible(sur, point, None, lo, hi)
+                            or sur.model.predict_one(point) >= sur.threshold)
 
 
 # ---------------------------------------------------------------------------

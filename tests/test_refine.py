@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 
 import numpy as np
@@ -9,13 +10,14 @@ from scipy.optimize import nnls
 
 from surropt import refine
 from surropt.driver import generate_quadratic_sigmoid
-from surropt.errors import EvaluationError, ProjectionStall
+from surropt.errors import EvaluationError, ProjectionStall, TimeLimitReached
 from surropt.expr import load_problem
 from surropt.model import (
     LinearConstraint,
     LinearObjective,
     NonlinearConstraint,
     NonlinearObjective,
+    Problem,
     StandardProblem,
     VarSpec,
     standardize,
@@ -182,34 +184,117 @@ def test_pgd_stays_at_smooth_local_optimum():
     assert out.x[0] == pytest.approx(0.3, abs=1e-6)
 
 
-def test_coordinate_sweep_probe_budget_and_accuracy():
-    # a separable quadratic: one sweep minimises each coordinate in turn;
-    # x2's minimiser lies past its upper bound, so its search ends there
-    target = np.array([0.3137, 1.2345, 4.0])
+def test_coordinate_grid_keeps_the_best_of_nine_points_per_coordinate(monkeypatch):
+    # a separable quadratic over three free coordinates and a frozen one;
+    # x2's minimiser lies past its upper bound, so its best point is there
+    target = np.array([0.3137, 1.2345, 4.0, 0.0])
+    weights = np.array([1.0, 3.0, 0.5, 1.0])
+
+    def f(x):
+        return float(((x - target) ** 2 * weights).sum())
+
+    sp = StandardProblem(
+        vars=tuple(VarSpec(f"x{j}", j, -1.0, 3.0, integral=j == 3) for j in range(4)),
+        objective=NonlinearObjective(evaluator=f, support=frozenset(range(4))),
+        bound_provenance=("user",) * 4,
+    )
+    lo, hi = sp.box()
+    frozen = np.array([False, False, False, True])
+    probes = []
+    merit_state_ = refine.merit_state
+
+    def counted(sp, x, *args):
+        probes.append(np.array(x))
+        return merit_state_(sp, x, *args)
+
+    state = merit_state(sp, np.array([0.0, 0.0, 0.0, 1.0]))
+    monkeypatch.setattr(refine, "merit_state", counted)
+    out = refine._coordinate_grid(sp, state, (), lo, hi, frozen)
+
+    grid = np.linspace(-1.0, 3.0, 9)
+    best = [grid[np.argmin((grid - t) ** 2)] for t in target[:3]]
+    assert np.array_equal(out.x, [*best, 1.0])
+    assert out.merit == f(out.x)
+    assert len(probes) <= 9 * 3
+    assert all(p[3] == 1.0 for p in probes)
+
+
+def test_refinement_ends_without_a_grid_where_every_constraint_is_linearized(monkeypatch):
+    # minimize -x1 - x2 over the unit disk, black boxes with gradient
+    # callbacks: the last search accepts nothing where the step sees every
+    # constraint, so refinement ends there without the grid
+    calls = [0]
+
+    def counted(fn):
+        def evaluate(x):
+            calls[0] += 1
+            return fn(x)
+        return evaluate
+
+    def disk():
+        return StandardProblem(
+            vars=(VarSpec("x1", 0, -2.0, 2.0), VarSpec("x2", 1, -2.0, 2.0)),
+            objective=NonlinearObjective(
+                evaluator=counted(lambda x: float(-x[0] - x[1])), support=frozenset({0, 1}),
+                gradient=lambda x: np.array([-1.0, -1.0]),
+            ),
+            nonlinear=(
+                NonlinearConstraint(
+                    evaluator=counted(lambda x: float(x @ x) - 1.0), sense="<=0",
+                    support=frozenset({0, 1}), gradient=lambda x: 2.0 * np.asarray(x),
+                ),
+            ),
+            bound_provenance=("user", "user"),
+        )
+
+    grids = []
+    grid_ = refine._coordinate_grid
+    monkeypatch.setattr(refine, "_coordinate_grid",
+                        lambda *args: grids.append(args) or grid_(*args))
+    for start in ((1.0, 0.0), (0.3, 0.2)):
+        out = pgd_improve(disk(), np.array(start))
+        assert out.objective == pytest.approx(-math.sqrt(2.0), abs=1e-6)
+    # started at the optimum, refinement evaluates the start and nothing else
+    calls[0] = 0
+    optimum = np.full(2, math.sqrt(0.5))
+    out = pgd_improve(disk(), optimum)
+    assert np.array_equal(out.x, optimum)
+    assert calls[0] == 2
+    assert grids == []
+
+
+def test_difference_gradient_stops_at_the_deadline():
+    # a black box without a gradient callback: past the deadline, the
+    # central differences evaluate no new point, and refinement returns
+    # the evaluated start with the time-limit warning
     calls = [0]
 
     def f(x):
         calls[0] += 1
-        return float(((x - target) ** 2 * np.array([1.0, 3.0, 0.5])).sum())
+        return float((x[0] - 0.3) ** 2)
 
-    sp = StandardProblem(
-        vars=tuple(VarSpec(f"x{j}", j, -1.0, 3.0) for j in range(3)),
-        objective=NonlinearObjective(evaluator=f, support=frozenset(range(3))),
-        bound_provenance=("user",) * 3,
+    problem = Problem(
+        vars=(VarSpec("x", 0, -1.0, 1.0),),
+        objective=NonlinearObjective(evaluator=f, support=frozenset({0})),
     )
-    lo, hi = sp.box()
-    state = merit_state(sp, np.zeros(3))
+    deadline = time.monotonic() + 0.05
+    sp = standardize(problem, deadline)
+    x0 = np.array([0.8])
+    start = merit_state(sp, x0)
+    time.sleep(max(0.0, deadline - time.monotonic()) + 0.01)
     calls[0] = 0
-    out = refine._coordinate_sweep(sp, state, (), lo, hi, np.zeros(3, dtype=bool))
-    assert calls[0] <= 3 * (9 + 25)
-    minimiser = np.clip(target, lo, hi)
-    assert np.all(np.abs(out.x - minimiser) <= refine.SWEEP_STOP * (hi - lo) / 8.0)
+    with pytest.raises(TimeLimitReached):
+        sp.objective.grad(x0)
+    out = pgd_improve(sp, x0)
+    assert out.warning == refine.TIME_LIMIT_WARNING
+    assert np.array_equal(out.x, x0) and out.merit == start.merit
+    assert calls[0] == 0
 
 
 def test_backtracking_starts_from_twice_the_last_accepted_step(monkeypatch):
     # f = c x^2 with c = 0.75 * 2^k: a step of alpha along the gradient maps
     # x to x (1 - 1.5 alpha 2^k), which lowers f only for alpha < 2^-k / 0.75,
-    # so every search accepts 2^-k and rejects 2^(1-k). The sweep is replaced
+    # so every search accepts 2^-k and rejects 2^(1-k). The grid is replaced
     # by a halving of x, and every probe of the second search stalls.
     k = 5
     c = 0.75 * 2.0**k
@@ -241,7 +326,7 @@ def test_backtracking_starts_from_twice_the_last_accepted_step(monkeypatch):
         return project_(p, *args, **kwargs)
 
     monkeypatch.setattr(refine, "project", project)
-    monkeypatch.setattr(refine, "_coordinate_sweep",
+    monkeypatch.setattr(refine, "_coordinate_grid",
                         lambda sp, state, *args: merit_state(sp, 0.5 * state.x))
     pgd_improve(sp, np.array([1.0]), PgdConfig(iterations=4, momentum=0.0))
 
