@@ -184,15 +184,23 @@ def _evaluator(target, support, center):
 
 
 def _static_sample(sp: StandardProblem, support, cfg: RunConfig, rng) -> np.ndarray:
-    """Box corners and a Latin hypercube over the support, integers rounded."""
+    """Box corners and a Latin hypercube over the support, integers rounded.
+
+    The hypercube has ``n_lh = max(cfg.sampler.n_lh, 50 d)`` points, and
+    the corners never outnumber it: every corner when ``2^d <= n_lh``
+    (no generator draws), else ``10 d`` distinct random corners plus the
+    box center, the size Loeppky, Sacks & Welch (2009) suggest for a
+    whole design.
+    """
     lo_all, hi_all = sp.box()
     lo, hi = lo_all[support], hi_all[support]
     d = len(support)
-    cap = 2 ** min(d, sampling.CORNER_CAP_EXP)
+    n_lh = max(cfg.sampler.n_lh, 50 * d)
+    cap = 2 ** d if 2 ** d <= n_lh else 10 * d
     points = np.vstack(
         [
             sampling.boundary_sample(lo, hi, cap, rng),
-            sampling.lh_sample(lo, hi, max(cfg.sampler.n_lh, 50 * d), rng),
+            sampling.lh_sample(lo, hi, n_lh, rng),
         ]
     )
     return _round_integrals(points, sp, support)

@@ -7,6 +7,11 @@ points where the committee disagrees, intersects the leaf regions around
 them, and fills those regions with hit-and-run chains. The committee routes
 all those points at once, one polyhedron is built per distinct combination
 of leaves, and the chains of a round run in lockstep as arrays.
+
+``boundary_sample`` returns every box corner when there are at most
+``cap``, else ``cap`` random ones and the center; the driver sets ``cap``
+so that the corners never outnumber its Latin hypercube of ``n`` points
+(every corner while ``2^d <= n``, else ``10 d``).
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from .errors import DegenerateDataset, EmptyPolyhedron
 STRICT_MARGIN = 1e-7  # closed-set stand-in for strict split sides
 CONTAIN_TOL = 1e-9
 KNN_K = 10            # neighbors searched for opposite labels by secant sampling
-CORNER_CAP_EXP = 10   # enumerate at most 2^this box corners
 
 
 @dataclass

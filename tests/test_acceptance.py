@@ -33,6 +33,7 @@ from surropt.refine import PgdConfig, merit_state, pgd_improve
 QSIGMOID_ORACLE = -12.06510798946531  # tests/oracle_qsigmoid.py, n=10 m=2 seed=2024
 SPEED_REDUCER_EVALUATIONS = 4_400     # evaluator calls allowed to the seed-3 solve
 ILLUSTRATIVE_EVALUATIONS = 1_150      # evaluator calls allowed to the seed-0 solve
+QSIGMOID_EVALUATIONS = 6_000          # evaluator calls allowed to the n=10 m=2 seed=2024 solve
 
 
 def _verdict(number, passed, detail):
@@ -79,6 +80,15 @@ def speed_reducer_run():
     t0 = time.monotonic()
     report = solve_global(problem, RunConfig(seed=3, time_limit=540))
     return report, time.monotonic() - t0, calls[0]
+
+
+@pytest.fixture(scope="module")
+def qsigmoid_run():
+    """The n=10 m=2 seed=2024 report (solve seed 0) and its evaluator calls."""
+    calls = [0]
+    problem = _counted(generate_quadratic_sigmoid(10, 2, seed=2024), calls)
+    report = solve_global(problem, RunConfig(seed=0, time_limit=400))
+    return report, calls[0]
 
 
 def test_criterion_1_illustrative_optimum(illustrative_runs):
@@ -142,19 +152,22 @@ def test_criterion_3_speed_reducer(speed_reducer_run):
 
 
 def test_speed_reducer_evaluation_budget(speed_reducer_run):
-    # 5,225 calls: sampling makes 4,208 and refinement 1,017, so a refinement
-    # that probes more per iteration, as one with two curvature probes per
-    # free coordinate did (8,704 calls), fails here, and so do line-search
-    # probes that try the constraints in index order (5,484 calls)
+    # 4,255 calls: sampling makes 4,208 and refinement 47. While refinement
+    # still swept coordinates after its gradient steps (1,017 of 5,225
+    # calls), two curvature probes per free coordinate took the solve to
+    # 8,704 calls, and line-search probes that try the constraints in index
+    # order to 5,484
     _, _, calls = speed_reducer_run
     assert calls <= SPEED_REDUCER_EVALUATIONS, f"{calls} evaluator calls"
 
 
 def test_illustrative_evaluation_budget():
-    # 1,035 calls; backtracking that starts every search at alpha = 1, not
-    # at twice the last accepted step, takes it to 1,294, line-search probes
-    # that also try the constraints in index order to 1,636, and probes that
-    # evaluate every constraint even once they cannot beat their bar to 3,316
+    # 902 calls. Before refinement projected its steps onto the linearized
+    # constraints (1,035 calls), backtracking that starts every search at
+    # alpha = 1, not at twice the last accepted step, took the solve to
+    # 1,294, line-search probes that also try the constraints in index order
+    # to 1,636, and probes that evaluate every constraint even once they
+    # cannot beat their bar to 3,316
     calls = [0]
     solve_global(_counted(illustrative_problem(), calls), RunConfig(seed=0, time_limit=60))
     assert calls[0] <= ILLUSTRATIVE_EVALUATIONS, f"{calls[0]} evaluator calls"
@@ -432,12 +445,19 @@ def test_criterion_12_pgd_non_degradation():
     _verdict(12, worst <= 1e-12, f"50 starts, max merit increase {worst:.2e}")
 
 
-def test_criterion_13_quadratic_sigmoid_vs_oracle():
-    problem = generate_quadratic_sigmoid(10, 2, seed=2024)
-    report = solve_global(problem, RunConfig(seed=0, time_limit=400))
+def test_criterion_13_quadratic_sigmoid_vs_oracle(qsigmoid_run):
+    report, _ = qsigmoid_run
     gap = abs(report.objective - QSIGMOID_ORACLE) / abs(QSIGMOID_ORACLE)
     ok = report.status == "ok" and gap <= 0.05 and max(report.violations, default=0.0) <= 1e-6
     _verdict(13, ok, f"objective {report.objective:.4f} vs oracle {QSIGMOID_ORACLE:.4f}, gap {gap:.2%}")
+
+
+def test_qsigmoid_evaluation_budget(qsigmoid_run):
+    # 5,605 calls: each static design holds 100 of the 1,024 box corners
+    # (10 d) and the center. Enumerating every corner up to d = 10 took the
+    # solve to 9,905
+    _, calls = qsigmoid_run
+    assert calls <= QSIGMOID_EVALUATIONS, f"{calls} evaluator calls"
 
 
 def test_criterion_14_surrogate_reuse_and_grid_share(illustrative_runs):

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from surropt import milp
+from surropt import sampling as S
 from surropt.benchmarks import illustrative_problem, speed_reducer_problem
 from surropt.driver import (
     RunConfig,
     _full_violation,
+    _static_sample,
     generate_quadratic_sigmoid,
     sample,
     solve_global,
@@ -103,6 +105,45 @@ def test_held_out_qsigmoid_reaches_its_oracle_value():
     report = solve_global(generate_quadratic_sigmoid(6, 2, seed=12), RunConfig(seed=0))
     assert report.status == "ok"
     assert report.objective <= -5.93
+
+
+@pytest.mark.parametrize(
+    "n, m, seed, objective", [(9, 2, 30, -8.2150), (10, 3, 31, -11.1023), (10, 2, 53, -12.5971)]
+)
+def test_high_dimensional_qsigmoid_keeps_its_objective(n, m, seed, objective):
+    # only supports of 9 or more variables draw random corners; these ended
+    # at the same values while every corner up to d = 10 was enumerated
+    report = solve_global(generate_quadratic_sigmoid(n, m, seed=seed), RunConfig(seed=0))
+    assert report.status == "ok"
+    assert abs(report.objective - objective) <= 1e-4
+
+
+@pytest.mark.parametrize(
+    "n_lh, d, corners",
+    [(300, 2, 4), (300, 7, 128), (300, 8, 256), (300, 9, 90), (300, 10, 100),
+     (600, 9, 512), (600, 10, 100)],
+)
+def test_static_corners_never_outnumber_the_latin_hypercube(n_lh, d, corners):
+    # every corner while 2^d <= max(n_lh, 50 d), drawing nothing; else 10 d
+    # distinct random corners and the center
+    sp = standardize(generate_quadratic_sigmoid(d, 1, seed=5))
+    support = list(range(d))
+    lo, hi = sp.box()
+    n = max(n_lh, 50 * d)
+    rng, twin = np.random.default_rng(7), np.random.default_rng(7)
+    points = _static_sample(sp, support, RunConfig(sampler=SamplerConfig(n_lh=n_lh)), rng)
+    if corners == 2 ** d:
+        expected = np.vstack([S.boundary_sample(lo, hi, corners), S.lh_sample(lo, hi, n, twin)])
+    else:
+        expected = np.vstack([S.boundary_sample(lo, hi, corners, twin), S.lh_sample(lo, hi, n, twin)])
+        picked = points[:corners]
+        assert np.all((picked == lo) | (picked == hi))
+        assert len(np.unique(picked, axis=0)) == corners
+        assert np.array_equal(points[corners], (lo + hi) / 2.0)
+        corners += 1
+    assert len(points) == corners + n
+    assert np.array_equal(points, expected)
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_purely_linear_problem_matches_direct_milp():
