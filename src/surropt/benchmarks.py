@@ -26,7 +26,6 @@ ILLUSTRATIVE_DOC = {
         {"name": "g3", "expression": "-x2+1.1*x1+0.3", "sense": ">=0"},
         {"name": "g4", "expression": "-x2-1.5*x1+2.6", "sense": ">=0"},
     ],
-    "known_optimum": -1.149963,
 }
 
 SPEED_REDUCER_DOC = {
@@ -69,7 +68,6 @@ SPEED_REDUCER_DOC = {
         {"name": "g10", "expression": "x4-1.5*x6-1.9", "sense": ">=0"},
         {"name": "g11", "expression": "x5-1.1*x7-1.9", "sense": ">=0"},
     ],
-    "known_optimum": 2994.36,
 }
 
 

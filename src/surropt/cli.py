@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -90,20 +89,19 @@ def _config_from_args(args) -> RunConfig:
         if args.lam is not None:
             lam = tuple(None if str(v).lower() == "none" else float(v) for v in args.lam)
             kwargs["lambda_grid"] = lam
-        cfg = RunConfig(**kwargs)
+        # each --no-* flag pins the field that turns its enhancement off
+        if args.no_oct_sampling:
+            kwargs["adaptive_rounds"] = 0
+        if args.no_robust:
+            kwargs["rho_grid"] = (0.0,)
+        if args.no_relax:
+            kwargs["lambda_grid"] = (None,)
+        if args.no_momentum:
+            kwargs["momentum"] = 0.0
+        return RunConfig(**kwargs)
     except ValueError as exc:
         sys.stderr.write(f"surropt: bad run flags: {exc}\n")
         sys.exit(EXIT_USAGE)
-    # each --no-* flag pins the field that turns its enhancement off
-    if args.no_oct_sampling:
-        cfg.sampler = replace(cfg.sampler, adaptive_rounds=0)
-    if args.no_robust:
-        cfg.rho_grid = (0.0,)
-    if args.no_relax:
-        cfg.lambda_grid = (None,)
-    if args.no_momentum:
-        cfg.pgd = replace(cfg.pgd, momentum=0.0)
-    return cfg
 
 
 def _load(path: str):
@@ -149,14 +147,14 @@ def _run_and_exit(problem, cfg, report_path) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    cfg = _config_from_args(args)
     solves = args.command != "export-lp"
     if solves and args.solver == "external" and not os.environ.get(milp.EXTERNAL_SOLVER_ENV):
         sys.stderr.write(f"surropt: --solver external needs {milp.EXTERNAL_SOLVER_ENV} set\n")
         return EXIT_USAGE
     try:
         if args.command == "solve":
-            problem = _load(args.file)
-            return _run_and_exit(problem, _config_from_args(args), args.report)
+            return _run_and_exit(_load(args.file), cfg, args.report)
         if args.command == "bench":
             if args.name == "illustrative":
                 problem = benchmarks.illustrative_problem()
@@ -164,8 +162,7 @@ def main(argv=None) -> int:
                 problem = benchmarks.speed_reducer_problem()
             else:
                 problem = generate_quadratic_sigmoid(args.n, args.m, seed=args.seed)
-            return _run_and_exit(problem, _config_from_args(args), args.report)
-        cfg = _config_from_args(args)
+            return _run_and_exit(problem, cfg, args.report)
         sp = standardize(_load(args.file))
         # the model solve_global encodes first on a grid that starts at rho 0
         trained = train(sp, sample(sp, cfg), cfg)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -46,7 +46,7 @@ from .model import (
     feasibility_labels,
     standardize,
 )
-from .refine import TIME_LIMIT_WARNING, MeritState, PgdConfig, pgd_improve
+from .refine import TIME_LIMIT_WARNING, MeritState, pgd_improve
 
 FEAS_TOL = 1e-6  # largest violation of a refined point that counts as feasible
 
@@ -54,14 +54,15 @@ FEAS_TOL = 1e-6  # largest violation of a refined point that counts as feasible
 @dataclass
 class RunConfig:
     """The settings a caller varies. Each enhancement turns off through its
-    own field: ``sampler.adaptive_rounds=0`` (adaptive sampling),
-    ``rho_grid=(0.0,)`` (robustness), ``lambda_grid=(None,)`` (relaxation)
-    and ``pgd.momentum=0.0`` (refinement momentum). ``norm_p`` is 1 or inf,
-    the norms the encoder linearizes. Learner hyperparameters are the
-    trainers' defaults, and the tolerances are module constants."""
+    own field: ``adaptive_rounds=0`` (adaptive sampling), ``rho_grid=(0.0,)``
+    (robustness), ``lambda_grid=(None,)`` (relaxation) and ``momentum=0.0``
+    (refinement momentum, in [0, 1)). ``norm_p`` is 1 or inf, the norms the
+    encoder linearizes, and ``solver`` is ``builtin`` or ``external``.
+    Sample sizes, PGD iterations and tolerances are module constants, and
+    learner hyperparameters are the trainers' defaults."""
 
-    sampler: sampling.SamplerConfig = field(default_factory=sampling.SamplerConfig)
-    pgd: PgdConfig = field(default_factory=PgdConfig)
+    adaptive_rounds: int = 1
+    momentum: float = 0.9
     rho_grid: tuple = (0.0, 0.01, 0.1, 1.0)
     lambda_grid: tuple = (None, 1e2, 1e4)  # None = no relaxation fallback
     norm_p: float = 1.0
@@ -74,12 +75,20 @@ class RunConfig:
             raise ValueError("grids must be nonempty")
         if self.norm_p not in (1.0, math.inf):
             raise ValueError(f"norm_p must be 1 or inf, got {self.norm_p}")
-        if any(not rho >= 0 for rho in self.rho_grid):
-            raise ValueError("robustness radii must be nonnegative")
-        if any(lam is not None and not lam > 0 for lam in self.lambda_grid):
-            raise ValueError("relaxation penalties must be positive")
+        if any(not 0 <= rho < math.inf for rho in self.rho_grid):
+            raise ValueError("robustness radii must be finite and nonnegative")
+        if any(lam is not None and not 0 < lam < math.inf for lam in self.lambda_grid):
+            raise ValueError("relaxation penalties must be finite and positive")
         if not self.time_limit > 0:
             raise ValueError("time limit must be positive")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError("momentum coefficient must lie in [0, 1)")
+        for name in ("adaptive_rounds", "seed"):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and value >= 0):
+                raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+        if self.solver not in ("builtin", "external"):
+            raise ValueError(f"solver must be builtin or external, got {self.solver!r}")
 
 
 @dataclass
@@ -183,10 +192,10 @@ def _evaluator(target, support, center):
     return evaluate
 
 
-def _static_sample(sp: StandardProblem, support, cfg: RunConfig, rng) -> np.ndarray:
+def _static_sample(sp: StandardProblem, support, rng) -> np.ndarray:
     """Box corners and a Latin hypercube over the support, integers rounded.
 
-    The hypercube has ``n_lh = max(cfg.sampler.n_lh, 50 d)`` points, and
+    The hypercube has ``n_lh = max(sampling.N_LH, 50 d)`` points, and
     the corners never outnumber it: every corner when ``2^d <= n_lh``
     (no generator draws), else ``10 d`` distinct random corners plus the
     box center, the size Loeppky, Sacks & Welch (2009) suggest for a
@@ -195,7 +204,7 @@ def _static_sample(sp: StandardProblem, support, cfg: RunConfig, rng) -> np.ndar
     lo_all, hi_all = sp.box()
     lo, hi = lo_all[support], hi_all[support]
     d = len(support)
-    n_lh = max(cfg.sampler.n_lh, 50 * d)
+    n_lh = max(sampling.N_LH, 50 * d)
     cap = 2 ** d if 2 ** d <= n_lh else 10 * d
     points = np.vstack(
         [
@@ -218,7 +227,7 @@ def _sample_constraint(sp: StandardProblem, con, cfg: RunConfig, rng):
     lo, hi = lo_all[support], hi_all[support]
     evaluate = _evaluator(con, support, (lo_all + hi_all) / 2.0)
 
-    points = _static_sample(sp, support, cfg, rng)
+    points = _static_sample(sp, support, rng)
     values = evaluate(points)
     labels = feasibility_labels(values, con.sense)
 
@@ -236,9 +245,9 @@ def _sample_constraint(sp: StandardProblem, con, cfg: RunConfig, rng):
         def committee_tree(X, y, seed):
             return train_tree(X, y, task="classifier", seed=seed)
 
-        for _ in range(cfg.sampler.adaptive_rounds):
+        for _ in range(cfg.adaptive_rounds):
             result = sampling.oct_adaptive_sample(
-                points, labels, cfg.sampler, rng, committee_tree, lo, hi, deadline=sp.deadline
+                points, labels, rng, committee_tree, lo, hi, deadline=sp.deadline
             )
             if len(result.points) == 0:
                 break
@@ -260,11 +269,11 @@ def _round_integrals(points, sp: StandardProblem, support) -> np.ndarray:
     return points
 
 
-def _sample_objective(sp: StandardProblem, cfg: RunConfig, rng):
+def _sample_objective(sp: StandardProblem, rng):
     """Objective values at the static samples over the objective's support."""
     support = sorted(sp.objective.support)
     lo_all, hi_all = sp.box()
-    points = _static_sample(sp, support, cfg, rng)
+    points = _static_sample(sp, support, rng)
     # a point where the objective fails or is not finite has no value to fit
     values = _evaluator(sp.objective, support, (lo_all + hi_all) / 2.0)(points)
     kept = np.isfinite(values)
@@ -286,7 +295,7 @@ def sample(sp: StandardProblem, cfg: RunConfig) -> list:
         rng = np.random.default_rng(streams[i])
         datasets.append(_sample_constraint(sp, con, cfg, rng))
     if isinstance(sp.objective, NonlinearObjective):
-        datasets.append(_sample_objective(sp, cfg, np.random.default_rng(streams[-1])))
+        datasets.append(_sample_objective(sp, np.random.default_rng(streams[-1])))
     return datasets
 
 
@@ -322,7 +331,7 @@ def train(sp: StandardProblem, datasets, cfg: RunConfig) -> Trained:
                 model = select_surrogate(points, targets, task=task, seed=seed)
             except DegenerateDataset as exc:
                 raise DegenerateDataset(f"cannot train a surrogate for {name}: {exc}") from exc
-            model = replace(model, support=tuple(support), constraint_id=name)
+            model = replace(model, support=tuple(support))
             out.runs += 1
             out.families[name] = {"family": model.family, "score": model.validation_score}
         if is_objective:
@@ -462,7 +471,7 @@ def solve_grid(sp: StandardProblem, trained: Trained, cfg: RunConfig, phases: di
                 try:
                     with _timed(phases, "refining"):
                         if key not in refined_cache:
-                            refined_cache[key] = pgd_improve(sp, x_mio, cfg.pgd)
+                            refined_cache[key] = pgd_improve(sp, x_mio, cfg.momentum)
                 except TimeLimitReached:  # no time was left to evaluate the MILP point
                     cell.status = "time_limit"
                 else:

@@ -66,14 +66,6 @@ class RelaxConfig:
             raise ValueError("relaxation penalty must be positive")
 
 
-@dataclass
-class SurrogateEncoding:
-    """Bookkeeping for one embedded surrogate."""
-
-    output: Optional[int]          # model-output variable, None for a direct row
-    binaries: Optional[list] = None
-
-
 # ---------------------------------------------------------------------------
 # Interval helpers
 # ---------------------------------------------------------------------------
@@ -107,7 +99,7 @@ def _split_eps(a) -> float:
 # Norm linearization
 # ---------------------------------------------------------------------------
 
-def add_norm_var(m: MilpModel, a, cols, lo, hi, q: float, prefix: str) -> int:
+def add_norm_var(m: MilpModel, a, cols, lo, hi, q: float) -> int:
     """Add t >= || a (*) x ||_q rows over the columns in ``cols``.
 
     The componentwise products a_k * x_k are affine, so the envelope is exact
@@ -116,21 +108,21 @@ def add_norm_var(m: MilpModel, a, cols, lo, hi, q: float, prefix: str) -> int:
     a = np.asarray(a, dtype=float)
     nz = [k for k in range(len(a)) if a[k] != 0.0]
     t_up = BIG_M_SAFETY * _norm_upper(a, lo, hi, q) + 1e-9
-    t = m.add_var(f"{prefix}_norm", 0.0, t_up, integral=False)
+    t = m.add_var(0.0, t_up)
     if math.isinf(q):
         for k in nz:
-            m.add_row({cols[k]: a[k], t: -1.0}, "<=", 0.0, name=f"{prefix}_ninf_p{k}")
-            m.add_row({cols[k]: -a[k], t: -1.0}, "<=", 0.0, name=f"{prefix}_ninf_m{k}")
+            m.add_row({cols[k]: a[k], t: -1.0}, "<=", 0.0)
+            m.add_row({cols[k]: -a[k], t: -1.0}, "<=", 0.0)
         return t
     if q == 1.0:
         s_vars = []
         for k in nz:
             s_up = BIG_M_SAFETY * max(abs(a[k] * lo[k]), abs(a[k] * hi[k])) + 1e-9
-            s = m.add_var(f"{prefix}_abs{k}", 0.0, s_up, integral=False)
-            m.add_row({cols[k]: a[k], s: -1.0}, "<=", 0.0, name=f"{prefix}_n1_p{k}")
-            m.add_row({cols[k]: -a[k], s: -1.0}, "<=", 0.0, name=f"{prefix}_n1_m{k}")
+            s = m.add_var(0.0, s_up)
+            m.add_row({cols[k]: a[k], s: -1.0}, "<=", 0.0)
+            m.add_row({cols[k]: -a[k], s: -1.0}, "<=", 0.0)
             s_vars.append(s)
-        m.add_row({**{s: 1.0 for s in s_vars}, t: -1.0}, "<=", 0.0, name=f"{prefix}_n1_sum")
+        m.add_row({**{s: 1.0 for s in s_vars}, t: -1.0}, "<=", 0.0)
         return t
     raise UnsupportedNorm(f"built-in solver cannot linearize q={q}")
 
@@ -140,42 +132,42 @@ def add_norm_var(m: MilpModel, a, cols, lo, hi, q: float, prefix: str) -> int:
 # ---------------------------------------------------------------------------
 
 def encode_linear_model(model: LinearModel, task: str, m: MilpModel, cols, lo, hi,
-                        robust: Optional[RobustConfig] = None, prefix: str = "lin",
-                        relax_var: Optional[int] = None) -> SurrogateEncoding:
-    """Regression adds an output variable; classification adds the margin row
-    directly (robustified when requested)."""
+                        robust: Optional[RobustConfig] = None,
+                        relax_var: Optional[int] = None) -> Optional[int]:
+    """Regression adds an output variable and returns it; classification adds
+    the margin row directly (robustified when requested) and returns None."""
     beta = np.asarray(model.beta, dtype=float)
     if task == "regressor":
         out_lo, out_hi = affine_range(beta, lo, hi, model.beta0)
-        y = m.add_var(f"{prefix}_out", out_lo - 1.0, out_hi + 1.0, integral=False)
+        y = m.add_var(out_lo - 1.0, out_hi + 1.0)
         coeffs = {cols[k]: beta[k] for k in range(len(beta)) if beta[k] != 0.0}
         coeffs[y] = -1.0
-        m.add_row(coeffs, "=", -model.beta0, name=f"{prefix}_def")
-        return SurrogateEncoding(output=y)
+        m.add_row(coeffs, "=", -model.beta0)
+        return y
     coeffs = {cols[k]: beta[k] for k in range(len(beta)) if beta[k] != 0.0}
     if robust is not None and robust.active:
-        t = add_norm_var(m, beta, cols, lo, hi, robust.q, prefix)
+        t = add_norm_var(m, beta, cols, lo, hi, robust.q)
         coeffs[t] = -robust.rho
     if relax_var is not None:
         coeffs[relax_var] = 1.0
-    m.add_row(coeffs, ">=", -model.beta0, name=f"{prefix}_margin")
-    return SurrogateEncoding(output=None)
+    m.add_row(coeffs, ">=", -model.beta0)
+    return None
 
 
-def encode_tree(tree: ObliqueTree, task: str, m: MilpModel, cols, lo, hi,
-                robust: Optional[RobustConfig] = None, prefix: str = "dt") -> SurrogateEncoding:
+def encode_tree(tree: ObliqueTree, m: MilpModel, cols, lo, hi,
+                robust: Optional[RobustConfig] = None) -> int:
     """One binary per leaf, big-M deactivated path rows, and a linking row
-    for the output value. Robust mode widens each split row by
+    for the output variable, which it returns. Robust mode widens each split row by
     rho * ||a (*) x||_q on its restrictive side."""
     leaves = tree.leaves()
-    zs = [m.add_binary(f"{prefix}_z{i}") for i in range(len(leaves))]
-    m.add_row({z: 1.0 for z in zs}, "=", 1.0, name=f"{prefix}_onehot")
+    zs = [m.add_binary() for _ in leaves]
+    m.add_row({z: 1.0 for z in zs}, "=", 1.0)
 
     values = [v for v, _ in leaves]
-    y = m.add_var(f"{prefix}_out", min(values) - 1e-9, max(values) + 1e-9, integral=False)
+    y = m.add_var(min(values) - 1e-9, max(values) + 1e-9)
     link = {z: values[i] for i, z in enumerate(zs)}
     link[y] = -1.0
-    m.add_row(link, "=", 0.0, name=f"{prefix}_value")
+    m.add_row(link, "=", 0.0)
 
     robust_on = robust is not None and robust.active
     # keyed on id() of the tree's own split array, which the tree keeps alive;
@@ -184,12 +176,11 @@ def encode_tree(tree: ObliqueTree, task: str, m: MilpModel, cols, lo, hi,
 
     def norm_var_for(split):
         if id(split) not in norm_vars:
-            name = f"{prefix}_s{len(norm_vars)}"
-            norm_vars[id(split)] = add_norm_var(m, split, cols, lo, hi, robust.q, name)
+            norm_vars[id(split)] = add_norm_var(m, split, cols, lo, hi, robust.q)
         return norm_vars[id(split)]
 
     for i, (_, path) in enumerate(leaves):
-        for j, (split, b, on_left) in enumerate(path):
+        for split, b, on_left in path:
             a = np.asarray(split, dtype=float)
             margin = robust.rho * _norm_upper(a, lo, hi, robust.q) if robust_on else 0.0
             M = big_m_value(a, b, lo, hi) + BIG_M_SAFETY * margin
@@ -199,24 +190,21 @@ def encode_tree(tree: ObliqueTree, task: str, m: MilpModel, cols, lo, hi,
                 if robust_on:
                     coeffs[norm_var_for(split)] = robust.rho
                 coeffs[zs[i]] = M
-                m.add_row(coeffs, "<=", b + M, name=f"{prefix}_l{i}_{j}")
+                m.add_row(coeffs, "<=", b + M)
             else:
                 # a.x >= b - M(1-z) + eps, robust: a.x - rho||a*x||_q >= ...
                 if robust_on:
                     coeffs[norm_var_for(split)] = -robust.rho
                 coeffs[zs[i]] = -M
-                m.add_row(coeffs, ">=", b - M + _split_eps(a), name=f"{prefix}_r{i}_{j}")
-    return SurrogateEncoding(output=y, binaries=zs)
+                m.add_row(coeffs, ">=", b - M + _split_eps(a))
+    return y
 
 
-def encode_gbm(ens: GbmEnsemble, task: str, m: MilpModel, cols, lo, hi,
-               robust: Optional[RobustConfig] = None, prefix: str = "gbm") -> SurrogateEncoding:
-    """Encode every tree, then link y = base + sum of weighted tree outputs."""
-    encodings = []
-    for i, tree in enumerate(ens.trees):
-        encodings.append(
-            encode_tree(tree, "regressor", m, cols, lo, hi, robust=robust, prefix=f"{prefix}_t{i}")
-        )
+def encode_gbm(ens: GbmEnsemble, m: MilpModel, cols, lo, hi,
+               robust: Optional[RobustConfig] = None) -> int:
+    """Encode every tree, then link the returned output variable
+    y = base + sum of weighted tree outputs."""
+    outputs = [encode_tree(tree, m, cols, lo, hi, robust=robust) for tree in ens.trees]
     lo_sum = ens.base + sum(
         w * (min(v for v, _ in t.leaves()) if t.leaves() else 0.0)
         for w, t in zip(ens.weights, ens.trees)
@@ -225,16 +213,16 @@ def encode_gbm(ens: GbmEnsemble, task: str, m: MilpModel, cols, lo, hi,
         w * (max(v for v, _ in t.leaves()) if t.leaves() else 0.0)
         for w, t in zip(ens.weights, ens.trees)
     )
-    y = m.add_var(f"{prefix}_out", lo_sum - 1e-6, hi_sum + 1e-6, integral=False)
-    coeffs = {enc.output: w for enc, w in zip(encodings, ens.weights)}
+    y = m.add_var(lo_sum - 1e-6, hi_sum + 1e-6)
+    coeffs = dict(zip(outputs, ens.weights))
     coeffs[y] = -1.0
-    m.add_row(coeffs, "=", -ens.base, name=f"{prefix}_link")
-    return SurrogateEncoding(output=y)
+    m.add_row(coeffs, "=", -ens.base)
+    return y
 
 
-def encode_mlp(net: Mlp, task: str, m: MilpModel, cols, lo, hi,
-               prefix: str = "mlp") -> SurrogateEncoding:
-    """Standard big-M ReLU encoding with per-neuron interval bounds.
+def encode_mlp(net: Mlp, m: MilpModel, cols, lo, hi) -> int:
+    """Standard big-M ReLU encoding with per-neuron interval bounds; returns
+    the output variable.
 
     Units that an interval pass proves always active get an equality row and
     no binary; provably inactive units pin to zero.
@@ -242,8 +230,7 @@ def encode_mlp(net: Mlp, task: str, m: MilpModel, cols, lo, hi,
     prev_cols = list(cols)
     prev_lo = np.asarray(lo, dtype=float).copy()
     prev_hi = np.asarray(hi, dtype=float).copy()
-    binaries = []
-    for layer_idx, (W, b) in enumerate(net.layers[:-1]):
+    for W, b in net.layers[:-1]:
         n_out = W.shape[0]
         new_cols = []
         new_lo = np.zeros(n_out)
@@ -251,31 +238,29 @@ def encode_mlp(net: Mlp, task: str, m: MilpModel, cols, lo, hi,
         for i in range(n_out):
             w = W[i]
             pre_lo, pre_hi = affine_range(w, prev_lo, prev_hi, float(b[i]))
-            name = f"{prefix}_h{layer_idx}_{i}"
             wcoeffs = {prev_cols[k]: w[k] for k in range(len(w)) if w[k] != 0.0}
             if pre_hi <= 0.0:
-                u = m.add_var(name, 0.0, 0.0, integral=False)
+                u = m.add_var(0.0, 0.0)
             elif pre_lo >= 0.0:
-                u = m.add_var(name, pre_lo, pre_hi, integral=False)
+                u = m.add_var(pre_lo, pre_hi)
                 coeffs = dict(wcoeffs)
                 coeffs[u] = coeffs.get(u, 0.0) - 1.0
-                m.add_row(coeffs, "=", -float(b[i]), name=f"{name}_eq")
+                m.add_row(coeffs, "=", -float(b[i]))
             else:
-                u = m.add_var(name, 0.0, pre_hi, integral=False)
-                z = m.add_binary(f"{name}_on")
-                binaries.append(z)
+                u = m.add_var(0.0, pre_hi)
+                z = m.add_binary()
                 # u >= pre
                 coeffs = dict(wcoeffs)
                 coeffs[u] = coeffs.get(u, 0.0) - 1.0
-                m.add_row(coeffs, "<=", -float(b[i]), name=f"{name}_ge")
+                m.add_row(coeffs, "<=", -float(b[i]))
                 # u <= pre - pre_lo (1 - z)
                 coeffs = {u: 1.0}
                 for k, v in wcoeffs.items():
                     coeffs[k] = coeffs.get(k, 0.0) - v
                 coeffs[z] = coeffs.get(z, 0.0) - pre_lo
-                m.add_row(coeffs, "<=", float(b[i]) - pre_lo, name=f"{name}_ub1")
+                m.add_row(coeffs, "<=", float(b[i]) - pre_lo)
                 # u <= pre_hi z
-                m.add_row({u: 1.0, z: -pre_hi}, "<=", 0.0, name=f"{name}_ub2")
+                m.add_row({u: 1.0, z: -pre_hi}, "<=", 0.0)
             new_cols.append(u)
             new_lo[i] = max(0.0, pre_lo)
             new_hi[i] = max(0.0, pre_hi)
@@ -283,11 +268,11 @@ def encode_mlp(net: Mlp, task: str, m: MilpModel, cols, lo, hi,
 
     W, b = net.layers[-1]
     out_lo, out_hi = affine_range(W[0], prev_lo, prev_hi, float(b[0]))
-    y = m.add_var(f"{prefix}_out", out_lo - 1e-6, out_hi + 1e-6, integral=False)
+    y = m.add_var(out_lo - 1e-6, out_hi + 1e-6)
     coeffs = {prev_cols[k]: W[0][k] for k in range(W.shape[1]) if W[0][k] != 0.0}
     coeffs[y] = coeffs.get(y, 0.0) - 1.0
-    m.add_row(coeffs, "=", -float(b[0]), name=f"{prefix}_outrow")
-    return SurrogateEncoding(output=y, binaries=binaries)
+    m.add_row(coeffs, "=", -float(b[0]))
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -315,51 +300,42 @@ def assemble(
     penalized in the objective.
     """
     m = MilpModel(name=sp.name or "model")
-    x_cols = [
-        m.add_var(v.name or f"x{v.index}", v.lower, v.upper, integral=v.integral)
-        for v in sp.vars
-    ]
-    for i, row in enumerate(sp.linear):
+    x_cols = [m.add_var(v.lower, v.upper, integral=v.integral) for v in sp.vars]
+    for row in sp.linear:
         coeffs = {x_cols[k]: row.coeffs[k] for k in range(sp.n) if row.coeffs[k] != 0.0}
-        m.add_row(coeffs, row.sense, row.rhs, name=row.name or f"lin{i}")
+        m.add_row(coeffs, row.sense, row.rhs)
 
     lo_all, hi_all = sp.box()
     relax_vars = []
 
-    for ci, (con, sur) in enumerate(zip(sp.nonlinear, constraint_surrogates)):
+    for con, sur in zip(sp.nonlinear, constraint_surrogates):
         if sur == ALWAYS_FEASIBLE:
             continue
         u = None
         if relax is not None:
-            u = m.add_var(f"u{ci}", 0.0, math.inf, integral=False)
+            u = m.add_var(0.0, math.inf)
             relax_vars.append(u)
         if sur == ALWAYS_INFEASIBLE:
             # no feasible sample was ever seen: 0 >= 1 unless relaxed
             coeffs = {} if u is None else {u: 1.0}
-            m.add_row(coeffs, ">=", 1.0, name=f"c{ci}_nofeas")
+            m.add_row(coeffs, ">=", 1.0)
             continue
 
         support = sorted(sur.support) if sur.support else sorted(con.support)
         cols = [x_cols[k] for k in support]
         lo = lo_all[support]
         hi = hi_all[support]
-        prefix = f"c{ci}_{sur.family}"
 
         if con.sense == "=0":
             # regression surrogate pinned inside a band around zero
-            enc = _encode_output(sur, m, cols, lo, hi, robust, prefix)
-            out = {enc.output: 1.0}
-            m.add_row(_with_coef(out, u, -1.0), "<=", EQUALITY_BAND, name=f"{prefix}_band_hi")
-            m.add_row(_with_coef(out, u, 1.0), ">=", -EQUALITY_BAND, name=f"{prefix}_band_lo")
+            out = {_encode_output(sur, m, cols, lo, hi, robust): 1.0}
+            m.add_row(_with_coef(out, u, -1.0), "<=", EQUALITY_BAND)
+            m.add_row(_with_coef(out, u, 1.0), ">=", -EQUALITY_BAND)
         elif sur.family == "svm" and sur.task == "classifier":
-            encode_linear_model(
-                sur.model, "classifier", m, cols, lo, hi, robust=robust, prefix=prefix, relax_var=u
-            )
+            encode_linear_model(sur.model, "classifier", m, cols, lo, hi, robust=robust, relax_var=u)
         else:
-            enc = _encode_output(sur, m, cols, lo, hi, robust, prefix)
-            m.add_row(
-                _with_coef({enc.output: 1.0}, u, 1.0), ">=", sur.threshold, name=f"{prefix}_rule"
-            )
+            out = {_encode_output(sur, m, cols, lo, hi, robust): 1.0}
+            m.add_row(_with_coef(out, u, 1.0), ">=", sur.threshold)
 
     if isinstance(sp.objective, LinearObjective):
         for k in range(sp.n):
@@ -371,10 +347,8 @@ def assemble(
             raise ValueError("nonlinear objective needs a regressor surrogate")
         support = sorted(objective_surrogate.support) or sorted(sp.objective.support)
         cols = [x_cols[k] for k in support]
-        enc = _encode_output(
-            objective_surrogate, m, cols, lo_all[support], hi_all[support], None, "obj"
-        )
-        m.add_objective_term(enc.output, 1.0)
+        out = _encode_output(objective_surrogate, m, cols, lo_all[support], hi_all[support], None)
+        m.add_objective_term(out, 1.0)
 
     if relax is not None:
         for u in relax_vars:
@@ -394,21 +368,21 @@ def _with_coef(coeffs: dict, var: Optional[int], coef: float) -> dict:
     return coeffs
 
 
-def _encode_output(sur: Surrogate, m, cols, lo, hi, robust, prefix) -> SurrogateEncoding:
+def _encode_output(sur: Surrogate, m, cols, lo, hi, robust) -> int:
     """Encode any family so that its model output lands in one variable."""
     if sur.family == "svm":
-        return encode_linear_model(sur.model, "regressor", m, cols, lo, hi, prefix=prefix)
+        return encode_linear_model(sur.model, "regressor", m, cols, lo, hi)
     if sur.family == "tree":
-        return encode_tree(sur.model, sur.task, m, cols, lo, hi, robust=robust, prefix=prefix)
+        return encode_tree(sur.model, m, cols, lo, hi, robust=robust)
     if sur.family == "gbm":
-        return encode_gbm(sur.model, sur.task, m, cols, lo, hi, robust=robust, prefix=prefix)
+        return encode_gbm(sur.model, m, cols, lo, hi, robust=robust)
     if sur.family == "mlp":
-        return encode_mlp(sur.model, sur.task, m, cols, lo, hi, prefix=prefix)
+        return encode_mlp(sur.model, m, cols, lo, hi)
     raise ValueError(f"unknown family {sur.family!r}")
 
 
 def fix_point(m: MilpModel, cols, values) -> None:
     """Pin selected variables with equality rows (used by fidelity checks)."""
     for col, v in zip(cols, values):
-        m.add_row({col: 1.0}, "=", float(v), name=f"fix_{col}")
+        m.add_row({col: 1.0}, "=", float(v))
 

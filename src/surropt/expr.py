@@ -492,12 +492,12 @@ def load_problem(document, blackbox_registry=None):
           ],
           "blackbox": [                        # optional, resolved via registry
             {"name": "...", "sense": "<=0", "support": ["x1", "x2"]}
-          ],
-          "known_optimum": -1.0                # optional metadata
+          ]
         }
 
-    Expressions with affine trees become linear rows; everything else becomes
-    a nonlinear constraint with an exact-gradient evaluator.
+    Any other key (such as ``known_optimum``) is ignored. Expressions with
+    affine trees become linear rows; everything else becomes a nonlinear
+    constraint with an exact-gradient evaluator.
     """
     from .model import (
         LinearConstraint,
@@ -632,5 +632,4 @@ def load_problem(document, blackbox_registry=None):
         linear=tuple(linear),
         nonlinear=tuple(nonlinear),
         name=document.get("name", ""),
-        known_optimum=document.get("known_optimum"),
     )

@@ -75,7 +75,6 @@ class ObliqueTree:
     """
 
     root: _Node
-    n_features: int
 
     def predict_one(self, x) -> float:
         node = self.root
@@ -185,7 +184,6 @@ class Surrogate:
     threshold: float
     validation_score: float
     support: tuple = ()
-    constraint_id: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +386,7 @@ def train_tree(
         node.right = build(Xv[~mask], yv[~mask], depth + 1)
         return node
 
-    return ObliqueTree(root=build(X, y, 0), n_features=X.shape[1])
+    return ObliqueTree(root=build(X, y, 0))
 
 
 def train_gbm(

@@ -63,7 +63,6 @@ class LpProblem:
     lower: np.ndarray
     upper: np.ndarray
     const: float = 0.0
-    minimize: bool = True
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
@@ -316,7 +315,7 @@ def _columns(lp: LpProblem):
     lo = np.concatenate([lp.lower, slack_lo])
     hi = np.concatenate([lp.upper, slack_hi])
     cost = np.zeros(lo.size)
-    cost[:lp.c.size] = lp.c if lp.minimize else -lp.c
+    cost[:lp.c.size] = lp.c
     return lo, hi, cost
 
 
@@ -493,36 +492,32 @@ class MilpModel:
 
     def __init__(self, name: str = ""):
         self.name = name
-        self.var_names: list[str] = []
         self.lower: list[float] = []
         self.upper: list[float] = []
         self.integral: list[bool] = []
         self.row_coeffs: list[dict[int, float]] = []
         self.row_senses: list[str] = []
         self.row_rhs: list[float] = []
-        self.row_names: list[str] = []
         self.obj: dict[int, float] = {}
         self.obj_const: float = 0.0
         self.registry: dict = {}
 
     # -- construction ------------------------------------------------------
-    def add_var(self, name: str, lower: float, upper: float, integral: bool = False) -> int:
-        self.var_names.append(name)
+    def add_var(self, lower: float, upper: float, integral: bool = False) -> int:
         self.lower.append(float(lower))
         self.upper.append(float(upper))
         self.integral.append(bool(integral))
-        return len(self.var_names) - 1
+        return len(self.lower) - 1
 
-    def add_binary(self, name: str) -> int:
-        return self.add_var(name, 0.0, 1.0, integral=True)
+    def add_binary(self) -> int:
+        return self.add_var(0.0, 1.0, integral=True)
 
-    def add_row(self, coeffs: dict[int, float], sense: str, rhs: float, name: str = "") -> int:
+    def add_row(self, coeffs: dict[int, float], sense: str, rhs: float) -> int:
         if sense not in ("<=", ">=", "="):
             raise ValueError(f"bad sense {sense!r}")
         self.row_coeffs.append({int(k): float(v) for k, v in coeffs.items() if v != 0.0})
         self.row_senses.append(sense)
         self.row_rhs.append(float(rhs))
-        self.row_names.append(name)
         return len(self.row_rhs) - 1
 
     def add_objective_term(self, idx: int, coef: float) -> None:
@@ -531,7 +526,7 @@ class MilpModel:
     # -- views --------------------------------------------------------------
     @property
     def n_vars(self) -> int:
-        return len(self.var_names)
+        return len(self.lower)
 
     @property
     def n_rows(self) -> int:
@@ -991,7 +986,7 @@ def read_lp_file(path: str) -> MilpModel:
     lines = [ln for ln in raw if ln and not ln.startswith("\\")]
     section = None
     obj_tokens: list[str] = []
-    rows: list[tuple[str, str, float, str]] = []
+    rows: list[tuple[str, float, str]] = []
     bounds: dict[str, tuple[float, float]] = {}
     binaries: set[str] = set()
     generals: set[str] = set()
@@ -1018,11 +1013,11 @@ def read_lp_file(path: str) -> MilpModel:
             body = ln.split(":", 1)[1] if ":" in ln else ln
             obj_tokens.extend(body.split())
         elif section == "rows":
-            name, body = (ln.split(":", 1) + [""])[:2] if ":" in ln else ("", ln)
+            body = ln.split(":", 1)[1] if ":" in ln else ln
             for sense in ("<=", ">=", "="):
                 if f" {sense} " in body:
                     lhs, rhs = body.rsplit(f" {sense} ", 1)
-                    rows.append((name.strip(), lhs.strip(), float(rhs), sense))
+                    rows.append((lhs.strip(), float(rhs), sense))
                     break
             else:
                 raise ValueError(f"row without sense: {ln}")
@@ -1045,7 +1040,7 @@ def read_lp_file(path: str) -> MilpModel:
     index = {}
     for nm in names:
         lo, hi = bounds[nm]
-        index[nm] = model.add_var(nm, lo, hi, integral=(nm in binaries or nm in generals))
+        index[nm] = model.add_var(lo, hi, integral=(nm in binaries or nm in generals))
 
     def parse_terms(tokens):
         coeffs: dict[int, float] = {}
@@ -1080,15 +1075,16 @@ def read_lp_file(path: str) -> MilpModel:
     coeffs, const = parse_terms(obj_tokens)
     model.obj = coeffs
     model.obj_const = const
-    for name, lhs, rhs, sense in rows:
+    for lhs, rhs, sense in rows:
         row, row_const = parse_terms(lhs.split())
-        model.add_row(row, sense, rhs - row_const, name=name)
+        model.add_row(row, sense, rhs - row_const)
     return model
 
 
 def fingerprint(model: MilpModel) -> tuple:
     """Hashable key of what a solve depends on: integrality, bounds, the
-    objective and the rows. Names and the encoder's ``registry`` do not count."""
+    objective and the rows. The model's name and the encoder's ``registry``
+    do not count."""
     return (
         tuple(model.integral),
         tuple(model.lower),

@@ -171,7 +171,6 @@ class Problem:
     linear: tuple[LinearConstraint, ...] = ()
     nonlinear: tuple[NonlinearConstraint, ...] = ()
     name: str = ""
-    known_optimum: Optional[float] = None
 
     def __post_init__(self):
         if not self.vars:
@@ -203,12 +202,10 @@ class Problem:
 class StandardProblem(Problem):
     """Problem with finite bounds on every nonlinear-involved variable.
 
-    ``bound_provenance[i]`` records whether variable i's box came from the
-    user ("user") or from a bound LP ("inferred"). ``deadline`` is the run's
-    ``time.monotonic()`` instant after which no new point is evaluated.
+    ``deadline`` is the run's ``time.monotonic()`` instant after which no
+    new point is evaluated.
     """
 
-    bound_provenance: tuple[str, ...] = ()
     deadline: float = math.inf
 
 
@@ -285,8 +282,6 @@ def standardize(problem: Problem, deadline: float = math.inf) -> StandardProblem
         replace(v, lower=float(lower[i]), upper=float(upper[i]))
         for i, v in enumerate(problem.vars)
     ]
-    provenance = ["user"] * n
-
     needed = set()
     for con in nonlinear:
         needed |= con.support
@@ -299,23 +294,13 @@ def standardize(problem: Problem, deadline: float = math.inf) -> StandardProblem
         linear=tuple(kept_rows),
         nonlinear=tuple(nonlinear),
         name=problem.name,
-        known_optimum=problem.known_optimum,
-        bound_provenance=tuple(provenance),
     )
 
     for j in sorted(needed):
         v = new_vars[j]
-        lo, hi = v.lower, v.upper
-        changed = False
-        if not math.isfinite(lo):
-            lo = infer_bound(draft, j, "min")
-            changed = True
-        if not math.isfinite(hi):
-            hi = infer_bound(draft, j, "max")
-            changed = True
-        if changed:
-            new_vars[j] = replace(v, lower=float(lo), upper=float(hi))
-            provenance[j] = "inferred"
+        lo = v.lower if math.isfinite(v.lower) else infer_bound(draft, j, "min")
+        hi = v.upper if math.isfinite(v.upper) else infer_bound(draft, j, "max")
+        new_vars[j] = replace(v, lower=float(lo), upper=float(hi))
 
     return StandardProblem(
         vars=tuple(new_vars),
@@ -323,8 +308,6 @@ def standardize(problem: Problem, deadline: float = math.inf) -> StandardProblem
         linear=tuple(kept_rows),
         nonlinear=tuple(nonlinear),
         name=problem.name,
-        known_optimum=problem.known_optimum,
-        bound_provenance=tuple(provenance),
         deadline=deadline,
     )
 

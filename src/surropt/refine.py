@@ -51,16 +51,7 @@ from .model import LinearConstraint, StandardProblem
 TIME_LIMIT_WARNING = "stopped at the time limit"
 PENALTY = 1e3       # merit weight of the summed nonlinear violations
 MAX_HALVINGS = 20   # backtracking tries no alpha below 2^-MAX_HALVINGS
-
-
-@dataclass
-class PgdConfig:
-    iterations: int = 30
-    momentum: float = 0.9
-
-    def __post_init__(self):
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum coefficient must lie in [0, 1)")
+ITERATIONS = 30     # PGD iterations per call
 
 
 @dataclass
@@ -285,13 +276,14 @@ def _coordinate_grid(sp: StandardProblem, state: MeritState, rows, lo, hi, froze
     return current
 
 
-def pgd_improve(sp: StandardProblem, x0, cfg: Optional[PgdConfig] = None) -> MeritState:
+def pgd_improve(sp: StandardProblem, x0, momentum: float = 0.9) -> MeritState:
     """Improve an incumbent; never returns a point with merit above the start.
 
-    Each of ``cfg.iterations`` (30 by default) iterations projects
-    x - alpha (grad f + gamma * velocity) onto the linear rows, the box and
-    the nonlinear constraints linearized at x, c_i(x) + grad c_i(x) (y - x)
-    <= 0 (= for an equality). A losing probe y is retried once at the
+    Each of ``ITERATIONS`` iterations projects x - alpha (grad f + momentum
+    * velocity) onto the linear rows, the box and the nonlinear constraints
+    linearized at x, c_i(x) + grad c_i(x) (y - x) <= 0 (= for an equality);
+    velocity is the previous iteration's step if it was accepted, else 0,
+    and ``momentum`` lies in [0, 1). A losing probe y is retried once at the
     projection onto c_i(y) + grad c_i(x) (z - y) <= 0. Alpha halves from
     min(1, 2 * the last accepted alpha), 1 at first, on a losing probe or a
     ``ProjectionStall``, until a probe is accepted, alpha < 2^-MAX_HALVINGS,
@@ -308,7 +300,6 @@ def pgd_improve(sp: StandardProblem, x0, cfg: Optional[PgdConfig] = None) -> Mer
     ``TimeLimitReached`` if the deadline has passed before the start point
     is evaluated.
     """
-    cfg = cfg or PgdConfig()
     lo, hi = sp.box()
     frozen = np.array([v.integral for v in sp.vars], dtype=bool)
     rows = sp.linear
@@ -321,11 +312,11 @@ def pgd_improve(sp: StandardProblem, x0, cfg: Optional[PgdConfig] = None) -> Mer
     order = list(range(len(sp.nonlinear)))
 
     try:
-        for _ in range(cfg.iterations):
+        for _ in range(ITERATIONS):
             g = sp.objective.grad(current.x)
             d = np.where(np.isfinite(g) & ~frozen, g, 0.0)
             if velocity is not None:
-                d = d + cfg.momentum * velocity
+                d = d + momentum * velocity
             gradients = _gradients(sp, current.x)
             linearized = rows + _linearized(gradients, current.x)
             # the step cannot see everything here, so a failed search proves nothing
@@ -350,7 +341,7 @@ def pgd_improve(sp: StandardProblem, x0, cfg: Optional[PgdConfig] = None) -> Mer
                     pass
                 alpha *= 0.5
             if accepted is not None:
-                velocity = alpha * d if cfg.momentum > 0.0 else None
+                velocity = alpha * d if momentum > 0.0 else None
                 first_alpha = min(1.0, 2.0 * alpha)
                 current = accepted
                 continue

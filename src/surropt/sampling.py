@@ -12,6 +12,13 @@ of leaves, and the chains of a round run in lockstep as arrays.
 ``cap``, else ``cap`` random ones and the center; the driver sets ``cap``
 so that the corners never outnumber its Latin hypercube of ``n`` points
 (every corner while ``2^d <= n``, else ``10 d``).
+
+The sizes are module constants: a hypercube of at least ``N_LH`` points,
+a committee of ``COMMITTEE_SIZE`` trees, each trained on
+min(m, max(50, m // 2)) of the m points, that calls a point ambiguous when
+its vote gap is at most ``DISCORDANCE`` of the committee, and
+``HR_PER_POLY`` hit-and-run samples per region after ``HR_BURN_IN``
+discarded steps.
 """
 
 from __future__ import annotations
@@ -29,6 +36,11 @@ from .errors import DegenerateDataset, EmptyPolyhedron
 STRICT_MARGIN = 1e-7  # closed-set stand-in for strict split sides
 CONTAIN_TOL = 1e-9
 KNN_K = 10            # neighbors searched for opposite labels by secant sampling
+N_LH = 300            # least Latin hypercube size; the static design draws max(N_LH, 50 d)
+COMMITTEE_SIZE = 5    # trees in an adaptive round's committee
+DISCORDANCE = 0.5     # largest vote gap, as a share of the committee, of an ambiguous point
+HR_PER_POLY = 10      # hit-and-run samples kept per polyhedron
+HR_BURN_IN = 20       # hit-and-run steps discarded before the first kept one
 
 
 @dataclass
@@ -78,30 +90,6 @@ class Polyhedron:
         ) + 0.0
         M = M[np.lexsort(M.T[::-1])]
         return M.shape, M.tobytes()
-
-
-@dataclass
-class SamplerConfig:
-    """Knobs for the whole sampling pipeline."""
-
-    n_lh: int = 300
-    committee_size: int = 5          # trees trained on random subsets
-    subset_size: Optional[int] = None  # default: min(|D|, max(50, |D|/2))
-    discordance: float = 0.5           # committee vote-gap threshold in [0, 1]
-    hr_per_poly: int = 10
-    hr_burn_in: int = 20
-    adaptive_rounds: int = 1
-
-    def __post_init__(self):
-        if not 0.0 <= self.discordance <= 1.0:
-            raise ValueError("discordance must lie in [0, 1]")
-        for field_name in ("n_lh", "hr_per_poly"):
-            if getattr(self, field_name) <= 0:
-                raise ValueError(f"{field_name} must be positive")
-        if self.committee_size < 2:
-            raise ValueError("committee_size must be at least 2")
-        if self.subset_size is not None and self.subset_size < 1:
-            raise ValueError("subset_size must be None or at least 1")
 
 
 # ---------------------------------------------------------------------------
@@ -356,17 +344,18 @@ class AdaptiveSampleResult:
 def oct_adaptive_sample(
     points,
     labels,
-    cfg: SamplerConfig,
     rng: np.random.Generator,
     train_tree,
     lo,
     hi,
     deadline: float = math.inf,
 ) -> AdaptiveSampleResult:
-    """One adaptive round: train a tree committee on random subsets, locate
-    high-disagreement dataset points, intersect the leaf regions the
-    committee routes them to, and hit-and-run those regions for new
-    (unlabeled) samples.
+    """One adaptive round: train a committee of ``COMMITTEE_SIZE`` trees on
+    random subsets of min(m, max(50, m // 2)) of the m points, locate the
+    points whose vote gap is at most ``DISCORDANCE`` of the committee,
+    intersect the leaf regions the committee routes them to, and
+    hit-and-run those regions for ``HR_PER_POLY`` new (unlabeled) samples
+    each.
 
     ``train_tree(X, y, seed)`` must return a tree exposing ``predict(X)``
     (one prediction per row), ``leaves()`` (``(value, path)`` pairs, path
@@ -382,20 +371,17 @@ def oct_adaptive_sample(
     points = np.asarray(points, dtype=float)
     labels = np.asarray(labels, dtype=float)
     m = points.shape[0]
-    K = cfg.committee_size
-    C = cfg.subset_size
-    if C is None:
-        C = min(m, max(50, m // 2))
-    C = min(C, m)
+    K = COMMITTEE_SIZE
+    C = min(m, max(50, m // 2))
 
     committee = []
-    for i in range(K):
+    for _ in range(K):
         idx = rng.choice(m, size=C, replace=False)
         committee.append(train_tree(points[idx], labels[idx], int(rng.integers(0, 2**31 - 1))))
 
     pos = sum((tree.predict(points) >= 0.5).astype(float) for tree in committee)
     gap = np.abs(pos - (K - pos))
-    ambiguous = np.nonzero(gap <= K * cfg.discordance)[0]
+    ambiguous = np.nonzero(gap <= K * DISCORDANCE)[0]
 
     # one polyhedron per distinct combination of leaves, in the order the
     # ambiguous points first reach it
@@ -440,7 +426,7 @@ def oct_adaptive_sample(
         kept.append(pi)
         centers.append(center)
     chains = hit_and_run(
-        [polys[pi] for pi in kept], centers, cfg.hr_per_poly, rng, burn_in=cfg.hr_burn_in
+        [polys[pi] for pi in kept], centers, HR_PER_POLY, rng, burn_in=HR_BURN_IN
     )
     filled = [(pi, draws) for pi, draws in zip(kept, chains) if draws is not None]
     return AdaptiveSampleResult(

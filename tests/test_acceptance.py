@@ -28,7 +28,7 @@ from surropt.driver import (
 from surropt.expr import DomainError  # noqa: F401  (re-exported for helpers)
 from surropt import expr as E
 from surropt.model import NonlinearObjective, standardize
-from surropt.refine import PgdConfig, merit_state, pgd_improve
+from surropt.refine import merit_state, pgd_improve
 
 QSIGMOID_ORACLE = -12.06510798946531  # tests/oracle_qsigmoid.py, n=10 m=2 seed=2024
 SPEED_REDUCER_EVALUATIONS = 4_400     # evaluator calls allowed to the seed-3 solve
@@ -200,22 +200,22 @@ def test_criterion_4_encoding_fidelity():
         for _ in range(100):
             x = rng.uniform(lo, hi)
             m = milp.MilpModel()
-            cols = [m.add_var(f"x{j}", lo[j], hi[j]) for j in range(2)]
+            cols = [m.add_var(lo[j], hi[j]) for j in range(2)]
             if task == "regressor":
-                e = enc._encode_output(sur, m, cols, lo, hi, None, "t")
+                out = enc._encode_output(sur, m, cols, lo, hi, None)
                 enc.fix_point(m, cols, x)
-                m.add_objective_term(e.output, 1.0)
+                m.add_objective_term(out, 1.0)
                 low = milp.solve_milp(m)
-                m.obj = {e.output: -1.0}
+                m.obj = {out: -1.0}
                 high = milp.solve_milp(m)
                 want = sur.model.predict_one(x)
                 worst_reg = max(worst_reg, abs(low.objective - want), abs(-high.objective - want))
             else:
                 if family == "svm":
-                    enc.encode_linear_model(model, "classifier", m, cols, lo, hi, prefix="t")
+                    enc.encode_linear_model(model, "classifier", m, cols, lo, hi)
                 else:
-                    e = enc._encode_output(sur, m, cols, lo, hi, None, "t")
-                    m.add_row({e.output: 1.0}, ">=", thr)
+                    out = enc._encode_output(sur, m, cols, lo, hi, None)
+                    m.add_row({out: 1.0}, ">=", thr)
                 enc.fix_point(m, cols, x)
                 got = milp.solve_milp(m).status == "optimal"
                 verdict_misses += got != (sur.model.predict_one(x) >= sur.threshold)
@@ -245,7 +245,6 @@ def test_criterion_5_relaxation_guarantee():
             NonlinearConstraint(evaluator=lambda x: 0.0, sense="<=0", support=frozenset({0})),
             NonlinearConstraint(evaluator=lambda x: 0.0, sense="<=0", support=frozenset({0})),
         ),
-        bound_provenance=("user", "user"),
     )
     lower = L.Surrogate(model=L.LinearModel(beta0=-0.6, beta=np.array([1.0])), family="svm",
                         task="classifier", threshold=0.0, validation_score=1.0, support=(0,))
@@ -264,11 +263,11 @@ def _encoded_feasible(sur, point, robust, lo, hi) -> bool:
     """Does the surrogate's encoding, robustified by ``robust``, admit the
     point once every input column is pinned to it?"""
     m = milp.MilpModel()
-    cols = [m.add_var(f"x{j}", lo[j], hi[j]) for j in range(len(lo))]
+    cols = [m.add_var(lo[j], hi[j]) for j in range(len(lo))]
     if sur.family == "svm":
-        enc.encode_linear_model(sur.model, "classifier", m, cols, lo, hi, robust=robust, prefix="t")
+        enc.encode_linear_model(sur.model, "classifier", m, cols, lo, hi, robust=robust)
     else:
-        out = enc._encode_output(sur, m, cols, lo, hi, robust, "t").output
+        out = enc._encode_output(sur, m, cols, lo, hi, robust)
         m.add_row({out: 1.0}, ">=", sur.threshold)
     enc.fix_point(m, cols, point)
     return milp.solve_milp(m).status == "optimal"
@@ -300,12 +299,11 @@ def test_criterion_6_robust_nestedness():
     # rho = 0 must be row-identical to the plain encoding
     tree = surrogates[1].model
     a = milp.MilpModel()
-    cols = [a.add_var(f"x{j}", lo[j], hi[j]) for j in range(2)]
-    enc.encode_tree(tree, "classifier", a, cols, lo, hi, robust=None, prefix="t")
+    cols = [a.add_var(lo[j], hi[j]) for j in range(2)]
+    enc.encode_tree(tree, a, cols, lo, hi, robust=None)
     b = milp.MilpModel()
-    cols = [b.add_var(f"x{j}", lo[j], hi[j]) for j in range(2)]
-    enc.encode_tree(tree, "classifier", b, cols, lo, hi,
-                    robust=enc.RobustConfig(rho=0.0, p=1.0), prefix="t")
+    cols = [b.add_var(lo[j], hi[j]) for j in range(2)]
+    enc.encode_tree(tree, b, cols, lo, hi, robust=enc.RobustConfig(rho=0.0, p=1.0))
     identical = milp.models_equal(a, b)
     _verdict(6, violations == 0 and identical,
              f"nestedness violations {violations}, rho=0 rows identical={identical}")
@@ -332,19 +330,18 @@ def test_criterion_8_latin_hypercube():
     _verdict(8, ok, "one sample per stratum for n in {1, 4, 16}")
 
 
-def test_criterion_9_committee_discordance():
+def test_criterion_9_committee_discordance(monkeypatch):
     rng = np.random.default_rng(9)
     X = rng.uniform(0, 1, size=(200, 2))
     y = (X[:, 0] + 0.5 * np.sin(4 * X[:, 1]) <= 0.7).astype(float)
-    K, tau = 5, 0.5
-    cfg = S.SamplerConfig(committee_size=K, subset_size=80, discordance=tau,
-                          hr_per_poly=6, hr_burn_in=10)
+    K, tau = S.COMMITTEE_SIZE, S.DISCORDANCE
+    monkeypatch.setattr(S, "HR_PER_POLY", 6)
+    monkeypatch.setattr(S, "HR_BURN_IN", 10)
 
     def trainer(Xs, ys, seed):
         return L.train_tree(Xs, ys, task="classifier", max_depth=3, oblique=True, seed=seed)
 
-    res = S.oct_adaptive_sample(X, y, cfg, np.random.default_rng(2),
-                                trainer, np.zeros(2), np.ones(2))
+    res = S.oct_adaptive_sample(X, y, np.random.default_rng(2), trainer, np.zeros(2), np.ones(2))
     worst = 0.0
     for point in res.points:
         votes = sum(1.0 if t.predict_one(point) >= 0.5 else 0.0 for t in res.committee)
@@ -361,9 +358,9 @@ def test_criterion_10_milp_brute_force():
         nb = int(rng.integers(1, 13))
         nc = int(rng.integers(0, 4))
         model = milp.MilpModel()
-        bs = [model.add_binary(f"b{i}") for i in range(nb)]
-        cs = [model.add_var(f"c{i}", float(rng.uniform(-3, 0)), float(rng.uniform(0.5, 3)))
-              for i in range(nc)]
+        bs = [model.add_binary() for _ in range(nb)]
+        cs = [model.add_var(float(rng.uniform(-3, 0)), float(rng.uniform(0.5, 3)))
+              for _ in range(nc)]
         for _ in range(int(rng.integers(1, 8))):
             coeffs = {j: float(rng.normal()) for j in bs + cs if rng.random() < 0.7}
             if coeffs:
@@ -432,7 +429,6 @@ def test_criterion_11_gradient_correctness():
 
 def test_criterion_12_pgd_non_degradation():
     rng = np.random.default_rng(0)
-    cfg = PgdConfig()
     worst = -math.inf
     for instance_seed in (5, 6):
         sp = standardize(generate_quadratic_sigmoid(4, 3, seed=instance_seed))
@@ -440,7 +436,7 @@ def test_criterion_12_pgd_non_degradation():
         for _ in range(25):
             x0 = rng.uniform(lo, hi)
             start = merit_state(sp, x0)
-            out = pgd_improve(sp, x0, cfg)
+            out = pgd_improve(sp, x0)
             worst = max(worst, out.merit - start.merit)
     _verdict(12, worst <= 1e-12, f"50 starts, max merit increase {worst:.2e}")
 

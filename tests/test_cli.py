@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import tempfile
 from dataclasses import fields, replace
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from surropt import cli, driver, milp
+from surropt import cli, driver, milp, refine
+from surropt import sampling as S
 from surropt.encoder import assemble
 from surropt.expr import eval_expr, load_problem, parse_expr
 
@@ -136,38 +138,74 @@ def test_bad_run_flags_exit_64(flags, monkeypatch, capsys):
     assert capsys.readouterr().err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [["solve", ILLUSTRATIVE], ["bench", "qsigmoid"]])
+def test_negative_seed_exits_64(command, monkeypatch, capsys):
+    # bench qsigmoid seeds its generator with --seed too, so the flag is checked first
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_global ran with a negative seed")
+
+    monkeypatch.setattr(cli, "solve_global", no_solve)
+    with pytest.raises(SystemExit) as err:
+        cli.main([*command, "--seed", "-1"])
+    assert err.value.code == 64
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def _flag(name, values):
+    """``--name=value`` keeps argparse from reading a value such as -inf as a flag."""
+    return values.map(lambda v: f"--{name}={v}")
+
+
+_REJECTED_FLAGS = st.one_of(
+    _flag("seed", st.integers(max_value=-1)),
+    _flag("rho", st.sampled_from(["inf", "-inf", "nan"]) | st.floats(max_value=-1e-300)),
+    _flag("lam", st.sampled_from(["inf", "nan"]) | st.floats(max_value=0.0, allow_nan=False)),
+    _flag("time-limit", st.just("nan") | st.floats(max_value=0.0, allow_nan=False)),
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from([["solve", ILLUSTRATIVE], ["bench", "qsigmoid"], ["bench", "illustrative"]]),
+       flag=_REJECTED_FLAGS)
+def test_hostile_run_flags_exit_64_before_any_solve(command, flag, monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError(f"solve_global ran with {flag}")
+
+    monkeypatch.setattr(cli, "solve_global", no_solve)
+    with pytest.raises(SystemExit) as err:
+        cli.main([*command, flag])
+    assert err.value.code == 64
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+@given(st.floats(max_value=-1e-300) | st.floats(min_value=1.0) | st.just(math.nan))
+def test_momentum_outside_the_unit_interval_is_rejected(momentum):
+    with pytest.raises(ValueError, match="momentum"):
+        driver.RunConfig(momentum=momentum)
+
+
 def test_no_flags_set_the_enhancement_fields():
     def config(*flags):
         return cli._config_from_args(cli.build_parser().parse_args(["solve", "p.prob", *flags]))
 
     default = config()
-    assert default.sampler.adaptive_rounds > 0
-    assert config("--no-oct-sampling").sampler == replace(default.sampler, adaptive_rounds=0)
-    assert config("--no-robust").rho_grid == (0.0,)
-    assert config("--no-robust", "--rho", "0.1", "1").rho_grid == (0.0,)
-    assert config("--no-relax").lambda_grid == (None,)
-    assert config("--no-momentum").pgd == replace(default.pgd, momentum=0.0)
+    assert default.adaptive_rounds > 0 and default.momentum > 0
     # each flag leaves the other enhancements' fields alone
-    off = config("--no-oct-sampling")
-    assert (off.rho_grid, off.lambda_grid, off.pgd) == (default.rho_grid, default.lambda_grid, default.pgd)
+    assert config("--no-oct-sampling") == replace(default, adaptive_rounds=0)
+    assert config("--no-robust") == replace(default, rho_grid=(0.0,))
+    assert config("--no-robust", "--rho", "0.1", "1").rho_grid == (0.0,)
+    assert config("--no-relax") == replace(default, lambda_grid=(None,))
+    assert config("--no-momentum") == replace(default, momentum=0.0)
 
 
 def test_run_settings_surface():
     # every setting a caller can vary; the rest are module constants
-    from surropt.refine import PgdConfig
-    from surropt.sampling import SamplerConfig
-
-    def names(cls):
-        return [f.name for f in fields(cls)]
-
-    assert names(driver.RunConfig) == [
-        "sampler", "pgd", "rho_grid", "lambda_grid", "norm_p", "time_limit", "seed", "solver"
+    assert [f.name for f in fields(driver.RunConfig)] == [
+        "adaptive_rounds", "momentum", "rho_grid", "lambda_grid", "norm_p", "time_limit", "seed",
+        "solver",
     ]
-    assert names(SamplerConfig) == [
-        "n_lh", "committee_size", "subset_size", "discordance", "hr_per_poly", "hr_burn_in",
-        "adaptive_rounds",
-    ]
-    assert names(PgdConfig) == ["iterations", "momentum"]
+    assert (S.N_LH, S.COMMITTEE_SIZE, S.DISCORDANCE, S.HR_PER_POLY, S.HR_BURN_IN) == (300, 5, 0.5, 10, 20)
+    assert refine.ITERATIONS == 30
     args = cli.build_parser().parse_args(["solve", "p.prob"])
     assert cli._config_from_args(args) == driver.RunConfig()
 

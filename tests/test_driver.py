@@ -21,13 +21,20 @@ from surropt.driver import (
 from surropt.errors import InfeasibleApproximation
 from surropt.expr import load_problem
 from surropt.model import NonlinearObjective, feasibility_labels, standardize
-from surropt.refine import TIME_LIMIT_WARNING, PgdConfig
-from surropt.sampling import SamplerConfig
+from surropt.refine import TIME_LIMIT_WARNING
+
+
+@pytest.fixture
+def fast_sampler(monkeypatch):
+    """A smaller Latin hypercube and shorter hit-and-run chains, for speed."""
+    monkeypatch.setattr(S, "N_LH", 120)
+    monkeypatch.setattr(S, "HR_PER_POLY", 5)
+    monkeypatch.setattr(S, "HR_BURN_IN", 10)
 
 
 def _fast_config(**kw):
+    """A two-by-two grid; the tests that use it shrink the sampler with ``fast_sampler``."""
     base = dict(
-        sampler=SamplerConfig(n_lh=120, hr_per_poly=5, hr_burn_in=10),
         rho_grid=(0.0, 0.1),
         lambda_grid=(None, 1e2),
         time_limit=120.0,
@@ -123,7 +130,7 @@ def test_high_dimensional_qsigmoid_keeps_its_objective(n, m, seed, objective):
     [(300, 2, 4), (300, 7, 128), (300, 8, 256), (300, 9, 90), (300, 10, 100),
      (600, 9, 512), (600, 10, 100)],
 )
-def test_static_corners_never_outnumber_the_latin_hypercube(n_lh, d, corners):
+def test_static_corners_never_outnumber_the_latin_hypercube(n_lh, d, corners, monkeypatch):
     # every corner while 2^d <= max(n_lh, 50 d), drawing nothing; else 10 d
     # distinct random corners and the center
     sp = standardize(generate_quadratic_sigmoid(d, 1, seed=5))
@@ -131,7 +138,8 @@ def test_static_corners_never_outnumber_the_latin_hypercube(n_lh, d, corners):
     lo, hi = sp.box()
     n = max(n_lh, 50 * d)
     rng, twin = np.random.default_rng(7), np.random.default_rng(7)
-    points = _static_sample(sp, support, RunConfig(sampler=SamplerConfig(n_lh=n_lh)), rng)
+    monkeypatch.setattr(S, "N_LH", n_lh)
+    points = _static_sample(sp, support, rng)
     if corners == 2 ** d:
         expected = np.vstack([S.boundary_sample(lo, hi, corners), S.lh_sample(lo, hi, n, twin)])
     else:
@@ -146,7 +154,7 @@ def test_static_corners_never_outnumber_the_latin_hypercube(n_lh, d, corners):
     assert rng.bit_generator.state == twin.bit_generator.state
 
 
-def test_purely_linear_problem_matches_direct_milp():
+def test_purely_linear_problem_matches_direct_milp(fast_sampler):
     doc = {
         "schema": 1,
         "name": "lp",
@@ -168,7 +176,7 @@ def test_purely_linear_problem_matches_direct_milp():
     assert report.x[1] == pytest.approx(round(report.x[1]))
 
 
-def test_training_happens_once_regardless_of_grid():
+def test_training_happens_once_regardless_of_grid(fast_sampler):
     problem = generate_quadratic_sigmoid(3, 2, seed=1)
     small = solve_global(problem, _fast_config(rho_grid=(0.0,), lambda_grid=(None,)))
     full = solve_global(
@@ -182,13 +190,10 @@ def test_training_happens_once_regardless_of_grid():
     assert full.training_runs == len(trained)
 
 
-def test_toggles_off_bit_reproducible():
+def test_toggles_off_bit_reproducible(fast_sampler):
     problem = generate_quadratic_sigmoid(3, 2, seed=4)
     # every enhancement off: no adaptive rounds, no robustness, no relaxation, no momentum
-    off = dict(
-        sampler=SamplerConfig(n_lh=120, hr_per_poly=5, hr_burn_in=10, adaptive_rounds=0),
-        rho_grid=(0.0,), lambda_grid=(None,), pgd=PgdConfig(momentum=0.0), seed=9,
-    )
+    off = dict(adaptive_rounds=0, rho_grid=(0.0,), lambda_grid=(None,), momentum=0.0, seed=9)
     a = solve_global(problem, _fast_config(**off))
     b = solve_global(problem, _fast_config(**off))
     assert np.array_equal(a.x, b.x)
@@ -202,15 +207,19 @@ def test_unsupported_norm_is_rejected_up_front(norm_p):
         RunConfig(norm_p=norm_p)
 
 
-@pytest.mark.parametrize("field, value", [
-    ("committee_size", 1), ("committee_size", 0), ("subset_size", 0), ("subset_size", -5),
+@pytest.mark.parametrize("field, value, message", [
+    ("rho_grid", (0.0, math.inf), "robustness"), ("rho_grid", (math.nan,), "robustness"),
+    ("lambda_grid", (None, math.inf), "relaxation"), ("lambda_grid", (math.nan,), "relaxation"),
+    ("solver", "bogus", "solver"), ("momentum", 1.0, "momentum"), ("momentum", -0.5, "momentum"),
+    ("seed", -1, "seed"), ("seed", 1.5, "seed"),
+    ("adaptive_rounds", -1, "adaptive_rounds"), ("adaptive_rounds", 1.5, "adaptive_rounds"),
 ])
-def test_bad_committee_settings_are_rejected_up_front(field, value):
-    with pytest.raises(ValueError, match=field):
-        SamplerConfig(**{field: value})
+def test_unrunnable_settings_are_rejected_up_front(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        RunConfig(**{field: value})
 
 
-def test_report_best_is_min_over_feasible_cells():
+def test_report_best_is_min_over_feasible_cells(fast_sampler):
     problem = generate_quadratic_sigmoid(4, 2, seed=6)
     report = solve_global(problem, _fast_config())
     merits = [c.refined.merit for c in report.cells if c.status == "optimal" and c.feasible]
@@ -222,7 +231,7 @@ def test_report_best_is_min_over_feasible_cells():
             assert report.objective <= cell.refined.merit + 1e-9
 
 
-def test_infeasible_linear_core_raises():
+def test_infeasible_linear_core_raises(fast_sampler):
     # coupled rows stay out of the box absorption and make every cell infeasible
     doc = {
         "schema": 1,
@@ -242,7 +251,7 @@ def test_infeasible_linear_core_raises():
         solve_global(problem, _fast_config())
 
 
-def test_time_limit_partial_report():
+def test_time_limit_partial_report(fast_sampler):
     problem = generate_quadratic_sigmoid(6, 3, seed=8)
     report = solve_global(problem, _fast_config(time_limit=1e-3))
     assert report.status == "time_limit"
@@ -258,7 +267,7 @@ def test_time_limit_wall_clock_stays_close():
     assert report.total_seconds <= limit + 2.0
 
 
-def test_blackbox_constraint_end_to_end():
+def test_blackbox_constraint_end_to_end(fast_sampler):
     # evaluator supplied through the registry; gradients fall back to
     # central differences inside the refinement stage
     doc = {
@@ -279,7 +288,7 @@ def test_blackbox_constraint_end_to_end():
     assert max(report.violations) <= 1e-6
 
 
-def test_nan_evaluator_is_never_reported_feasible():
+def test_nan_evaluator_is_never_reported_feasible(fast_sampler):
     # the black box fails (returns NaN) on half of the box, including the
     # corner (1, 1) that the linear objective pulls toward
     def g(v):
@@ -305,7 +314,7 @@ def test_nan_evaluator_is_never_reported_feasible():
         assert math.isfinite(g(report.x))
 
 
-def test_domain_error_while_sampling_labels_the_point_infeasible():
+def test_domain_error_while_sampling_labels_the_point_infeasible(fast_sampler):
     # ln(x1) is undefined on the left third of the box; sampling labels
     # those points infeasible instead of letting DomainError escape
     doc = {
@@ -324,7 +333,7 @@ def test_domain_error_while_sampling_labels_the_point_infeasible():
     assert x1 > 0 and x2 - math.log(x1) - 1 <= 1e-6
 
 
-def test_objective_domain_error_while_sampling_drops_the_point():
+def test_objective_domain_error_while_sampling_drops_the_point(fast_sampler):
     # the objective's ln(x1) fails on the left third of the box; sampling
     # drops those points instead of letting DomainError escape
     doc = {
@@ -429,7 +438,7 @@ def test_shipped_problem_files_match_module_documents(structurally_equal):
     assert structurally_equal(from_file, speed_reducer_problem())
 
 
-def test_report_to_dict_is_json_friendly():
+def test_report_to_dict_is_json_friendly(fast_sampler):
     import json
 
     problem = generate_quadratic_sigmoid(2, 1, seed=3)
@@ -491,7 +500,7 @@ def test_solve_evaluates_each_support_point_once(make, seed):
     assert [c.repeats for c in counters] == [0] * len(counters)
 
 
-def test_evaluation_memo_lasts_one_solve():
+def test_evaluation_memo_lasts_one_solve(fast_sampler):
     problem, counters = _with_counters(illustrative_problem())
     first = solve_global(problem, _fast_config())
     calls = [c.calls for c in counters]
@@ -578,7 +587,7 @@ def test_sampling_evaluates_nothing_after_the_time_limit(monkeypatch):
     assert max(starts) <= deadlines[0] + 0.01
 
 
-def test_deadline_passing_in_the_milp_solve_reports_time_limit(monkeypatch):
+def test_deadline_passing_in_the_milp_solve_reports_time_limit(monkeypatch, fast_sampler):
     # the MILP point itself comes too late to evaluate: the cell keeps its
     # MILP counters, and the run reports instead of raising
     from surropt import driver

@@ -19,7 +19,7 @@ from surropt.model import (
 
 def _box_model(lo, hi):
     m = milp.MilpModel()
-    cols = [m.add_var(f"x{j}", lo[j], hi[j]) for j in range(len(lo))]
+    cols = [m.add_var(lo[j], hi[j]) for j in range(len(lo))]
     return m, cols
 
 
@@ -48,10 +48,10 @@ def test_robust_config_dual_norms():
 def test_encode_svr_fidelity_at_fixed_point():
     lo, hi = np.zeros(1), np.ones(1)
     m, cols = _box_model(lo, hi)
-    enc = E.encode_linear_model(L.LinearModel(beta0=1.0, beta=np.array([2.0])), "regressor",
-                                m, cols, lo, hi, prefix="t")
+    out = E.encode_linear_model(L.LinearModel(beta0=1.0, beta=np.array([2.0])), "regressor",
+                                m, cols, lo, hi)
     E.fix_point(m, cols, [0.5])
-    m.add_objective_term(enc.output, 1.0)
+    m.add_objective_term(out, 1.0)
     sol = milp.solve_milp(m)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(2.0, abs=1e-9)
@@ -61,7 +61,7 @@ def test_encode_svc_feasible_halfspace():
     lo, hi = -np.ones(2), np.ones(2)
     m, cols = _box_model(lo, hi)
     E.encode_linear_model(L.LinearModel(beta0=0.0, beta=np.array([1.0, 0.0])), "classifier",
-                          m, cols, lo, hi, prefix="t")
+                          m, cols, lo, hi)
     m.add_objective_term(cols[0], 1.0)
     sol = milp.solve_milp(m)
     assert sol.objective == pytest.approx(0.0, abs=1e-9)  # x1 >= 0 is the region
@@ -79,7 +79,7 @@ def _four_leaf_mixed_tree():
     n3 = L._Node(a=a3, b=0.04902, left=leaf3, right=leaf4)
     n2 = L._Node(a=a2, b=0.06421, left=leaf2, right=n3)
     root = L._Node(a=a1, b=-0.9319, left=leaf1, right=n2)
-    return L.ObliqueTree(root=root, n_features=2)
+    return L.ObliqueTree(root=root)
 
 
 def test_encode_tree_forces_leaf_at_fixed_point():
@@ -87,14 +87,15 @@ def test_encode_tree_forces_leaf_at_fixed_point():
     lo = np.array([0.51, 0.3])
     hi = np.array([1.5, 1.6])
     m, cols = _box_model(lo, hi)
-    enc = E.encode_tree(tree, "classifier", m, cols, lo, hi, prefix="t")
-    assert len(enc.binaries) == 4
+    out = E.encode_tree(tree, m, cols, lo, hi)
+    leaf_binaries = m.integer_indices()  # one per leaf, in leaf order
+    assert len(leaf_binaries) == 4
     E.fix_point(m, cols, [1.0, 1.0])
-    m.add_objective_term(enc.output, 1.0)
+    m.add_objective_term(out, 1.0)
     sol = milp.solve_milp(m)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(1.0, abs=1e-9)  # y equals leaf prediction
-    assert sol.x[enc.binaries[0]] == pytest.approx(1.0)   # first leaf is active
+    assert sol.x[leaf_binaries[0]] == pytest.approx(1.0)   # first leaf is active
 
 
 def test_encode_tree_max_output_over_box():
@@ -102,19 +103,19 @@ def test_encode_tree_max_output_over_box():
     lo = np.array([0.51, 0.3])
     hi = np.array([1.5, 1.6])
     m, cols = _box_model(lo, hi)
-    enc = E.encode_tree(tree, "classifier", m, cols, lo, hi, prefix="t")
-    m.add_objective_term(enc.output, -1.0)
+    out = E.encode_tree(tree, m, cols, lo, hi)
+    m.add_objective_term(out, -1.0)
     sol = milp.solve_milp(m)
     assert sol.status == "optimal"
     assert -sol.objective == pytest.approx(1.0, abs=1e-9)
 
 
 def test_encode_single_leaf_tree():
-    tree = L.ObliqueTree(root=L._Node(value=1.0), n_features=1)
+    tree = L.ObliqueTree(root=L._Node(value=1.0))
     lo, hi = np.zeros(1), np.ones(1)
     m, cols = _box_model(lo, hi)
-    enc = E.encode_tree(tree, "classifier", m, cols, lo, hi, prefix="t")
-    m.add_objective_term(enc.output, 1.0)
+    out = E.encode_tree(tree, m, cols, lo, hi)
+    m.add_objective_term(out, 1.0)
     sol = milp.solve_milp(m)
     assert sol.objective == pytest.approx(1.0)
 
@@ -124,15 +125,20 @@ def test_robust_zero_rho_identical_rows():
     lo = np.array([0.51, 0.3])
     hi = np.array([1.5, 1.6])
     plain, cols = _box_model(lo, hi)
-    E.encode_tree(tree, "classifier", plain, cols, lo, hi, robust=None, prefix="t")
+    E.encode_tree(tree, plain, cols, lo, hi, robust=None)
     robust, cols2 = _box_model(lo, hi)
-    E.encode_tree(tree, "classifier", robust, cols2, lo, hi,
-                  robust=E.RobustConfig(rho=0.0, p=1.0), prefix="t")
+    E.encode_tree(tree, robust, cols2, lo, hi, robust=E.RobustConfig(rho=0.0, p=1.0))
     assert milp.models_equal(plain, robust)
 
 
-def _norm_vars(m):
-    return sum(1 for name in m.var_names if name.endswith("_norm"))
+def _norm_columns(tree, lo, hi):
+    """Columns a robust tree encoding adds over the plain one; with p = 1 the
+    dual norm is inf, which takes one column per norm."""
+    plain, cols = _box_model(lo, hi)
+    E.encode_tree(tree, plain, cols, lo, hi)
+    robust, cols = _box_model(lo, hi)
+    E.encode_tree(tree, robust, cols, lo, hi, robust=E.RobustConfig(rho=0.1, p=1.0))
+    return robust.n_vars - plain.n_vars
 
 
 def test_robust_tree_gets_one_norm_variable_per_split():
@@ -146,9 +152,7 @@ def test_robust_tree_gets_one_norm_variable_per_split():
 
     as_lists(tree.root)
     lo, hi = np.array([0.51, 0.3]), np.array([1.5, 1.6])
-    m, cols = _box_model(lo, hi)
-    E.encode_tree(tree, "classifier", m, cols, lo, hi, robust=E.RobustConfig(rho=0.1, p=1.0), prefix="t")
-    assert _norm_vars(m) == 3
+    assert _norm_columns(tree, lo, hi) == 3
 
 
 def test_robust_tree_encoding_survives_a_pickle_round_trip():
@@ -160,12 +164,11 @@ def test_robust_tree_encoding_survives_a_pickle_round_trip():
 
     def encoded(t):
         m, cols = _box_model(lo, hi)
-        E.encode_tree(t, "classifier", m, cols, lo, hi, robust=E.RobustConfig(rho=0.1, p=1.0), prefix="t")
+        E.encode_tree(t, m, cols, lo, hi, robust=E.RobustConfig(rho=0.1, p=1.0))
         return m
 
-    plain = encoded(tree)
-    assert _norm_vars(plain) > 1
-    assert milp.fingerprint(encoded(pickle.loads(pickle.dumps(tree)))) == milp.fingerprint(plain)
+    assert _norm_columns(tree, lo, hi) > 1
+    assert milp.fingerprint(encoded(pickle.loads(pickle.dumps(tree)))) == milp.fingerprint(encoded(tree))
 
 
 def test_robustify_linear_one_dimensional_example():
@@ -207,9 +210,9 @@ def test_gbm_encoding_reproduces_predict():
     for _ in range(20):
         x = rng.uniform(lo, hi)
         m, cols = _box_model(lo, hi)
-        enc = E.encode_gbm(ens, "regressor", m, cols, lo, hi, prefix="t")
+        out = E.encode_gbm(ens, m, cols, lo, hi)
         E.fix_point(m, cols, x)
-        m.add_objective_term(enc.output, 1.0)
+        m.add_objective_term(out, 1.0)
         sol = milp.solve_milp(m)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(sur.model.predict_one(x), abs=1e-9)
@@ -223,9 +226,9 @@ def test_mlp_relu_negative_branch():
     )
     lo, hi = -np.ones(1), np.ones(1)
     m, cols = _box_model(lo, hi)
-    enc = E.encode_mlp(net, "regressor", m, cols, lo, hi, prefix="t")
+    out = E.encode_mlp(net, m, cols, lo, hi)
     E.fix_point(m, cols, [-0.5])
-    m.add_objective_term(enc.output, 1.0)
+    m.add_objective_term(out, 1.0)
     sol = milp.solve_milp(m)
     assert sol.objective == pytest.approx(0.0, abs=1e-9)
 
@@ -238,9 +241,9 @@ def test_mlp_zero_weight_constant_output():
     lo, hi = np.zeros(2), np.ones(2)
     for point in ([0.1, 0.9], [0.7, 0.2]):
         m, cols = _box_model(lo, hi)
-        enc = E.encode_mlp(net, "regressor", m, cols, lo, hi, prefix="t")
+        out = E.encode_mlp(net, m, cols, lo, hi)
         E.fix_point(m, cols, point)
-        m.add_objective_term(enc.output, 1.0)
+        m.add_objective_term(out, 1.0)
         assert milp.solve_milp(m).objective == pytest.approx(3.0, abs=1e-9)
 
 
@@ -252,21 +255,21 @@ def test_fidelity_all_families_regression_and_verdicts():
             x = rng.uniform(lo, hi)
             m, cols = _box_model(lo, hi)
             if sur.task == "regressor":
-                enc = E._encode_output(sur, m, cols, lo, hi, None, "t")
+                out = E._encode_output(sur, m, cols, lo, hi, None)
                 E.fix_point(m, cols, x)
-                m.add_objective_term(enc.output, 1.0)
+                m.add_objective_term(out, 1.0)
                 low = milp.solve_milp(m)
-                m.obj = {enc.output: -1.0}
+                m.obj = {out: -1.0}
                 high = milp.solve_milp(m)
                 want = sur.model.predict_one(x)
                 assert low.objective == pytest.approx(want, abs=1e-6)
                 assert -high.objective == pytest.approx(want, abs=1e-6)
             else:
                 if sur.family == "svm":
-                    E.encode_linear_model(sur.model, "classifier", m, cols, lo, hi, prefix="t")
+                    E.encode_linear_model(sur.model, "classifier", m, cols, lo, hi)
                 else:
-                    enc = E._encode_output(sur, m, cols, lo, hi, None, "t")
-                    m.add_row({enc.output: 1.0}, ">=", sur.threshold)
+                    out = E._encode_output(sur, m, cols, lo, hi, None)
+                    m.add_row({out: 1.0}, ">=", sur.threshold)
                 E.fix_point(m, cols, x)
                 sol = milp.solve_milp(m)
                 assert (sol.status == "optimal") == (sur.model.predict_one(x) >= sur.threshold)
@@ -281,10 +284,10 @@ def _encoded_feasible(sur, point, robust, lo, hi) -> bool:
     point once every input column is pinned to it?"""
     m, cols = _box_model(lo, hi)
     if sur.family == "svm":
-        E.encode_linear_model(sur.model, "classifier", m, cols, lo, hi, robust=robust, prefix="t")
+        E.encode_linear_model(sur.model, "classifier", m, cols, lo, hi, robust=robust)
     else:
-        enc = E._encode_output(sur, m, cols, lo, hi, robust, "t")
-        m.add_row({enc.output: 1.0}, ">=", sur.threshold)
+        out = E._encode_output(sur, m, cols, lo, hi, robust)
+        m.add_row({out: 1.0}, ">=", sur.threshold)
     E.fix_point(m, cols, point)
     return milp.solve_milp(m).status == "optimal"
 
@@ -325,7 +328,6 @@ def _toy_standard_problem():
             NonlinearConstraint(evaluator=lambda x: 0.0, sense="<=0", support=frozenset({0})),
             NonlinearConstraint(evaluator=lambda x: 0.0, sense="<=0", support=frozenset({0})),
         ),
-        bound_provenance=("user", "user"),
     )
 
 
@@ -334,7 +336,6 @@ def test_assemble_pure_linear_matches_linear_part():
         vars=(VarSpec("x1", 0, 0.0, 1.0), VarSpec("x2", 1, 0.0, 1.0)),
         objective=LinearObjective(np.array([-1.0, -2.0])),
         linear=(LinearConstraint(np.array([1.0, 1.0]), "<=", 1.0),),
-        bound_provenance=("user", "user"),
     )
     model = E.assemble(sp, [])
     assert model.n_vars == 2
@@ -363,7 +364,6 @@ def test_assemble_equality_constraint_band():
         nonlinear=(
             NonlinearConstraint(evaluator=lambda x: x[0] - 0.5, sense="=0", support=frozenset({0})),
         ),
-        bound_provenance=("user",),
     )
     regressor = _surrogate(
         L.LinearModel(beta0=-0.5, beta=np.array([1.0])), "svm", task="regressor", support=(0,)

@@ -201,7 +201,7 @@ def test_gbm_prediction_is_weighted_sum():
 
 
 def test_gbm_constant_trees_always_feasible():
-    stump = L.ObliqueTree(root=L._Node(value=1.0), n_features=1)
+    stump = L.ObliqueTree(root=L._Node(value=1.0))
     ens = L.GbmEnsemble(base=0.0, trees=[stump, stump], weights=[0.5, 0.5])
     assert ens.predict_one([0.3]) == pytest.approx(1.0)
 

@@ -26,10 +26,11 @@ def _lp(c, rows, senses, rhs, lower, upper, **kw):
 
 
 def test_lp_simple_maximize():
-    lp = _lp([1, 1], [[1, 1]], ["<="], [1], [0, 0], [np.inf, np.inf], minimize=False)
+    # max x + y is min -x - y
+    lp = _lp([-1, -1], [[1, 1]], ["<="], [1], [0, 0], [np.inf, np.inf])
     sol = milp.solve_lp(lp)
     assert sol.status == "optimal"
-    assert sol.objective == pytest.approx(1.0)
+    assert -sol.objective == pytest.approx(1.0)
 
 
 def test_lp_lower_bounded_min():
@@ -86,8 +87,8 @@ def test_lp_matches_scipy_on_random_instances():
 
 def test_milp_binary_knapsack():
     m = milp.MilpModel()
-    a = m.add_binary("a")
-    b = m.add_binary("b")
+    a = m.add_binary()
+    b = m.add_binary()
     m.add_row({a: 1.0, b: 1.0}, "<=", 1.0)
     m.add_objective_term(a, -1.0)
     m.add_objective_term(b, -1.0)
@@ -99,8 +100,8 @@ def test_milp_binary_knapsack():
 
 def test_milp_integral_relaxation_solves_at_root():
     m = milp.MilpModel()
-    b0 = m.add_binary("b0")
-    b1 = m.add_binary("b1")
+    b0 = m.add_binary()
+    b1 = m.add_binary()
     m.add_row({b0: 1.0, b1: 1.0}, "=", 1.0)
     m.add_objective_term(b0, 2.0)
     m.add_objective_term(b1, 1.0)
@@ -112,7 +113,7 @@ def test_milp_integral_relaxation_solves_at_root():
 
 def test_milp_infeasible_status():
     m = milp.MilpModel()
-    z = m.add_binary("z")
+    z = m.add_binary()
     m.add_row({z: 1.0}, ">=", 2.0)
     assert milp.solve_milp(m).status == "infeasible"
 
@@ -121,10 +122,10 @@ def _random_model(rng):
     nb = int(rng.integers(1, 13))
     nc = int(rng.integers(0, 4))
     m = milp.MilpModel()
-    bs = [m.add_binary(f"b{i}") for i in range(nb)]
+    bs = [m.add_binary() for _ in range(nb)]
     cs = [
-        m.add_var(f"c{i}", float(rng.uniform(-3, 0)), float(rng.uniform(0.5, 3)))
-        for i in range(nc)
+        m.add_var(float(rng.uniform(-3, 0)), float(rng.uniform(0.5, 3)))
+        for _ in range(nc)
     ]
     for _ in range(int(rng.integers(1, 8))):
         coeffs = {j: float(rng.normal()) for j in bs + cs if rng.random() < 0.7}
@@ -167,8 +168,8 @@ def test_milp_general_integers_match_enumeration():
         nb = int(rng.integers(0, 5))
         ng = int(rng.integers(1, 4))
         m = milp.MilpModel()
-        bs = [m.add_binary(f"b{i}") for i in range(nb)]
-        gs = [m.add_var(f"g{i}", 0, int(rng.integers(2, 5)), integral=True) for i in range(ng)]
+        bs = [m.add_binary() for _ in range(nb)]
+        gs = [m.add_var(0, int(rng.integers(2, 5)), integral=True) for _ in range(ng)]
         for _ in range(int(rng.integers(1, 6))):
             coeffs = {j: float(rng.normal()) for j in bs + gs if rng.random() < 0.7}
             if coeffs:
@@ -310,16 +311,16 @@ def _assert_matches_scipy(model):
 def _random_mixed_model(rng):
     """Binaries, general integers and continuous columns with any kind of bounds."""
     m = milp.MilpModel()
-    cols = [m.add_binary(f"b{i}") for i in range(int(rng.integers(0, 5)))]
+    cols = [m.add_binary() for _ in range(int(rng.integers(0, 5)))]
     cols += [
-        m.add_var(f"g{i}", float(rng.integers(-2, 1)), float(rng.integers(1, 4)), integral=True)
-        for i in range(int(rng.integers(0, 3)))
+        m.add_var(float(rng.integers(-2, 1)), float(rng.integers(1, 4)), integral=True)
+        for _ in range(int(rng.integers(0, 3)))
     ]
     for i in range(int(rng.integers(1, 4))):
         kind = int(rng.integers(0, 4))  # boxed, lower only, upper only, free
         lo = float(rng.uniform(-3, 0)) if kind in (0, 1) else -np.inf
         hi = float(rng.uniform(0.5, 3)) if kind in (0, 2) else np.inf
-        j = m.add_var(f"c{i}", lo, hi)
+        j = m.add_var(lo, hi)
         # rows, not bounds, keep one-sided and free columns finite
         if not np.isfinite(lo):
             m.add_row({j: 1.0}, ">=", -4.0)
@@ -405,7 +406,7 @@ def _model_with_settled_parts(rng):
     for i in range(int(rng.integers(0, 4))):
         integral = bool(rng.random() < 0.5)
         v = float(rng.integers(-2, 3)) if integral else float(rng.uniform(-2, 2))
-        j = m.add_var(f"f{i}", v, v, integral=integral)
+        j = m.add_var(v, v, integral=integral)
         m.add_objective_term(j, float(rng.normal()))
         for coeffs in m.row_coeffs:
             if rng.random() < 0.5:
@@ -477,7 +478,7 @@ def test_reduce_folds_a_singleton_row_into_its_column_bound():
     # propagation leaves x's bound 1e-6 * (1 + 0.5) above the row x <= 0.5,
     # so without the fold the row would stay in the reduced LP
     m = milp.MilpModel()
-    x, y = m.add_var("x", 0.0, 1.0), m.add_var("y", 0.0, 1.0)
+    x, y = m.add_var(0.0, 1.0), m.add_var(0.0, 1.0)
     m.add_row({x: 1.0}, "<=", 0.5)
     m.add_row({x: 1.0, y: 1.0}, "<=", 1.2)
     m.add_objective_term(x, -1.0)
@@ -664,7 +665,7 @@ def test_reduce_keeps_singleton_rows_whose_bounds_would_cross():
     # x >= 0.5 and x <= 0.5 - 1e-8 cross by less than the simplex tolerance;
     # folded, they would leave a box with lower > upper and no point at all
     m = milp.MilpModel()
-    x, b = m.add_var("x", 0.0, 1.0), m.add_binary("b")
+    x, b = m.add_var(0.0, 1.0), m.add_binary()
     m.add_row({x: 1.0}, ">=", 0.5)
     m.add_row({x: 1.0}, "<=", 0.5 - 1e-8)
     m.add_row({x: 1.0, b: 1.0}, "<=", 1.3)
@@ -713,13 +714,14 @@ def test_propagation_keeps_feasible_points_and_agrees_with_scipy(seed, hold):
     if bounds is None:
         model = milp.MilpModel()
         for j in range(len(x0)):
-            model.add_var(f"v{j}", lower[j], upper[j], integral=bool(integral[j]))
+            model.add_var(lower[j], upper[j], integral=bool(integral[j]))
         for i, sense in enumerate(senses):
             model.add_row(dict(enumerate(rows[i])), sense, rhs[i])
         assert _scipy_milp(model)[0] == "infeasible"
 
 
 def _random_lp(rng, minimize):
+    """A random LP; one that maximizes has its costs negated."""
     n = int(rng.integers(1, 7))
     m = int(rng.integers(0, 7))
     A = rng.normal(size=(m, n))
@@ -728,8 +730,8 @@ def _random_lp(rng, minimize):
     hi = np.where(rng.random(n) < 0.7, rng.uniform(0.5, 3, n), np.inf)
     senses = [("<=", ">=", "=")[int(rng.integers(0, 3))] for _ in range(m)]
     return milp.LpProblem(
-        c=rng.normal(size=n), rows=A, senses=senses, rhs=rng.normal(size=m) + 1.0,
-        lower=lo, upper=hi, minimize=minimize,
+        c=rng.normal(size=n) * (1.0 if minimize else -1.0), rows=A, senses=senses,
+        rhs=rng.normal(size=m) + 1.0, lower=lo, upper=hi,
     )
 
 
@@ -756,7 +758,7 @@ def test_warm_start_matches_cold_solve(seed, minimize, upper, shift):
         lower[j] = max(lower[j], value)
     child_lp = milp.LpProblem(
         c=parent_lp.c, rows=parent_lp.rows, senses=parent_lp.senses, rhs=parent_lp.rhs,
-        lower=lower, upper=upper_b, minimize=minimize,
+        lower=lower, upper=upper_b,
     )
     warm = milp.solve_lp(child_lp, start=parent.basis)
     cold = milp.solve_lp(child_lp)
@@ -826,9 +828,9 @@ def test_branch_and_bound_solves_only_the_root_cold(monkeypatch):
 
 def _demo_model():
     m = milp.MilpModel("demo")
-    x = m.add_var("v", -1.5, 2.5)
-    z = m.add_binary("flag")
-    g = m.add_var("count", 0, 5, integral=True)
+    x = m.add_var(-1.5, 2.5)
+    z = m.add_binary()
+    g = m.add_var(0, 5, integral=True)
     m.add_row({x: 1.25, z: -2.0}, "<=", 3.5)
     m.add_row({g: 1.0, x: -0.5}, ">=", -1.0)
     m.add_objective_term(x, 0.75)
@@ -863,16 +865,17 @@ def _model_specs(draw):
 
 
 def _build(spec, tag, reverse=False):
-    """The model of ``spec``, its names tagged; ``reverse`` inserts terms backwards."""
+    """The model of ``spec``, its name and registry tagged; ``reverse`` inserts
+    terms backwards."""
     order = reversed if reverse else list
     model = milp.MilpModel(name=f"model-{tag}")
-    for j, (lower, upper, integral) in enumerate(spec["vars"]):
-        model.add_var(f"{tag}{j}", lower, upper, integral)
+    for lower, upper, integral in spec["vars"]:
+        model.add_var(lower, upper, integral)
     for j, coef in order(spec["obj"].items()):
         model.add_objective_term(j, coef)
     model.obj_const = spec["obj_const"]
-    for i, (coeffs, sense, rhs) in enumerate(spec["rows"]):
-        model.add_row(dict(order(coeffs.items())), sense, rhs, name=f"{tag}row{i}")
+    for coeffs, sense, rhs in spec["rows"]:
+        model.add_row(dict(order(coeffs.items())), sense, rhs)
     model.registry = {"tag": tag}
     return model
 

@@ -35,7 +35,6 @@ def test_standardize_partitions_worked_example():
     lo, hi = sp.box()
     assert np.allclose(lo, [0.51, 0.3])
     assert np.allclose(hi, [1.5, 1.6])
-    assert sp.bound_provenance == ("user", "user")
 
 
 def test_standardize_identity_on_linear_problem(structurally_equal):
@@ -74,7 +73,6 @@ def test_standardize_inference_via_coupled_rows():
     )
     sp = standardize(p)
     assert sp.vars[0].upper == pytest.approx(1.0)
-    assert sp.bound_provenance[0] == "inferred"
 
 
 def test_standardize_unbounded_raises():

@@ -1,6 +1,7 @@
 import math
 import time
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from surropt.model import (
     VarSpec,
     standardize,
 )
-from surropt.refine import PgdConfig, merit_state, pgd_improve, project
+from surropt.refine import merit_state, pgd_improve, project
 
 
 def _rows(*entries):
@@ -158,7 +159,6 @@ def _linear_sp():
         vars=(VarSpec("x1", 0, 0.0, 1.0), VarSpec("x2", 1, 0.0, 1.0)),
         objective=LinearObjective(np.array([1.0, 1.0])),
         linear=_rows(([1.0, 1.0], ">=", 0.5)),
-        bound_provenance=("user", "user"),
     )
 
 
@@ -178,7 +178,6 @@ def test_pgd_stays_at_smooth_local_optimum():
             support=frozenset({0}),
             gradient=lambda x: np.array([2.0 * (x[0] - 0.3)]),
         ),
-        bound_provenance=("user",),
     )
     out = pgd_improve(sp, np.array([0.3]))
     assert out.x[0] == pytest.approx(0.3, abs=1e-6)
@@ -196,7 +195,6 @@ def test_coordinate_grid_keeps_the_best_of_nine_points_per_coordinate(monkeypatc
     sp = StandardProblem(
         vars=tuple(VarSpec(f"x{j}", j, -1.0, 3.0, integral=j == 3) for j in range(4)),
         objective=NonlinearObjective(evaluator=f, support=frozenset(range(4))),
-        bound_provenance=("user",) * 4,
     )
     lo, hi = sp.box()
     frozen = np.array([False, False, False, True])
@@ -244,7 +242,6 @@ def test_refinement_ends_without_a_grid_where_every_constraint_is_linearized(mon
                     support=frozenset({0, 1}), gradient=lambda x: 2.0 * np.asarray(x),
                 ),
             ),
-            bound_provenance=("user", "user"),
         )
 
     grids = []
@@ -314,7 +311,6 @@ def test_backtracking_starts_from_twice_the_last_accepted_step(monkeypatch):
             support=frozenset({0}),
             gradient=gradient,
         ),
-        bound_provenance=("user",),
     )
 
     def project(p, *args, **kwargs):
@@ -328,7 +324,8 @@ def test_backtracking_starts_from_twice_the_last_accepted_step(monkeypatch):
     monkeypatch.setattr(refine, "project", project)
     monkeypatch.setattr(refine, "_coordinate_grid",
                         lambda sp, state, *args: merit_state(sp, 0.5 * state.x))
-    pgd_improve(sp, np.array([1.0]), PgdConfig(iterations=4, momentum=0.0))
+    monkeypatch.setattr(refine, "ITERATIONS", 4)
+    pgd_improve(sp, np.array([1.0]), momentum=0.0)
 
     assert len(searches) == 4
     powers = {0.5**h for h in range(refine.MAX_HALVINGS + 1)}
@@ -366,11 +363,10 @@ def test_pgd_never_degrades_merit():
     sp = standardize(problem)
     lo, hi = sp.box()
     rng = np.random.default_rng(0)
-    cfg = PgdConfig()
     for _ in range(25):
         x0 = rng.uniform(lo, hi)
         start = merit_state(sp, x0)
-        out = pgd_improve(sp, x0, cfg)
+        out = pgd_improve(sp, x0)
         assert out.merit <= start.merit + 1e-12
 
 
@@ -390,8 +386,8 @@ def test_pgd_momentum_zero_matches_disabled():
     sp = standardize(problem)
     x0 = np.array([1.0, -1.0, 0.5])
     args = cli.build_parser().parse_args(["solve", "p.prob", "--no-momentum"])
-    out_zero = pgd_improve(sp, x0, PgdConfig(momentum=0.0))
-    out_off = pgd_improve(sp, x0, cli._config_from_args(args).pgd)
+    out_zero = pgd_improve(sp, x0, momentum=0.0)
+    out_off = pgd_improve(sp, x0, cli._config_from_args(args).momentum)
     assert np.array_equal(out_zero.x, out_off.x)
     assert out_zero.merit == out_off.merit
 
@@ -403,7 +399,6 @@ def test_pgd_freezes_integral_coordinates():
             VarSpec("x", 1, 0.0, 5.0),
         ),
         objective=LinearObjective(np.array([1.0, 1.0])),
-        bound_provenance=("user", "user"),
     )
     out = pgd_improve(sp, np.array([3.0, 3.0]))
     assert out.x[0] == 3.0
@@ -426,7 +421,6 @@ def test_pgd_reports_warning_on_failing_evaluator():
                 support=frozenset({0}),
             ),
         ),
-        bound_provenance=("user",),
     )
     out = pgd_improve(sp, np.array([0.5]))
     assert out.warning is not None
@@ -450,7 +444,6 @@ def test_pgd_skips_non_finite_merits_and_gradient_components():
                     gradient=lambda x, grad_x=grad_x: np.array([grad_x, 0.0]),
                 ),
             ),
-            bound_provenance=("user", "user"),
         )
         start = merit_state(sp, [x0, 0.5]).merit
         with warnings.catch_warnings():
@@ -492,11 +485,10 @@ def test_pgd_never_raises_or_degrades_on_failing_black_boxes(data, n):
                 support=support,
             ),
         ),
-        bound_provenance=("user",) * n,
     )
-    cfg = PgdConfig(iterations=4)
     start = merit_state(sp, x0)
-    out = pgd_improve(sp, x0, cfg)
+    with mock.patch.object(refine, "ITERATIONS", 4):
+        out = pgd_improve(sp, x0)
     assert out.merit <= start.merit
     if out.merit == math.inf:
         assert out.warning is not None
@@ -573,7 +565,6 @@ def _hostile_problem(data, n):
             objective=objective,
             linear=_rows((row_a, "<=", float(row_a @ row_at) + row_slack)),
             nonlinear=nonlinear,
-            bound_provenance=("user",) * n,
         )
 
     if frozen0:

@@ -356,16 +356,21 @@ def _tree_trainer(X, y, seed):
     return train_tree(X, y, task="classifier", max_depth=3, oblique=True, seed=seed)
 
 
-def test_adaptive_identical_committee_returns_nothing():
+def _sampler(monkeypatch, committee_size, hr_per_poly, hr_burn_in):
+    """Patch the adaptive round's sizes; the discordance stays 0.5."""
+    monkeypatch.setattr(S, "COMMITTEE_SIZE", committee_size)
+    monkeypatch.setattr(S, "HR_PER_POLY", hr_per_poly)
+    monkeypatch.setattr(S, "HR_BURN_IN", hr_burn_in)
+
+
+def test_adaptive_identical_committee_returns_nothing(monkeypatch):
     # cleanly separable line: every subset learns the same split, so the
     # committee never disagrees and no region qualifies
     rng = np.random.default_rng(2)
     X = np.vstack([rng.uniform(0, 0.4, size=(60, 2)), rng.uniform(0.6, 1.0, size=(60, 2))])
     y = np.array([1.0] * 60 + [0.0] * 60)
-    cfg = S.SamplerConfig(committee_size=5, discordance=0.5, hr_per_poly=5, hr_burn_in=5)
-    res = S.oct_adaptive_sample(
-        X, y, cfg, np.random.default_rng(0), _tree_trainer, np.zeros(2), np.ones(2)
-    )
+    _sampler(monkeypatch, committee_size=5, hr_per_poly=5, hr_burn_in=5)
+    res = S.oct_adaptive_sample(X, y, np.random.default_rng(0), _tree_trainer, np.zeros(2), np.ones(2))
     assert len(res.points) == 0
 
 
@@ -389,15 +394,14 @@ class _Stump:
         return np.array([0 if float(self.a @ x) <= self.b else 1 for x in X], dtype=int)
 
 
-def test_adaptive_two_disagreeing_stumps_sample_the_gap():
+def test_adaptive_two_disagreeing_stumps_sample_the_gap(monkeypatch):
     # stumps split at 0.4 and 0.6: points between them get split votes
     stumps = iter([_Stump(0.4), _Stump(0.6)])
     X = np.array([[0.2, 0.5], [0.5, 0.5], [0.8, 0.5]])
     y = np.array([1.0, 1.0, 0.0])
-    cfg = S.SamplerConfig(committee_size=2, subset_size=3, discordance=0.5, hr_per_poly=8, hr_burn_in=5)
+    _sampler(monkeypatch, committee_size=2, hr_per_poly=8, hr_burn_in=5)
     res = S.oct_adaptive_sample(
-        X, y, cfg,
-        np.random.default_rng(0), lambda X_, y_, s: next(stumps),
+        X, y, np.random.default_rng(0), lambda X_, y_, s: next(stumps),
         np.zeros(2), np.ones(2),
     )
     assert len(res.polyhedra) == 1
@@ -407,27 +411,23 @@ def test_adaptive_two_disagreeing_stumps_sample_the_gap():
     assert (res.points[:, 0] <= 0.6 + 1e-9).all()
 
 
-def test_adaptive_points_lie_in_source_polyhedra():
+def test_adaptive_points_lie_in_source_polyhedra(monkeypatch):
     rng = np.random.default_rng(4)
     X = rng.uniform(0, 1, size=(150, 2))
     y = ((X[:, 0] - 0.5) ** 2 + (X[:, 1] - 0.5) ** 2 <= 0.09).astype(float)
-    cfg = S.SamplerConfig(committee_size=4, subset_size=60, discordance=0.5, hr_per_poly=6, hr_burn_in=10)
-    res = S.oct_adaptive_sample(
-        X, y, cfg, np.random.default_rng(1), _tree_trainer, np.zeros(2), np.ones(2)
-    )
+    _sampler(monkeypatch, committee_size=4, hr_per_poly=6, hr_burn_in=10)
+    res = S.oct_adaptive_sample(X, y, np.random.default_rng(1), _tree_trainer, np.zeros(2), np.ones(2))
     for point, poly_idx in zip(res.points, res.point_poly):
         assert res.polyhedra[poly_idx].contains(point, tol=1e-9)
 
 
-def test_adaptive_discordance_guarantee_at_samples():
+def test_adaptive_discordance_guarantee_at_samples(monkeypatch):
     rng = np.random.default_rng(9)
     X = rng.uniform(0, 1, size=(200, 2))
     y = (X[:, 0] + 0.5 * np.sin(4 * X[:, 1]) <= 0.7).astype(float)
-    K, tau = 5, 0.5
-    cfg = S.SamplerConfig(committee_size=K, subset_size=80, discordance=tau, hr_per_poly=5, hr_burn_in=10)
-    res = S.oct_adaptive_sample(
-        X, y, cfg, np.random.default_rng(2), _tree_trainer, np.zeros(2), np.ones(2)
-    )
+    K, tau = 5, S.DISCORDANCE
+    _sampler(monkeypatch, committee_size=K, hr_per_poly=5, hr_burn_in=10)
+    res = S.oct_adaptive_sample(X, y, np.random.default_rng(2), _tree_trainer, np.zeros(2), np.ones(2))
     for point in res.points:
         votes = sum(1.0 if t.predict_one(point) >= 0.5 else 0.0 for t in res.committee)
         assert abs(votes - (K - votes)) <= K * tau + 1e-9
@@ -477,17 +477,17 @@ def _polyhedra_reference(points, committee, discordance, lo, hi):
     return polys
 
 
-def test_adaptive_polyhedra_match_per_point_construction():
+def test_adaptive_polyhedra_match_per_point_construction(monkeypatch):
     rng = np.random.default_rng(21)
     for case in range(4):
         d = 2 + case
         X = rng.uniform(0, 1, size=(160, d))
         y = (np.linalg.norm(X - 0.5, axis=1) <= 0.35).astype(float)
-        cfg = S.SamplerConfig(committee_size=4, subset_size=70, discordance=0.5, hr_per_poly=2, hr_burn_in=2)
+        _sampler(monkeypatch, committee_size=4, hr_per_poly=2, hr_burn_in=2)
         res = S.oct_adaptive_sample(
-            X, y, cfg, np.random.default_rng(case), _tree_trainer, np.zeros(d), np.ones(d)
+            X, y, np.random.default_rng(case), _tree_trainer, np.zeros(d), np.ones(d)
         )
-        want = _polyhedra_reference(X, res.committee, cfg.discordance, np.zeros(d), np.ones(d))
+        want = _polyhedra_reference(X, res.committee, S.DISCORDANCE, np.zeros(d), np.ones(d))
         assert len(want) > 1
         assert len(res.polyhedra) == len(want)
         for got, ref in zip(res.polyhedra, want):
