@@ -273,10 +273,10 @@ def train_svr(X, y, seed: int = 0, epochs: int = 200) -> LinearModel:
 # Greedy oblique trees
 # ---------------------------------------------------------------------------
 
-def _impurity_scan(proj, y, classification):
-    """Best threshold on a 1-D projection; returns (score, threshold) where
-    lower score is better, or None when no valid split exists."""
-    order = np.argsort(proj, kind="stable")
+def _impurity_scan(proj, y, order, classification):
+    """Best threshold on a 1-D projection, given the indices ``order`` of
+    the node's rows sorted stably by ``proj``; returns (score, threshold)
+    where lower score is better, or None when no valid split exists."""
     p = proj[order]
     t = y[order]
     m = len(t)
@@ -328,6 +328,82 @@ def _oblique_direction(X, y, classification):
     return w / norm
 
 
+def _presort(X):
+    """Each column's stable argsort, one row per column."""
+    return np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
+
+
+def _best_split(columns, y, span, Xv, yv, classification, oblique):
+    """A node's split ``(a, threshold)``: the best axis-parallel one, from
+    the node's rows in each column's order (``span``), or the hyperplane of
+    a local linear fit when that scores lower by 1e-12. None when no split
+    is valid or the best one raises the node's impurity by over 1e-12."""
+    n = len(columns)
+    best = None  # (score, a, threshold)
+    for j in range(n):
+        res = _impurity_scan(columns[j], y, span[j], classification)
+        if res is not None and (best is None or res[0] < best[0] - 1e-12):
+            a = np.zeros(n)
+            a[j] = 1.0
+            best = (res[0], a, res[1])
+    if oblique:
+        w = _oblique_direction(Xv, yv, classification)
+        if w is not None:
+            proj = Xv @ w
+            res = _impurity_scan(proj, yv, np.argsort(proj, kind="stable"), classification)
+            if res is not None and (best is None or res[0] < best[0] - 1e-12):
+                best = (res[0], w, res[1])
+    if best is None or best[0] > _node_impurity(yv, classification) + 1e-12:
+        return None
+    return best[1], best[2]
+
+
+def _grow(X, y, presorted, classification, max_depth, oblique) -> _Node:
+    """The tree ``train_tree`` documents, given ``presorted = _presort(X)``.
+
+    A node holds its rows' indices ``idx`` (ascending) and a span of
+    columns of a copy of ``presorted`` that lists, per column of X, those
+    indices in the column's stable order. A stable sort of a subset is its
+    parent's order filtered to the subset (the CART presort), so a split
+    partitions the span stably in place, left rows first, instead of
+    sorting again. Oblique projections still sort per node.
+
+    Nodes come off an explicit stack: a nested function that recurses
+    holds itself in a reference cycle, which would keep these arrays alive
+    until the cycle collector runs.
+    """
+    M, n = X.shape
+    columns = np.ascontiguousarray(X.T)
+    orders = presorted.copy()
+    goes_left = np.zeros(M, dtype=bool)
+    root = _Node()
+    stack = [(root, X, y, np.arange(M), 0, 0)]
+    while stack:
+        node, Xv, yv, idx, start, depth = stack.pop()
+        m = len(yv)
+        span = orders[:, start:start + m]
+        pure = len(np.unique(yv)) <= 1 if classification else float(yv.std()) < 1e-12
+        split = None
+        if depth < max_depth and m >= 2 and not pure:
+            split = _best_split(columns, y, span, Xv, yv, classification, oblique)
+        mask = None if split is None else Xv @ split[0] <= split[1]
+        if mask is None or not mask.any() or mask.all():
+            if classification:
+                node.value = 1.0 if yv.mean() >= 0.5 else 0.0
+            else:
+                node.value = float(yv.mean())
+            continue
+        k = int(mask.sum())
+        goes_left[idx] = mask
+        side = goes_left[span]
+        span[:] = np.concatenate([span[side].reshape(n, k), span[~side].reshape(n, m - k)], axis=1)
+        node.a, node.b = split[0], float(split[1])
+        node.left, node.right = _Node(), _Node()
+        stack.append((node.right, Xv[~mask], yv[~mask], idx[~mask], start + k, depth + 1))
+        stack.append((node.left, Xv[mask], yv[mask], idx[mask], start, depth + 1))
+    return root
+
+
 def train_tree(
     X,
     y,
@@ -339,54 +415,12 @@ def train_tree(
     """Greedy top-down tree. Each node compares the best axis-parallel split
     with (optionally) the hyperplane of a local linear fit and keeps the one
     with more impurity reduction. Impure nodes split even at zero gain until
-    the depth cap."""
+    the depth cap. Each column of X is sorted once, at the root, and every
+    split partitions those orders (``_grow``); the tree is bit for bit the
+    one that sorting each node's rows again would grow."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    classification = task == "classifier"
-
-    def leaf(yv) -> _Node:
-        if classification:
-            return _Node(value=1.0 if yv.mean() >= 0.5 else 0.0)
-        return _Node(value=float(yv.mean()))
-
-    def build(Xv, yv, depth) -> _Node:
-        m, n = Xv.shape
-        pure = (
-            len(np.unique(yv)) <= 1
-            if classification
-            else float(yv.std()) < 1e-12
-        )
-        if depth >= max_depth or m < 2 or pure:
-            return leaf(yv)
-        parent = _node_impurity(yv, classification)
-        best = None  # (score, a, threshold)
-        for j in range(n):
-            res = _impurity_scan(Xv[:, j], yv, classification)
-            if res is None:
-                continue
-            score, thr = res
-            if best is None or score < best[0] - 1e-12:
-                a = np.zeros(n)
-                a[j] = 1.0
-                best = (score, a, thr)
-        if oblique:
-            w = _oblique_direction(Xv, yv, classification)
-            if w is not None:
-                res = _impurity_scan(Xv @ w, yv, classification)
-                if res is not None and (best is None or res[0] < best[0] - 1e-12):
-                    best = (res[0], w, res[1])
-        if best is None or best[0] > parent + 1e-12:
-            return leaf(yv)
-        _, a, thr = best
-        mask = Xv @ a <= thr
-        if not mask.any() or mask.all():
-            return leaf(yv)
-        node = _Node(a=a, b=float(thr))
-        node.left = build(Xv[mask], yv[mask], depth + 1)
-        node.right = build(Xv[~mask], yv[~mask], depth + 1)
-        return node
-
-    return ObliqueTree(root=build(X, y, 0))
+    return ObliqueTree(root=_grow(X, y, _presort(X), task == "classifier", max_depth, oblique))
 
 
 def train_gbm(
@@ -399,15 +433,19 @@ def train_gbm(
     seed: int = 0,
 ) -> GbmEnsemble:
     """Stagewise least-squares boosting on residuals with shallow axis trees.
-    Classification boosts the 0/1 targets directly and thresholds at 0.5."""
+    Classification boosts the 0/1 targets directly and thresholds at 0.5.
+    Every member is the tree ``train_tree(X, residuals, "regressor",
+    max_depth=depth, oblique=False)`` returns, and all members share one
+    presort of X."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
+    orders = _presort(X)
     base = float(y.mean())
     pred = np.full(len(y), base)
     trees = []
     for _ in range(n_trees):
         resid = y - pred
-        tree = train_tree(X, resid, task="regressor", max_depth=depth, oblique=False)
+        tree = ObliqueTree(root=_grow(X, resid, orders, False, depth, False))
         trees.append(tree)
         pred += lr * tree.predict(X)
     return GbmEnsemble(base=base, trees=trees, weights=[lr] * n_trees)

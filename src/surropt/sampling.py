@@ -6,7 +6,9 @@ adaptive sampling that trains several trees on random data subsets, finds
 points where the committee disagrees, intersects the leaf regions around
 them, and fills those regions with hit-and-run chains. The committee routes
 all those points at once, one polyhedron is built per distinct combination
-of leaves, and the chains of a round run in lockstep as arrays.
+of leaves, and the chains of a round run in lockstep as arrays. Each chain
+starts at the point that found its region; a Chebyshev-centre LP runs only
+where that point lies within 1e-9 of the region's boundary.
 
 ``boundary_sample`` returns every box corner when there are at most
 ``cap``, else ``cap`` random ones and the center; the driver sets ``cap``
@@ -361,12 +363,17 @@ def oct_adaptive_sample(
     (one prediction per row), ``leaves()`` (``(value, path)`` pairs, path
     entries ``(a, b, on_left_side)``) and ``route(X)`` (each row's index
     into ``leaves()``). Each distinct combination of leaves gives one
-    polyhedron, in the order the ambiguous points first reach it; one
-    ``hit_and_run`` call then fills every polyhedron whose Chebyshev ball
-    is not empty, and a chain that collapses adds nothing. When
+    polyhedron, in the order the ambiguous points first reach it. A
+    polyhedron is kept when it holds a ball of radius 1e-9: its chain
+    starts at the point that first reached it when that point's distance
+    to every face, box faces included, is at least 1e-9, and else at the
+    center of ``chebyshev_center``, which must have that radius. The
+    Chebyshev radius is never below the point's distance, so the LP only
+    settles the points near a face. One ``hit_and_run`` call then fills
+    every kept polyhedron, and a chain that collapses adds nothing. When
     ``deadline`` (a ``time.monotonic()`` instant) passes while the
-    Chebyshev centers are being found, no further polyhedron is kept and
-    the round samples the ones it has.
+    polyhedra are being checked, no further polyhedron is kept and the
+    round samples the ones it has.
     """
     points = np.asarray(points, dtype=float)
     labels = np.asarray(labels, dtype=float)
@@ -384,8 +391,9 @@ def oct_adaptive_sample(
     ambiguous = np.nonzero(gap <= K * DISCORDANCE)[0]
 
     # one polyhedron per distinct combination of leaves, in the order the
-    # ambiguous points first reach it
-    polys = []
+    # ambiguous points first reach it, each beside the point that first
+    # reaches it
+    polys, finders = [], []
     if ambiguous.size:
         routes = np.column_stack([tree.route(points[ambiguous]) for tree in committee])
         _, first = np.unique(routes, axis=0, return_index=True)
@@ -412,21 +420,26 @@ def oct_adaptive_sample(
             if key not in keys:
                 keys.add(key)
                 polys.append(poly)
+                finders.append(points[ambiguous[i]])
 
-    kept, centers = [], []
-    for pi, poly in enumerate(polys):
+    kept, starts = [], []
+    for pi, (poly, start) in enumerate(zip(polys, finders)):
         if time.monotonic() > deadline:
             break
-        try:
-            center, radius = chebyshev_center(poly)
-        except EmptyPolyhedron:
-            continue
-        if radius < 1e-9:
-            continue
+        A, b = poly.full_rows()
+        if not np.min((b - A @ start) / np.linalg.norm(A, axis=1)) >= 1e-9:
+            # too near a face, or outside by the strict-side margin: the
+            # Chebyshev LP decides, as its radius is at least the point's
+            try:
+                start, radius = chebyshev_center(poly)
+            except EmptyPolyhedron:
+                continue
+            if radius < 1e-9:
+                continue
         kept.append(pi)
-        centers.append(center)
+        starts.append(start)
     chains = hit_and_run(
-        [polys[pi] for pi in kept], centers, HR_PER_POLY, rng, burn_in=HR_BURN_IN
+        [polys[pi] for pi in kept], starts, HR_PER_POLY, rng, burn_in=HR_BURN_IN
     )
     filled = [(pi, draws) for pi, draws in zip(kept, chains) if draws is not None]
     return AdaptiveSampleResult(

@@ -114,6 +114,14 @@ def test_held_out_qsigmoid_reaches_its_oracle_value():
     assert report.objective <= -5.93
 
 
+def test_held_out_high_dimensional_qsigmoid_reaches_its_better_value():
+    # the one instance whose objective the corner rule for d >= 9 made
+    # worse (-6.1446 -> -5.8931); the 300-restart oracle reads -5.2860
+    report = solve_global(generate_quadratic_sigmoid(9, 2, seed=56), RunConfig(seed=0))
+    assert report.status == "ok"
+    assert report.objective <= -6.14
+
+
 @pytest.mark.parametrize(
     "n, m, seed, objective", [(9, 2, 30, -8.2150), (10, 3, 31, -11.1023), (10, 2, 53, -12.5971)]
 )
@@ -384,6 +392,21 @@ class _Recorder:
         self.values[key] = math.nan
         self.values[key] = value = self.fn(x)
         return value
+
+
+def test_adaptive_round_solves_few_chebyshev_lps(monkeypatch):
+    # chains start at the point that found their region; the LP runs only
+    # for a point within 1e-9 of a face (315 LPs when every region had one)
+    calls = []
+    chebyshev_center = S.chebyshev_center
+
+    def counting(poly):
+        calls.append(poly)
+        return chebyshev_center(poly)
+
+    monkeypatch.setattr(S, "chebyshev_center", counting)
+    sample(standardize(generate_quadratic_sigmoid(10, 2, seed=2024)), RunConfig(seed=0))
+    assert 0 < len(calls) <= 40
 
 
 def test_sampling_evaluates_each_point_once():

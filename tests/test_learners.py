@@ -152,6 +152,91 @@ def test_tree_traversal_matches_leaf_membership():
         assert by_membership == by_traversal
 
 
+def _reference_tree(X, y, task, max_depth, oblique):
+    """Frozen per-node build: every node sorts every column of its own rows
+    again. ``train_tree`` must return exactly its tree."""
+    classification = task == "classifier"
+
+    def scan(proj, yv):
+        return L._impurity_scan(proj, yv, np.argsort(proj, kind="stable"), classification)
+
+    def leaf(yv):
+        if classification:
+            return L._Node(value=1.0 if yv.mean() >= 0.5 else 0.0)
+        return L._Node(value=float(yv.mean()))
+
+    def build(Xv, yv, depth):
+        m, n = Xv.shape
+        pure = len(np.unique(yv)) <= 1 if classification else float(yv.std()) < 1e-12
+        if depth >= max_depth or m < 2 or pure:
+            return leaf(yv)
+        parent = L._node_impurity(yv, classification)
+        best = None
+        for j in range(n):
+            res = scan(Xv[:, j], yv)
+            if res is not None and (best is None or res[0] < best[0] - 1e-12):
+                a = np.zeros(n)
+                a[j] = 1.0
+                best = (res[0], a, res[1])
+        if oblique:
+            w = L._oblique_direction(Xv, yv, classification)
+            if w is not None:
+                res = scan(Xv @ w, yv)
+                if res is not None and (best is None or res[0] < best[0] - 1e-12):
+                    best = (res[0], w, res[1])
+        if best is None or best[0] > parent + 1e-12:
+            return leaf(yv)
+        _, a, thr = best
+        mask = Xv @ a <= thr
+        if not mask.any() or mask.all():
+            return leaf(yv)
+        node = L._Node(a=a, b=float(thr))
+        node.left = build(Xv[mask], yv[mask], depth + 1)
+        node.right = build(Xv[~mask], yv[~mask], depth + 1)
+        return node
+
+    return L.ObliqueTree(root=build(np.asarray(X, dtype=float), np.asarray(y, dtype=float), 0))
+
+
+def _tree_bytes(node):
+    if node.is_leaf:
+        return (float(node.value).hex(),)
+    return (node.a.tobytes(), float(node.b).hex(), _tree_bytes(node.left), _tree_bytes(node.right))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(2, 150),
+    d=st.integers(1, 6),
+    levels=st.sampled_from([2, 3, 5, 0]),
+    task=st.sampled_from(["classifier", "regressor"]),
+    oblique=st.booleans(),
+    max_depth=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_presorted_tree_matches_per_node_sorting(m, d, levels, task, oblique, max_depth, seed):
+    # ``levels`` > 0 rounds each coordinate onto that many values, so most
+    # columns tie; 0 keeps them continuous
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.0, 2.0, size=(m, d))
+    if levels:
+        X = np.round(X * (levels - 1) / 3.0)
+    if task == "classifier":
+        y = (np.sin(2.0 * X).sum(axis=1) + rng.normal(0.0, 0.5, size=m) >= 0.0).astype(float)
+    else:
+        y = np.round(np.cos(X).sum(axis=1) + rng.normal(0.0, 0.3, size=m), 1)
+    got = L.train_tree(X, y, task, max_depth=max_depth, oblique=oblique)
+    want = _reference_tree(X, y, task, max_depth, oblique)
+    assert _tree_bytes(got.root) == _tree_bytes(want.root)
+
+    ens = L.train_gbm(X, y, task, n_trees=4, depth=max_depth)
+    pred = np.full(m, ens.base)
+    for tree, w in zip(ens.trees, ens.weights):
+        ref = _reference_tree(X, y - pred, "regressor", max_depth, False)
+        assert _tree_bytes(tree.root) == _tree_bytes(ref.root)
+        pred += w * ref.predict(X)
+
+
 # ---------------------------------------------------------------------------
 # Boosted ensembles
 # ---------------------------------------------------------------------------

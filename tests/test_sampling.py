@@ -492,3 +492,42 @@ def test_adaptive_polyhedra_match_per_point_construction(monkeypatch):
         assert len(res.polyhedra) == len(want)
         for got, ref in zip(res.polyhedra, want):
             assert got.A.tobytes() == ref.A.tobytes() and got.b.tobytes() == ref.b.tobytes()
+
+
+def _chebyshev_keeps(poly):
+    """The region rule the adaptive round had before its chains started at
+    the points that found their regions: a Chebyshev ball of radius 1e-9."""
+    try:
+        _, radius = S.chebyshev_center(poly)
+    except EmptyPolyhedron:
+        return False
+    return radius >= 1e-9
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6, 8, 10])
+def test_adaptive_keeps_the_regions_the_chebyshev_rule_keeps(d, monkeypatch):
+    # coordinates on a coarse grid, some nudged by 1e-8: ties, points on
+    # the box faces, and points within the strict-side margin of a split
+    rng = np.random.default_rng(70 + d)
+    m = 160
+    X = rng.integers(0, 9, size=(m, d)) / 8.0
+    X = np.clip(X + rng.choice([0.0, 1e-8, -1e-8], size=X.shape), 0.0, 1.0)
+    y = (rng.random(m) < 0.5).astype(float)
+    calls = []
+    hit_and_run = S.hit_and_run
+
+    def recording(polys, starts, n, rng, burn_in=0):
+        calls.append((list(polys), [np.array(x) for x in starts]))
+        return hit_and_run(polys, starts, n, rng, burn_in=burn_in)
+
+    monkeypatch.setattr(S, "hit_and_run", recording)
+    res = S.oct_adaptive_sample(
+        X, y, np.random.default_rng(d), lambda X_, y_, s: train_tree(X_, y_, seed=s),
+        np.zeros(d), np.ones(d),
+    )
+    [(kept, starts)] = calls
+    want = [poly for poly in res.polyhedra if _chebyshev_keeps(poly)]
+    assert len(want) > 0
+    assert [id(poly) for poly in kept] == [id(poly) for poly in want]
+    for poly, start in zip(kept, starts):
+        assert poly.contains(start)
