@@ -308,7 +308,7 @@ def train(sp: StandardProblem, datasets, cfg: RunConfig) -> Trained:
     finite value, which gets ``ALWAYS_INFEASIBLE``. A dataset no family can
     be trained on raises ``DegenerateDataset`` naming its constraint, or
     ``objective``. Stops early, with ``complete`` False, when
-    ``sp.deadline`` passes.
+    ``sp.deadline`` passes: no dataset and no model family starts after it.
     """
     out = Trained(constraints=[], objective=None, families={}, runs=0, complete=False)
     for i, (support, points, labels, values) in enumerate(datasets):
@@ -328,9 +328,13 @@ def train(sp: StandardProblem, datasets, cfg: RunConfig) -> Trained:
         else:
             task, targets = ("classifier", labels) if values is None else ("regressor", values)
             try:
-                model = select_surrogate(points, targets, task=task, seed=seed)
+                model = select_surrogate(
+                    points, targets, task=task, seed=seed, deadline=sp.deadline
+                )
             except DegenerateDataset as exc:
                 raise DegenerateDataset(f"cannot train a surrogate for {name}: {exc}") from exc
+            if model is None:
+                return out
             model = replace(model, support=tuple(support))
             out.runs += 1
             out.families[name] = {"family": model.family, "score": model.validation_score}

@@ -11,6 +11,7 @@ boosted ensembles trained on 0/1 labels.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -459,7 +460,8 @@ def _layer_views(flat, shapes):
     """(W, b) views of a flat (R, P) parameter array, one row per restart.
 
     Each W is (R, fan_out, fan_in) with the strides a fresh C-ordered
-    matrix has, so stacked matmul takes the same BLAS path as one restart.
+    matrix has, so stacked matmul takes the same BLAS path as one restart;
+    each b is (R, fan_out), contiguous along the units.
     """
     R, P = flat.shape
     item = flat.itemsize
@@ -492,9 +494,13 @@ def train_mlp(
     which protects small networks from dead-unit local minima. The restarts
     train together: restart r's weights are row r of one (R, P) array, and
     every epoch runs one stacked forward pass, backward pass and Adam update
-    in preallocated buffers. Each restart's arithmetic is exactly that of a
-    lone run. Input (and regression target) standardization is folded back
-    into the weights so the returned network acts on raw coordinates.
+    in preallocated buffers. Activations, back-propagated gradients and ReLU
+    masks are (R, units, m), the samples contiguous, so every broadcast and
+    bias-gradient sum streams along the samples. Each restart's arithmetic
+    is exactly that of a lone run in this layout, ``h = max(0, W @ h + b)``
+    on the (n, m) transposed inputs. Input (and regression target)
+    standardization is folded back into the weights so the returned network
+    acts on raw coordinates.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -529,17 +535,15 @@ def train_mlp(
             else:
                 bs[layer][r] = 0.0
 
-    acts = [Xs[None]] + [np.empty((R, m, h)) for h in hidden]
-    alive = [None] + [np.empty((R, m, h), dtype=bool) for h in hidden]
-    # back[l + 1] is the loss gradient at layer l's pre-activation; the last
-    # one shares z's memory, since each step turns the logits into it
-    back = [None] + [np.empty((R, m, h)) for h in hidden]
-    z3 = np.empty((R, m, 1))
-    z = z3[:, :, 0]
-    back.append(z[:, :, None])  # the (m, 1) layout a lone run backpropagates
+    # acts[l] is layer l's input and acts[-1] the logits z; back[l + 1] is
+    # the loss gradient at layer l's pre-activation, the last one in z's memory
+    back = [None] + [np.empty((R, h, m)) for h in hidden] + [np.empty((R, 1, m))]
+    acts = [np.ascontiguousarray(Xs.T)[None]] + [np.empty((R, h, m)) for h in hidden] + back[-1:]
+    alive = [None] + [np.empty((R, h, m), dtype=bool) for h in hidden]
+    z = back[-1][:, 0, :]
+    actTs = [a.transpose(0, 2, 1) for a in acts]
     WTs = [W.transpose(0, 2, 1) for W in Ws]
-    b3s = [b[:, None, :] for b in bs]
-    backTs = [None] + [g.transpose(0, 2, 1) for g in back[1:]]
+    b3s = [b[:, :, None] for b in bs]
     mom1 = np.zeros((R, P))
     mom2 = np.zeros((R, P))
     tmp = np.empty((R, P))
@@ -548,13 +552,12 @@ def train_mlp(
     last = len(shapes) - 1
 
     def forward():
-        for layer in range(last):
+        for layer in range(last + 1):
             h = acts[layer + 1]
-            np.matmul(acts[layer], WTs[layer], out=h)
+            np.matmul(Ws[layer], acts[layer], out=h)
             h += b3s[layer]
-            np.maximum(0.0, h, out=h)
-        np.matmul(acts[last], WTs[last], out=z3)
-        np.add(z3, b3s[last], out=z3)
+            if layer < last:
+                np.maximum(0.0, h, out=h)
 
     for step in range(1, epochs + 1):
         forward()
@@ -566,20 +569,15 @@ def train_mlp(
         z -= target
         z /= m
         for layer in range(last, -1, -1):
-            np.matmul(backTs[layer + 1], acts[layer], out=gWs[layer])
-            if gbs[layer].shape[1] == 1:
-                # a one-unit column is contiguous, where np.sum adds pairwise
-                np.sum(back[layer + 1], axis=1, out=gbs[layer])
-            else:
-                # adds the samples in order, as np.sum does here: same bits, faster
-                np.einsum("rmh->rh", back[layer + 1], out=gbs[layer])
+            g = back[layer + 1]
+            np.matmul(g, actTs[layer], out=gWs[layer])
+            np.sum(g, axis=2, out=gbs[layer])
             if layer > 0:
                 below = back[layer]
                 if layer == last:
-                    # a K=1 product is an outer product: same bits, no matmul
-                    np.einsum("rmi,rih->rmh", back[layer + 1], Ws[layer], out=below)
+                    np.multiply(WTs[layer], g, out=below)
                 else:
-                    np.matmul(back[layer + 1], Ws[layer], out=below)
+                    np.matmul(WTs[layer], g, out=below)
                 np.greater(acts[layer], 0, out=alive[layer])
                 np.multiply(below, alive[layer], out=below)
         corr1 = 1.0 - beta1 ** step
@@ -659,13 +657,16 @@ def select_surrogate(
     task: str = "classifier",
     candidates=FAMILY_ORDER,
     seed: int = 0,
-) -> Surrogate:
+    deadline: float = math.inf,
+) -> Surrogate | None:
     """Train the candidate families in order and keep the best validation performer.
 
     Deterministic stratified split, accuracy for classifiers and R^2 for
     regressors, ties resolved by the fixed family order (cheapest MIO
     encoding first). Neither score exceeds 1.0, so the families after one
-    that scores 1.0 are not trained: they could at best tie.
+    that scores 1.0 are not trained: they could at best tie. Returns None
+    when a family is due after ``deadline`` (a ``time.monotonic()``
+    instant), which it does not start.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -698,6 +699,8 @@ def select_surrogate(
 
     best = None
     for family in candidates:
+        if time.monotonic() > deadline:
+            return None
         try:
             model = _train_family(family, X[train_idx], y[train_idx], task, seed)
         except DegenerateDataset:

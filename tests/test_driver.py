@@ -610,6 +610,35 @@ def test_sampling_evaluates_nothing_after_the_time_limit(monkeypatch):
     assert max(starts) <= deadlines[0] + 0.01
 
 
+def test_training_starts_no_family_after_the_time_limit(monkeypatch):
+    # each family takes at least 0.6 s, so the limit passes while the first
+    # constraint's four families train; they used to train to the end
+    from surropt import driver
+    from surropt import learners as L
+
+    starts = []
+    train_family = L._train_family
+
+    def slow(*args):
+        starts.append(time.monotonic())
+        time.sleep(0.6)
+        return train_family(*args)
+
+    deadlines = []
+
+    def standardize_seen(problem, deadline=None):
+        deadlines.append(deadline)
+        return standardize(problem, deadline)
+
+    monkeypatch.setattr(L, "_train_family", slow)
+    monkeypatch.setattr(driver, "standardize", standardize_seen)
+    problem = generate_quadratic_sigmoid(10, 2, seed=2024)
+    report = solve_global(problem, RunConfig(seed=0, time_limit=1.0))
+    assert report.status == "time_limit"
+    assert starts, "sampling used up the whole time limit"
+    assert max(starts) <= deadlines[0] + 0.01
+
+
 def test_deadline_passing_in_the_milp_solve_reports_time_limit(monkeypatch, fast_sampler):
     # the MILP point itself comes too late to evaluate: the cell keeps its
     # MILP counters, and the run reports instead of raising

@@ -322,9 +322,7 @@ def test_mlp_deterministic_given_seed():
         assert np.array_equal(Wa, Wb) and np.array_equal(ba, bb)
 
 
-def _reference_mlp(X, y, task, hidden, epochs, lr, seed, restarts):
-    """Frozen per-restart training loop: one restart at a time, fresh arrays
-    every step. ``train_mlp`` must return exactly its weights."""
+def _prepare_mlp(X, y, task):
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     Xs, mu, sd = L._standardize(X)
@@ -335,65 +333,49 @@ def _reference_mlp(X, y, task, hidden, epochs, lr, seed, restarts):
     else:
         y_mu, y_sd = 0.0, 1.0
         target = y
-    m, n = Xs.shape
-    sizes = [n] + list(hidden) + [1]
-    beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
-    best = None
-    for attempt in range(max(1, restarts)):
-        rng = np.random.default_rng(seed + 7919 * attempt)
-        Ws, bs = [], []
-        for layer, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-            W = rng.normal(0.0, math.sqrt(2.0 / fan_in), size=(fan_out, fan_in))
-            if layer == 0:
-                anchors = Xs[rng.integers(0, m, size=fan_out)]
-                b = -np.einsum("ij,ij->i", W, anchors)
-            else:
-                b = np.zeros(fan_out)
-            Ws.append(W)
-            bs.append(b)
-        mW = [np.zeros_like(W) for W in Ws]
-        vW = [np.zeros_like(W) for W in Ws]
-        mb = [np.zeros_like(b) for b in bs]
-        vb = [np.zeros_like(b) for b in bs]
-        for step in range(1, epochs + 1):
-            acts = [Xs]
-            h = Xs
-            for W, b in zip(Ws[:-1], bs[:-1]):
-                h = np.maximum(0.0, h @ W.T + b)
-                acts.append(h)
-            z = (h @ Ws[-1].T + bs[-1]).ravel()
-            if task == "regressor":
-                delta = (z - target) / m
-            else:
-                delta = (1.0 / (1.0 + np.exp(-z)) - target) / m
-            grad = delta[:, None]
-            gWs = [None] * len(Ws)
-            gbs = [None] * len(bs)
-            for layer in range(len(Ws) - 1, -1, -1):
-                gWs[layer] = grad.T @ acts[layer]
-                gbs[layer] = grad.sum(axis=0)
-                if layer > 0:
-                    grad = (grad @ Ws[layer]) * (acts[layer] > 0)
-            corr1 = 1.0 - beta1 ** step
-            corr2 = 1.0 - beta2 ** step
-            for layer in range(len(Ws)):
-                mW[layer] = beta1 * mW[layer] + (1 - beta1) * gWs[layer]
-                vW[layer] = beta2 * vW[layer] + (1 - beta2) * gWs[layer] ** 2
-                mb[layer] = beta1 * mb[layer] + (1 - beta1) * gbs[layer]
-                vb[layer] = beta2 * vb[layer] + (1 - beta2) * gbs[layer] ** 2
-                Ws[layer] -= lr * (mW[layer] / corr1) / (np.sqrt(vW[layer] / corr2) + adam_eps)
-                bs[layer] -= lr * (mb[layer] / corr1) / (np.sqrt(vb[layer] / corr2) + adam_eps)
-        h = Xs
-        for W, b in zip(Ws[:-1], bs[:-1]):
-            h = np.maximum(0.0, h @ W.T + b)
-        z = (h @ Ws[-1].T + bs[-1]).ravel()
-        if task == "regressor":
-            loss = float(((z - target) ** 2).mean())
+    return Xs, mu, sd, target, y_mu, y_sd
+
+
+def _initial_weights(Xs, sizes, seed, attempt):
+    m = len(Xs)
+    rng = np.random.default_rng(seed + 7919 * attempt)
+    Ws, bs = [], []
+    for layer, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+        W = rng.normal(0.0, math.sqrt(2.0 / fan_in), size=(fan_out, fan_in))
+        if layer == 0:
+            anchors = Xs[rng.integers(0, m, size=fan_out)]
+            b = -np.einsum("ij,ij->i", W, anchors)
         else:
-            loss = float((np.logaddexp(0.0, z) - target * z).mean())
-        if best is None or loss < best[2]:
-            best = (Ws, bs, loss)
-    Ws, bs, _ = best
+            b = np.zeros(fan_out)
+        Ws.append(W)
+        bs.append(b)
+    return Ws, bs
+
+
+def _loss(z, target, task):
+    if task == "regressor":
+        return float(((z - target) ** 2).mean())
+    return float((np.logaddexp(0.0, z) - target * z).mean())
+
+
+def _logit_gradient(z, target, task):
+    if task == "regressor":
+        return (z - target) / len(z)
+    return (1.0 / (1.0 + np.exp(-z)) - target) / len(z)
+
+
+def _adam(params, mom1, mom2, grads, step, lr):
+    """One Adam step on each array of ``params``, in place."""
+    beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
+    corr1 = 1.0 - beta1 ** step
+    corr2 = 1.0 - beta2 ** step
+    for i, g in enumerate(grads):
+        mom1[i] = beta1 * mom1[i] + (1 - beta1) * g
+        mom2[i] = beta2 * mom2[i] + (1 - beta2) * g ** 2
+        params[i] -= lr * (mom1[i] / corr1) / (np.sqrt(mom2[i] / corr2) + adam_eps)
+
+
+def _fold(Ws, bs, mu, sd, y_mu, y_sd):
     Ws[0] = Ws[0] / sd[None, :]
     bs[0] = bs[0] - Ws[0] @ mu
     Ws[-1] = Ws[-1] * y_sd
@@ -401,16 +383,101 @@ def _reference_mlp(X, y, task, hidden, epochs, lr, seed, restarts):
     return list(zip(Ws, bs))
 
 
-@pytest.mark.parametrize("hidden", [(8,), (4, 3), (3, 1)])
-@pytest.mark.parametrize("task", ["classifier", "regressor"])
-@pytest.mark.parametrize("restarts", [1, 3])
-def test_mlp_stacked_restarts_match_reference_loop(hidden, task, restarts):
+def _reference_mlp(X, y, task, hidden, epochs, lr, seed, restarts):
+    """Per-restart training loop with samples as columns: one restart at a
+    time, (units, m) activations, fresh arrays every step. ``train_mlp``
+    must return exactly its weights."""
+    Xs, mu, sd, target, y_mu, y_sd = _prepare_mlp(X, y, task)
+    sizes = [Xs.shape[1]] + list(hidden) + [1]
+    best = None
+    for attempt in range(max(1, restarts)):
+        Ws, bs = _initial_weights(Xs, sizes, seed, attempt)
+        mom1 = [np.zeros_like(p) for p in Ws + bs]
+        mom2 = [np.zeros_like(p) for p in Ws + bs]
+
+        def forward():
+            h = np.ascontiguousarray(Xs.T)
+            acts = [h]
+            for W, b in zip(Ws[:-1], bs[:-1]):
+                h = np.maximum(0.0, W @ h + b[:, None])
+                acts.append(h)
+            return acts, (Ws[-1] @ h + bs[-1][:, None])[0]
+
+        for step in range(1, epochs + 1):
+            acts, z = forward()
+            grad = _logit_gradient(z, target, task)[None, :]
+            gWs = [None] * len(Ws)
+            gbs = [None] * len(bs)
+            for layer in range(len(Ws) - 1, -1, -1):
+                gWs[layer] = grad @ acts[layer].T
+                gbs[layer] = grad.sum(axis=1)
+                if layer > 0:
+                    grad = (Ws[layer].T @ grad) * (acts[layer] > 0)
+            _adam(Ws + bs, mom1, mom2, gWs + gbs, step, lr)
+        loss = _loss(forward()[1], target, task)
+        if best is None or loss < best[2]:
+            best = (Ws, bs, loss)
+    return _fold(best[0], best[1], mu, sd, y_mu, y_sd)
+
+
+def _row_major_mlp(X, y, task, hidden, epochs, lr, seed, restarts):
+    """Independent oracle: the per-restart loop with samples as rows, (m,
+    units) activations and fresh arrays every step. Its products and sums
+    run in another order than ``train_mlp``'s, so the weights agree only to
+    rounding."""
+    Xs, mu, sd, target, y_mu, y_sd = _prepare_mlp(X, y, task)
+    sizes = [Xs.shape[1]] + list(hidden) + [1]
+    best = None
+    for attempt in range(max(1, restarts)):
+        Ws, bs = _initial_weights(Xs, sizes, seed, attempt)
+        mom1 = [np.zeros_like(p) for p in Ws + bs]
+        mom2 = [np.zeros_like(p) for p in Ws + bs]
+
+        def forward():
+            h = Xs
+            acts = [h]
+            for W, b in zip(Ws[:-1], bs[:-1]):
+                h = np.maximum(0.0, h @ W.T + b)
+                acts.append(h)
+            return acts, (h @ Ws[-1].T + bs[-1]).ravel()
+
+        for step in range(1, epochs + 1):
+            acts, z = forward()
+            grad = _logit_gradient(z, target, task)[:, None]
+            gWs = [None] * len(Ws)
+            gbs = [None] * len(bs)
+            for layer in range(len(Ws) - 1, -1, -1):
+                gWs[layer] = grad.T @ acts[layer]
+                gbs[layer] = grad.sum(axis=0)
+                if layer > 0:
+                    grad = (grad @ Ws[layer]) * (acts[layer] > 0)
+            _adam(Ws + bs, mom1, mom2, gWs + gbs, step, lr)
+        loss = _loss(forward()[1], target, task)
+        if best is None or loss < best[2]:
+            best = (Ws, bs, loss)
+    return _fold(best[0], best[1], mu, sd, y_mu, y_sd)
+
+
+def _mlp_case(task):
     rng = np.random.default_rng(17)
     X = rng.uniform(-2.0, 3.0, size=(90, 3))
     if task == "classifier":
         y = (np.sin(X).sum(axis=1) >= 0.2).astype(float)
     else:
         y = 10.0 * np.cos(X).sum(axis=1) + 3.0
+    return X, y
+
+
+def _mlp_settings(test):
+    """The 16 settings both exact-reference and oracle tests run."""
+    test = pytest.mark.parametrize("restarts", [1, 3])(test)
+    test = pytest.mark.parametrize("task", ["classifier", "regressor"])(test)
+    return pytest.mark.parametrize("hidden", [(8,), (4, 3), (3, 1), ()])(test)
+
+
+@_mlp_settings
+def test_mlp_stacked_restarts_match_reference_loop(hidden, task, restarts):
+    X, y = _mlp_case(task)
     kw = dict(hidden=hidden, epochs=120, lr=0.01, seed=4, restarts=restarts)
     net = L.train_mlp(X, y, task, **kw)
     ref = _reference_mlp(X, y, task, **kw)
@@ -419,23 +486,40 @@ def test_mlp_stacked_restarts_match_reference_loop(hidden, task, restarts):
         assert np.array_equal(W, W_ref) and np.array_equal(b, b_ref)
 
 
+@_mlp_settings
+def test_mlp_agrees_with_the_row_major_oracle(hidden, task, restarts):
+    X, y = _mlp_case(task)
+    kw = dict(hidden=hidden, epochs=120, lr=0.01, seed=4, restarts=restarts)
+    net = L.train_mlp(X, y, task, **kw)
+    oracle = _row_major_mlp(X, y, task, **kw)
+    for (W, b), (W_o, b_o) in zip(net.layers, oracle):
+        for got, want in ((W, W_o), (b, b_o)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    if task == "classifier":
+        labels = L.Mlp(layers=oracle, task=task).predict(X) >= 0.0
+        assert np.array_equal(net.predict(X) >= 0.0, labels)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
+    m=st.integers(10, 300),
+    n=st.integers(1, 6),
+    hidden=st.lists(st.integers(1, 10), max_size=2).map(tuple),
     R=st.integers(1, 4),
-    m=st.integers(1, 300),
-    h=st.integers(2, 32),
-    scale_exp=st.integers(-8, 8),
+    task=st.sampled_from(["classifier", "regressor"]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_mlp_einsum_kernels_match_numpy_bit_for_bit(R, m, h, scale_exp, seed):
-    # train_mlp's bias gradient of a layer of width >= 2 and its output-layer
-    # outer product use einsum; each must give the bits of the plain kernel
+def test_mlp_stacked_restarts_match_lone_runs_on_random_shapes(m, n, hidden, R, task, seed):
     rng = np.random.default_rng(seed)
-    back = rng.normal(size=(R, m, h)) * 10.0 ** scale_exp
-    assert np.array_equal(np.einsum("rmh->rh", back), np.sum(back, axis=1))
-    column = rng.normal(size=(R, m, 1)) * 10.0 ** scale_exp
-    W = rng.normal(size=(R, 1, h))
-    assert np.array_equal(np.einsum("rmi,rih->rmh", column, W), np.multiply(column, W))
+    X = rng.normal(size=(m, n)) * rng.uniform(0.1, 10.0, size=n)
+    y = np.sin(X).sum(axis=1) + rng.normal(0.0, 0.3, size=m)
+    if task == "classifier":
+        y = (y >= np.median(y)).astype(float)
+    kw = dict(hidden=hidden, epochs=20, lr=0.05, seed=seed % 1000, restarts=R)
+    net = L.train_mlp(X, y, task, **kw)
+    ref = _reference_mlp(X, y, task, **kw)
+    for (W, b), (W_ref, b_ref) in zip(net.layers, ref):
+        assert np.array_equal(W, W_ref) and np.array_equal(b, b_ref)
 
 
 def test_mlp_zero_weights_bias_pass_through():
