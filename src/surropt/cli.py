@@ -110,6 +110,9 @@ def _load(path: str):
     except FileNotFoundError:
         sys.stderr.write(f"surropt: problem file not found: {path}\n")
         sys.exit(EXIT_USAGE)
+    except OSError as exc:  # a directory, no permission, ...
+        sys.stderr.write(f"surropt: cannot read {path}: {exc.strerror or exc}\n")
+        sys.exit(EXIT_USAGE)
     except SurroptError as exc:
         sys.stderr.write(f"surropt: cannot load {path}: {exc}\n")
         sys.exit(EXIT_USAGE)

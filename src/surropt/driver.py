@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -242,8 +242,8 @@ def _sample_constraint(sp: StandardProblem, con, cfg: RunConfig, rng):
             points, values, labels = extend(knn_pts)
 
     if len(np.unique(labels)) == 2:
-        def committee_tree(X, y, seed):
-            return train_tree(X, y, task="classifier", seed=seed)
+        def committee_tree(X, y, seed):  # the trees are deterministic: the seed goes unused
+            return train_tree(X, y, task="classifier")
 
         for _ in range(cfg.adaptive_rounds):
             result = sampling.oct_adaptive_sample(
@@ -254,9 +254,9 @@ def _sample_constraint(sp: StandardProblem, con, cfg: RunConfig, rng):
             points, values, labels = extend(result.points)
 
     if con.sense != "=0":
-        return support, points, labels, None
+        return points, labels, None
     kept = np.isfinite(values)
-    return support, points[kept], labels[kept], values[kept]
+    return points[kept], labels[kept], values[kept]
 
 
 def _round_integrals(points, sp: StandardProblem, support) -> np.ndarray:
@@ -277,12 +277,14 @@ def _sample_objective(sp: StandardProblem, rng):
     # a point where the objective fails or is not finite has no value to fit
     values = _evaluator(sp.objective, support, (lo_all + hi_all) / 2.0)(points)
     kept = np.isfinite(values)
-    return support, points[kept], None, values[kept]
+    return points[kept], None, values[kept]
 
 
 def sample(sp: StandardProblem, cfg: RunConfig) -> list:
-    """One dataset ``(support, points, labels, values)`` per nonlinear
-    constraint, then one for a nonlinear objective (its ``labels`` are None).
+    """One dataset ``(points, labels, values)`` per nonlinear constraint,
+    then one for a nonlinear objective (its ``labels`` are None). A point's
+    columns are ``sorted(con.support)`` of its constraint, or
+    ``sorted(sp.objective.support)``.
 
     ``values`` is None for an inequality constraint. Each dataset draws from
     its own stream of ``cfg.seed``. At ``sp.deadline`` the evaluations stop,
@@ -311,7 +313,7 @@ def train(sp: StandardProblem, datasets, cfg: RunConfig) -> Trained:
     ``sp.deadline`` passes: no dataset and no model family starts after it.
     """
     out = Trained(constraints=[], objective=None, families={}, runs=0, complete=False)
-    for i, (support, points, labels, values) in enumerate(datasets):
+    for i, (points, labels, values) in enumerate(datasets):
         if time.monotonic() > sp.deadline:
             return out
         is_objective = i == len(sp.nonlinear)
@@ -335,7 +337,6 @@ def train(sp: StandardProblem, datasets, cfg: RunConfig) -> Trained:
                 raise DegenerateDataset(f"cannot train a surrogate for {name}: {exc}") from exc
             if model is None:
                 return out
-            model = replace(model, support=tuple(support))
             out.runs += 1
             out.families[name] = {"family": model.family, "score": model.validation_score}
         if is_objective:

@@ -205,14 +205,9 @@ def encode_gbm(ens: GbmEnsemble, m: MilpModel, cols, lo, hi,
     """Encode every tree, then link the returned output variable
     y = base + sum of weighted tree outputs."""
     outputs = [encode_tree(tree, m, cols, lo, hi, robust=robust) for tree in ens.trees]
-    lo_sum = ens.base + sum(
-        w * (min(v for v, _ in t.leaves()) if t.leaves() else 0.0)
-        for w, t in zip(ens.weights, ens.trees)
-    )
-    hi_sum = ens.base + sum(
-        w * (max(v for v, _ in t.leaves()) if t.leaves() else 0.0)
-        for w, t in zip(ens.weights, ens.trees)
-    )
+    values = [[v for v, _ in tree.leaves()] for tree in ens.trees]
+    lo_sum = ens.base + sum(w * min(vs) for w, vs in zip(ens.weights, values))
+    hi_sum = ens.base + sum(w * max(vs) for w, vs in zip(ens.weights, values))
     y = m.add_var(lo_sum - 1e-6, hi_sum + 1e-6)
     coeffs = dict(zip(outputs, ens.weights))
     coeffs[y] = -1.0
@@ -294,7 +289,9 @@ def assemble(
 
     ``constraint_surrogates`` aligns with ``sp.nonlinear``; each entry is a
     Surrogate, ALWAYS_FEASIBLE (constraint dropped), or ALWAYS_INFEASIBLE
-    (an unsatisfiable marker row that only relaxation can absorb). Equality
+    (an unsatisfiable marker row that only relaxation can absorb). A
+    surrogate reads the columns ``sorted(con.support)`` of its constraint,
+    and the objective's reads ``sorted(sp.objective.support)``. Equality
     constraints use a regressor surrogate held inside a small band around
     zero. With ``relax`` set, every surrogate rule gains a nonnegative slack
     penalized in the objective.
@@ -321,7 +318,7 @@ def assemble(
             m.add_row(coeffs, ">=", 1.0)
             continue
 
-        support = sorted(sur.support) if sur.support else sorted(con.support)
+        support = sorted(con.support)
         cols = [x_cols[k] for k in support]
         lo = lo_all[support]
         hi = hi_all[support]
@@ -345,7 +342,7 @@ def assemble(
     else:
         if objective_surrogate is None:
             raise ValueError("nonlinear objective needs a regressor surrogate")
-        support = sorted(objective_surrogate.support) or sorted(sp.objective.support)
+        support = sorted(sp.objective.support)
         cols = [x_cols[k] for k in support]
         out = _encode_output(objective_surrogate, m, cols, lo_all[support], hi_all[support], None)
         m.add_objective_term(out, 1.0)

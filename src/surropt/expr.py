@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import re
 from dataclasses import dataclass
 
@@ -91,10 +92,10 @@ def _apply_unary(op: str, v: float) -> float:
         if v < 0.0:
             raise DomainError(f"sqrt of negative value {v}")
         return math.sqrt(v)
-    if op == "sin":
-        return math.sin(v)
-    if op == "cos":
-        return math.cos(v)
+    if op in ("sin", "cos"):
+        if math.isinf(v):
+            raise DomainError(f"{op} of {v}")
+        return math.sin(v) if op == "sin" else math.cos(v)
     if op == "abs":
         return abs(v)
     raise ValueError(f"unknown unary op {op!r}")
@@ -114,13 +115,13 @@ def _apply_binary(op: str, a: float, b: float) -> float:
     if op == "^":
         if a == 0.0 and b < 0.0:
             raise DomainError("zero raised to a negative power")
-        if a < 0.0:
+        try:
+            if a >= 0.0 or math.isnan(a):
+                return a ** b
             if b != round(b):
                 raise DomainError(f"negative base {a} with non-integer exponent {b}")
             return a ** int(round(b))
-        try:
-            return a ** b
-        except OverflowError as exc:
+        except (OverflowError, ValueError) as exc:  # round() of inf or NaN included
             raise DomainError(str(exc)) from exc
     raise ValueError(f"unknown binary op {op!r}")
 
@@ -471,6 +472,33 @@ def print_expr(e: Expr, names=None) -> str:
 # ---------------------------------------------------------------------------
 
 PROBLEM_SCHEMA_VERSION = 1
+_KINDS = {str: "a string", list: "a list", dict: "an object", bool: "true or false"}
+
+
+def _typed(value, kind, what):
+    """``value`` when it is a ``kind`` (str, list, dict or bool), else SchemaError."""
+    if not isinstance(value, kind):
+        raise SchemaError(f"{what} must be {_KINDS[kind]}, got {type(value).__name__}")
+    return value
+
+
+def _number(value, what) -> float:
+    """``value`` as a float when it is a number (no bool) in double range, not NaN."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            out = float(value)
+        except OverflowError:
+            out = math.nan
+        if not math.isnan(out):
+            return out
+    raise SchemaError(f"{what} must be a number within double range, not NaN")
+
+
+def _sense(entry, label) -> str:
+    sense = entry.get("sense", "<=0")
+    if sense not in ("<=0", ">=0", "=0"):
+        raise SchemaError(f"constraint {label}: bad sense {sense!r}")
+    return sense
 
 
 def load_problem(document, blackbox_registry=None):
@@ -495,12 +523,16 @@ def load_problem(document, blackbox_registry=None):
           ]
         }
 
-    Any other key (such as ``known_optimum``) is ignored. Expressions with
-    affine trees become linear rows; everything else becomes a nonlinear
-    constraint with an exact-gradient evaluator.
+    Any other key (such as ``known_optimum``) is ignored. Every expression
+    constraint becomes an expression-backed ``NonlinearConstraint`` (a
+    ``>=0`` one on the negated tree) and an expression objective a
+    ``NonlinearObjective``; ``standardize`` moves the affine ones into
+    linear rows. A field of the wrong JSON type, a file that is not UTF-8
+    JSON, and every other deviation from the layout raise ``SchemaError``
+    (or a ``ParseError`` for expression text); a file that cannot be opened
+    raises its ``OSError``.
     """
     from .model import (
-        LinearConstraint,
         LinearObjective,
         NonlinearConstraint,
         NonlinearObjective,
@@ -509,14 +541,16 @@ def load_problem(document, blackbox_registry=None):
     )
 
     if isinstance(document, (str, bytes)):
-        with open(document, "r", encoding="utf-8") as fh:
-            document = json.load(fh)
+        try:
+            with open(document, "r", encoding="utf-8") as fh:
+                document = json.load(fh)
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise SchemaError(f"not a UTF-8 JSON document: {exc}") from exc
     if not isinstance(document, dict):
         raise SchemaError("problem document must be a JSON object")
-    if document.get("schema") != PROBLEM_SCHEMA_VERSION:
-        raise SchemaError(
-            f"missing or unsupported schema version {document.get('schema')!r}"
-        )
+    schema = document.get("schema")
+    if isinstance(schema, bool) or schema != PROBLEM_SCHEMA_VERSION:
+        raise SchemaError(f"missing or unsupported schema version {schema!r}")
     raw_vars = document.get("variables")
     if not raw_vars or not isinstance(raw_vars, list):
         raise SchemaError("document needs a nonempty 'variables' list")
@@ -524,9 +558,10 @@ def load_problem(document, blackbox_registry=None):
     specs = []
     names = {}
     for i, rv in enumerate(raw_vars):
+        rv = _typed(rv, dict, f"variable {i}")
         if "name" not in rv:
             raise SchemaError(f"variable {i} has no name")
-        nm = rv["name"]
+        nm = _typed(rv["name"], str, f"variable {i}'s name")
         if nm in names:
             raise SchemaError(f"duplicate variable name {nm!r}")
         names[nm] = i
@@ -537,64 +572,50 @@ def load_problem(document, blackbox_registry=None):
                 VarSpec(
                     name=nm,
                     index=i,
-                    lower=-math.inf if lower is None else float(lower),
-                    upper=math.inf if upper is None else float(upper),
-                    integral=bool(rv.get("integral", False)),
+                    lower=-math.inf if lower is None else _number(lower, f"{nm}'s lower bound"),
+                    upper=math.inf if upper is None else _number(upper, f"{nm}'s upper bound"),
+                    integral=_typed(rv.get("integral", False), bool, f"{nm}'s integral flag"),
                 )
             )
-        except ValueError as exc:  # a bound that is no number, or crossed bounds
+        except ValueError as exc:  # crossed bounds
             raise SchemaError(str(exc)) from exc
     n = len(specs)
 
-    def constraint_from_expression(text, sense, label):
-        tree = parse_expr(text, names)
-        if sense not in ("<=0", ">=0", "=0"):
-            raise SchemaError(f"constraint {label}: bad sense {sense!r}")
-        if sense == ">=0":
-            tree = _fold(Unary("neg", tree))
-            sense = "<=0"
-        parts = affine_parts(tree, n)
-        if parts is not None:
-            coeffs, const = parts
-            row_sense = "=" if sense == "=0" else "<="
-            return LinearConstraint(coeffs=coeffs, sense=row_sense, rhs=-const, name=label)
-        return NonlinearConstraint(
-            evaluator=lambda x, _t=tree: eval_expr(_t, x),
-            sense="=0" if sense == "=0" else "<=0",
-            support=expr_support(tree),
-            expr=tree,
-            name=label,
-        )
-
-    linear = []
     nonlinear = []
-    for i, rc in enumerate(document.get("constraints", [])):
+    for i, rc in enumerate(_typed(document.get("constraints", []), list, "'constraints'")):
+        rc = _typed(rc, dict, f"constraint {i}")
         if "expression" not in rc:
             raise SchemaError(f"constraint {i} has no expression")
-        label = rc.get("name", f"c{i}")
-        built = constraint_from_expression(rc["expression"], rc.get("sense", "<=0"), label)
-        if isinstance(built, LinearConstraint):
-            linear.append(built)
-        else:
-            nonlinear.append(built)
+        label = _typed(rc.get("name", f"c{i}"), str, f"constraint {i}'s name")
+        sense = _sense(rc, label)
+        tree = parse_expr(_typed(rc["expression"], str, f"constraint {label}'s expression"), names)
+        if sense == ">=0":
+            tree = _fold(Unary("neg", tree))
+        nonlinear.append(
+            NonlinearConstraint(
+                evaluator=lambda x, _t=tree: eval_expr(_t, x),
+                sense="=0" if sense == "=0" else "<=0",
+                support=expr_support(tree),
+                expr=tree,
+                name=label,
+            )
+        )
 
-    for i, rb in enumerate(document.get("blackbox", [])):
+    for i, rb in enumerate(_typed(document.get("blackbox", []), list, "'blackbox'")):
+        rb = _typed(rb, dict, f"black-box constraint {i}")
         nm = rb.get("name")
-        if blackbox_registry is None or nm not in blackbox_registry:
+        if not isinstance(nm, str) or blackbox_registry is None or nm not in blackbox_registry:
             raise SchemaError(f"black-box constraint {nm!r} has no registered evaluator")
         support_names = rb.get("support")
-        if not support_names:
+        if not support_names or not isinstance(support_names, list):
             raise SchemaError(f"black-box constraint {nm!r} needs a support list")
         for sn in support_names:
-            if sn not in names:
+            if not isinstance(sn, str) or sn not in names:
                 raise UnknownIdentifier(f"unknown variable {sn!r}")
-        sense = rb.get("sense", "<=0")
+        sense = _sense(rb, nm)
+        evaluator = blackbox_registry[nm]
         if sense == ">=0":
-            fn = blackbox_registry[nm]
-            evaluator = lambda x, _f=fn: -_f(x)
-            sense = "<=0"
-        else:
-            evaluator = blackbox_registry[nm]
+            evaluator = lambda x, _f=evaluator: -_f(x)
         nonlinear.append(
             NonlinearConstraint(
                 evaluator=evaluator,
@@ -607,29 +628,29 @@ def load_problem(document, blackbox_registry=None):
     raw_obj = document.get("objective")
     if raw_obj is None:
         objective = LinearObjective(coeffs=np.zeros(n), constant=0.0)
+    elif not isinstance(raw_obj, dict):
+        raise SchemaError("objective must be an object")
     elif "linear" in raw_obj:
-        coeffs = np.asarray(raw_obj["linear"], dtype=float)
-        if coeffs.shape != (n,):
+        coeffs = _typed(raw_obj["linear"], list, "linear objective")
+        if len(coeffs) != n:
             raise SchemaError("linear objective length must match variable count")
-        objective = LinearObjective(coeffs=coeffs, constant=float(raw_obj.get("constant", 0.0)))
+        objective = LinearObjective(
+            coeffs=np.array([_number(c, "linear objective coefficient") for c in coeffs]),
+            constant=_number(raw_obj.get("constant", 0.0), "objective constant"),
+        )
     elif "expression" in raw_obj:
-        tree = parse_expr(raw_obj["expression"], names)
-        parts = affine_parts(tree, n)
-        if parts is not None:
-            objective = LinearObjective(coeffs=parts[0], constant=parts[1])
-        else:
-            objective = NonlinearObjective(
-                evaluator=lambda x, _t=tree: eval_expr(_t, x),
-                support=expr_support(tree),
-                expr=tree,
-            )
+        tree = parse_expr(_typed(raw_obj["expression"], str, "objective expression"), names)
+        objective = NonlinearObjective(
+            evaluator=lambda x, _t=tree: eval_expr(_t, x),
+            support=expr_support(tree),
+            expr=tree,
+        )
     else:
         raise SchemaError("objective must carry 'expression' or 'linear'")
 
     return Problem(
         vars=tuple(specs),
         objective=objective,
-        linear=tuple(linear),
         nonlinear=tuple(nonlinear),
-        name=document.get("name", ""),
+        name=_typed(document.get("name", ""), str, "'name'"),
     )

@@ -1,9 +1,9 @@
 """Trainable surrogate families: linear SVM, oblique trees, boosted trees, MLP.
 
-All training is deterministic given (dataset order, seed): full-batch
-subgradient or Adam loops, no stochastic minibatching. Trees are greedy
-top-down with axis-parallel splits plus, optionally, one oblique candidate
-per node taken from a local linear fit. Thresholds follow the embedding
+All training is deterministic given the dataset order (and, for the MLP,
+its seed): full-batch subgradient or Adam loops, no stochastic
+minibatching. Trees are greedy top-down with axis-parallel splits plus,
+optionally, one oblique candidate per node taken from a local linear fit. Thresholds follow the embedding
 rules: 0 for margin-based classifiers (SVM, MLP logit), 0.5 for tree and
 boosted ensembles trained on 0/1 labels.
 """
@@ -85,24 +85,14 @@ class ObliqueTree:
         return float(node.value)
 
     def predict(self, X) -> np.ndarray:
-        """``predict_one`` over the rows of X: each node splits the index set
-        of the rows that reach it."""
-        X = np.asarray(X, dtype=float)
-        out = np.empty(len(X))
-        stack = [(self.root, np.arange(len(X)))]
-        while stack:
-            node, idx = stack.pop()
-            if node.is_leaf:
-                out[idx] = node.value
-            elif len(idx):
-                left = _rowwise(node.a[None, :], X[idx])[:, 0] <= node.b
-                stack.append((node.left, idx[left]))
-                stack.append((node.right, idx[~left]))
-        return out
+        """``predict_one`` over the rows of X: the values of ``leaves()``
+        at the leaves ``route(X)`` reaches."""
+        return np.array([value for value, _ in self.leaves()])[self.route(X)]
 
     def route(self, X) -> np.ndarray:
-        """Index into ``leaves()`` of the leaf each row of X reaches, with
-        the comparisons of ``predict``."""
+        """Index into ``leaves()`` of the leaf each row of X reaches: each
+        node splits the index set of the rows that reach it, with the
+        comparisons of ``predict_one``."""
         X = np.asarray(X, dtype=float)
         out = np.empty(len(X), dtype=int)
         leaf = 0
@@ -157,7 +147,6 @@ class Mlp:
     """ReLU network; ``layers`` holds (W, b) pairs, last layer linear."""
 
     layers: list
-    task: str
 
     def predict_one(self, x) -> float:
         h = np.asarray(x, dtype=float)
@@ -177,14 +166,14 @@ class Mlp:
 
 @dataclass
 class Surrogate:
-    """A trained model standing in for one nonlinear constraint or objective."""
+    """A trained model standing in for one nonlinear constraint or objective,
+    over the columns ``sorted(support)`` of what it stands in for."""
 
     model: object
     family: str
     task: str  # classifier | regressor
     threshold: float
     validation_score: float
-    support: tuple = ()
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +187,7 @@ def _standardize(X):
     return (X - mu) / sd, mu, sd
 
 
-def train_svc(X, y, seed: int = 0, epochs: int = 300) -> LinearModel:
+def train_svc(X, y, epochs: int = 300) -> LinearModel:
     """Hinge-loss linear classifier by full-batch projected subgradient."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -238,7 +227,7 @@ def train_svc(X, y, seed: int = 0, epochs: int = 300) -> LinearModel:
     return LinearModel(beta0=beta0, beta=beta)
 
 
-def train_svr(X, y, seed: int = 0, epochs: int = 200) -> LinearModel:
+def train_svr(X, y, epochs: int = 200) -> LinearModel:
     """Linear regression with an insensitive band: residuals smaller than
     SVR_BAND standard deviations of the labels carry no loss."""
     X = np.asarray(X, dtype=float)
@@ -411,7 +400,6 @@ def train_tree(
     task: str = "classifier",
     max_depth: int = 4,
     oblique: bool = True,
-    seed: int = 0,
 ) -> ObliqueTree:
     """Greedy top-down tree. Each node compares the best axis-parallel split
     with (optionally) the hyperplane of a local linear fit and keeps the one
@@ -431,7 +419,6 @@ def train_gbm(
     n_trees: int = 10,
     lr: float = 0.3,
     depth: int = 2,
-    seed: int = 0,
 ) -> GbmEnsemble:
     """Stagewise least-squares boosting on residuals with shallow axis trees.
     Classification boosts the 0/1 targets directly and thresholds at 0.5.
@@ -615,7 +602,7 @@ def train_mlp(
     bs[0] = bs[0] - Ws[0] @ mu
     Ws[-1] = Ws[-1] * y_sd
     bs[-1] = bs[-1] * y_sd + y_mu
-    return Mlp(layers=[(W, b) for W, b in zip(Ws, bs)], task=task)
+    return Mlp(layers=[(W, b) for W, b in zip(Ws, bs)])
 
 
 # ---------------------------------------------------------------------------
@@ -627,13 +614,11 @@ _CLF_THRESHOLD = {"svm": 0.0, "tree": 0.5, "gbm": 0.5, "mlp": 0.0}
 
 def _train_family(family, X, y, task, seed: int):
     if family == "svm":
-        if task == "classifier":
-            return train_svc(X, y, seed=seed)
-        return train_svr(X, y, seed=seed)
+        return train_svc(X, y) if task == "classifier" else train_svr(X, y)
     if family == "tree":
-        return train_tree(X, y, task=task, seed=seed)
+        return train_tree(X, y, task=task)
     if family == "gbm":
-        return train_gbm(X, y, task=task, seed=seed)
+        return train_gbm(X, y, task=task)
     if family == "mlp":
         return train_mlp(X, y, task=task, seed=seed)
     raise ValueError(f"unknown family {family!r}")

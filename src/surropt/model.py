@@ -1,10 +1,11 @@
 """Problem representation, standard-form transformation, and feasibility labels.
 
 A Problem holds decision variables with (possibly partial) bounds, linear
-rows, nonlinear constraints, and an objective. ``standardize`` partitions
-affine constraints into linear rows, absorbs explicit single-variable rows
-into the variable box, and guarantees finite bounds for every variable that
-appears in a nonlinear constraint, inferring them by LP when missing.
+rows, nonlinear constraints, and an objective. ``standardize`` alone moves
+affine constraints into linear rows and makes an affine objective linear,
+absorbs explicit single-variable rows into the variable box, and guarantees
+finite bounds for every variable that appears in a nonlinear constraint,
+inferring them by LP when missing.
 """
 
 from __future__ import annotations
@@ -224,31 +225,32 @@ def _fresh(obj, deadline):
 def standardize(problem: Problem, deadline: float = math.inf) -> StandardProblem:
     """Bring a problem to standard form.
 
-    Affine expression-backed constraints move into the linear rows,
-    single-variable rows tighten the variable box, and every variable used
-    by a nonlinear constraint (or nonlinear objective) receives finite
-    bounds, inferred by LP when not explicit. The nonlinear constraints and
-    the objective are fresh copies, with empty evaluation memos.
-    ``deadline`` (a ``time.monotonic()`` instant) becomes the result's
-    ``deadline``, the run's one deadline: past it the fresh copies evaluate
-    no new point, and the pipeline steps that take ``sp`` stop there.
-    Idempotent.
+    The one place that decides what is linear: affine expression-backed
+    constraints move into the linear rows, after the problem's own rows and
+    in their order, and an affine expression objective becomes a
+    ``LinearObjective``. Single-variable rows tighten the variable box, and
+    every variable used by a nonlinear constraint (or nonlinear objective)
+    receives finite bounds, inferred by LP when not explicit. The nonlinear
+    constraints and the objective are fresh copies, with empty evaluation
+    memos. ``deadline`` (a ``time.monotonic()`` instant) becomes the
+    result's ``deadline``, the run's one deadline: past it the fresh copies
+    evaluate no new point, and the pipeline steps that take ``sp`` stop
+    there. Idempotent.
     """
     n = problem.n
     objective = _fresh(problem.objective, deadline)
+    if isinstance(objective, NonlinearObjective) and objective.expr is not None:
+        parts = _expr.affine_parts(objective.expr, n)
+        objective = objective if parts is None else LinearObjective(*parts)
     linear = list(problem.linear)
     nonlinear = []
     for con in problem.nonlinear:
-        moved = False
-        if con.expr is not None:
-            parts = _expr.affine_parts(con.expr, n)
-            if parts is not None:
-                coeffs, const = parts
-                sense = "=" if con.sense == "=0" else "<="
-                linear.append(LinearConstraint(coeffs=coeffs, sense=sense, rhs=-const, name=con.name))
-                moved = True
-        if not moved:
+        parts = None if con.expr is None else _expr.affine_parts(con.expr, n)
+        if parts is None:
             nonlinear.append(_fresh(con, deadline))
+        else:
+            sense = "=" if con.sense == "=0" else "<="
+            linear.append(LinearConstraint(coeffs=parts[0], sense=sense, rhs=-parts[1], name=con.name))
 
     lower = np.array([v.lower for v in problem.vars], dtype=float)
     upper = np.array([v.upper for v in problem.vars], dtype=float)

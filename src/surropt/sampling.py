@@ -4,11 +4,11 @@ Four stages: box-corner sampling, Latin hypercube filling, secant-step
 boundary refinement between opposite-label neighbors, and committee-driven
 adaptive sampling that trains several trees on random data subsets, finds
 points where the committee disagrees, intersects the leaf regions around
-them, and fills those regions with hit-and-run chains. The committee routes
-all those points at once, one polyhedron is built per distinct combination
-of leaves, and the chains of a round run in lockstep as arrays. Each chain
-starts at the point that found its region; a Chebyshev-centre LP runs only
-where that point lies within 1e-9 of the region's boundary.
+them, and fills those regions with hit-and-run chains. Each committee tree
+routes all the points at once, one polyhedron is built per distinct
+combination of leaves, and the chains of a round run in lockstep as arrays.
+Each chain starts at the point that found its region; a Chebyshev-centre LP
+runs only where that point lies within 1e-9 of the region's boundary.
 
 ``boundary_sample`` returns every box corner when there are at most
 ``cap``, else ``cap`` random ones and the center; the driver sets ``cap``
@@ -79,19 +79,6 @@ class Polyhedron:
     def contains(self, x, tol: float = CONTAIN_TOL) -> bool:
         A, b = self.full_rows()
         return bool(np.all(A @ x <= b + tol))
-
-    def canonical_key(self, decimals: int = 10):
-        """Hashable identity used to drop duplicate polyhedra: the shape and
-        bytes of ``[A | b]`` rounded to ``decimals``, rows sorted.
-
-        ``b`` rounds as Python's ``round`` does, and adding 0.0 turns -0.0
-        into 0.0, so two keys match when their rows match as numbers.
-        """
-        M = np.column_stack(
-            [np.round(self.A, decimals), [round(v, decimals) for v in self.b.tolist()]]
-        ) + 0.0
-        M = M[np.lexsort(M.T[::-1])]
-        return M.shape, M.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -359,18 +346,20 @@ def oct_adaptive_sample(
     hit-and-run those regions for ``HR_PER_POLY`` new (unlabeled) samples
     each.
 
-    ``train_tree(X, y, seed)`` must return a tree exposing ``predict(X)``
-    (one prediction per row), ``leaves()`` (``(value, path)`` pairs, path
-    entries ``(a, b, on_left_side)``) and ``route(X)`` (each row's index
-    into ``leaves()``). Each distinct combination of leaves gives one
-    polyhedron, in the order the ambiguous points first reach it. A
-    polyhedron is kept when it holds a ball of radius 1e-9: its chain
-    starts at the point that first reached it when that point's distance
-    to every face, box faces included, is at least 1e-9, and else at the
-    center of ``chebyshev_center``, which must have that radius. The
-    Chebyshev radius is never below the point's distance, so the LP only
-    settles the points near a face. One ``hit_and_run`` call then fills
-    every kept polyhedron, and a chain that collapses adds nothing. When
+    ``train_tree(X, y, seed)`` must return a tree exposing ``leaves()``
+    (``(value, path)`` pairs, path entries ``(a, b, on_left_side)``) and
+    ``route(X)`` (each row's index into ``leaves()``). Each tree routes
+    every point once; a point's votes are its leaves' values, and the
+    ambiguous points' leaves come from the same walk. Each distinct
+    combination of leaves gives one polyhedron, in the order the ambiguous
+    points first reach it. A polyhedron is kept when it holds a ball of
+    radius 1e-9: its chain starts at the point that first reached it when
+    that point's distance to every face, box faces included, is at least
+    1e-9, and else at the center of ``chebyshev_center``, which must have
+    that radius. The Chebyshev radius is never below the point's distance,
+    so the LP only settles the points near a face. One ``hit_and_run``
+    call then fills every kept polyhedron, and a chain that collapses adds
+    nothing. When
     ``deadline`` (a ``time.monotonic()`` instant) passes while the
     polyhedra are being checked, no further polyhedron is kept and the
     round samples the ones it has.
@@ -386,7 +375,12 @@ def oct_adaptive_sample(
         idx = rng.choice(m, size=C, replace=False)
         committee.append(train_tree(points[idx], labels[idx], int(rng.integers(0, 2**31 - 1))))
 
-    pos = sum((tree.predict(points) >= 0.5).astype(float) for tree in committee)
+    leaves = [tree.leaves() for tree in committee]
+    routes = np.column_stack([tree.route(points) for tree in committee])
+    pos = sum(
+        (np.array([value for value, _ in tree_leaves])[route] >= 0.5).astype(float)
+        for tree_leaves, route in zip(leaves, routes.T)
+    )
     gap = np.abs(pos - (K - pos))
     ambiguous = np.nonzero(gap <= K * DISCORDANCE)[0]
 
@@ -395,10 +389,8 @@ def oct_adaptive_sample(
     # reaches it
     polys, finders = [], []
     if ambiguous.size:
-        routes = np.column_stack([tree.route(points[ambiguous]) for tree in committee])
+        routes = routes[ambiguous]
         _, first = np.unique(routes, axis=0, return_index=True)
-        leaves = [tree.leaves() for tree in committee]
-        keys = set()
         for i in np.sort(first):
             rows_a, rows_b = [], []
             for tree_leaves, leaf in zip(leaves, routes[i]):
@@ -410,17 +402,13 @@ def oct_adaptive_sample(
                         # strict side a.x > b, closed with a small margin
                         rows_a.append(-a)
                         rows_b.append(-(bb + STRICT_MARGIN))
-            poly = Polyhedron(
+            polys.append(Polyhedron(
                 A=np.array(rows_a).reshape(-1, points.shape[1]),
                 b=np.array(rows_b),
                 lo=np.asarray(lo, dtype=float),
                 hi=np.asarray(hi, dtype=float),
-            )
-            key = poly.canonical_key()
-            if key not in keys:
-                keys.add(key)
-                polys.append(poly)
-                finders.append(points[ambiguous[i]])
+            ))
+            finders.append(points[ambiguous[i]])
 
     kept, starts = [], []
     for pi, (poly, start) in enumerate(zip(polys, finders)):

@@ -196,7 +196,7 @@ def test_criterion_4_encoding_fidelity():
         thr = {"svm": 0.0, "tree": 0.5, "gbm": 0.5, "mlp": 0.0}[family]
         sur = L.Surrogate(model=model, family=family, task=task,
                           threshold=thr if task == "classifier" else 0.0,
-                          validation_score=1.0, support=(0, 1))
+                          validation_score=1.0)
         for _ in range(100):
             x = rng.uniform(lo, hi)
             m = milp.MilpModel()
@@ -247,9 +247,9 @@ def test_criterion_5_relaxation_guarantee():
         ),
     )
     lower = L.Surrogate(model=L.LinearModel(beta0=-0.6, beta=np.array([1.0])), family="svm",
-                        task="classifier", threshold=0.0, validation_score=1.0, support=(0,))
+                        task="classifier", threshold=0.0, validation_score=1.0)
     upper = L.Surrogate(model=L.LinearModel(beta0=0.4, beta=np.array([-1.0])), family="svm",
-                        task="classifier", threshold=0.0, validation_score=1.0, support=(0,))
+                        task="classifier", threshold=0.0, validation_score=1.0)
     unrelaxed = enc.assemble(sp, [lower, upper])
     infeasible = milp.solve_milp(unrelaxed).status == "infeasible"
     relaxed = enc.assemble(sp, [lower, upper], relax=enc.RelaxConfig(1e2))
@@ -279,9 +279,9 @@ def test_criterion_6_robust_nestedness():
     X = rng.uniform(lo, hi, size=(220, 2))
     y = (X[:, 0] + 0.7 * X[:, 1] <= 0.2).astype(float)
     surrogates = [
-        L.Surrogate(L.train_svc(X, y), "svm", "classifier", 0.0, 1.0, (0, 1)),
-        L.Surrogate(L.train_tree(X, y, "classifier"), "tree", "classifier", 0.5, 1.0, (0, 1)),
-        L.Surrogate(L.train_gbm(X, y, "classifier", n_trees=5), "gbm", "classifier", 0.5, 1.0, (0, 1)),
+        L.Surrogate(L.train_svc(X, y), "svm", "classifier", 0.0, 1.0),
+        L.Surrogate(L.train_tree(X, y, "classifier"), "tree", "classifier", 0.5, 1.0),
+        L.Surrogate(L.train_gbm(X, y, "classifier", n_trees=5), "gbm", "classifier", 0.5, 1.0),
     ]
     violations = 0
     for p in (1.0, math.inf):
@@ -339,7 +339,7 @@ def test_criterion_9_committee_discordance(monkeypatch):
     monkeypatch.setattr(S, "HR_BURN_IN", 10)
 
     def trainer(Xs, ys, seed):
-        return L.train_tree(Xs, ys, task="classifier", max_depth=3, oblique=True, seed=seed)
+        return L.train_tree(Xs, ys, task="classifier", max_depth=3, oblique=True)
 
     res = S.oct_adaptive_sample(X, y, np.random.default_rng(2), trainer, np.zeros(2), np.ones(2))
     worst = 0.0

@@ -38,6 +38,32 @@ def test_bad_problem_file_exits_64(tmp_path, capsys):
     assert err.value.code == 64
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{"schema": 1, "variables": [',                                    # not JSON
+        b'\xff\xfe{"schema": 1}',                                          # not UTF-8
+        None,                                                               # a directory
+        b'{"schema": 1, "variables": [5]}',                                 # a variable no object
+        b'{"schema": 1, "variables": [{"name": "x"}], "objective": 5}',     # an objective no object
+    ],
+)
+def test_unreadable_problem_file_exits_64_with_one_line(content, tmp_path, capsys, monkeypatch):
+    def must_not_solve(*args, **kwargs):
+        raise AssertionError("solve_global ran on an unreadable problem")
+
+    monkeypatch.setattr(cli, "solve_global", must_not_solve)
+    path = tmp_path / "input.prob"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    with pytest.raises(SystemExit) as err:
+        cli.main(["solve", str(path)])
+    assert err.value.code == 64
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
 def test_solve_problem_file_writes_report(tmp_path, capsys):
     report_path = tmp_path / "report.json"
     code = cli.main(

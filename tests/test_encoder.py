@@ -23,12 +23,9 @@ def _box_model(lo, hi):
     return m, cols
 
 
-def _surrogate(model, family, task="classifier", support=(0, 1)):
+def _surrogate(model, family, task="classifier"):
     thr = {"svm": 0.0, "tree": 0.5, "gbm": 0.5, "mlp": 0.0}[family] if task == "classifier" else 0.0
-    return L.Surrogate(
-        model=model, family=family, task=task, threshold=thr,
-        validation_score=1.0, support=tuple(support),
-    )
+    return L.Surrogate(model=model, family=family, task=task, threshold=thr, validation_score=1.0)
 
 
 def test_big_m_examples():
@@ -222,7 +219,6 @@ def test_mlp_relu_negative_branch():
     # single hidden unit computing max(0, x1) over [-1, 1]
     net = L.Mlp(
         layers=[(np.array([[1.0]]), np.zeros(1)), (np.array([[1.0]]), np.zeros(1))],
-        task="regressor",
     )
     lo, hi = -np.ones(1), np.ones(1)
     m, cols = _box_model(lo, hi)
@@ -236,7 +232,6 @@ def test_mlp_relu_negative_branch():
 def test_mlp_zero_weight_constant_output():
     net = L.Mlp(
         layers=[(np.zeros((3, 2)), np.zeros(3)), (np.zeros((1, 3)), np.array([3.0]))],
-        task="regressor",
     )
     lo, hi = np.zeros(2), np.ones(2)
     for point in ([0.1, 0.9], [0.7, 0.2]):
@@ -319,13 +314,13 @@ def test_robust_nestedness_all_families_both_norms():
 # Assembly
 # ---------------------------------------------------------------------------
 
-def _toy_standard_problem():
+def _toy_standard_problem(support=frozenset({0})):
     return StandardProblem(
         vars=(VarSpec("x1", 0, 0.0, 1.0), VarSpec("x2", 1, 0.0, 1.0)),
         objective=LinearObjective(np.array([1.0, 0.0])),
         linear=(LinearConstraint(np.array([1.0, 1.0]), "<=", 1.5),),
         nonlinear=(
-            NonlinearConstraint(evaluator=lambda x: 0.0, sense="<=0", support=frozenset({0})),
+            NonlinearConstraint(evaluator=lambda x: 0.0, sense="<=0", support=support),
             NonlinearConstraint(evaluator=lambda x: 0.0, sense="<=0", support=frozenset({0})),
         ),
     )
@@ -346,8 +341,8 @@ def test_assemble_pure_linear_matches_linear_part():
 
 def test_assemble_contradictory_surrogates_relaxation():
     sp = _toy_standard_problem()
-    lower = _surrogate(L.LinearModel(beta0=-0.6, beta=np.array([1.0])), "svm", support=(0,))
-    upper = _surrogate(L.LinearModel(beta0=0.4, beta=np.array([-1.0])), "svm", support=(0,))
+    lower = _surrogate(L.LinearModel(beta0=-0.6, beta=np.array([1.0])), "svm")
+    upper = _surrogate(L.LinearModel(beta0=0.4, beta=np.array([-1.0])), "svm")
     unrelaxed = E.assemble(sp, [lower, upper])
     assert milp.solve_milp(unrelaxed).status == "infeasible"
     relaxed = E.assemble(sp, [lower, upper], relax=E.RelaxConfig(100.0))
@@ -366,7 +361,7 @@ def test_assemble_equality_constraint_band():
         ),
     )
     regressor = _surrogate(
-        L.LinearModel(beta0=-0.5, beta=np.array([1.0])), "svm", task="regressor", support=(0,)
+        L.LinearModel(beta0=-0.5, beta=np.array([1.0])), "svm", task="regressor"
     )
     model = E.assemble(sp, [regressor])
     sol = milp.solve_milp(model)
@@ -391,9 +386,8 @@ def test_assemble_relaxed_feasible_when_core_feasible():
     lo, hi = np.zeros(2), np.ones(2)
     X = rng.uniform(lo, hi, size=(150, 2))
     y = (X[:, 0] + X[:, 1] <= 0.15).astype(float)  # tiny feasible corner
-    sp = _toy_standard_problem()
+    sp = _toy_standard_problem(support=frozenset({0, 1}))
     for family in ("svm", "tree", "gbm", "mlp"):
         sur = L.select_surrogate(X, y, "classifier", candidates=(family,), seed=1)
-        sur = L.Surrogate(**{**sur.__dict__, "support": (0, 1)})
         model = E.assemble(sp, [sur, E.ALWAYS_FEASIBLE], relax=E.RelaxConfig(100.0))
         assert milp.solve_milp(model).status == "optimal"

@@ -1,17 +1,21 @@
+import copy
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surropt import expr as E
-from surropt.benchmarks import SPEED_REDUCER_DOC
+from surropt.benchmarks import ILLUSTRATIVE_DOC, SPEED_REDUCER_DOC
 from surropt.errors import (
     DomainError,
     ExprSyntaxError,
     SchemaError,
+    SurroptError,
     UnknownIdentifier,
 )
-from surropt.model import LinearObjective, NonlinearObjective
+from surropt.model import LinearObjective, NonlinearObjective, Problem, standardize
 
 NAMES = ["x1", "x2"]
 
@@ -207,6 +211,46 @@ def test_load_schema_validation():
         E.load_problem({"schema": 1, "variables": [], "objective": {"linear": []}})
 
 
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=10), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _paths(node, prefix=()):
+    """Every path below ``node`` to a member of a JSON object or list."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_load_problem_raises_only_package_errors(data):
+    # any JSON value anywhere in a shipped document: a Problem or a SurroptError
+    doc = copy.deepcopy(data.draw(st.sampled_from([ILLUSTRATIVE_DOC, SPEED_REDUCER_DOC])))
+    *parents, key = data.draw(st.sampled_from(list(_paths(doc))))
+    node = doc
+    for k in parents:
+        node = node[k]
+    node[key] = data.draw(_JSON_VALUES)
+    try:
+        problem = E.load_problem(doc)
+    except SurroptError:
+        return
+    assert isinstance(problem, Problem)
+
+
+@pytest.mark.parametrize("text", ["(-2)^1e400", "(-1)^(1e999-1e999)", "sin(1e999) + x1", "cos(-1e999)"])
+def test_constants_out_of_every_domain_parse(text):
+    # folding a power or a sine that Python's math cannot take keeps the node
+    tree = E.parse_expr(text, NAMES)
+    with pytest.raises(DomainError):
+        E.eval_expr(tree, [0.5, 0.5])
+
+
 def test_load_blackbox_registry():
     doc = {
         "schema": 1,
@@ -229,8 +273,11 @@ def test_load_problem_from_file(tmp_path):
         ' "constraints": [{"expression": "x-1", "sense": ">=0"}]}'
     )
     p = E.load_problem(str(path))
-    # x - 1 >= 0 normalizes to a <= row on the negated expression
-    assert len(p.linear) == 1
-    row = p.linear[0]
-    assert row.violation(np.array([1.5])) == 0.0
-    assert row.violation(np.array([0.5])) > 0.0
+    # x - 1 >= 0 normalizes to <= 0 on the negated expression, and
+    # standardize turns that affine single-variable row into the bound x >= 1
+    [con] = p.nonlinear
+    assert con.violation(np.array([1.5])) == 0.0
+    assert con.violation(np.array([0.5])) > 0.0
+    sp = standardize(p)
+    assert sp.linear == () and sp.nonlinear == ()
+    assert (sp.vars[0].lower, sp.vars[0].upper) == (1.0, 2.0)

@@ -496,7 +496,7 @@ def test_mlp_agrees_with_the_row_major_oracle(hidden, task, restarts):
         for got, want in ((W, W_o), (b, b_o)):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     if task == "classifier":
-        labels = L.Mlp(layers=oracle, task=task).predict(X) >= 0.0
+        labels = L.Mlp(layers=oracle).predict(X) >= 0.0
         assert np.array_equal(net.predict(X) >= 0.0, labels)
 
 
@@ -525,7 +525,6 @@ def test_mlp_stacked_restarts_match_lone_runs_on_random_shapes(m, n, hidden, R, 
 def test_mlp_zero_weights_bias_pass_through():
     net = L.Mlp(
         layers=[(np.zeros((4, 2)), np.zeros(4)), (np.zeros((1, 4)), np.array([3.0]))],
-        task="regressor",
     )
     for point in ([0.0, 0.0], [1.0, -1.0], [5.0, 2.0]):
         assert net.predict_one(point) == 3.0
@@ -549,7 +548,7 @@ def test_selected_surrogates_score_high_on_worked_example():
     sp = standardize(illustrative_problem())
     cfg = RunConfig(seed=11, time_limit=60)
     for i, con in enumerate(sp.nonlinear):
-        _, points, labels, _ = _sample_constraint(
+        points, labels, _ = _sample_constraint(
             sp, con, cfg, np.random.default_rng(100 + i)
         )
         sur = L.select_surrogate(points, labels, "classifier", seed=5)

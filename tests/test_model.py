@@ -10,6 +10,7 @@ from surropt.model import (
     LinearConstraint,
     LinearObjective,
     NonlinearConstraint,
+    NonlinearObjective,
     Problem,
     VarSpec,
     infer_bound,
@@ -35,6 +36,71 @@ def test_standardize_partitions_worked_example():
     lo, hi = sp.box()
     assert np.allclose(lo, [0.51, 0.3])
     assert np.allclose(hi, [1.5, 1.6])
+
+
+# standardize(load_problem(doc)) of the shipped problems, frozen from the code
+# that split off the linear rows in the loader: (name, coeffs, sense, rhs) in
+# order, the nonlinear names in order, and the objective
+SHIPPED_STANDARD_FORMS = {
+    "illustrative": (
+        [
+            ("g3", [-1.1, 1.0], "<=", 0.3),
+            ("g4", [1.5, 1.0], "<=", 2.6),
+        ],
+        ["g1", "g2"],
+        ([-1.0, -0.0], -0.0),
+    ),
+    "speed-reducer": (
+        [
+            ("g8", [-1.0, 5.0, -0.0, -0.0, -0.0, -0.0, -0.0], "<=", 0.0),
+            ("g9", [1.0, -12.0, -0.0, -0.0, -0.0, -0.0, -0.0], "<=", 0.0),
+            ("g10", [-0.0, -0.0, -0.0, -1.0, -0.0, 1.5, -0.0], "<=", -1.9),
+            ("g11", [-0.0, -0.0, -0.0, -0.0, -1.0, -0.0, 1.1], "<=", -1.9),
+        ],
+        ["g1", "g2", "g3", "g4", "g5", "g6", "g7"],
+        frozenset(range(7)),  # a nonlinear objective over all seven variables
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_STANDARD_FORMS))
+def test_standardize_keeps_the_shipped_problems_linear_rows(name):
+    from surropt.benchmarks import ILLUSTRATIVE_DOC, SPEED_REDUCER_DOC
+
+    doc = {"illustrative": ILLUSTRATIVE_DOC, "speed-reducer": SPEED_REDUCER_DOC}[name]
+    rows, nonlinear, objective = SHIPPED_STANDARD_FORMS[name]
+    sp = standardize(E.load_problem(doc))
+    assert [(r.name, r.coeffs.tobytes(), r.sense, r.rhs) for r in sp.linear] == [
+        (nm, np.array(coeffs).tobytes(), sense, rhs) for nm, coeffs, sense, rhs in rows
+    ]
+    assert [c.name for c in sp.nonlinear] == nonlinear
+    if isinstance(objective, frozenset):
+        assert isinstance(sp.objective, NonlinearObjective) and sp.objective.support == objective
+    else:
+        assert isinstance(sp.objective, LinearObjective)
+        assert sp.objective.coeffs.tobytes() == np.array(objective[0]).tobytes()
+        assert math.copysign(1.0, sp.objective.constant) == math.copysign(1.0, objective[1])
+
+
+def test_standardize_makes_an_affine_python_objective_linear():
+    from surropt.driver import RunConfig, sample
+
+    names = ["x", "y"]
+    tree = E.parse_expr("3*x - (y - 2)/4 + 1", names)
+    p = Problem(
+        vars=(VarSpec("x", 0, 0.0, 1.0), VarSpec("y", 1, 0.0, 1.0)),
+        objective=NonlinearObjective(
+            evaluator=lambda x: E.eval_expr(tree, x), support=E.expr_support(tree), expr=tree
+        ),
+        nonlinear=(_nl("x^2 + y^2 - 0.5", names),),
+    )
+    sp = standardize(p)
+    assert isinstance(sp.objective, LinearObjective)
+    assert sp.objective.coeffs.tolist() == [3.0, -0.25]
+    assert sp.objective.constant == 1.5
+    assert standardize(sp).objective.coeffs.tolist() == [3.0, -0.25]
+    # only the constraint is sampled: no regressor is trained for the objective
+    assert len(sample(sp, RunConfig(adaptive_rounds=0))) == 1
 
 
 def test_standardize_identity_on_linear_problem(structurally_equal):

@@ -150,56 +150,6 @@ def test_dedupe_matches_quadratic_reference(n, d, tol_exp, scale_exp, n_dups, se
 
 
 
-def _canonical_key_reference(poly, decimals=10):
-    """The tuple key: rows of A rounded by numpy and b by Python's round,
-    as tuples of floats, sorted."""
-    return tuple(sorted(
-        (tuple(np.round(poly.A[i], decimals)) + (round(float(poly.b[i]), decimals),))
-        for i in range(poly.A.shape[0])
-    ))
-
-
-# halfway between two multiples of 1e-10, where rounding rules disagree
-_TIES = st.integers(-10**7, 10**7).map(lambda k: (k + 0.5) / 1e10)
-_ENTRIES = st.one_of(
-    st.sampled_from([0.0, -0.0, 1e-11, -1e-11, 5e-11, -5e-11]),
-    _TIES,
-    st.floats(-1e-9, 1e-9),
-    st.floats(-1e6, 1e6),
-)
-_TWINS = {
-    "negated": lambda v: -v,
-    "up": lambda v: float(np.nextafter(v, np.inf)),
-    "down": lambda v: float(np.nextafter(v, -np.inf)),
-    "rounded": lambda v: round(v, 10),
-    "tie": lambda v: (math.floor(v * 1e10) + 0.5) / 1e10,
-}
-
-
-@settings(max_examples=400, deadline=None)
-@given(data=st.data(), m=st.integers(0, 6), n=st.integers(1, 3))
-def test_canonical_key_matches_reference_duplicate_decisions(data, m, n):
-    # a second [A | b] with its rows permuted and a few entries moved to a
-    # signed zero, a neighbouring float, a rounding tie or their rounding
-    M = np.array(data.draw(st.lists(_ENTRIES, min_size=m * (n + 1), max_size=m * (n + 1))))
-    M = M.reshape(m, n + 1)
-    twin = M[data.draw(st.permutations(range(m)))] if m else M.copy()
-    for _ in range(data.draw(st.integers(0, 3)) if m else 0):
-        i, j = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, n))
-        twin[i, j] = _TWINS[data.draw(st.sampled_from(sorted(_TWINS)))](float(twin[i, j]))
-    P, Q = (S.Polyhedron(A=X[:, :n], b=X[:, n], lo=-np.ones(n), hi=np.ones(n)) for X in (M, twin))
-    same = P.canonical_key() == Q.canonical_key()
-    assert same == (_canonical_key_reference(P) == _canonical_key_reference(Q))
-
-
-def test_canonical_key_tells_shapes_apart():
-    # [[1, 3], [2, 4]] and [[1, 3, 2, 4]] have the same bytes in row order
-    two = S.Polyhedron(A=[[1.0], [2.0]], b=[3.0, 4.0], lo=[0.0], hi=[1.0])
-    one = S.Polyhedron(A=[[1.0, 3.0, 2.0]], b=[4.0], lo=np.zeros(3), hi=np.ones(3))
-    assert two.canonical_key() != one.canonical_key()
-    assert _canonical_key_reference(two) != _canonical_key_reference(one)
-
-
 def test_chebyshev_unit_box():
     poly = S.Polyhedron(A=np.empty((0, 2)), b=np.empty(0), lo=np.zeros(2), hi=np.ones(2))
     center, radius = S.chebyshev_center(poly)
@@ -353,7 +303,7 @@ def test_hit_and_run_collapsed_chain_leaves_the_others_whole():
 # ---------------------------------------------------------------------------
 
 def _tree_trainer(X, y, seed):
-    return train_tree(X, y, task="classifier", max_depth=3, oblique=True, seed=seed)
+    return train_tree(X, y, task="classifier", max_depth=3, oblique=True)
 
 
 def _sampler(monkeypatch, committee_size, hr_per_poly, hr_burn_in):
@@ -380,12 +330,6 @@ class _Stump:
     def __init__(self, threshold):
         self.a = np.array([1.0, 0.0])
         self.b = threshold
-
-    def predict_one(self, x):
-        return 1.0 if float(self.a @ x) <= self.b else 0.0
-
-    def predict(self, X):
-        return np.array([self.predict_one(x) for x in X])
 
     def leaves(self):
         return [(1.0, [(self.a, self.b, True)]), (0.0, [(self.a, self.b, False)])]
@@ -435,11 +379,11 @@ def test_adaptive_discordance_guarantee_at_samples(monkeypatch):
 
 def test_route_reaches_the_leaf_predict_one_reaches():
     rng = np.random.default_rng(12)
-    for seed in range(6):
+    for _ in range(6):
         d = int(rng.integers(1, 5))
         X = rng.uniform(-1, 1, size=(120, d))
         y = (np.sin(3 * X[:, 0]) + X.sum(axis=1) ** 2 <= 0.5).astype(float)
-        tree = train_tree(X, y, task="classifier", max_depth=4, oblique=True, seed=seed)
+        tree = train_tree(X, y, task="classifier", max_depth=4, oblique=True)
         leaves = tree.leaves()
         Q = np.vstack([X, rng.uniform(-1.5, 1.5, size=(80, d))])
         routed = tree.route(Q)
@@ -453,16 +397,19 @@ def test_route_reaches_the_leaf_predict_one_reaches():
 
 def _polyhedra_reference(points, committee, discordance, lo, hi):
     """The adaptive round's polyhedra built one ambiguous point at a time,
-    each tree walked node by node, duplicates dropped by canonical key."""
+    each tree walked node by node: one per distinct combination of leaves
+    (the turns taken in every tree), in the order the points first reach it."""
     K = len(committee)
     pos = sum((np.array([t.predict_one(x) for x in points]) >= 0.5).astype(float) for t in committee)
-    polys, keys = [], set()
+    polys, seen = [], set()
     for i in np.nonzero(np.abs(pos - (K - pos)) <= K * discordance)[0]:
-        rows_a, rows_b = [], []
+        rows_a, rows_b, turns = [], [], []
         for tree in committee:
             node = tree.root
             while not node.is_leaf:
-                if float(node.a @ points[i]) <= node.b:
+                went_left = float(node.a @ points[i]) <= node.b
+                turns.append(went_left)
+                if went_left:
                     rows_a.append(node.a)
                     rows_b.append(node.b)
                     node = node.left
@@ -470,10 +417,12 @@ def _polyhedra_reference(points, committee, discordance, lo, hi):
                     rows_a.append(-node.a)
                     rows_b.append(-(node.b + S.STRICT_MARGIN))
                     node = node.right
-        poly = S.Polyhedron(A=np.array(rows_a).reshape(-1, points.shape[1]), b=np.array(rows_b), lo=lo, hi=hi)
-        if poly.canonical_key() not in keys:
-            keys.add(poly.canonical_key())
-            polys.append(poly)
+            turns.append(None)  # end of this tree's path
+        if tuple(turns) not in seen:
+            seen.add(tuple(turns))
+            polys.append(S.Polyhedron(
+                A=np.array(rows_a).reshape(-1, points.shape[1]), b=np.array(rows_b), lo=lo, hi=hi
+            ))
     return polys
 
 
@@ -522,7 +471,7 @@ def test_adaptive_keeps_the_regions_the_chebyshev_rule_keeps(d, monkeypatch):
 
     monkeypatch.setattr(S, "hit_and_run", recording)
     res = S.oct_adaptive_sample(
-        X, y, np.random.default_rng(d), lambda X_, y_, s: train_tree(X_, y_, seed=s),
+        X, y, np.random.default_rng(d), lambda X_, y_, s: train_tree(X_, y_),
         np.zeros(d), np.ones(d),
     )
     [(kept, starts)] = calls
