@@ -471,7 +471,7 @@ def solve_grid(sp: StandardProblem, trained: Trained, cfg: RunConfig, phases: di
                               nodes=sol.nodes, pivots=sol.pivots, rows=sol.rows, cols=sol.cols,
                               gap=sol.gap, bound=sol.bound)
             if sol.status == "optimal":
-                x_mio = np.array([sol.x[c] for c in model.registry["x_vars"]])
+                x_mio = sol.x[:sp.n]
                 key = x_mio.tobytes()
                 try:
                     with _timed(phases, "refining"):

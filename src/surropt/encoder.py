@@ -1,13 +1,16 @@
 """Compile trained surrogates into mixed-integer linear constraints.
 
-Trees become one binary per leaf with big-M activated path rows, boosted
-ensembles chain tree encodings through a weighted linking row, ReLU networks
-use the standard per-neuron big-M activation encoding with interval-propagated
-bounds, and linear models transcribe directly. Robust counterparts add a dual
-norm of the coefficient-by-input elementwise product to every affected row,
-linearized exactly for dual norms 1 and infinity. The assembled model carries
-the original linear rows, one threshold row per surrogate, and optional
-nonnegative relaxation variables penalized in the objective.
+Each encoder returns its model's output as an affine expression ``(coeffs,
+const)`` over model columns, with no output column: a tree's leaf binaries
+(with big-M activated path rows) weighted by the leaf values, a boosted
+ensemble's members scaled by their weights, a ReLU network's last layer over
+the hidden units of the per-neuron big-M encoding, or a linear model's own
+coefficients. Robust counterparts add a dual norm of the coefficient-by-input
+elementwise product to every affected row, linearized exactly for dual norms
+1 and infinity. ``assemble`` writes the original linear rows, one threshold
+row per classifier or two band rows per equality, and optional relaxation
+slacks penalized in the objective; an unrelaxed tree keeps only the leaves
+that can satisfy its rule.
 """
 
 from __future__ import annotations
@@ -131,43 +134,24 @@ def add_norm_var(m: MilpModel, a, cols, lo, hi, q: float) -> int:
 # Family encodings
 # ---------------------------------------------------------------------------
 
-def encode_linear_model(model: LinearModel, task: str, m: MilpModel, cols, lo, hi,
-                        robust: Optional[RobustConfig] = None,
-                        relax_var: Optional[int] = None) -> Optional[int]:
-    """Regression adds an output variable and returns it; classification adds
-    the margin row directly (robustified when requested) and returns None."""
+def encode_linear_model(model: LinearModel, m: MilpModel, cols, lo, hi,
+                        robust: Optional[RobustConfig] = None) -> tuple:
+    """``beta @ x + beta0``, less ``rho * ||beta (*) x||_q`` when robust."""
     beta = np.asarray(model.beta, dtype=float)
-    if task == "regressor":
-        out_lo, out_hi = affine_range(beta, lo, hi, model.beta0)
-        y = m.add_var(out_lo - 1.0, out_hi + 1.0)
-        coeffs = {cols[k]: beta[k] for k in range(len(beta)) if beta[k] != 0.0}
-        coeffs[y] = -1.0
-        m.add_row(coeffs, "=", -model.beta0)
-        return y
     coeffs = {cols[k]: beta[k] for k in range(len(beta)) if beta[k] != 0.0}
     if robust is not None and robust.active:
-        t = add_norm_var(m, beta, cols, lo, hi, robust.q)
-        coeffs[t] = -robust.rho
-    if relax_var is not None:
-        coeffs[relax_var] = 1.0
-    m.add_row(coeffs, ">=", -model.beta0)
-    return None
+        coeffs[add_norm_var(m, beta, cols, lo, hi, robust.q)] = -robust.rho
+    return coeffs, float(model.beta0)
 
 
 def encode_tree(tree: ObliqueTree, m: MilpModel, cols, lo, hi,
-                robust: Optional[RobustConfig] = None) -> int:
-    """One binary per leaf, big-M deactivated path rows, and a linking row
-    for the output variable, which it returns. Robust mode widens each split row by
-    rho * ||a (*) x||_q on its restrictive side."""
+                robust: Optional[RobustConfig] = None) -> tuple:
+    """One binary z_i per leaf and big-M deactivated path rows; the output
+    is ``sum v_i z_i``, returned as ``{z_i: v_i}`` in leaf order. Robust mode
+    widens each split row by rho * ||a (*) x||_q on its restrictive side."""
     leaves = tree.leaves()
     zs = [m.add_binary() for _ in leaves]
     m.add_row({z: 1.0 for z in zs}, "=", 1.0)
-
-    values = [v for v, _ in leaves]
-    y = m.add_var(min(values) - 1e-9, max(values) + 1e-9)
-    link = {z: values[i] for i, z in enumerate(zs)}
-    link[y] = -1.0
-    m.add_row(link, "=", 0.0)
 
     robust_on = robust is not None and robust.active
     # keyed on id() of the tree's own split array, which the tree keeps alive;
@@ -197,27 +181,23 @@ def encode_tree(tree: ObliqueTree, m: MilpModel, cols, lo, hi,
                     coeffs[norm_var_for(split)] = -robust.rho
                 coeffs[zs[i]] = -M
                 m.add_row(coeffs, ">=", b - M + _split_eps(a))
-    return y
+    return {z: v for z, (v, _) in zip(zs, leaves)}, 0.0
 
 
 def encode_gbm(ens: GbmEnsemble, m: MilpModel, cols, lo, hi,
-               robust: Optional[RobustConfig] = None) -> int:
-    """Encode every tree, then link the returned output variable
-    y = base + sum of weighted tree outputs."""
-    outputs = [encode_tree(tree, m, cols, lo, hi, robust=robust) for tree in ens.trees]
-    values = [[v for v, _ in tree.leaves()] for tree in ens.trees]
-    lo_sum = ens.base + sum(w * min(vs) for w, vs in zip(ens.weights, values))
-    hi_sum = ens.base + sum(w * max(vs) for w, vs in zip(ens.weights, values))
-    y = m.add_var(lo_sum - 1e-6, hi_sum + 1e-6)
-    coeffs = dict(zip(outputs, ens.weights))
-    coeffs[y] = -1.0
-    m.add_row(coeffs, "=", -ens.base)
-    return y
+               robust: Optional[RobustConfig] = None) -> tuple:
+    """Encode every tree; the output is ``base`` plus the members' outputs
+    scaled by their weights."""
+    coeffs = {}
+    for w, tree in zip(ens.weights, ens.trees):
+        leaves, _ = encode_tree(tree, m, cols, lo, hi, robust=robust)
+        coeffs.update({z: w * v for z, v in leaves.items()})
+    return coeffs, float(ens.base)
 
 
-def encode_mlp(net: Mlp, m: MilpModel, cols, lo, hi) -> int:
-    """Standard big-M ReLU encoding with per-neuron interval bounds; returns
-    the output variable.
+def encode_mlp(net: Mlp, m: MilpModel, cols, lo, hi) -> tuple:
+    """Standard big-M ReLU encoding with per-neuron interval bounds; the
+    output is the last layer over the last hidden units.
 
     Units that an interval pass proves always active get an equality row and
     no binary; provably inactive units pin to zero.
@@ -262,12 +242,7 @@ def encode_mlp(net: Mlp, m: MilpModel, cols, lo, hi) -> int:
         prev_cols, prev_lo, prev_hi = new_cols, new_lo, new_hi
 
     W, b = net.layers[-1]
-    out_lo, out_hi = affine_range(W[0], prev_lo, prev_hi, float(b[0]))
-    y = m.add_var(out_lo - 1e-6, out_hi + 1e-6)
-    coeffs = {prev_cols[k]: W[0][k] for k in range(W.shape[1]) if W[0][k] != 0.0}
-    coeffs[y] = coeffs.get(y, 0.0) - 1.0
-    m.add_row(coeffs, "=", -float(b[0]))
-    return y
+    return {prev_cols[k]: W[0][k] for k in range(W.shape[1]) if W[0][k] != 0.0}, float(b[0])
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +269,15 @@ def assemble(
     and the objective's reads ``sorted(sp.objective.support)``. Equality
     constraints use a regressor surrogate held inside a small band around
     zero. With ``relax`` set, every surrogate rule gains a nonnegative slack
-    penalized in the objective.
+    penalized in the objective; without it, a tree leaf whose value misses
+    its rule gets upper bound 0, which leaves the integer feasible set as it
+    is. Columns 0..n-1 are the variables of ``sp.vars``.
     """
     m = MilpModel(name=sp.name or "model")
-    x_cols = [m.add_var(v.lower, v.upper, integral=v.integral) for v in sp.vars]
+    for v in sp.vars:
+        m.add_var(v.lower, v.upper, integral=v.integral)
     for row in sp.linear:
-        coeffs = {x_cols[k]: row.coeffs[k] for k in range(sp.n) if row.coeffs[k] != 0.0}
+        coeffs = {k: row.coeffs[k] for k in range(sp.n) if row.coeffs[k] != 0.0}
         m.add_row(coeffs, row.sense, row.rhs)
 
     lo_all, hi_all = sp.box()
@@ -314,47 +292,42 @@ def assemble(
             relax_vars.append(u)
         if sur == ALWAYS_INFEASIBLE:
             # no feasible sample was ever seen: 0 >= 1 unless relaxed
-            coeffs = {} if u is None else {u: 1.0}
-            m.add_row(coeffs, ">=", 1.0)
+            m.add_row(_with_coef({}, u, 1.0), ">=", 1.0)
             continue
 
         support = sorted(con.support)
-        cols = [x_cols[k] for k in support]
-        lo = lo_all[support]
-        hi = hi_all[support]
-
+        coeffs, const = encode_surrogate(sur, m, support, lo_all[support], hi_all[support], robust)
         if con.sense == "=0":
             # regression surrogate pinned inside a band around zero
-            out = {_encode_output(sur, m, cols, lo, hi, robust): 1.0}
-            m.add_row(_with_coef(out, u, -1.0), "<=", EQUALITY_BAND)
-            m.add_row(_with_coef(out, u, 1.0), ">=", -EQUALITY_BAND)
-        elif sur.family == "svm" and sur.task == "classifier":
-            encode_linear_model(sur.model, "classifier", m, cols, lo, hi, robust=robust, relax_var=u)
+            rules = [("<=", EQUALITY_BAND - const, -1.0), (">=", -EQUALITY_BAND - const, 1.0)]
         else:
-            out = {_encode_output(sur, m, cols, lo, hi, robust): 1.0}
-            m.add_row(_with_coef(out, u, 1.0), ">=", sur.threshold)
+            rules = [(">=", sur.threshold - const, 1.0)]
+        for sense, rhs, slack in rules:
+            m.add_row(_with_coef(coeffs, u, slack), sense, rhs)
+        if u is None and sur.family == "tree":
+            # with one leaf chosen the output is its value; a slack could pay for a miss
+            for z, v in coeffs.items():
+                if any(v > rhs if sense == "<=" else v < rhs for sense, rhs, _ in rules):
+                    m.upper[z] = 0.0
 
     if isinstance(sp.objective, LinearObjective):
-        for k in range(sp.n):
-            if sp.objective.coeffs[k] != 0.0:
-                m.add_objective_term(x_cols[k], float(sp.objective.coeffs[k]))
-        m.obj_const = float(sp.objective.constant)
+        coeffs = {k: c for k, c in enumerate(sp.objective.coeffs) if c != 0.0}
+        const = sp.objective.constant
+    elif objective_surrogate is None:
+        raise ValueError("nonlinear objective needs a regressor surrogate")
     else:
-        if objective_surrogate is None:
-            raise ValueError("nonlinear objective needs a regressor surrogate")
         support = sorted(sp.objective.support)
-        cols = [x_cols[k] for k in support]
-        out = _encode_output(objective_surrogate, m, cols, lo_all[support], hi_all[support], None)
-        m.add_objective_term(out, 1.0)
+        coeffs, const = encode_surrogate(
+            objective_surrogate, m, support, lo_all[support], hi_all[support], None
+        )
+    for col, c in coeffs.items():
+        m.add_objective_term(col, float(c))
+    m.obj_const = float(const)
 
-    if relax is not None:
-        for u in relax_vars:
-            m.add_objective_term(u, relax.penalty)
+    for u in relax_vars:
+        m.add_objective_term(u, relax.penalty)
 
-    m.registry = {
-        "x_vars": x_cols,
-        "relax_vars": relax_vars,
-    }
+    m.registry = {"relax_vars": relax_vars}
     return m
 
 
@@ -365,10 +338,12 @@ def _with_coef(coeffs: dict, var: Optional[int], coef: float) -> dict:
     return coeffs
 
 
-def _encode_output(sur: Surrogate, m, cols, lo, hi, robust) -> int:
-    """Encode any family so that its model output lands in one variable."""
+def encode_surrogate(sur: Surrogate, m, cols, lo, hi, robust) -> tuple:
+    """Any family's output as an affine expression ``(coeffs, const)``. A
+    linear regressor stays nominal, as only a classifier's margin is robust."""
     if sur.family == "svm":
-        return encode_linear_model(sur.model, "regressor", m, cols, lo, hi)
+        return encode_linear_model(sur.model, m, cols, lo, hi,
+                                   robust if sur.task == "classifier" else None)
     if sur.family == "tree":
         return encode_tree(sur.model, m, cols, lo, hi, robust=robust)
     if sur.family == "gbm":

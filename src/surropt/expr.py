@@ -577,7 +577,7 @@ def load_problem(document, blackbox_registry=None):
                     integral=_typed(rv.get("integral", False), bool, f"{nm}'s integral flag"),
                 )
             )
-        except ValueError as exc:  # crossed bounds
+        except ValueError as exc:  # crossed or infinite bounds
             raise SchemaError(str(exc)) from exc
     n = len(specs)
 

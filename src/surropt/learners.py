@@ -23,6 +23,7 @@ SPLIT_RATIO = 0.7  # share of each label (or of a regression set) used for train
 SVC_REG = 1e-3     # ridge weight of the hinge loss
 SVR_REG = 1e-8     # ridge weight of the insensitive loss
 SVR_BAND = 0.01    # insensitive band, in standard deviations of the targets
+MLP_CLOCK_EVERY = 10  # epochs between the MLP's deadline checks
 
 
 # ---------------------------------------------------------------------------
@@ -473,9 +474,14 @@ def train_mlp(
     lr: float = 0.01,
     seed: int = 0,
     restarts: int = 3,
+    deadline: float = math.inf,
 ) -> Mlp:
     """One-logit ReLU network trained with full-batch Adam; squared error
     for regression, logistic loss for classification.
+
+    Every ``MLP_CLOCK_EVERY`` epochs, training stops once ``deadline`` (a
+    ``time.monotonic()`` instant) has passed, and the best restart so far
+    is returned as after that many epochs.
 
     Runs a few deterministic restarts and keeps the lowest training loss,
     which protects small networks from dead-unit local minima. The restarts
@@ -583,6 +589,8 @@ def train_mlp(
         tmp2 += adam_eps
         tmp /= tmp2
         theta -= tmp
+        if step % MLP_CLOCK_EVERY == 0 and time.monotonic() > deadline:
+            break
 
     forward()
     best, best_loss = 0, None
@@ -612,7 +620,7 @@ def train_mlp(
 _CLF_THRESHOLD = {"svm": 0.0, "tree": 0.5, "gbm": 0.5, "mlp": 0.0}
 
 
-def _train_family(family, X, y, task, seed: int):
+def _train_family(family, X, y, task, seed: int, deadline: float):
     if family == "svm":
         return train_svc(X, y) if task == "classifier" else train_svr(X, y)
     if family == "tree":
@@ -620,7 +628,7 @@ def _train_family(family, X, y, task, seed: int):
     if family == "gbm":
         return train_gbm(X, y, task=task)
     if family == "mlp":
-        return train_mlp(X, y, task=task, seed=seed)
+        return train_mlp(X, y, task=task, seed=seed, deadline=deadline)
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -651,7 +659,7 @@ def select_surrogate(
     encoding first). Neither score exceeds 1.0, so the families after one
     that scores 1.0 are not trained: they could at best tie. Returns None
     when a family is due after ``deadline`` (a ``time.monotonic()``
-    instant), which it does not start.
+    instant), which it does not start; an MLP stops training soon after it.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -687,7 +695,7 @@ def select_surrogate(
         if time.monotonic() > deadline:
             return None
         try:
-            model = _train_family(family, X[train_idx], y[train_idx], task, seed)
+            model = _train_family(family, X[train_idx], y[train_idx], task, seed, deadline)
         except DegenerateDataset:
             continue
         score = _score(model, family, X[val_idx], y[val_idx], task)

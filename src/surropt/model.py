@@ -26,7 +26,8 @@ EQUALITY_BAND = 1e-4  # half-width of the band used when embedding equalities
 
 @dataclass(frozen=True)
 class VarSpec:
-    """One decision variable. Bounds may be infinite until standardization."""
+    """One decision variable. Bounds may be infinite until standardization,
+    a lower one -inf and an upper one +inf only."""
 
     name: str
     index: int
@@ -35,6 +36,10 @@ class VarSpec:
     integral: bool = False
 
     def __post_init__(self):
+        if self.lower == math.inf:
+            raise ValueError(f"variable {self.name}: lower bound +inf admits no value")
+        if self.upper == -math.inf:
+            raise ValueError(f"variable {self.name}: upper bound -inf admits no value")
         if math.isfinite(self.lower) and math.isfinite(self.upper) and self.lower > self.upper:
             raise ValueError(f"variable {self.name}: lower {self.lower} > upper {self.upper}")
 

@@ -99,8 +99,9 @@ def project(x, rows, lo, hi, frozen=None, tol: float = 1e-9) -> np.ndarray:
     ``frozen`` marks coordinates held fixed at their incoming values
     (integer variables during refinement); rows with no free coefficient
     are ignored. Raises ProjectionStall on a non-finite point, when the rows
-    and the box admit no common point, or when a step guard set by the
-    constraint count runs out.
+    and the box admit no common point (a step would then leave every point
+    of the box behind, or none can be taken), or when a step guard set by
+    the constraint count runs out.
     """
     x = np.array(x, dtype=float)
     if not np.isfinite(x).all():
@@ -128,6 +129,10 @@ def project(x, rows, lo, hi, frozen=None, tol: float = 1e-9) -> np.ndarray:
     h = np.concatenate([b[keep] / norms, hi, -lo])
     eq = np.concatenate([eq[keep], np.zeros(2 * nf, dtype=bool)])
     units = np.concatenate([norms, np.ones(2 * nf)])
+    # every iterate is the projection onto some of the faces, so while the
+    # rows and the box share a point it lies no farther from z than the box's
+    # farthest corner, and no step is longer than twice that
+    reach = 2.0 * float(np.linalg.norm(np.maximum(z - lo, hi - z))) * (1.0 + 1e-9) + tol
 
     active = []                  # indices of active rows, in order of entry
     mu = np.empty(0)             # their multipliers
@@ -160,11 +165,12 @@ def project(x, rows, lo, hi, frozen=None, tol: float = 1e-9) -> np.ndarray:
                     if ratio < t1:
                         t1, block = ratio, i
             dd = float(d @ d)
-            t2 = (float(g @ z) - hp) / dd if dd > _DEPENDENT else math.inf
+            moves = dd > _DEPENDENT
+            t2 = (float(g @ z) - hp) / dd if moves else math.inf
             t = min(t1, t2)
-            if not math.isfinite(t):
+            if not math.isfinite(t) or moves and t * math.sqrt(dd) > reach:
                 raise ProjectionStall("linear rows and box admit no common point")
-            if dd > _DEPENDENT:
+            if moves:
                 z = z - t * d
             mu = mu - t * r
             added += t

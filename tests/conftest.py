@@ -2,6 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# CI selects this with --hypothesis-profile=ci, so a failing draw prints the
+# @reproduce_failure line that replays it
+settings.register_profile("ci", print_blob=True)
 
 
 def _structurally_equal(a, b) -> bool:

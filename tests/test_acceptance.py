@@ -201,21 +201,18 @@ def test_criterion_4_encoding_fidelity():
             x = rng.uniform(lo, hi)
             m = milp.MilpModel()
             cols = [m.add_var(lo[j], hi[j]) for j in range(2)]
+            coeffs, const = enc.encode_surrogate(sur, m, cols, lo, hi, None)
             if task == "regressor":
-                out = enc._encode_output(sur, m, cols, lo, hi, None)
                 enc.fix_point(m, cols, x)
-                m.add_objective_term(out, 1.0)
-                low = milp.solve_milp(m)
-                m.obj = {out: -1.0}
-                high = milp.solve_milp(m)
+                ends = []
+                for sign in (1.0, -1.0):  # the least and the greatest output at x
+                    m.obj = {j: sign * c for j, c in coeffs.items()}
+                    m.obj_const = sign * const
+                    ends.append(sign * milp.solve_milp(m).objective)
                 want = sur.model.predict_one(x)
-                worst_reg = max(worst_reg, abs(low.objective - want), abs(-high.objective - want))
+                worst_reg = max(worst_reg, *(abs(v - want) for v in ends))
             else:
-                if family == "svm":
-                    enc.encode_linear_model(model, "classifier", m, cols, lo, hi)
-                else:
-                    out = enc._encode_output(sur, m, cols, lo, hi, None)
-                    m.add_row({out: 1.0}, ">=", thr)
+                m.add_row(coeffs, ">=", thr - const)
                 enc.fix_point(m, cols, x)
                 got = milp.solve_milp(m).status == "optimal"
                 verdict_misses += got != (sur.model.predict_one(x) >= sur.threshold)
@@ -264,11 +261,8 @@ def _encoded_feasible(sur, point, robust, lo, hi) -> bool:
     point once every input column is pinned to it?"""
     m = milp.MilpModel()
     cols = [m.add_var(lo[j], hi[j]) for j in range(len(lo))]
-    if sur.family == "svm":
-        enc.encode_linear_model(sur.model, "classifier", m, cols, lo, hi, robust=robust)
-    else:
-        out = enc._encode_output(sur, m, cols, lo, hi, robust)
-        m.add_row({out: 1.0}, ">=", sur.threshold)
+    coeffs, const = enc.encode_surrogate(sur, m, cols, lo, hi, robust)
+    m.add_row(coeffs, ">=", sur.threshold - const)
     enc.fix_point(m, cols, point)
     return milp.solve_milp(m).status == "optimal"
 

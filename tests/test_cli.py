@@ -46,6 +46,7 @@ def test_bad_problem_file_exits_64(tmp_path, capsys):
         None,                                                               # a directory
         b'{"schema": 1, "variables": [5]}',                                 # a variable no object
         b'{"schema": 1, "variables": [{"name": "x"}], "objective": 5}',     # an objective no object
+        b'{"schema": 1, "variables": [{"name": "x", "lower": 1e999999}]}',  # a lower bound of +inf
     ],
 )
 def test_unreadable_problem_file_exits_64_with_one_line(content, tmp_path, capsys, monkeypatch):

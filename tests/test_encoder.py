@@ -3,6 +3,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surropt import encoder as E
 from surropt import learners as L
@@ -21,6 +23,20 @@ def _box_model(lo, hi):
     m = milp.MilpModel()
     cols = [m.add_var(lo[j], hi[j]) for j in range(len(lo))]
     return m, cols
+
+
+def _solve_for(m, expr, sign=1.0):
+    """Solve ``m`` minimizing sign * (const + coeffs @ x) of the output ``expr``."""
+    coeffs, const = expr
+    m.obj = {j: sign * c for j, c in coeffs.items()}
+    m.obj_const = sign * const
+    return milp.solve_milp(m)
+
+
+def _add_threshold(m, expr, threshold):
+    """The classifier rule const + coeffs @ x >= threshold."""
+    coeffs, const = expr
+    m.add_row(coeffs, ">=", threshold - const)
 
 
 def _surrogate(model, family, task="classifier"):
@@ -45,11 +61,9 @@ def test_robust_config_dual_norms():
 def test_encode_svr_fidelity_at_fixed_point():
     lo, hi = np.zeros(1), np.ones(1)
     m, cols = _box_model(lo, hi)
-    out = E.encode_linear_model(L.LinearModel(beta0=1.0, beta=np.array([2.0])), "regressor",
-                                m, cols, lo, hi)
+    out = E.encode_linear_model(L.LinearModel(beta0=1.0, beta=np.array([2.0])), m, cols, lo, hi)
     E.fix_point(m, cols, [0.5])
-    m.add_objective_term(out, 1.0)
-    sol = milp.solve_milp(m)
+    sol = _solve_for(m, out)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(2.0, abs=1e-9)
 
@@ -57,8 +71,8 @@ def test_encode_svr_fidelity_at_fixed_point():
 def test_encode_svc_feasible_halfspace():
     lo, hi = -np.ones(2), np.ones(2)
     m, cols = _box_model(lo, hi)
-    E.encode_linear_model(L.LinearModel(beta0=0.0, beta=np.array([1.0, 0.0])), "classifier",
-                          m, cols, lo, hi)
+    out = E.encode_linear_model(L.LinearModel(beta0=0.0, beta=np.array([1.0, 0.0])), m, cols, lo, hi)
+    _add_threshold(m, out, 0.0)
     m.add_objective_term(cols[0], 1.0)
     sol = milp.solve_milp(m)
     assert sol.objective == pytest.approx(0.0, abs=1e-9)  # x1 >= 0 is the region
@@ -86,10 +100,9 @@ def test_encode_tree_forces_leaf_at_fixed_point():
     m, cols = _box_model(lo, hi)
     out = E.encode_tree(tree, m, cols, lo, hi)
     leaf_binaries = m.integer_indices()  # one per leaf, in leaf order
-    assert len(leaf_binaries) == 4
+    assert list(out[0]) == leaf_binaries and len(leaf_binaries) == 4
     E.fix_point(m, cols, [1.0, 1.0])
-    m.add_objective_term(out, 1.0)
-    sol = milp.solve_milp(m)
+    sol = _solve_for(m, out)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(1.0, abs=1e-9)  # y equals leaf prediction
     assert sol.x[leaf_binaries[0]] == pytest.approx(1.0)   # first leaf is active
@@ -101,8 +114,7 @@ def test_encode_tree_max_output_over_box():
     hi = np.array([1.5, 1.6])
     m, cols = _box_model(lo, hi)
     out = E.encode_tree(tree, m, cols, lo, hi)
-    m.add_objective_term(out, -1.0)
-    sol = milp.solve_milp(m)
+    sol = _solve_for(m, out, -1.0)
     assert sol.status == "optimal"
     assert -sol.objective == pytest.approx(1.0, abs=1e-9)
 
@@ -112,8 +124,7 @@ def test_encode_single_leaf_tree():
     lo, hi = np.zeros(1), np.ones(1)
     m, cols = _box_model(lo, hi)
     out = E.encode_tree(tree, m, cols, lo, hi)
-    m.add_objective_term(out, 1.0)
-    sol = milp.solve_milp(m)
+    sol = _solve_for(m, out)
     assert sol.objective == pytest.approx(1.0)
 
 
@@ -172,8 +183,9 @@ def test_robustify_linear_one_dimensional_example():
     # beta0=0, beta=1, rho=0.1, q=inf: region is x - 0.1|x| >= 0, so min x = 0
     lo, hi = -np.ones(1), np.ones(1)
     m, cols = _box_model(lo, hi)
-    E.encode_linear_model(L.LinearModel(beta0=0.0, beta=np.array([1.0])), "classifier",
-                          m, cols, lo, hi, robust=E.RobustConfig(rho=0.1, p=1.0))
+    out = E.encode_linear_model(L.LinearModel(beta0=0.0, beta=np.array([1.0])), m, cols, lo, hi,
+                                robust=E.RobustConfig(rho=0.1, p=1.0))
+    _add_threshold(m, out, 0.0)
     m.add_objective_term(cols[0], 1.0)
     sol = milp.solve_milp(m)
     assert sol.status == "optimal"
@@ -209,8 +221,7 @@ def test_gbm_encoding_reproduces_predict():
         m, cols = _box_model(lo, hi)
         out = E.encode_gbm(ens, m, cols, lo, hi)
         E.fix_point(m, cols, x)
-        m.add_objective_term(out, 1.0)
-        sol = milp.solve_milp(m)
+        sol = _solve_for(m, out)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(sur.model.predict_one(x), abs=1e-9)
 
@@ -224,8 +235,7 @@ def test_mlp_relu_negative_branch():
     m, cols = _box_model(lo, hi)
     out = E.encode_mlp(net, m, cols, lo, hi)
     E.fix_point(m, cols, [-0.5])
-    m.add_objective_term(out, 1.0)
-    sol = milp.solve_milp(m)
+    sol = _solve_for(m, out)
     assert sol.objective == pytest.approx(0.0, abs=1e-9)
 
 
@@ -238,8 +248,7 @@ def test_mlp_zero_weight_constant_output():
         m, cols = _box_model(lo, hi)
         out = E.encode_mlp(net, m, cols, lo, hi)
         E.fix_point(m, cols, point)
-        m.add_objective_term(out, 1.0)
-        assert milp.solve_milp(m).objective == pytest.approx(3.0, abs=1e-9)
+        assert _solve_for(m, out).objective == pytest.approx(3.0, abs=1e-9)
 
 
 def test_fidelity_all_families_regression_and_verdicts():
@@ -249,22 +258,16 @@ def test_fidelity_all_families_regression_and_verdicts():
         for _ in range(12):
             x = rng.uniform(lo, hi)
             m, cols = _box_model(lo, hi)
+            out = E.encode_surrogate(sur, m, cols, lo, hi, None)
             if sur.task == "regressor":
-                out = E._encode_output(sur, m, cols, lo, hi, None)
                 E.fix_point(m, cols, x)
-                m.add_objective_term(out, 1.0)
-                low = milp.solve_milp(m)
-                m.obj = {out: -1.0}
-                high = milp.solve_milp(m)
+                low = _solve_for(m, out)
+                high = _solve_for(m, out, -1.0)
                 want = sur.model.predict_one(x)
                 assert low.objective == pytest.approx(want, abs=1e-6)
                 assert -high.objective == pytest.approx(want, abs=1e-6)
             else:
-                if sur.family == "svm":
-                    E.encode_linear_model(sur.model, "classifier", m, cols, lo, hi)
-                else:
-                    out = E._encode_output(sur, m, cols, lo, hi, None)
-                    m.add_row({out: 1.0}, ">=", sur.threshold)
+                _add_threshold(m, out, sur.threshold)
                 E.fix_point(m, cols, x)
                 sol = milp.solve_milp(m)
                 assert (sol.status == "optimal") == (sur.model.predict_one(x) >= sur.threshold)
@@ -278,11 +281,7 @@ def _encoded_feasible(sur, point, robust, lo, hi) -> bool:
     """Does the surrogate's encoding, robustified by ``robust``, admit the
     point once every input column is pinned to it?"""
     m, cols = _box_model(lo, hi)
-    if sur.family == "svm":
-        E.encode_linear_model(sur.model, "classifier", m, cols, lo, hi, robust=robust)
-    else:
-        out = E._encode_output(sur, m, cols, lo, hi, robust)
-        m.add_row({out: 1.0}, ">=", sur.threshold)
+    _add_threshold(m, E.encode_surrogate(sur, m, cols, lo, hi, robust), sur.threshold)
     E.fix_point(m, cols, point)
     return milp.solve_milp(m).status == "optimal"
 
@@ -367,7 +366,7 @@ def test_assemble_equality_constraint_band():
     sol = milp.solve_milp(model)
     assert sol.status == "optimal"
     # minimizing x1 pushes against the equality band around 0.5
-    assert sol.x[model.registry["x_vars"][0]] == pytest.approx(0.5, abs=2e-4)
+    assert sol.x[0] == pytest.approx(0.5, abs=2e-4)
 
 
 def test_assemble_always_infeasible_marker():
@@ -391,3 +390,101 @@ def test_assemble_relaxed_feasible_when_core_feasible():
         sur = L.select_surrogate(X, y, "classifier", candidates=(family,), seed=1)
         model = E.assemble(sp, [sur, E.ALWAYS_FEASIBLE], relax=E.RelaxConfig(100.0))
         assert milp.solve_milp(model).status == "optimal"
+
+
+# ---------------------------------------------------------------------------
+# Leaves that cannot satisfy their rule (differential, against HiGHS)
+# ---------------------------------------------------------------------------
+
+def _highs(model):
+    """(status, objective) of the model under scipy.optimize.milp. HiGHS
+    picks the integer point; the LP over the other columns is then solved
+    again at 1e-10 tolerances, as HiGHS's own point may violate a row by
+    1e-6."""
+    from scipy.optimize import Bounds, LinearConstraint, linprog
+    from scipy.optimize import milp as highs_milp
+
+    lp = model.to_lp()
+    senses = np.array(lp.senses)
+    res = highs_milp(
+        lp.c,
+        constraints=LinearConstraint(lp.rows, np.where(senses == "<=", -np.inf, lp.rhs),
+                                     np.where(senses == ">=", np.inf, lp.rhs)),
+        integrality=np.array(model.integral, dtype=int),
+        bounds=Bounds(lp.lower, lp.upper),
+        options={"mip_rel_gap": 1e-9},
+    )
+    if res.status != 0:
+        return res.status, None
+    ints, at = np.array(model.integral), np.round(res.x)
+    sign = np.where(senses == ">=", -1.0, 1.0)
+    ineq = senses != "="
+    fixed = linprog(
+        lp.c, A_ub=(sign[:, None] * lp.rows)[ineq], b_ub=(sign * lp.rhs)[ineq],
+        A_eq=lp.rows[~ineq], b_eq=lp.rhs[~ineq],
+        bounds=np.column_stack([np.where(ints, at, lp.lower), np.where(ints, at, lp.upper)]),
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    return fixed.status, (fixed.fun + lp.const if fixed.status == 0 else None)
+
+
+def _random_tree_constraint(rng, lo, hi):
+    """A random constraint with a tree surrogate trained on points of the
+    box: a classifier of a random half-space or ball at a random threshold,
+    or an equality's regressor of a random staircase, often shifted into or
+    just out of ``EQUALITY_BAND``."""
+    d = len(lo)
+    X = rng.uniform(lo, hi, size=(int(rng.integers(30, 120)), d))
+    w = rng.normal(size=d)
+    if rng.random() < 0.5:
+        inside = X @ w < rng.normal() if rng.random() < 0.5 else ((X - X[0]) ** 2).sum(1) < rng.random()
+        y = np.where(rng.random(len(X)) < 0.1, rng.random(len(X)) < 0.5, inside).astype(float)
+        if len(np.unique(y)) < 2:
+            y[0] = 1.0 - y[0]
+        tree, sense = L.train_tree(X, y, "classifier", max_depth=int(rng.integers(1, 5))), "<=0"
+        threshold = float(rng.uniform(0.05, 0.95))
+    else:
+        shift = rng.choice([0.0, 0.0, rng.uniform(-3.0, 3.0) * E.EQUALITY_BAND])
+        y = 0.5 * np.floor(2.0 * (X @ w)) + shift
+        tree, sense = L.train_tree(X, y, "regressor", max_depth=int(rng.integers(1, 5))), "=0"
+        threshold = 0.0
+    con = NonlinearConstraint(evaluator=lambda x: 0.0, sense=sense, support=frozenset(range(d)))
+    task = "classifier" if sense == "<=0" else "regressor"
+    return con, L.Surrogate(model=tree, family="tree", task=task, threshold=threshold,
+                            validation_score=1.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_unreachable_leaves_leave_the_optimum_unchanged(seed):
+    # the leaf rule fixes at 0 only binaries no integer point can set, so
+    # restoring every leaf's upper bound gives the same status and optimum
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 4))
+    lo = rng.uniform(-2.0, 0.0, size=d)
+    hi = lo + rng.uniform(0.5, 3.0, size=d)
+    cons, surs = zip(*(_random_tree_constraint(rng, lo, hi) for _ in range(int(rng.integers(1, 3)))))
+    sp = StandardProblem(
+        vars=tuple(VarSpec(f"x{j}", j, lo[j], hi[j]) for j in range(d)),
+        objective=LinearObjective(rng.normal(size=d)),
+        nonlinear=cons,
+    )
+    robust = E.RobustConfig(rho=0.05, p=1.0) if rng.random() < 0.3 else None
+    pruned = E.assemble(sp, list(surs), robust=robust)
+    full = E.assemble(sp, list(surs), robust=robust)
+    for j in full.integer_indices():
+        full.upper[j] = 1.0
+    status, objective = _highs(pruned)
+    full_status, full_objective = _highs(full)
+    assert status == full_status
+    if status == 0:
+        assert objective == pytest.approx(full_objective, rel=1e-9, abs=1e-9)
+
+
+def test_assemble_fixes_only_an_unrelaxed_trees_unreachable_leaves():
+    sp = _toy_standard_problem(support=frozenset({0, 1}))
+    tree = _surrogate(_four_leaf_mixed_tree(), "tree")  # leaf values 1, 1, 1, 0
+    for relax, last_upper in ((None, 0.0), (E.RelaxConfig(10.0), 1.0)):
+        model = E.assemble(sp, [tree, E.ALWAYS_FEASIBLE], relax=relax)
+        assert [model.upper[j] for j in model.integer_indices()] == [1.0, 1.0, 1.0, last_upper]

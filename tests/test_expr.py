@@ -229,18 +229,20 @@ def _paths(node, prefix=()):
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
 def test_load_problem_raises_only_package_errors(data):
-    # any JSON value anywhere in a shipped document: a Problem or a SurroptError
+    # any JSON value anywhere in a shipped document, infinities often: a
+    # Problem whose every bound admits a value, or a SurroptError
     doc = copy.deepcopy(data.draw(st.sampled_from([ILLUSTRATIVE_DOC, SPEED_REDUCER_DOC])))
     *parents, key = data.draw(st.sampled_from(list(_paths(doc))))
     node = doc
     for k in parents:
         node = node[k]
-    node[key] = data.draw(_JSON_VALUES)
+    node[key] = data.draw(_JSON_VALUES | st.sampled_from([math.inf, -math.inf]))
     try:
         problem = E.load_problem(doc)
     except SurroptError:
         return
     assert isinstance(problem, Problem)
+    assert all(v.lower < math.inf and v.upper > -math.inf for v in problem.vars)
 
 
 @pytest.mark.parametrize("text", ["(-2)^1e400", "(-1)^(1e999-1e999)", "sin(1e999) + x1", "cos(-1e999)"])

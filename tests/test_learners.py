@@ -1,5 +1,7 @@
+import itertools
 import math
 import pickle
+import types
 
 import numpy as np
 import pytest
@@ -528,6 +530,47 @@ def test_mlp_zero_weights_bias_pass_through():
     )
     for point in ([0.0, 0.0], [1.0, -1.0], [5.0, 2.0]):
         assert net.predict_one(point) == 3.0
+
+
+def _fake_clock(monkeypatch):
+    """``learners``' clock reads 0, 1, 2, ... one tick per read."""
+    ticks = itertools.count()
+    monkeypatch.setattr(L, "time", types.SimpleNamespace(monotonic=lambda: float(next(ticks))))
+
+
+def _blob_data():
+    rng = np.random.default_rng(3)
+    X = rng.uniform(-1, 1, size=(80, 2))
+    return X, (X[:, 0] ** 2 + X[:, 1] < 0.3).astype(float)
+
+
+def test_mlp_stops_at_the_first_clock_check_past_its_deadline(monkeypatch):
+    # the checks after epochs 10, 20 and 30 read 0, 1 and 2; 2 > 1.5 stops
+    # training there, with the best restart after exactly those epochs
+    X, y = _blob_data()
+    short = L.train_mlp(X, y, epochs=3 * L.MLP_CLOCK_EVERY)
+    _fake_clock(monkeypatch)
+    cut = L.train_mlp(X, y, deadline=1.5)
+    assert pickle.dumps(cut) == pickle.dumps(short)
+    assert pickle.dumps(cut) != pickle.dumps(L.train_mlp(X, y))
+
+
+def test_select_surrogate_hands_its_deadline_to_the_mlp(monkeypatch):
+    # selection reads 0 before the MLP starts; the MLP's checks read 1, 2
+    # and 3, and 3 > 2.5 stops it after 30 epochs
+    X, y = _blob_data()
+    train_mlp = L.train_mlp
+
+    def thirty_epochs(*args, **kwargs):
+        kwargs.pop("deadline", None)
+        return train_mlp(*args, epochs=3 * L.MLP_CLOCK_EVERY, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(L, "train_mlp", thirty_epochs)
+        short = L.select_surrogate(X, y, candidates=("mlp",), seed=4)
+    _fake_clock(monkeypatch)
+    cut = L.select_surrogate(X, y, candidates=("mlp",), seed=4, deadline=2.5)
+    assert pickle.dumps(cut.model) == pickle.dumps(short.model)
 
 
 # ---------------------------------------------------------------------------

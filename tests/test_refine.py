@@ -94,6 +94,34 @@ def test_project_survives_a_subnormal_row_coefficient():
     assert np.allclose(x, [0.0, 0.0, 1.0], atol=1e-9)
 
 
+def _nearly_dependent_problem():
+    """Box [-1, 1]^2, x0 <= 0, and one equality whose gradient lies within
+    about 1e-6 of the x1 axis, so its linearization nearly parallels the
+    x1 bound faces and meets the box nowhere."""
+    return StandardProblem(
+        vars=(VarSpec("x0", 0, -1.0, 1.0), VarSpec("x1", 1, -1.0, 1.0)),
+        objective=LinearObjective(np.zeros(2)),
+        linear=_rows(([1.0, 0.0], "<=", 0.0)),
+        nonlinear=(NonlinearConstraint(
+            evaluator=lambda x: math.sin(3.0 * (1e-6 * x[0] + x[1])) - 1.5,
+            sense="=0", support=frozenset({0, 1})),),
+    )
+
+
+def test_project_stalls_without_overflow_on_a_nearly_dependent_row():
+    # the equality's row pins x1 near 11.3; reaching the face x1 = 1 along
+    # it takes a step of about 1e7 in x0, which used to overflow later on
+    rows = _rows(([1.0, 0.0], "<=", 0.0),
+                 ([2.120525977034049e-07, 0.21221160517725934], "=", 2.391389184015425))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ProjectionStall):
+            project([0.0, -0.5], rows, -np.ones(2), np.ones(2))
+        for start in ([0.0, -0.5], [0.0, -1.0]):
+            state = pgd_improve(_nearly_dependent_problem(), np.array(start))
+            assert np.all(np.abs(state.x) <= 1.0) and state.x[0] <= 0.0
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
