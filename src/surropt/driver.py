@@ -192,31 +192,64 @@ def _evaluator(target, support, center):
     return evaluate
 
 
-def _static_sample(sp: StandardProblem, support, rng) -> np.ndarray:
-    """Box corners and a Latin hypercube over the support, integers rounded.
+def _support_rows(sp: StandardProblem, support):
+    """The support rows, ``(A, b)`` with ``A @ x[support] <= b``: the
+    inequality rows of ``sp.linear`` with a nonzero coefficient, all of
+    them in ``support``, ``>=`` rows flipped. Equality rows and rows that
+    reach outside the support are left out, and so is an opposing pair with
+    no room between its rows (an equality written as two rows), which would
+    leave no interior to sample."""
+    outside = np.ones(sp.n, dtype=bool)
+    outside[support] = False
+    rows = [r for r in sp.linear
+            if r.sense != "=" and r.coeffs.any() and not r.coeffs[outside].any()]
+    sign = np.array([1.0 if r.sense == "<=" else -1.0 for r in rows])
+    A = sign[:, None] * np.array([r.coeffs[support] for r in rows]).reshape(len(rows), len(support))
+    b = sign * np.array([r.rhs for r in rows])
+    norm = np.linalg.norm(A, axis=1)
+    unit, offset = A / norm[:, None], b / norm
+    flat = (unit @ unit.T <= -1.0 + 1e-12) & (offset[:, None] + offset <= sampling.CONTAIN_TOL)
+    keep = ~flat.any(axis=1)
+    return A[keep], b[keep]
+
+
+def _satisfies(points, rows) -> np.ndarray:
+    """Which points satisfy every row of ``rows = (A, b)``, ``A @ x <= b``."""
+    A, b = rows
+    return (points @ A.T <= b + sampling.CONTAIN_TOL).all(axis=1)
+
+
+def _static_sample(sp: StandardProblem, support, rng, rows) -> np.ndarray:
+    """Box corners and a Latin hypercube over the support, integers rounded,
+    kept to its support rows ``rows`` (``_support_rows``).
 
     The hypercube has ``n_lh = max(sampling.N_LH, 50 d)`` points, and
     the corners never outnumber it: every corner when ``2^d <= n_lh``
     (no generator draws), else ``10 d`` distinct random corners plus the
     box center, the size Loeppky, Sacks & Welch (2009) suggest for a
-    whole design.
+    whole design. A corner (or the center) that breaks a support row once
+    rounded is dropped. The hypercube keeps its ``n_lh`` points: those
+    inside the rows once rounded come first, and box points top it up only
+    when ``lh_sample``'s draw budget runs out. With no support row the
+    design, and every draw, is the box's.
     """
     lo_all, hi_all = sp.box()
     lo, hi = lo_all[support], hi_all[support]
     d = len(support)
     n_lh = max(sampling.N_LH, 50 * d)
     cap = 2 ** d if 2 ** d <= n_lh else 10 * d
-    points = np.vstack(
-        [
-            sampling.boundary_sample(lo, hi, cap, rng),
-            sampling.lh_sample(lo, hi, n_lh, rng),
-        ]
-    )
-    return _round_integrals(points, sp, support)
+
+    def keep(points):
+        return _satisfies(_round_integrals(points, sp, support), rows)
+
+    corners = _round_integrals(sampling.boundary_sample(lo, hi, cap, rng), sp, support)
+    design = sampling.lh_sample(lo, hi, n_lh, rng, keep)
+    return np.vstack([corners[keep(corners)], _round_integrals(design, sp, support)])
 
 
 def _sample_constraint(sp: StandardProblem, con, cfg: RunConfig, rng):
-    """Labeled feasibility samples over the constraint's own support box.
+    """Labeled feasibility samples over the constraint's own support box,
+    the static and adaptive ones kept to its support rows.
 
     Each point is evaluated once, after rounding; its label follows from
     its value, and a point where the evaluator fails is infeasible.
@@ -227,7 +260,12 @@ def _sample_constraint(sp: StandardProblem, con, cfg: RunConfig, rng):
     lo, hi = lo_all[support], hi_all[support]
     evaluate = _evaluator(con, support, (lo_all + hi_all) / 2.0)
 
-    points = _static_sample(sp, support, rng)
+    rows = _support_rows(sp, support)
+    points = _static_sample(sp, support, rng, rows)
+    if not _satisfies(points, rows).all():
+        # box points topped the design up: the rows leave too thin a region
+        # to sample, so the adaptive rounds sample the box
+        rows = rows[0][:0], rows[1][:0]
     values = evaluate(points)
     labels = feasibility_labels(values, con.sense)
 
@@ -247,7 +285,7 @@ def _sample_constraint(sp: StandardProblem, con, cfg: RunConfig, rng):
 
         for _ in range(cfg.adaptive_rounds):
             result = sampling.oct_adaptive_sample(
-                points, labels, rng, committee_tree, lo, hi, deadline=sp.deadline
+                points, labels, rng, committee_tree, lo, hi, deadline=sp.deadline, rows=rows
             )
             if len(result.points) == 0:
                 break
@@ -273,7 +311,7 @@ def _sample_objective(sp: StandardProblem, rng):
     """Objective values at the static samples over the objective's support."""
     support = sorted(sp.objective.support)
     lo_all, hi_all = sp.box()
-    points = _static_sample(sp, support, rng)
+    points = _static_sample(sp, support, rng, _support_rows(sp, support))
     # a point where the objective fails or is not finite has no value to fit
     values = _evaluator(sp.objective, support, (lo_all + hi_all) / 2.0)(points)
     kept = np.isfinite(values)

@@ -100,8 +100,10 @@ def project(x, rows, lo, hi, frozen=None, tol: float = 1e-9) -> np.ndarray:
     (integer variables during refinement); rows with no free coefficient
     are ignored. Raises ProjectionStall on a non-finite point, when the rows
     and the box admit no common point (a step would then leave every point
-    of the box behind, or none can be taken), or when a step guard set by
-    the constraint count runs out.
+    of the box behind, or none can be taken), when a step guard set by
+    the constraint count runs out, or when the result lies farther than
+    ``tol`` from a row it breaks (a row whose normal is shorter than 1 is
+    held to ``tol`` in its own units instead).
     """
     x = np.array(x, dtype=float)
     if not np.isfinite(x).all():
@@ -186,7 +188,10 @@ def project(x, rows, lo, hi, frozen=None, tol: float = 1e-9) -> np.ndarray:
     upper, lower = faces[(faces >= 0) & (faces < nf)], faces[faces >= nf] - nf
     z[upper], z[lower] = hi[upper], lo[lower]
     z = np.clip(z, lo, hi)
-    worst = float(np.max(_excess(G, h, eq, z) * units, initial=0.0))
+    # each row's distance, or its excess where its normal is shorter than 1
+    # (the loop's own stop test): a steep row's excess in its own units
+    # grows with rounding alone
+    worst = float(np.max(_excess(G, h, eq, z) * np.minimum(units, 1.0), initial=0.0))
     if worst > tol:
         raise ProjectionStall(f"projection still violated by {worst:.3e}")
     x[free] = z

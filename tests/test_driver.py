@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surropt import milp
 from surropt import sampling as S
@@ -11,7 +13,9 @@ from surropt.benchmarks import illustrative_problem, speed_reducer_problem
 from surropt.driver import (
     RunConfig,
     _full_violation,
+    _sample_constraint,
     _static_sample,
+    _support_rows,
     generate_quadratic_sigmoid,
     sample,
     solve_global,
@@ -20,7 +24,16 @@ from surropt.driver import (
 )
 from surropt.errors import InfeasibleApproximation
 from surropt.expr import load_problem
-from surropt.model import NonlinearObjective, feasibility_labels, standardize
+from surropt.model import (
+    LinearConstraint,
+    LinearObjective,
+    NonlinearConstraint,
+    NonlinearObjective,
+    StandardProblem,
+    VarSpec,
+    feasibility_labels,
+    standardize,
+)
 from surropt.refine import TIME_LIMIT_WARNING
 
 
@@ -147,7 +160,7 @@ def test_static_corners_never_outnumber_the_latin_hypercube(n_lh, d, corners, mo
     n = max(n_lh, 50 * d)
     rng, twin = np.random.default_rng(7), np.random.default_rng(7)
     monkeypatch.setattr(S, "N_LH", n_lh)
-    points = _static_sample(sp, support, rng)
+    points = _static_sample(sp, support, rng, _support_rows(sp, support))
     if corners == 2 ** d:
         expected = np.vstack([S.boundary_sample(lo, hi, corners), S.lh_sample(lo, hi, n, twin)])
     else:
@@ -160,6 +173,164 @@ def test_static_corners_never_outnumber_the_latin_hypercube(n_lh, d, corners, mo
     assert len(points) == corners + n
     assert np.array_equal(points, expected)
     assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def _frozen_static_sample(sp, support, rng):
+    """``_static_sample`` before it kept to the support rows, with the Latin
+    hypercube of that time inlined: box corners and ``n_lh`` box points."""
+    lo_all, hi_all = sp.box()
+    lo, hi = lo_all[support], hi_all[support]
+    d = len(support)
+    n_lh = max(S.N_LH, 50 * d)
+    cap = 2 ** d if 2 ** d <= n_lh else 10 * d
+    corners = S.boundary_sample(lo, hi, cap, rng)
+    u = rng.random((n_lh, d))
+    design = np.empty((n_lh, d))
+    for j in range(d):
+        perm = rng.permutation(n_lh)
+        design[:, j] = lo[j] + (perm + u[:, j]) / n_lh * (hi[j] - lo[j])
+    points = np.vstack([corners, design])
+    for j_local, j in enumerate(support):
+        if sp.vars[j].integral:
+            points[:, j_local] = np.clip(np.round(points[:, j_local]), lo[j_local], hi[j_local])
+    return points
+
+
+def _problem_with_rows(lower, upper, integral, rows):
+    """A standard problem over the given box with the given linear rows and
+    one nonlinear constraint over every variable."""
+    n = len(lower)
+    return StandardProblem(
+        vars=tuple(VarSpec(f"x{j}", j, float(lower[j]), float(upper[j]), bool(integral[j]))
+                   for j in range(n)),
+        objective=LinearObjective(np.zeros(n)),
+        linear=tuple(LinearConstraint(np.asarray(a, dtype=float), sense, rhs)
+                     for a, sense, rhs in rows),
+        nonlinear=(NonlinearConstraint(evaluator=lambda x: float(x.sum()), sense="<=0",
+                                       support=frozenset(range(n))),),
+    )
+
+
+@pytest.mark.parametrize("d", [2, 3, 9, 10])
+def test_static_sample_without_support_rows_draws_what_it_drew_before(d):
+    # qsigmoid has no rows; here an equality row and a row that reaches past
+    # the support are no support rows either
+    gen = np.random.default_rng(d)
+    lower = gen.uniform(-2.0, 0.0, d + 1)
+    upper = lower + gen.uniform(0.5, 3.0, d + 1)
+    integral = np.zeros(d + 1, dtype=bool)
+    integral[0] = True
+    lower[0], upper[0] = 0.0, 6.0
+    rows = [(gen.normal(size=d + 1) * (np.arange(d + 1) < d), "=", 0.1),
+            (gen.normal(size=d + 1), "<=", 0.0)]
+    problems = [standardize(generate_quadratic_sigmoid(d, 1, seed=d)),
+                _problem_with_rows(lower, upper, integral, rows)]
+    for sp in problems:
+        support = list(range(d))
+        rng, twin = np.random.default_rng(11), np.random.default_rng(11)
+        points = _static_sample(sp, support, rng, _support_rows(sp, support))
+        assert points.tobytes() == _frozen_static_sample(sp, support, twin).tobytes()
+        assert rng.random() == twin.random()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), extra=st.integers(0, 2),
+       n_rows=st.integers(1, 4))
+def test_static_sample_keeps_to_the_support_rows(seed, d, extra, n_rows):
+    # every support row holds at the central half of the box, so the
+    # rounded points pass often enough that the draw budget never runs out
+    rng = np.random.default_rng(seed)
+    n = d + extra
+    integral = rng.random(n) < 0.4
+    lower = np.where(integral, rng.integers(-3, 3, n), rng.uniform(-2.0, 1.0, n)).astype(float)
+    upper = lower + np.where(integral, rng.integers(2, 6, n), rng.uniform(0.1, 4.0, n))
+    support = sorted(rng.choice(n, size=d, replace=False).tolist())
+    center, half = (lower + upper) / 2.0, (upper - lower) / 2.0
+    rows = []
+    for _ in range(n_rows):
+        a = rng.normal(size=n) * (rng.random(n) < 0.8)
+        a[[j for j in range(n) if j not in support]] = 0.0
+        rhs = float(a @ center + np.abs(a) @ half / 2.0)
+        rows.append((a, "<=", rhs) if rng.random() < 0.5 else (-a, ">=", -rhs))
+    rows.append((rng.normal(size=n), "=", 0.0))          # an equality: no support row
+    if extra:
+        rows.append((np.ones(n), "<=", float(lower.sum())))  # reaches past the support
+    sp = _problem_with_rows(lower, upper, integral, rows)
+    support_rows = rows[:n_rows]
+
+    points = _static_sample(sp, support, np.random.default_rng(seed + 1), _support_rows(sp, support))
+
+    def inside(pts):
+        x = np.repeat(center[None, :], len(pts), axis=0)
+        x[:, support] = pts
+        return np.array([all(LinearConstraint(a, s, r).violation(row) <= 1e-9
+                             for a, s, r in support_rows) for row in x], dtype=bool)
+
+    lo, hi = lower[support], upper[support]
+    corners = S.boundary_sample(lo, hi, 2 ** d)
+    corners[:, integral[support]] = np.round(corners[:, integral[support]])
+    n_lh = max(S.N_LH, 50 * d)
+    assert len(points) == inside(corners).sum() + n_lh
+    assert inside(points).all()
+    local = points[:, integral[support]]
+    assert np.array_equal(local, np.round(local))
+    assert (points >= lo).all() and (points <= hi).all()
+
+
+def test_speed_reducer_static_design_keeps_to_its_rows():
+    # x1 >= 5 x2 holds on 1% of g1's box and on 2 of its 8 corners; 116 of
+    # the objective's 128 corners break a row
+    sp = standardize(speed_reducer_problem())
+    g1 = sorted(sp.nonlinear[0].support)
+    points = _static_sample(sp, g1, np.random.default_rng(0), _support_rows(sp, g1))
+    assert len(points) == 2 + 300
+    assert (points[:, 0] - 5.0 * points[:, 1] >= -1e-9).all()
+    objective = sorted(sp.objective.support)
+    points = _static_sample(sp, objective, np.random.default_rng(0), _support_rows(sp, objective))
+    assert len(points) == 12 + 350
+
+
+def test_an_equality_written_as_two_rows_is_no_support_row():
+    # x0 + x1 = 1 as a pair, once scaled; a pair with room between its rows stays
+    pair = [([1.0, 1.0, 0.0], "<=", 1.0), ([2.0, 2.0, 0.0], ">=", 2.0)]
+    slab = [([0.0, 1.0, -1.0], "<=", 0.5), ([0.0, -1.0, 1.0], "<=", 0.0)]
+    sp = _problem_with_rows([0.0] * 3, [1.0] * 3, [False] * 3, pair + slab)
+    A, b = _support_rows(sp, [0, 1, 2])
+    assert np.array_equal(A, [[0.0, 1.0, -1.0], [0.0, -1.0, 1.0]])
+    assert np.array_equal(b, [0.5, 0.0])
+    A, b = _support_rows(sp, [0, 1])
+    assert A.shape == (0, 2) and b.shape == (0,)
+
+
+@pytest.mark.parametrize("case", ["pair", "integer pair", "cycle"])
+def test_adaptive_rounds_sample_the_box_when_the_rows_leave_no_interior(case, monkeypatch):
+    # an equality written as two rows is no support row, and rows whose
+    # region has no interior but are no pair (x0 <= x1 <= x2 <= x0) make
+    # box points top the static design up: either way the adaptive round
+    # gets no rows and still adds samples
+    d = 3
+    if case == "cycle":
+        rows = [([1.0, -1.0, 0.0], "<=", 0.0), ([0.0, 1.0, -1.0], "<=", 0.0),
+                ([-1.0, 0.0, 1.0], "<=", 0.0)]
+    else:
+        rows = [([1.0, 1.0, 0.0], "<=", 2.0), ([-1.0, -1.0, 0.0], "<=", -2.0)]
+    sp = _problem_with_rows([0.0] * d, [4.0] * d, [case == "integer pair"] * d, rows)
+    sp = replace(sp, nonlinear=(NonlinearConstraint(
+        evaluator=lambda x: float(np.sin(x[0]) + np.cos(x[1] * x[2] / 3.0)), sense="<=0",
+        support=frozenset(range(d))),))
+    rounds = []
+    adaptive = S.oct_adaptive_sample
+
+    def recorded(*args, rows, **kwargs):
+        result = adaptive(*args, rows=rows, **kwargs)
+        rounds.append((rows, len(result.points)))
+        return result
+
+    monkeypatch.setattr(S, "oct_adaptive_sample", recorded)
+    _sample_constraint(sp, sp.nonlinear[0], RunConfig(seed=0), np.random.default_rng(0))
+    [(adaptive_rows, added)] = rounds
+    assert adaptive_rows[0].shape == (0, d) and adaptive_rows[1].shape == (0,)
+    assert added > 0
 
 
 def test_purely_linear_problem_matches_direct_milp(fast_sampler):

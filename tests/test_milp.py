@@ -489,19 +489,53 @@ def test_reduce_folds_a_singleton_row_into_its_column_bound():
     assert sol.x[x] <= 0.5
 
 
+def _speed_reducer_box_datasets(sp, n, rng):
+    """n uniform points over each speed-reducer support box, integers
+    rounded, labeled by their constraint (values for the objective): a
+    dataset that does not depend on the sampler."""
+    from surropt.model import feasibility_labels
+
+    lo, hi = sp.box()
+    datasets = []
+    for target in (*sp.nonlinear, sp.objective):
+        support = sorted(target.support)
+        points = rng.uniform(lo[support], hi[support], size=(n, len(support)))
+        for k, j in enumerate(support):
+            if sp.vars[j].integral:
+                points[:, k] = np.round(points[:, k])
+        x = np.repeat(((lo + hi) / 2.0)[None, :], n, axis=0)
+        x[:, support] = points
+        values = np.array([target.value(row) for row in x])
+        if target is sp.objective:
+            datasets.append((points, None, values))
+        else:
+            datasets.append((points, feasibility_labels(values, target.sense), None))
+    return datasets
+
+
 def test_speed_reducer_branch_and_bound_runs_on_less_than_half_the_rows():
-    """Seed 3's rho=0.01 model has 183 rows; after propagation most of them
-    cannot bind, and branch and bound leaves them out."""
-    from surropt import driver
+    """Trees for the constraints and an MLP for the objective, trained on
+    1,000 uniform box points each, give a rho=0.01 model of 106 rows; after
+    propagation most of them cannot bind (the paths of leaves that miss the
+    threshold, the ReLUs whose sign is settled), and branch and bound leaves
+    them out."""
     from surropt.benchmarks import speed_reducer_problem
-    from surropt.encoder import RobustConfig
+    from surropt.encoder import ALWAYS_FEASIBLE, ALWAYS_INFEASIBLE, RobustConfig, assemble
+    from surropt.learners import select_surrogate
     from surropt.model import standardize
 
-    cfg = driver.RunConfig(seed=3)
     sp = standardize(speed_reducer_problem())
-    trained = driver.train(sp, driver.sample(sp, cfg), cfg)
-    robust = RobustConfig(rho=0.01, p=cfg.norm_p)
-    model = driver.assemble(sp, trained.constraints, trained.objective, robust, None)
+    *constraints, (points, _, values) = _speed_reducer_box_datasets(
+        sp, 1000, np.random.default_rng(0)
+    )
+    surrogates = [
+        select_surrogate(X, y, candidates=("tree",)) if len(np.unique(y)) == 2
+        else ALWAYS_FEASIBLE if y[0] == 1.0 else ALWAYS_INFEASIBLE
+        for X, y, _ in constraints
+    ]
+    objective = select_surrogate(points, values, task="regressor")
+    assert objective.family == "mlp"
+    model = assemble(sp, surrogates, objective, RobustConfig(rho=0.01, p=1.0), None)
     sol = milp.solve_milp(model)
     assert sol.status == "optimal"
     assert 0 < 2 * sol.rows < model.n_rows and sol.cols < model.n_vars

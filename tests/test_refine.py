@@ -122,6 +122,26 @@ def test_project_stalls_without_overflow_on_a_nearly_dependent_row():
             assert np.all(np.abs(state.x) <= 1.0) and state.x[0] <= 0.0
 
 
+def test_project_holds_a_steep_row_to_its_distance_not_its_own_units():
+    # two nearly opposite rows of norm 7.1e3 pin the projection to a band
+    # about 0.04 wide; rounding alone leaves the first 1.4e-9 past its face
+    # in its own units, which is 1.9e-13 in distance
+    rows = _rows(
+        ([-1551.3714280463673, 6928.43753614344], "<=", 35907.8212072376),
+        ([1521.0218735928568, -6935.163477528996], "<=", -36174.774808733426),
+        ([-7098.114784438209, -163.60472774252327], "<=", -21559.96034669812),
+    )
+    y = np.array([2.902670838515303, 5.844985807025349])
+    z = project(y, rows, np.zeros(2), np.full(2, 10.0))
+    excess = np.array([row.coeffs @ z - row.rhs for row in rows])
+    norms = np.array([np.linalg.norm(row.coeffs) for row in rows])
+    assert excess[0] > 1e-9  # the rounding that used to raise ProjectionStall
+    assert (excess / norms <= 1e-9).all()
+    # y - z is a nonnegative combination of the two band rows' normals
+    coef, residual = nnls(np.array([rows[0].coeffs, rows[1].coeffs]).T, y - z)
+    assert residual <= 1e-9 * np.linalg.norm(y - z)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),

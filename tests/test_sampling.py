@@ -365,6 +365,44 @@ def test_adaptive_points_lie_in_source_polyhedra(monkeypatch):
         assert res.polyhedra[poly_idx].contains(point, tol=1e-9)
 
 
+def test_lh_sample_tops_up_from_its_first_hypercube_when_the_budget_runs_out(monkeypatch):
+    # x0 < 0.2 holds at exactly 4 of 20 strata, so each hypercube passes 4
+    # points; after 3 hypercubes the first one's other points fill the design
+    monkeypatch.setattr(S, "LH_BATCHES", 3)
+    lo, hi = np.zeros(2), np.ones(2)
+    rng, twin = np.random.default_rng(4), np.random.default_rng(4)
+    points = S.lh_sample(lo, hi, 20, rng, keep=lambda p: p[:, 0] < 0.2)
+    drawn = [S.lh_sample(lo, hi, 20, twin) for _ in range(3)]
+    assert np.array_equal(points[:12], np.vstack([h[h[:, 0] < 0.2] for h in drawn]))
+    assert np.array_equal(points[12:], drawn[0][drawn[0][:, 0] >= 0.2][:8])
+    assert rng.bit_generator.state == twin.bit_generator.state
+    # a region no point reaches: the first hypercube, after the whole budget
+    rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+    points = S.lh_sample(lo, hi, 20, rng, keep=lambda p: np.zeros(len(p), dtype=bool))
+    assert np.array_equal(points, S.lh_sample(lo, hi, 20, twin))
+    S.lh_sample(lo, hi, 20, twin), S.lh_sample(lo, hi, 20, twin)
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_adaptive_samples_satisfy_the_extra_rows(d, monkeypatch):
+    # two rows cut the unit box; the data lie on both sides of them, so some
+    # regions are found by points outside the rows and go to the Chebyshev LP
+    rng = np.random.default_rng(30 + d)
+    X = rng.uniform(0, 1, size=(200, d))
+    y = (X[:, 0] + np.sin(3.0 * X[:, 1]) <= 1.0).astype(float)
+    A = np.vstack([np.ones(d), rng.normal(size=d)])
+    b = np.array([0.6 * d, A[1].sum() / 2.0 + 0.1])
+    _sampler(monkeypatch, committee_size=5, hr_per_poly=6, hr_burn_in=10)
+    res = S.oct_adaptive_sample(
+        X, y, np.random.default_rng(d), _tree_trainer, np.zeros(d), np.ones(d), rows=(A, b)
+    )
+    assert len(res.points) > 0
+    assert (res.points @ A.T <= b + 1e-9).all()
+    for poly in res.polyhedra:
+        assert np.array_equal(poly.A[-2:], A) and np.array_equal(poly.b[-2:], b)
+
+
 def test_adaptive_discordance_guarantee_at_samples(monkeypatch):
     rng = np.random.default_rng(9)
     X = rng.uniform(0, 1, size=(200, 2))
