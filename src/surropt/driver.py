@@ -571,7 +571,7 @@ def generate_quadratic_sigmoid(n: int, m: int, seed: int = 0) -> Problem:
     rng = np.random.default_rng(seed)
     c = rng.uniform(-1.0, 1.0, size=n)
     specs = tuple(
-        VarSpec(name=f"x{j}", index=j, lower=-2.0, upper=2.0) for j in range(n)
+        VarSpec(name=f"x{j}", lower=-2.0, upper=2.0) for j in range(n)
     )
 
     def make_quadratic():

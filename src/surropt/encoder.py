@@ -352,9 +352,3 @@ def encode_surrogate(sur: Surrogate, m, cols, lo, hi, robust) -> tuple:
         return encode_mlp(sur.model, m, cols, lo, hi)
     raise ValueError(f"unknown family {sur.family!r}")
 
-
-def fix_point(m: MilpModel, cols, values) -> None:
-    """Pin selected variables with equality rows (used by fidelity checks)."""
-    for col, v in zip(cols, values):
-        m.add_row({col: 1.0}, "=", float(v))
-

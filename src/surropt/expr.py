@@ -428,46 +428,6 @@ def parse_expr(text: str, variables) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Printing
-# ---------------------------------------------------------------------------
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-
-
-def print_expr(e: Expr, names=None) -> str:
-    """Render a tree back to parseable text. Round-trips structurally."""
-
-    def name(i: int) -> str:
-        return names[i] if names is not None else f"x{i}"
-
-    def render(node: Expr, parent_prec: int, right_side: bool) -> str:
-        if isinstance(node, Const):
-            v = node.value
-            if v < 0:
-                s = repr(v)
-                return f"({s})" if parent_prec > 1 else s
-            return repr(v)
-        if isinstance(node, Var):
-            return name(node.index)
-        if isinstance(node, Unary):
-            if node.op == "neg":
-                inner = render(node.arg, _PREC["neg"], False)
-                s = f"-{inner}"
-                return f"({s})" if parent_prec > _PREC["neg"] or (parent_prec == _PREC["neg"] and right_side) else s
-            return f"{node.op}({render(node.arg, 0, False)})"
-        prec = _PREC[node.op]
-        left = render(node.left, prec, False)
-        # left-associative ops need parens around a right child of equal precedence
-        right = render(node.right, prec + (0 if node.op == "^" else 1), True)
-        s = f"{left}{node.op}{right}"
-        if parent_prec > prec or (parent_prec == prec and right_side):
-            return f"({s})"
-        return s
-
-    return render(e, 0, False)
-
-
-# ---------------------------------------------------------------------------
 # Problem documents
 # ---------------------------------------------------------------------------
 
@@ -571,7 +531,6 @@ def load_problem(document, blackbox_registry=None):
             specs.append(
                 VarSpec(
                     name=nm,
-                    index=i,
                     lower=-math.inf if lower is None else _number(lower, f"{nm}'s lower bound"),
                     upper=math.inf if upper is None else _number(upper, f"{nm}'s upper bound"),
                     integral=_typed(rv.get("integral", False), bool, f"{nm}'s integral flag"),

@@ -18,8 +18,8 @@ the solution back to the model's columns. It uses best-bound node
 selection, a most-fractional diving heuristic, and pseudocost branching
 learned from the dive's and the tree's LPs, and warm-starts every node LP
 from its parent's basis; heap nodes keep bases, never tableaux. An LP-format
-writer/reader provides the seam for external solvers (see
-GOML_EXTERNAL_SOLVER_CMD in the README).
+writer provides the seam for external solvers (see GOML_EXTERNAL_SOLVER_CMD
+in the README).
 """
 
 from __future__ import annotations
@@ -532,10 +532,7 @@ class MilpModel:
     def n_rows(self) -> int:
         return len(self.row_rhs)
 
-    def integer_indices(self) -> list[int]:
-        return [j for j, flag in enumerate(self.integral) if flag]
-
-    def to_lp(self, lower=None, upper=None) -> LpProblem:
+    def to_lp(self) -> LpProblem:
         c = np.zeros(self.n_vars)
         for j, v in self.obj.items():
             c[j] = v
@@ -548,23 +545,10 @@ class MilpModel:
             rows=rows,
             senses=list(self.row_senses),
             rhs=np.array(self.row_rhs, dtype=float),
-            lower=np.array(self.lower if lower is None else lower, dtype=float),
-            upper=np.array(self.upper if upper is None else upper, dtype=float),
+            lower=np.array(self.lower, dtype=float),
+            upper=np.array(self.upper, dtype=float),
             const=self.obj_const,
         )
-
-    def row_residuals(self, x) -> np.ndarray:
-        """Per-row violation of the solution (0 when satisfied)."""
-        out = np.zeros(self.n_rows)
-        for i, coeffs in enumerate(self.row_coeffs):
-            lhs = sum(v * x[j] for j, v in coeffs.items())
-            if self.row_senses[i] == "<=":
-                out[i] = max(0.0, lhs - self.row_rhs[i])
-            elif self.row_senses[i] == ">=":
-                out[i] = max(0.0, self.row_rhs[i] - lhs)
-            else:
-                out[i] = abs(lhs - self.row_rhs[i])
-        return out
 
 
 @dataclass
@@ -926,7 +910,7 @@ def _with(arr: np.ndarray, j: int, value: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# LP-format export / import and the external solver seam
+# LP-format export and the external solver seam
 # ---------------------------------------------------------------------------
 
 def _canon_name(model: MilpModel, j: int) -> str:
@@ -977,108 +961,6 @@ def export_lp_file(model: MilpModel, path: str) -> None:
     lines.append("End")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def read_lp_file(path: str) -> MilpModel:
-    """Parse files produced by export_lp_file back into a model."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = [ln.strip() for ln in fh]
-    lines = [ln for ln in raw if ln and not ln.startswith("\\")]
-    section = None
-    obj_tokens: list[str] = []
-    rows: list[tuple[str, float, str]] = []
-    bounds: dict[str, tuple[float, float]] = {}
-    binaries: set[str] = set()
-    generals: set[str] = set()
-    for ln in lines:
-        low = ln.lower()
-        if low in ("minimize", "maximize"):
-            section = "obj"
-            continue
-        if low == "subject to":
-            section = "rows"
-            continue
-        if low == "bounds":
-            section = "bounds"
-            continue
-        if low == "binaries":
-            section = "bin"
-            continue
-        if low == "generals":
-            section = "gen"
-            continue
-        if low == "end":
-            break
-        if section == "obj":
-            body = ln.split(":", 1)[1] if ":" in ln else ln
-            obj_tokens.extend(body.split())
-        elif section == "rows":
-            body = ln.split(":", 1)[1] if ":" in ln else ln
-            for sense in ("<=", ">=", "="):
-                if f" {sense} " in body:
-                    lhs, rhs = body.rsplit(f" {sense} ", 1)
-                    rows.append((lhs.strip(), float(rhs), sense))
-                    break
-            else:
-                raise ValueError(f"row without sense: {ln}")
-        elif section == "bounds":
-            if ln.endswith(" free"):
-                bounds[ln.split()[0]] = (-math.inf, math.inf)
-            else:
-                parts = ln.split("<=")
-                lo = -math.inf if "inf" in parts[0] else float(parts[0])
-                nm = parts[1].strip()
-                hi = math.inf if "inf" in parts[2] else float(parts[2])
-                bounds[nm] = (lo, hi)
-        elif section == "bin":
-            binaries.update(ln.split())
-        elif section == "gen":
-            generals.update(ln.split())
-
-    names = sorted(bounds, key=lambda nm: int(nm[1:]))
-    model = MilpModel()
-    index = {}
-    for nm in names:
-        lo, hi = bounds[nm]
-        index[nm] = model.add_var(lo, hi, integral=(nm in binaries or nm in generals))
-
-    def parse_terms(tokens):
-        coeffs: dict[int, float] = {}
-        const = 0.0
-        sign = 1.0
-        pending: Optional[float] = None
-        for tok in tokens:
-            if tok == "+":
-                if pending is not None:
-                    const += sign * pending
-                    pending = None
-                sign = 1.0
-            elif tok == "-":
-                if pending is not None:
-                    const += sign * pending
-                    pending = None
-                sign = -1.0
-            elif tok in index:
-                v = pending if pending is not None else 1.0
-                coeffs[index[tok]] = coeffs.get(index[tok], 0.0) + sign * v
-                pending = None
-                sign = 1.0
-            else:
-                if pending is not None:
-                    const += sign * pending
-                    sign = 1.0
-                pending = float(tok)
-        if pending is not None:
-            const += sign * pending
-        return coeffs, const
-
-    coeffs, const = parse_terms(obj_tokens)
-    model.obj = coeffs
-    model.obj_const = const
-    for lhs, rhs, sense in rows:
-        row, row_const = parse_terms(lhs.split())
-        model.add_row(row, sense, rhs - row_const)
-    return model
 
 
 def fingerprint(model: MilpModel) -> tuple:

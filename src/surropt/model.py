@@ -30,7 +30,6 @@ class VarSpec:
     a lower one -inf and an upper one +inf only."""
 
     name: str
-    index: int
     lower: float = -math.inf
     upper: float = math.inf
     integral: bool = False
@@ -155,13 +154,13 @@ class NonlinearObjective(_Evaluated):
     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
-def central_difference(fn, x, support=None, scale=1e-6) -> np.ndarray:
-    """Central finite differences with h = scale * max(1, |x_i|)."""
+def central_difference(fn, x, support) -> np.ndarray:
+    """Central finite differences over ``support`` with h = 1e-6 max(1, |x_i|);
+    the other components are 0."""
     x = np.asarray(x, dtype=float)
     out = np.zeros(x.shape[0])
-    indices = range(x.shape[0]) if support is None else sorted(support)
-    for i in indices:
-        h = scale * max(1.0, abs(x[i]))
+    for i in sorted(support):
+        h = 1e-6 * max(1.0, abs(x[i]))
         xp = x.copy()
         xm = x.copy()
         xp[i] += h
@@ -184,9 +183,6 @@ class Problem:
         if self.objective is None:
             raise ValueError("a problem needs an objective")
         n = len(self.vars)
-        for i, v in enumerate(self.vars):
-            if v.index != i:
-                raise ValueError(f"variable {v.name} has index {v.index}, expected {i}")
         for c in self.linear:
             if c.coeffs.shape != (n,):
                 raise ValueError("linear row length does not match variable count")

@@ -89,10 +89,6 @@ class Polyhedron:
         b = np.concatenate([self.b, self.hi, -self.lo])
         return A, b
 
-    def contains(self, x, tol: float = CONTAIN_TOL) -> bool:
-        A, b = self.full_rows()
-        return bool(np.all(A @ x <= b + tol))
-
 
 # ---------------------------------------------------------------------------
 # Static stages
@@ -360,9 +356,7 @@ def hit_and_run(
 @dataclass
 class AdaptiveSampleResult:
     points: np.ndarray
-    committee: list = field(default_factory=list)
     polyhedra: list = field(default_factory=list)
-    point_poly: np.ndarray = None  # source polyhedron index per point
 
 
 def oct_adaptive_sample(
@@ -473,7 +467,5 @@ def oct_adaptive_sample(
     filled = [(pi, draws) for pi, draws in zip(kept, chains) if draws is not None]
     return AdaptiveSampleResult(
         points=np.concatenate([draws for _, draws in filled] + [np.empty((0, d))]),
-        committee=committee,
         polyhedra=polys,
-        point_poly=np.array([pi for pi, draws in filled for _ in draws], dtype=int),
     )

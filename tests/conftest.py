@@ -16,7 +16,7 @@ def _structurally_equal(a, b) -> bool:
     if len(a.nonlinear) != len(b.nonlinear):
         return False
     for va, vb in zip(a.vars, b.vars):
-        if (va.name, va.index, va.integral) != (vb.name, vb.index, vb.integral):
+        if (va.name, va.integral) != (vb.name, vb.integral):
             return False
         if not (np.isclose(va.lower, vb.lower) and np.isclose(va.upper, vb.upper)):
             return False

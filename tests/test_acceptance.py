@@ -9,6 +9,7 @@ refinement code path) and is frozen below.
 import itertools
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -122,7 +123,10 @@ def test_criterion_2_intermediate_mio_incumbent():
         sol = milp.solve_milp(model, time_limit=30)
         if sol.status != "optimal":
             continue
-        surrogate_feasible = model.row_residuals(sol.x).max(initial=0.0) <= 1e-6
+        lp, senses = model.to_lp(), np.array(model.row_senses)
+        excess = lp.rows @ sol.x - lp.rhs
+        violation = np.where(senses == ">=", -excess, np.where(senses == "<=", excess, np.abs(excess)))
+        surrogate_feasible = violation.max(initial=0.0) <= 1e-6
         if surrogate_feasible and abs(sol.objective - (-1.108)) <= 0.1:
             hits += 1
     _verdict(2, hits >= 5, f"{hits}/10 seeds: surrogate-feasible MIO incumbent within 0.1 of -1.108")
@@ -212,8 +216,9 @@ def test_criterion_4_encoding_fidelity():
             m = milp.MilpModel()
             cols = [m.add_var(lo[j], hi[j]) for j in range(2)]
             coeffs, const = enc.encode_surrogate(sur, m, cols, lo, hi, None)
+            for col, v in zip(cols, x):  # pin the point by its bounds
+                m.lower[col] = m.upper[col] = float(v)
             if task == "regressor":
-                enc.fix_point(m, cols, x)
                 ends = []
                 for sign in (1.0, -1.0):  # the least and the greatest output at x
                     m.obj = {j: sign * c for j, c in coeffs.items()}
@@ -223,7 +228,6 @@ def test_criterion_4_encoding_fidelity():
                 worst_reg = max(worst_reg, *(abs(v - want) for v in ends))
             else:
                 m.add_row(coeffs, ">=", thr - const)
-                enc.fix_point(m, cols, x)
                 got = milp.solve_milp(m).status == "optimal"
                 verdict_misses += got != (sur.model.predict_one(x) >= sur.threshold)
     wall = time.monotonic() - t0
@@ -245,7 +249,7 @@ def test_criterion_5_relaxation_guarantee():
     )
 
     sp = StandardProblem(
-        vars=(VarSpec("x1", 0, 0.0, 1.0), VarSpec("x2", 1, 0.0, 1.0)),
+        vars=(VarSpec(name="x1", lower=0.0, upper=1.0), VarSpec(name="x2", lower=0.0, upper=1.0)),
         objective=LinearObjective(np.array([1.0, 0.0])),
         linear=(LinearConstraint(np.array([1.0, 1.0]), "<=", 1.5),),
         nonlinear=(
@@ -273,7 +277,8 @@ def _encoded_feasible(sur, point, robust, lo, hi) -> bool:
     cols = [m.add_var(lo[j], hi[j]) for j in range(len(lo))]
     coeffs, const = enc.encode_surrogate(sur, m, cols, lo, hi, robust)
     m.add_row(coeffs, ">=", sur.threshold - const)
-    enc.fix_point(m, cols, point)
+    for col, v in zip(cols, point):
+        m.lower[col] = m.upper[col] = float(v)
     return milp.solve_milp(m).status == "optimal"
 
 
@@ -342,13 +347,16 @@ def test_criterion_9_committee_discordance(monkeypatch):
     monkeypatch.setattr(S, "HR_PER_POLY", 6)
     monkeypatch.setattr(S, "HR_BURN_IN", 10)
 
+    committee = []
+
     def trainer(Xs, ys, seed):
-        return L.train_tree(Xs, ys, task="classifier", max_depth=3, oblique=True)
+        committee.append(L.train_tree(Xs, ys, task="classifier", max_depth=3, oblique=True))
+        return committee[-1]
 
     res = S.oct_adaptive_sample(X, y, np.random.default_rng(2), trainer, np.zeros(2), np.ones(2))
     worst = 0.0
     for point in res.points:
-        votes = sum(1.0 if t.predict_one(point) >= 0.5 else 0.0 for t in res.committee)
+        votes = sum(1.0 if t.predict_one(point) >= 0.5 else 0.0 for t in committee)
         worst = max(worst, abs(votes - (K - votes)))
     ok = len(res.points) > 0 and worst <= K * tau + 1e-9
     _verdict(9, ok, f"{len(res.points)} adaptive samples, worst vote gap {worst} <= {K * tau}")
@@ -378,7 +386,7 @@ def test_criterion_10_milp_brute_force():
             hi = list(model.upper)
             for j, v in zip(bs, assignment):
                 lo[j] = hi[j] = v
-            r = milp.solve_lp(model.to_lp(lo, hi))
+            r = milp.solve_lp(replace(model.to_lp(), lower=lo, upper=hi))
             if r.status == "optimal" and (best is None or r.objective < best):
                 best = r.objective
         if best is None:

@@ -201,8 +201,8 @@ def _problem_with_rows(lower, upper, integral, rows):
     one nonlinear constraint over every variable."""
     n = len(lower)
     return StandardProblem(
-        vars=tuple(VarSpec(f"x{j}", j, float(lower[j]), float(upper[j]), bool(integral[j]))
-                   for j in range(n)),
+        vars=tuple(VarSpec(name=f"x{j}", lower=float(lower[j]), upper=float(upper[j]),
+                           integral=bool(integral[j])) for j in range(n)),
         objective=LinearObjective(np.zeros(n)),
         linear=tuple(LinearConstraint(np.asarray(a, dtype=float), sense, rhs)
                      for a, sense, rhs in rows),

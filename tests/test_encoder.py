@@ -25,6 +25,12 @@ def _box_model(lo, hi):
     return m, cols
 
 
+def _pin(m, cols, point):
+    """Fix the input columns at ``point`` by their bounds."""
+    for col, v in zip(cols, point):
+        m.lower[col] = m.upper[col] = float(v)
+
+
 def _solve_for(m, expr, sign=1.0):
     """Solve ``m`` minimizing sign * (const + coeffs @ x) of the output ``expr``."""
     coeffs, const = expr
@@ -62,7 +68,7 @@ def test_encode_svr_fidelity_at_fixed_point():
     lo, hi = np.zeros(1), np.ones(1)
     m, cols = _box_model(lo, hi)
     out = E.encode_linear_model(L.LinearModel(beta0=1.0, beta=np.array([2.0])), m, cols, lo, hi)
-    E.fix_point(m, cols, [0.5])
+    _pin(m, cols, [0.5])
     sol = _solve_for(m, out)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(2.0, abs=1e-9)
@@ -99,9 +105,9 @@ def test_encode_tree_forces_leaf_at_fixed_point():
     hi = np.array([1.5, 1.6])
     m, cols = _box_model(lo, hi)
     out = E.encode_tree(tree, m, cols, lo, hi)
-    leaf_binaries = m.integer_indices()  # one per leaf, in leaf order
+    leaf_binaries = list(np.flatnonzero(m.integral))  # one per leaf, in leaf order
     assert list(out[0]) == leaf_binaries and len(leaf_binaries) == 4
-    E.fix_point(m, cols, [1.0, 1.0])
+    _pin(m, cols, [1.0, 1.0])
     sol = _solve_for(m, out)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(1.0, abs=1e-9)  # y equals leaf prediction
@@ -220,7 +226,7 @@ def test_gbm_encoding_reproduces_predict():
         x = rng.uniform(lo, hi)
         m, cols = _box_model(lo, hi)
         out = E.encode_gbm(ens, m, cols, lo, hi)
-        E.fix_point(m, cols, x)
+        _pin(m, cols, x)
         sol = _solve_for(m, out)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(sur.model.predict_one(x), abs=1e-9)
@@ -234,7 +240,7 @@ def test_mlp_relu_negative_branch():
     lo, hi = -np.ones(1), np.ones(1)
     m, cols = _box_model(lo, hi)
     out = E.encode_mlp(net, m, cols, lo, hi)
-    E.fix_point(m, cols, [-0.5])
+    _pin(m, cols, [-0.5])
     sol = _solve_for(m, out)
     assert sol.objective == pytest.approx(0.0, abs=1e-9)
 
@@ -247,7 +253,7 @@ def test_mlp_zero_weight_constant_output():
     for point in ([0.1, 0.9], [0.7, 0.2]):
         m, cols = _box_model(lo, hi)
         out = E.encode_mlp(net, m, cols, lo, hi)
-        E.fix_point(m, cols, point)
+        _pin(m, cols, point)
         assert _solve_for(m, out).objective == pytest.approx(3.0, abs=1e-9)
 
 
@@ -260,7 +266,7 @@ def test_fidelity_all_families_regression_and_verdicts():
             m, cols = _box_model(lo, hi)
             out = E.encode_surrogate(sur, m, cols, lo, hi, None)
             if sur.task == "regressor":
-                E.fix_point(m, cols, x)
+                _pin(m, cols, x)
                 low = _solve_for(m, out)
                 high = _solve_for(m, out, -1.0)
                 want = sur.model.predict_one(x)
@@ -268,7 +274,7 @@ def test_fidelity_all_families_regression_and_verdicts():
                 assert -high.objective == pytest.approx(want, abs=1e-6)
             else:
                 _add_threshold(m, out, sur.threshold)
-                E.fix_point(m, cols, x)
+                _pin(m, cols, x)
                 sol = milp.solve_milp(m)
                 assert (sol.status == "optimal") == (sur.model.predict_one(x) >= sur.threshold)
 
@@ -282,7 +288,7 @@ def _encoded_feasible(sur, point, robust, lo, hi) -> bool:
     point once every input column is pinned to it?"""
     m, cols = _box_model(lo, hi)
     _add_threshold(m, E.encode_surrogate(sur, m, cols, lo, hi, robust), sur.threshold)
-    E.fix_point(m, cols, point)
+    _pin(m, cols, point)
     return milp.solve_milp(m).status == "optimal"
 
 
@@ -315,7 +321,7 @@ def test_robust_nestedness_all_families_both_norms():
 
 def _toy_standard_problem(support=frozenset({0})):
     return StandardProblem(
-        vars=(VarSpec("x1", 0, 0.0, 1.0), VarSpec("x2", 1, 0.0, 1.0)),
+        vars=(VarSpec(name="x1", lower=0.0, upper=1.0), VarSpec(name="x2", lower=0.0, upper=1.0)),
         objective=LinearObjective(np.array([1.0, 0.0])),
         linear=(LinearConstraint(np.array([1.0, 1.0]), "<=", 1.5),),
         nonlinear=(
@@ -327,7 +333,7 @@ def _toy_standard_problem(support=frozenset({0})):
 
 def test_assemble_pure_linear_matches_linear_part():
     sp = StandardProblem(
-        vars=(VarSpec("x1", 0, 0.0, 1.0), VarSpec("x2", 1, 0.0, 1.0)),
+        vars=(VarSpec(name="x1", lower=0.0, upper=1.0), VarSpec(name="x2", lower=0.0, upper=1.0)),
         objective=LinearObjective(np.array([-1.0, -2.0])),
         linear=(LinearConstraint(np.array([1.0, 1.0]), "<=", 1.0),),
     )
@@ -353,7 +359,7 @@ def test_assemble_contradictory_surrogates_relaxation():
 
 def test_assemble_equality_constraint_band():
     sp = StandardProblem(
-        vars=(VarSpec("x1", 0, 0.0, 1.0),),
+        vars=(VarSpec(name="x1", lower=0.0, upper=1.0),),
         objective=LinearObjective(np.array([1.0])),
         nonlinear=(
             NonlinearConstraint(evaluator=lambda x: x[0] - 0.5, sense="=0", support=frozenset({0})),
@@ -466,14 +472,14 @@ def test_unreachable_leaves_leave_the_optimum_unchanged(seed):
     hi = lo + rng.uniform(0.5, 3.0, size=d)
     cons, surs = zip(*(_random_tree_constraint(rng, lo, hi) for _ in range(int(rng.integers(1, 3)))))
     sp = StandardProblem(
-        vars=tuple(VarSpec(f"x{j}", j, lo[j], hi[j]) for j in range(d)),
+        vars=tuple(VarSpec(name=f"x{j}", lower=lo[j], upper=hi[j]) for j in range(d)),
         objective=LinearObjective(rng.normal(size=d)),
         nonlinear=cons,
     )
     robust = E.RobustConfig(rho=0.05, p=1.0) if rng.random() < 0.3 else None
     pruned = E.assemble(sp, list(surs), robust=robust)
     full = E.assemble(sp, list(surs), robust=robust)
-    for j in full.integer_indices():
+    for j in np.flatnonzero(full.integral):
         full.upper[j] = 1.0
     status, objective = _highs(pruned)
     full_status, full_objective = _highs(full)
@@ -487,4 +493,4 @@ def test_assemble_fixes_only_an_unrelaxed_trees_unreachable_leaves():
     tree = _surrogate(_four_leaf_mixed_tree(), "tree")  # leaf values 1, 1, 1, 0
     for relax, last_upper in ((None, 0.0), (E.RelaxConfig(10.0), 1.0)):
         model = E.assemble(sp, [tree, E.ALWAYS_FEASIBLE], relax=relax)
-        assert [model.upper[j] for j in model.integer_indices()] == [1.0, 1.0, 1.0, last_upper]
+        assert [model.upper[j] for j in np.flatnonzero(model.integral)] == [1.0, 1.0, 1.0, last_upper]

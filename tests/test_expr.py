@@ -1,5 +1,7 @@
+import ast
 import copy
 import math
+import random
 
 import numpy as np
 import pytest
@@ -149,13 +151,81 @@ def test_gradient_matches_central_differences():
         checked += 1
 
 
-def test_print_parse_roundtrip():
-    rng = np.random.default_rng(7)
-    names = ["a", "b", "c"]
-    for _ in range(200):
-        # canonicalize through one parse so constant folding has applied
-        tree = E.parse_expr(E.print_expr(_random_expr(rng, 3), names), names)
-        assert E.parse_expr(E.print_expr(tree, names), names) == tree
+def _random_number(rng):
+    """A number in one of the forms the tokenizer reads: 2, 2., .5, 2.5, 7e2, .5e-3."""
+    whole, frac = str(rng.randrange(0, 100)), str(rng.randrange(0, 100))
+    exponent = rng.choice("eE") + rng.choice(["", "+", "-"]) + str(rng.randrange(0, 4))
+    return rng.choice([whole, whole + ".", "." + frac, whole + "." + frac, whole + exponent,
+                       "." + frac + exponent])
+
+
+def _random_text(rng, depth):
+    """Expression text over a, b and c: numbers, the six functions, unary
+    minus, parentheses and the five binary operators, nested to ``depth``."""
+    r = rng.random()
+    if depth == 0 or r < 0.2:
+        return rng.choice(["a", "b", "c", _random_number(rng)])
+    if r < 0.35:
+        function = rng.choice(["exp", "ln", "sqrt", "sin", "cos", "abs"])
+        return f"{function}({_random_text(rng, depth - 1)})"
+    if r < 0.45:
+        return "-" + _random_text(rng, depth - 1)
+    if r < 0.55:
+        return f"({_random_text(rng, depth - 1)})"
+    return _random_text(rng, depth - 1) + rng.choice("+-*/^") + _random_text(rng, depth - 1)
+
+
+class _FloatLiterals(ast.NodeTransformer):
+    """Every number a double, as the tokenizer reads it (Python would keep
+    ``2`` an exact integer)."""
+
+    def visit_Constant(self, node):
+        return ast.copy_location(ast.Constant(float(node.value)), node)
+
+
+def _real_abs(v):
+    if isinstance(v, complex):  # a negative base to a fractional power
+        raise ValueError("complex intermediate")
+    return abs(v)
+
+
+# Python's functions for the grammar's, exp with the clamp eval_expr applies
+_PYTHON_FUNCTIONS = {"exp": lambda v: math.exp(min(v, 700.0)), "ln": math.log, "sqrt": math.sqrt,
+                     "sin": math.sin, "cos": math.cos, "abs": _real_abs}
+
+
+def _python_value(text, a, b, c):
+    """Python's own parse and evaluation of ``text`` with ^ read as **; None
+    where it raises or goes complex, the counterpart of a DomainError."""
+    tree = _FloatLiterals().visit(ast.parse(text.replace("^", "**"), mode="eval"))
+    code = compile(ast.fix_missing_locations(tree), "<expr>", "eval")
+    try:
+        value = eval(code, {"__builtins__": {}}, dict(_PYTHON_FUNCTIONS, a=a, b=b, c=c))
+    except (ArithmeticError, ValueError, TypeError):
+        return None
+    return None if isinstance(value, complex) else value
+
+
+def test_parse_eval_matches_python_eval():
+    # precedence, associativity, unary minus, number forms and domain errors
+    # all checked against an independent parser and evaluator
+    rng = random.Random(0)
+    counts = {"equal": 0, "both raise": 0}
+    for _ in range(5000):
+        text = _random_text(rng, 4)
+        x = [rng.choice([0.0, rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)]) for _ in range(3)]
+        try:
+            got = E.eval_expr(E.parse_expr(text, ["a", "b", "c"]), x)
+        except DomainError:
+            got = None
+        want = _python_value(text, *x)
+        if got is None or want is None:
+            assert got is None and want is None, (text, x, got, want)
+            counts["both raise"] += 1
+        else:
+            assert float.hex(got) == float.hex(want), (text, x, got, want)
+            counts["equal"] += 1
+    assert min(counts.values()) >= 1000, counts
 
 
 def test_support_and_affine_extraction():

@@ -1,14 +1,18 @@
 import heapq
 import itertools
 import math
+import os
 import sys
+import tempfile
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from highs_lp import assert_reads_as, solve_lp_file
 from surropt import milp
 from surropt.errors import NumericalFailure
 
@@ -143,7 +147,7 @@ def _enumerate_best(model, binaries):
         hi = list(model.upper)
         for j, v in zip(binaries, assignment):
             lo[j] = hi[j] = v
-        sol = milp.solve_lp(model.to_lp(lo, hi))
+        sol = milp.solve_lp(replace(model.to_lp(), lower=lo, upper=hi))
         if sol.status == "optimal" and (best is None or sol.objective < best):
             best = sol.objective
     return best
@@ -184,7 +188,7 @@ def test_milp_general_integers_match_enumeration():
             hi = list(m.upper)
             for j, v in zip(bs + gs, assign):
                 lo[j] = hi[j] = float(v)
-            r = milp.solve_lp(m.to_lp(lo, hi))
+            r = milp.solve_lp(replace(m.to_lp(), lower=lo, upper=hi))
             if r.status == "optimal" and (best is None or r.objective < best):
                 best = r.objective
         if best is None:
@@ -201,10 +205,19 @@ def test_milp_solution_satisfies_rows_and_integrality():
         sol = milp.solve_milp(model)
         if sol.status != "optimal":
             continue
-        assert model.row_residuals(sol.x).max(initial=0.0) <= 1e-6
-        for j in model.integer_indices():
+        assert _rows_hold(model, sol.x)
+        for j in np.flatnonzero(model.integral):
             assert abs(sol.x[j] - round(sol.x[j])) <= 1e-6
         assert sol.bound <= sol.objective + 1e-9
+
+
+def _rows_hold(model, x, tol=1e-6):
+    """Does x satisfy every row of the model to ``tol``?"""
+    lp = model.to_lp()
+    senses = np.array(lp.senses, dtype=object)
+    excess = lp.rows @ x - lp.rhs
+    violation = np.where(senses == ">=", -excess, np.where(senses == "<=", excess, np.abs(excess)))
+    return bool(np.all(violation <= tol))
 
 
 def test_pivot_budget_failure():
@@ -261,7 +274,7 @@ def _lp_objective_at(model, fixed):
     lower, upper = list(model.lower), list(model.upper)
     for j, v in fixed.items():
         lower[j] = upper[j] = float(v)
-    lp = model.to_lp(lower, upper)
+    lp = replace(model.to_lp(), lower=lower, upper=upper)
     sign = np.array([-1.0 if s == ">=" else 1.0 for s in lp.senses])
     ineq = np.array([s != "=" for s in lp.senses], dtype=bool)
     res = linprog(
@@ -285,7 +298,7 @@ def _exact_reference(model):
     tried.
     """
     res = _highs_milp(model)
-    ints = model.integer_indices()
+    ints = np.flatnonzero(model.integral).tolist()
     if res.status == 2:
         return "infeasible", None
     if res.status == 0:
@@ -450,10 +463,10 @@ def _assert_matches_exact_reference(model):
         assert sol.objective == pytest.approx(ref_obj, abs=1e-6, rel=1e-6)
         assert sol.gap <= milp.GAP_TOL
         assert sol.x.shape == (model.n_vars,)
-        assert model.row_residuals(sol.x).max(initial=0.0) <= 1e-6
+        assert _rows_hold(model, sol.x)
         assert np.all(np.array(model.lower) - 1e-7 <= sol.x)
         assert np.all(sol.x <= np.array(model.upper) + 1e-7)
-        for j in model.integer_indices():
+        for j in np.flatnonzero(model.integral):
             assert sol.x[j] == round(sol.x[j])
     return sol
 
@@ -542,7 +555,7 @@ def test_speed_reducer_branch_and_bound_runs_on_less_than_half_the_rows():
     ref_status, ref_obj = _scipy_milp(model)
     assert ref_status == "optimal"
     assert sol.objective == pytest.approx(ref_obj, abs=1e-6, rel=1e-6)
-    assert model.row_residuals(sol.x).max(initial=0.0) <= 1e-6
+    assert _rows_hold(model, sol.x)
 
 
 @pytest.fixture(scope="module")
@@ -877,8 +890,17 @@ def test_lp_file_roundtrip(tmp_path):
     model = _demo_model()
     path = tmp_path / "model.lp"
     milp.export_lp_file(model, str(path))
-    back = milp.read_lp_file(str(path))
-    assert milp.models_equal(model, back)
+    assert_reads_as(path, model)
+    status, objective, _ = solve_lp_file(path)
+    assert status.name == "kOptimal"
+    assert objective == milp.solve_milp(model).objective == 2.125
+
+
+def test_lp_file_empty_model(tmp_path):
+    model = milp.MilpModel()
+    path = tmp_path / "empty.lp"
+    milp.export_lp_file(model, str(path))
+    assert_reads_as(path, model)
 
 
 _COEFS = st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 3.0])
@@ -952,29 +974,28 @@ def test_models_equal_ignores_names_and_sees_every_compared_field(spec, field, i
     assert not milp.models_equal(a, b)
 
 
-def test_lp_file_empty_model(tmp_path):
-    model = milp.MilpModel()
-    path = tmp_path / "empty.lp"
-    milp.export_lp_file(model, str(path))
-    back = milp.read_lp_file(str(path))
-    assert back.n_vars == 0 and back.n_rows == 0
+@settings(max_examples=100, deadline=None)
+@given(_model_specs())
+def test_lp_file_of_any_model_reads_back_in_highs(spec):
+    model = _build(spec, "lp")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.lp")
+        milp.export_lp_file(model, path)
+        assert_reads_as(path, model)
 
 
 def test_external_solver_seam(tmp_path, monkeypatch):
     script = tmp_path / "extsolve.py"
+    # HiGHS reads and solves the file and writes its solution by name
     script.write_text(
-        "#!/usr/bin/env python3\n"
         "import sys\n"
-        "from surropt import milp\n"
-        "model = milp.read_lp_file(sys.argv[1])\n"
-        "sol = milp.solve_milp(model)\n"
+        f"sys.path.insert(0, {os.path.dirname(__file__)!r})\n"
+        "from highs_lp import solve_lp_file\n"
+        "status, objective, values = solve_lp_file(sys.argv[1])\n"
+        "assert status.name == 'kOptimal', status\n"
         "with open(sys.argv[2], 'w') as fh:\n"
-        "    fh.write(f'status {sol.status}\\n')\n"
-        "    if sol.x is not None:\n"
-        "        fh.write(f'objective {float(sol.objective)!r}\\n')\n"
-        "        for j in range(model.n_vars):\n"
-        "            name = ('z' if model.integral[j] else 'x') + str(j)\n"
-        "            fh.write(f'{name} {float(sol.x[j])!r}\\n')\n"
+        "    fh.write(f'status optimal\\nobjective {objective!r}\\n')\n"
+        "    fh.writelines(f'{name} {value!r}\\n' for name, value in values.items())\n"
     )
     model = _demo_model()
     builtin = milp.solve_milp(model)
@@ -982,6 +1003,11 @@ def test_external_solver_seam(tmp_path, monkeypatch):
     ext = milp.solve(model, solver="external")
     assert ext.status == "optimal"
     assert ext.objective == pytest.approx(builtin.objective, abs=1e-9)
+    # the values came back to their columns: x, z and g = -1.5, 1, an integer
+    lp = model.to_lp()
+    assert lp.c @ ext.x + lp.const == pytest.approx(ext.objective, abs=1e-9)
+    assert list(ext.x[:2]) == [-1.5, 1.0] and ext.x[2] == round(ext.x[2])
+    assert _rows_hold(model, ext.x)
 
 
 def test_external_solver_requires_env(monkeypatch):

@@ -88,7 +88,7 @@ def test_standardize_makes_an_affine_python_objective_linear():
     names = ["x", "y"]
     tree = E.parse_expr("3*x - (y - 2)/4 + 1", names)
     p = Problem(
-        vars=(VarSpec("x", 0, 0.0, 1.0), VarSpec("y", 1, 0.0, 1.0)),
+        vars=(VarSpec(name="x", lower=0.0, upper=1.0), VarSpec(name="y", lower=0.0, upper=1.0)),
         objective=NonlinearObjective(
             evaluator=lambda x: E.eval_expr(tree, x), support=E.expr_support(tree), expr=tree
         ),
@@ -105,7 +105,7 @@ def test_standardize_makes_an_affine_python_objective_linear():
 
 def test_standardize_identity_on_linear_problem(structurally_equal):
     p = Problem(
-        vars=(VarSpec("x", 0, 0.0, 1.0), VarSpec("y", 1, -1.0, 1.0)),
+        vars=(VarSpec(name="x", lower=0.0, upper=1.0), VarSpec(name="y", lower=-1.0, upper=1.0)),
         objective=LinearObjective(np.array([1.0, 0.0])),
         linear=(LinearConstraint(np.array([1.0, 1.0]), "<=", 1.5),),
     )
@@ -116,7 +116,7 @@ def test_standardize_identity_on_linear_problem(structurally_equal):
 
 def test_standardize_infers_missing_bounds():
     p = Problem(
-        vars=(VarSpec("x1", 0),),
+        vars=(VarSpec(name="x1"),),
         objective=LinearObjective(np.array([1.0])),
         linear=(
             LinearConstraint(np.array([1.0]), "<=", 2.0),
@@ -132,7 +132,8 @@ def test_standardize_infers_missing_bounds():
 
 def test_standardize_inference_via_coupled_rows():
     p = Problem(
-        vars=(VarSpec("x1", 0, 0.0, math.inf), VarSpec("x2", 1, 0.0, 1.0)),
+        vars=(VarSpec(name="x1", lower=0.0, upper=math.inf),
+              VarSpec(name="x2", lower=0.0, upper=1.0)),
         objective=LinearObjective(np.array([1.0, 0.0])),
         linear=(LinearConstraint(np.array([1.0, 1.0]), "<=", 1.0),),
         nonlinear=(_nl("exp(x1)-2", ["x1", "x2"]),),
@@ -143,7 +144,7 @@ def test_standardize_inference_via_coupled_rows():
 
 def test_standardize_unbounded_raises():
     p = Problem(
-        vars=(VarSpec("x1", 0, 0.0, math.inf),),
+        vars=(VarSpec(name="x1", lower=0.0, upper=math.inf),),
         objective=LinearObjective(np.array([1.0])),
         nonlinear=(_nl("exp(x1)-2", ["x1"]),),
     )
@@ -159,7 +160,7 @@ def test_standardize_idempotent(structurally_equal):
 
 def test_standardize_moves_affine_nonlinear_rows():
     p = Problem(
-        vars=(VarSpec("x1", 0, 0.0, 1.0), VarSpec("x2", 1, 0.0, 1.0)),
+        vars=(VarSpec(name="x1", lower=0.0, upper=1.0), VarSpec(name="x2", lower=0.0, upper=1.0)),
         objective=LinearObjective(np.array([1.0, 0.0])),
         nonlinear=(_nl("x1+2*x2-1", ["x1", "x2"]),),
     )
@@ -171,7 +172,7 @@ def test_standardize_moves_affine_nonlinear_rows():
 
 def test_infer_bound_explicit_box():
     p = Problem(
-        vars=(VarSpec("x", 0, 0.3, 1.6),),
+        vars=(VarSpec(name="x", lower=0.3, upper=1.6),),
         objective=LinearObjective(np.array([1.0])),
     )
     assert infer_bound(p, 0, "min") == pytest.approx(0.3)
@@ -180,7 +181,8 @@ def test_infer_bound_explicit_box():
 
 def test_infer_bound_lp_by_inspection():
     p = Problem(
-        vars=(VarSpec("x1", 0, 0.0, math.inf), VarSpec("x2", 1, 0.0, math.inf)),
+        vars=(VarSpec(name="x1", lower=0.0, upper=math.inf),
+              VarSpec(name="x2", lower=0.0, upper=math.inf)),
         objective=LinearObjective(np.zeros(2)),
         linear=(LinearConstraint(np.array([1.0, 1.0]), "<=", 1.0),),
     )
@@ -189,13 +191,13 @@ def test_infer_bound_lp_by_inspection():
 
 def test_infer_bound_unbounded_and_infeasible():
     p = Problem(
-        vars=(VarSpec("x1", 0, 0.0, math.inf),),
+        vars=(VarSpec(name="x1", lower=0.0, upper=math.inf),),
         objective=LinearObjective(np.zeros(1)),
     )
     with pytest.raises(UnboundedVariable):
         infer_bound(p, 0, "max")
     p2 = Problem(
-        vars=(VarSpec("x1", 0, -math.inf, math.inf),),
+        vars=(VarSpec(name="x1", lower=-math.inf, upper=math.inf),),
         objective=LinearObjective(np.zeros(1)),
         linear=(
             LinearConstraint(np.array([1.0]), "<=", 0.0),
@@ -215,7 +217,7 @@ def test_inferred_bounds_are_valid_for_feasible_points():
             for _ in range(int(rng.integers(1, 4)))
         )
         p = Problem(
-            vars=tuple(VarSpec(f"x{j}", j, -3.0, 3.0) for j in range(n)),
+            vars=tuple(VarSpec(name=f"x{j}", lower=-3.0, upper=3.0) for j in range(n)),
             objective=LinearObjective(np.zeros(n)),
             linear=rows,
         )

@@ -99,7 +99,7 @@ def _nearly_dependent_problem():
     about 1e-6 of the x1 axis, so its linearization nearly parallels the
     x1 bound faces and meets the box nowhere."""
     return StandardProblem(
-        vars=(VarSpec("x0", 0, -1.0, 1.0), VarSpec("x1", 1, -1.0, 1.0)),
+        vars=(VarSpec(name="x0", lower=-1.0, upper=1.0), VarSpec(name="x1", lower=-1.0, upper=1.0)),
         objective=LinearObjective(np.zeros(2)),
         linear=_rows(([1.0, 0.0], "<=", 0.0)),
         nonlinear=(NonlinearConstraint(
@@ -204,7 +204,7 @@ def test_project_satisfies_kkt_against_nnls(seed, n, n_rows):
 
 def _linear_sp():
     return StandardProblem(
-        vars=(VarSpec("x1", 0, 0.0, 1.0), VarSpec("x2", 1, 0.0, 1.0)),
+        vars=(VarSpec(name="x1", lower=0.0, upper=1.0), VarSpec(name="x2", lower=0.0, upper=1.0)),
         objective=LinearObjective(np.array([1.0, 1.0])),
         linear=_rows(([1.0, 1.0], ">=", 0.5)),
     )
@@ -220,7 +220,7 @@ def test_pgd_linear_problem_descends_to_face():
 
 def test_pgd_stays_at_smooth_local_optimum():
     sp = StandardProblem(
-        vars=(VarSpec("x1", 0, -1.0, 1.0),),
+        vars=(VarSpec(name="x1", lower=-1.0, upper=1.0),),
         objective=NonlinearObjective(
             evaluator=lambda x: float((x[0] - 0.3) ** 2),
             support=frozenset({0}),
@@ -241,7 +241,7 @@ def test_coordinate_grid_keeps_the_best_of_nine_points_per_coordinate(monkeypatc
         return float(((x - target) ** 2 * weights).sum())
 
     sp = StandardProblem(
-        vars=tuple(VarSpec(f"x{j}", j, -1.0, 3.0, integral=j == 3) for j in range(4)),
+        vars=tuple(VarSpec(name=f"x{j}", lower=-1.0, upper=3.0, integral=j == 3) for j in range(4)),
         objective=NonlinearObjective(evaluator=f, support=frozenset(range(4))),
     )
     lo, hi = sp.box()
@@ -279,7 +279,8 @@ def test_refinement_ends_without_a_grid_where_every_constraint_is_linearized(mon
 
     def disk():
         return StandardProblem(
-            vars=(VarSpec("x1", 0, -2.0, 2.0), VarSpec("x2", 1, -2.0, 2.0)),
+            vars=(VarSpec(name="x1", lower=-2.0, upper=2.0),
+                  VarSpec(name="x2", lower=-2.0, upper=2.0)),
             objective=NonlinearObjective(
                 evaluator=counted(lambda x: float(-x[0] - x[1])), support=frozenset({0, 1}),
                 gradient=lambda x: np.array([-1.0, -1.0]),
@@ -319,7 +320,7 @@ def test_difference_gradient_stops_at_the_deadline():
         return float((x[0] - 0.3) ** 2)
 
     problem = Problem(
-        vars=(VarSpec("x", 0, -1.0, 1.0),),
+        vars=(VarSpec(name="x", lower=-1.0, upper=1.0),),
         objective=NonlinearObjective(evaluator=f, support=frozenset({0})),
     )
     deadline = time.monotonic() + 0.05
@@ -353,7 +354,7 @@ def test_backtracking_starts_from_twice_the_last_accepted_step(monkeypatch):
         return g
 
     sp = StandardProblem(
-        vars=(VarSpec("x", 0, -10.0, 10.0),),
+        vars=(VarSpec(name="x", lower=-10.0, upper=10.0),),
         objective=NonlinearObjective(
             evaluator=lambda x: float(c * x[0] ** 2),
             support=frozenset({0}),
@@ -443,8 +444,8 @@ def test_pgd_momentum_zero_matches_disabled():
 def test_pgd_freezes_integral_coordinates():
     sp = StandardProblem(
         vars=(
-            VarSpec("n", 0, 0.0, 5.0, integral=True),
-            VarSpec("x", 1, 0.0, 5.0),
+            VarSpec(name="n", lower=0.0, upper=5.0, integral=True),
+            VarSpec(name="x", lower=0.0, upper=5.0),
         ),
         objective=LinearObjective(np.array([1.0, 1.0])),
     )
@@ -458,7 +459,7 @@ def test_pgd_reports_warning_on_failing_evaluator():
         raise ValueError("nope")
 
     sp = StandardProblem(
-        vars=(VarSpec("x", 0, 0.0, 1.0),),
+        vars=(VarSpec(name="x", lower=0.0, upper=1.0),),
         objective=LinearObjective(np.array([1.0])),
         nonlinear=(
             NonlinearConstraint(
@@ -481,7 +482,7 @@ def test_pgd_skips_non_finite_merits_and_gradient_components():
     # rows nor the step, where the linear row's 0 coefficient would meet it.
     for grad_x, x0 in ((1.0, 0.7), (math.inf, 0.45), (-math.inf, 0.45), (math.nan, 0.45)):
         sp = StandardProblem(
-            vars=(VarSpec("x", 0, 0.0, 1.0), VarSpec("y", 1, 0.0, 1.0)),
+            vars=(VarSpec(name="x", lower=0.0, upper=1.0), VarSpec(name="y", lower=0.0, upper=1.0)),
             objective=LinearObjective(np.array([-1.0, 0.0])),
             linear=_rows(([0.0, 1.0], "<=", 0.9)),
             nonlinear=(
@@ -522,7 +523,7 @@ def test_pgd_never_raises_or_degrades_on_failing_black_boxes(data, n):
     tilt = data.draw(coords)
     support = frozenset(range(n))
     sp = StandardProblem(
-        vars=tuple(VarSpec(f"x{j}", j, -1.0, 1.0) for j in range(n)),
+        vars=tuple(VarSpec(name=f"x{j}", lower=-1.0, upper=1.0) for j in range(n)),
         objective=NonlinearObjective(
             evaluator=black_box(lambda x: float(tilt @ x + 0.1 * x @ x)), support=support
         ),
@@ -608,7 +609,7 @@ def _hostile_problem(data, n):
             objective = NonlinearObjective(evaluator=black_box(fn, obj_hazard, obj_cut, obj_off),
                                            support=frozenset(range(n)))
         return StandardProblem(
-            vars=tuple(VarSpec(f"x{j}", j, -1.0, 1.0, integral=frozen0 and j == 0)
+            vars=tuple(VarSpec(name=f"x{j}", lower=-1.0, upper=1.0, integral=frozen0 and j == 0)
                        for j in range(n)),
             objective=objective,
             linear=_rows((row_a, "<=", float(row_a @ row_at) + row_slack)),

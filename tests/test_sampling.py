@@ -208,7 +208,7 @@ def _hit_and_run_reference(poly, x0, n, rng, burn_in=0):
     stepped together; None where that loop raised on collapse."""
     A, b = poly.full_rows()
     x = np.asarray(x0, dtype=float).copy()
-    if not poly.contains(x, tol=0.0):
+    if not np.all(A @ x <= b):
         x = np.clip(x, poly.lo, poly.hi)
     out = np.empty((n, poly.dim))
     collapsed = 0
@@ -295,7 +295,8 @@ def test_hit_and_run_collapsed_chain_leaves_the_others_whole():
     assert got[2] is None
     for i in (0, 1, 3, 4):
         assert got[i].shape == (7, 3)
-        assert all(polys[i].contains(x, tol=1e-9) for x in got[i])
+        A, b = polys[i].full_rows()
+        assert (got[i] @ A.T <= b + 1e-9).all()
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +305,16 @@ def test_hit_and_run_collapsed_chain_leaves_the_others_whole():
 
 def _tree_trainer(X, y, seed):
     return train_tree(X, y, task="classifier", max_depth=3, oblique=True)
+
+
+def _recording_trainer(committee):
+    """``_tree_trainer`` that appends every tree it trains to ``committee``."""
+
+    def trainer(X, y, seed):
+        committee.append(_tree_trainer(X, y, seed))
+        return committee[-1]
+
+    return trainer
 
 
 def _sampler(monkeypatch, committee_size, hr_per_poly, hr_burn_in):
@@ -360,9 +371,24 @@ def test_adaptive_points_lie_in_source_polyhedra(monkeypatch):
     X = rng.uniform(0, 1, size=(150, 2))
     y = ((X[:, 0] - 0.5) ** 2 + (X[:, 1] - 0.5) ** 2 <= 0.09).astype(float)
     _sampler(monkeypatch, committee_size=4, hr_per_poly=6, hr_burn_in=10)
+    calls = []
+    hit_and_run = S.hit_and_run
+
+    def recording(polys, starts, n, rng, burn_in=0):
+        calls.append((list(polys), hit_and_run(polys, starts, n, rng, burn_in=burn_in)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(S, "hit_and_run", recording)
     res = S.oct_adaptive_sample(X, y, np.random.default_rng(1), _tree_trainer, np.zeros(2), np.ones(2))
-    for point, poly_idx in zip(res.points, res.point_poly):
-        assert res.polyhedra[poly_idx].contains(point, tol=1e-9)
+    [(polys, chains)] = calls
+    filled = [(poly, draws) for poly, draws in zip(polys, chains) if draws is not None]
+    assert len(filled) > 1
+    # the round's points are the chains' draws, in order, each in its chain's polyhedron
+    assert np.array_equal(res.points, np.vstack([draws for _, draws in filled]))
+    for poly, draws in filled:
+        assert any(poly is p for p in res.polyhedra)
+        A, b = poly.full_rows()
+        assert (draws @ A.T <= b + 1e-9).all()
 
 
 def test_lh_sample_tops_up_from_its_first_hypercube_when_the_budget_runs_out(monkeypatch):
@@ -409,9 +435,13 @@ def test_adaptive_discordance_guarantee_at_samples(monkeypatch):
     y = (X[:, 0] + 0.5 * np.sin(4 * X[:, 1]) <= 0.7).astype(float)
     K, tau = 5, S.DISCORDANCE
     _sampler(monkeypatch, committee_size=K, hr_per_poly=5, hr_burn_in=10)
-    res = S.oct_adaptive_sample(X, y, np.random.default_rng(2), _tree_trainer, np.zeros(2), np.ones(2))
+    committee = []
+    res = S.oct_adaptive_sample(
+        X, y, np.random.default_rng(2), _recording_trainer(committee), np.zeros(2), np.ones(2)
+    )
+    assert len(committee) == K
     for point in res.points:
-        votes = sum(1.0 if t.predict_one(point) >= 0.5 else 0.0 for t in res.committee)
+        votes = sum(1.0 if t.predict_one(point) >= 0.5 else 0.0 for t in committee)
         assert abs(votes - (K - votes)) <= K * tau + 1e-9
 
 
@@ -471,10 +501,11 @@ def test_adaptive_polyhedra_match_per_point_construction(monkeypatch):
         X = rng.uniform(0, 1, size=(160, d))
         y = (np.linalg.norm(X - 0.5, axis=1) <= 0.35).astype(float)
         _sampler(monkeypatch, committee_size=4, hr_per_poly=2, hr_burn_in=2)
+        committee = []
         res = S.oct_adaptive_sample(
-            X, y, np.random.default_rng(case), _tree_trainer, np.zeros(d), np.ones(d)
+            X, y, np.random.default_rng(case), _recording_trainer(committee), np.zeros(d), np.ones(d)
         )
-        want = _polyhedra_reference(X, res.committee, S.DISCORDANCE, np.zeros(d), np.ones(d))
+        want = _polyhedra_reference(X, committee, S.DISCORDANCE, np.zeros(d), np.ones(d))
         assert len(want) > 1
         assert len(res.polyhedra) == len(want)
         for got, ref in zip(res.polyhedra, want):
@@ -517,4 +548,5 @@ def test_adaptive_keeps_the_regions_the_chebyshev_rule_keeps(d, monkeypatch):
     assert len(want) > 0
     assert [id(poly) for poly in kept] == [id(poly) for poly in want]
     for poly, start in zip(kept, starts):
-        assert poly.contains(start)
+        A, b = poly.full_rows()
+        assert np.all(A @ start <= b + 1e-9)
