@@ -37,8 +37,10 @@ from .encoder import (
     assemble,
 )
 from .errors import DegenerateDataset, InfeasibleApproximation, SolverError, TimeLimitReached
+from .expr import expr_range
 from .learners import Surrogate, select_surrogate, train_tree
 from .model import (
+    FEASIBILITY_TOL,
     LinearObjective,
     NonlinearObjective,
     Problem,
@@ -247,20 +249,60 @@ def _static_sample(sp: StandardProblem, support, rng, rows) -> np.ndarray:
     return np.vstack([corners[keep(corners)], _round_integrals(design, sp, support)])
 
 
+def _proved_label(sp: StandardProblem, con, support, rows):
+    """``ALWAYS_FEASIBLE`` or ``ALWAYS_INFEASIBLE`` when an interval bound
+    of ``con.expr`` gives every point one label, else None.
+
+    The bound (``expr_range``) runs over the constraint's support box
+    tightened through its support rows ``rows`` by ``milp.propagate``, with
+    every column continuous, so the tightened box holds every sample and
+    every point the MILP can reach. The labels are ``feasibility_labels``':
+    a value, or for ``=0`` its absolute value, of at most
+    ``FEASIBILITY_TOL`` is feasible. A black-box constraint, a bound
+    ``expr_range`` cannot give, and rows that propagation finds empty over
+    the box prove nothing.
+    """
+    if con.expr is None:
+        return None
+    lo, hi = sp.box()
+    A, b = rows
+    tight = milp.propagate(A, np.full(len(b), "<="), b, lo[support], hi[support],
+                           np.zeros(len(support), dtype=bool))
+    if tight is None:
+        return None
+    lo[support], hi[support] = tight
+    bound = expr_range(con.expr, lo, hi)
+    if bound is None:
+        return None
+    low, high = bound
+    if con.sense == "=0":
+        low, high = max(low, -high, 0.0), max(-low, high)
+    if high <= FEASIBILITY_TOL:
+        return ALWAYS_FEASIBLE
+    if low > FEASIBILITY_TOL:
+        return ALWAYS_INFEASIBLE
+    return None
+
+
 def _sample_constraint(sp: StandardProblem, con, cfg: RunConfig, rng):
     """Labeled feasibility samples over the constraint's own support box,
-    the static and adaptive ones kept to its support rows.
+    the static and adaptive ones kept to its support rows, or the
+    ``ALWAYS_*`` marker ``_proved_label`` proves, with no evaluation and no
+    draw from ``rng``.
 
     Each point is evaluated once, after rounding; its label follows from
     its value, and a point where the evaluator fails is infeasible.
     ``sp.deadline`` ends the adaptive round's region sampling early.
     """
     support = sorted(con.support)
+    rows = _support_rows(sp, support)
+    proved = _proved_label(sp, con, support, rows)
+    if proved is not None:
+        return proved
     lo_all, hi_all = sp.box()
     lo, hi = lo_all[support], hi_all[support]
     evaluate = _evaluator(con, support, (lo_all + hi_all) / 2.0)
 
-    rows = _support_rows(sp, support)
     points = _static_sample(sp, support, rng, rows)
     if not _satisfies(points, rows).all():
         # box points topped the design up: the rows leave too thin a region
@@ -322,7 +364,9 @@ def sample(sp: StandardProblem, cfg: RunConfig) -> list:
     """One dataset ``(points, labels, values)`` per nonlinear constraint,
     then one for a nonlinear objective (its ``labels`` are None). A point's
     columns are ``sorted(con.support)`` of its constraint, or
-    ``sorted(sp.objective.support)``.
+    ``sorted(sp.objective.support)``. A constraint whose label an interval
+    bound proves (``_proved_label``) gets its ``ALWAYS_*`` marker in place
+    of a dataset, and costs no evaluation.
 
     ``values`` is None for an inequality constraint. Each dataset draws from
     its own stream of ``cfg.seed``. At ``sp.deadline`` the evaluations stop,
@@ -342,8 +386,10 @@ def sample(sp: StandardProblem, cfg: RunConfig) -> list:
 def train(sp: StandardProblem, datasets, cfg: RunConfig) -> Trained:
     """Select one surrogate per dataset of ``sample``.
 
-    A dataset with values gets a regressor; one with labels of both kinds
-    gets a classifier, and one with a single label kind gets the matching
+    An ``ALWAYS_*`` marker in place of a dataset passes through untrained,
+    and its ``families`` entry carries ``"proved": True``. A dataset with
+    values gets a regressor; one with labels of both kinds gets a
+    classifier, and one with a single label kind gets the matching
     ``ALWAYS_*`` marker instead; so does an equality constraint with no
     finite value, which gets ``ALWAYS_INFEASIBLE``. A dataset no family can
     be trained on raises ``DegenerateDataset`` naming its constraint, or
@@ -351,7 +397,7 @@ def train(sp: StandardProblem, datasets, cfg: RunConfig) -> Trained:
     ``sp.deadline`` passes: no dataset and no model family starts after it.
     """
     out = Trained(constraints=[], objective=None, families={}, runs=0, complete=False)
-    for i, (points, labels, values) in enumerate(datasets):
+    for i, dataset in enumerate(datasets):
         if time.monotonic() > sp.deadline:
             return out
         is_objective = i == len(sp.nonlinear)
@@ -359,6 +405,11 @@ def train(sp: StandardProblem, datasets, cfg: RunConfig) -> Trained:
             name, seed = "objective", cfg.seed + 9973
         else:
             name, seed = sp.nonlinear[i].name or f"g{i}", cfg.seed + 101 * i
+        if isinstance(dataset, str):
+            out.constraints.append(dataset)
+            out.families[name] = {"family": dataset, "score": 1.0, "proved": True}
+            continue
+        points, labels, values = dataset
         kinds = set(labels.tolist()) if values is None else set()
         if labels is not None and values is not None and len(values) == 0:
             kinds = {0.0}  # an equality that failed at every sample point

@@ -1,4 +1,4 @@
-"""Expression trees: parsing, evaluation, reverse-mode differentiation.
+"""Expression trees: parsing, evaluation, interval bounds, reverse-mode differentiation.
 
 Explicit nonlinear constraints are backed by small expression trees so that
 exact gradients are available to the refinement phase. The grammar is
@@ -124,6 +124,98 @@ def _apply_binary(op: str, a: float, b: float) -> float:
         except (OverflowError, ValueError) as exc:  # round() of inf or NaN included
             raise DomainError(str(exc)) from exc
     raise ValueError(f"unknown binary op {op!r}")
+
+
+# ---------------------------------------------------------------------------
+# Interval enclosure
+# ---------------------------------------------------------------------------
+
+def _finite(values) -> bool:
+    return all(math.isfinite(v) for v in values)
+
+
+def _outward(values):
+    """The least and greatest of ``values``, each moved one ulp outward;
+    None when one of them is NaN or infinite."""
+    if not _finite(values):
+        return None
+    low, high = min(values), max(values)
+    return math.nextafter(low, -math.inf), math.nextafter(high, math.inf)
+
+
+def expr_range(e: Expr, lo, hi):
+    """``(low, high)`` enclosing ``eval_expr(e, x)`` for every x with
+    ``lo <= x <= hi``, or None.
+
+    Interval arithmetic (Moore, 1966) with ``eval_expr``'s semantics: the
+    ``exp`` clamp at 700 and integer powers of negative bases. Every
+    computed bound moves outward by one ulp. None wherever some point could
+    raise ``DomainError`` (a divisor or a negative power's base that may be
+    0, ``ln`` or ``sqrt`` of a value that may be out of range, a negative
+    base that may meet a non-integer exponent) or give a NaN or infinite
+    value, and wherever a box bound is not finite. ``sin`` and ``cos`` are
+    bounded by [-1, 1]. Never raises.
+    """
+    if isinstance(e, Const):
+        return (e.value, e.value) if math.isfinite(e.value) else None
+    if isinstance(e, Var):
+        low, high = float(lo[e.index]), float(hi[e.index])
+        return (low, high) if _finite((low, high)) and low <= high else None
+    if isinstance(e, Unary):
+        inner = expr_range(e.arg, lo, hi)
+        return None if inner is None else _unary_range(e.op, *inner)
+    if isinstance(e, Binary):
+        left = expr_range(e.left, lo, hi)
+        right = None if left is None else expr_range(e.right, lo, hi)
+        return None if right is None else _binary_range(e.op, left, right)
+    return None
+
+
+def _unary_range(op: str, low: float, high: float):
+    if op == "neg":
+        return -high, -low
+    if op == "abs":
+        return (low, high) if low >= 0.0 else (-high, -low) if high <= 0.0 else (0.0, max(-low, high))
+    if op in ("sin", "cos"):
+        return -1.0, 1.0
+    if op == "exp":
+        return _outward((math.exp(min(low, 700.0)), math.exp(min(high, 700.0))))
+    if op == "ln" and low > 0.0:
+        return _outward((math.log(low), math.log(high)))
+    if op == "sqrt" and low >= 0.0:
+        return _outward((math.sqrt(low), math.sqrt(high)))
+    return None
+
+
+def _binary_range(op: str, left: tuple, right: tuple):
+    (al, ah), (bl, bh) = left, right
+    if op == "+":
+        return _outward((al + bl, ah + bh))
+    if op == "-":
+        return _outward((al - bh, ah - bl))
+    if op == "*":
+        return _outward([a * b for a in left for b in right])
+    if op == "/":
+        if bl <= 0.0 <= bh:
+            return None
+        return _outward([a / b for a in left for b in right])
+    if op != "^":
+        return None
+    integer = bl == bh and bl == round(bl)
+    if not integer and al < 0.0:
+        return None  # a negative base may meet a non-integer exponent
+    if al <= 0.0 <= ah and bl < 0.0:
+        return None  # zero raised to a negative power
+    # a^b = exp(b ln a) takes its extremes at the corners for a >= 0; a
+    # constant integer power x^n is monotone on each side of 0, so for a base
+    # range around 0 its extremes lie at the ends or at 0
+    points = [(a, b) for a in left for b in right]
+    if integer and al < 0.0 < ah:
+        points.append((0.0, bl))
+    try:
+        return _outward([_apply_binary("^", a, b) for a, b in points])
+    except DomainError:
+        return None  # an overflow
 
 
 # ---------------------------------------------------------------------------

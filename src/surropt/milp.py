@@ -579,7 +579,7 @@ def _tighter(new: np.ndarray, old: np.ndarray, width: np.ndarray, integral: np.n
     return np.where(finite, new < old0 - step, np.isfinite(new))
 
 
-def _propagate(rows, senses, rhs, lower, upper, integral) -> Optional[tuple]:
+def propagate(rows, senses, rhs, lower, upper, integral) -> Optional[tuple]:
     """Activity-based bound propagation: tightened copies of (lower, upper),
     or None when some row cannot hold within the bounds.
 
@@ -648,7 +648,7 @@ def _fold_singletons(lp: LpProblem, integral) -> tuple:
 
     A row with one entry among the unfixed columns only bounds that column,
     at ``rhs / a`` after the fixed columns' share, rounded inward for an
-    integer column as ``_propagate`` rounds. Where the folded bounds of a
+    integer column as ``propagate`` rounds. Where the folded bounds of a
     column would cross, its rows and bounds stay as they are.
     """
     rows, lower, upper = lp.rows, lp.lower, lp.upper
@@ -712,7 +712,7 @@ def solve_milp(model: MilpModel, time_limit: Optional[float] = None) -> MilpSolu
     """Branch and bound with best-bound selection and pseudocost branching.
 
     The model's rows are made dense once (``to_lp``). Bound propagation
-    (``_propagate``) runs on them first: a model it proves
+    (``propagate``) runs on them first: a model it proves
     infeasible is decided with no LP at all. Every other solve runs on one
     reduced LP (``_reduce``) at the tightened bounds, with singleton rows
     folded into the bounds, and without the fixed columns and the rows no
@@ -734,7 +734,7 @@ def solve_milp(model: MilpModel, time_limit: Optional[float] = None) -> MilpSolu
     """
     start = time.monotonic()
     lp = model.to_lp()
-    bounds = _propagate(lp.rows, lp.senses, lp.rhs, lp.lower, lp.upper, model.integral)
+    bounds = propagate(lp.rows, lp.senses, lp.rhs, lp.lower, lp.upper, model.integral)
     if bounds is None:
         return MilpSolution(status="infeasible")
     lp, cols, x_fixed = _reduce(replace(lp, lower=bounds[0], upper=bounds[1]), model.integral)

@@ -32,7 +32,7 @@ from surropt.model import NonlinearObjective, standardize
 from surropt.refine import merit_state, pgd_improve
 
 QSIGMOID_ORACLE = -12.06510798946531  # tests/oracle_qsigmoid.py, n=10 m=2 seed=2024
-SPEED_REDUCER_EVALUATIONS = 4_400     # evaluator calls allowed to the seed-3 solve
+SPEED_REDUCER_EVALUATIONS = 2_700     # evaluator calls allowed to the seed-3 solve
 ILLUSTRATIVE_EVALUATIONS = 1_150      # evaluator calls allowed to the seed-0 solve
 QSIGMOID_EVALUATIONS = 6_000          # evaluator calls allowed to the n=10 m=2 seed=2024 solve
 
@@ -157,16 +157,20 @@ def test_criterion_3_speed_reducer(speed_reducer_run):
 
 def test_speed_reducer_rows_make_g1_and_g2_always_feasible(speed_reducer_run):
     # inside the row x1 >= 5 x2, g1 >= 2.155 and g2 >= 98.1 hold everywhere,
-    # so samples that keep to it are all feasible and no surrogate is trained
+    # and over the box g4 >= 11.08 and g7 >= 17.6: interval bounds prove all
+    # four before any sample, and the report says so
     report, _, _ = speed_reducer_run
-    assert report.families["g1"]["family"] == "always_feasible"
-    assert report.families["g2"]["family"] == "always_feasible"
+    for name in ("g1", "g2", "g4", "g7"):
+        assert report.families[name] == {"family": "always_feasible", "score": 1.0, "proved": True}
+    assert not any("proved" in report.families[name] for name in ("g3", "g5", "g6", "objective"))
 
 
 def test_speed_reducer_evaluation_budget(speed_reducer_run):
-    # 3,734 calls: sampling makes 3,683 and refinement 51. Before the
-    # samples kept to the linear rows over their supports, sampling made
-    # 4,208 of 4,257. While refinement
+    # 2,519 calls: sampling makes 2,467 and refinement 52. Before interval
+    # bounds proved g1, g2, g4 and g7 feasible, their static designs took
+    # sampling to 3,683 of 3,734, and one of refinement's g7 points was in
+    # g7's design. Before the samples kept to the linear rows over their
+    # supports, sampling made 4,208 of 4,257. While refinement
     # still swept coordinates after its gradient steps (1,017 of 5,225
     # calls), two curvature probes per free coordinate took the solve to
     # 8,704 calls, and line-search probes that try the constraints in index

@@ -22,6 +22,7 @@ from surropt.driver import (
     solve_grid,
     train,
 )
+from surropt.encoder import ALWAYS_FEASIBLE, ALWAYS_INFEASIBLE
 from surropt.errors import InfeasibleApproximation
 from surropt.expr import load_problem
 from surropt.model import (
@@ -605,8 +606,13 @@ def test_sampling_evaluates_each_point_once():
         sp = standardize(recorded)
         datasets = sample(sp, RunConfig(seed=seed))
         lo, hi = sp.box()
-        for con, (points, labels, values) in zip(sp.nonlinear, datasets):
+        for con, dataset in zip(sp.nonlinear, datasets):
             assert con.evaluator.repeats == 0, (problem.name, con.name)
+            if isinstance(dataset, str):  # a proved label: no point at all
+                assert dataset in (ALWAYS_FEASIBLE, ALWAYS_INFEASIBLE)
+                assert con.evaluator.values == {}, (problem.name, con.name)
+                continue
+            points, labels, values = dataset
             seen = []
             for p in points:
                 x = (lo + hi) / 2.0
@@ -618,6 +624,60 @@ def test_sampling_evaluates_each_point_once():
                 assert labels.min() == 0.0 and labels.max() == 1.0
             else:
                 assert values is None
+
+
+def test_speed_reducer_sampling_never_calls_the_proved_constraints():
+    # over x1 >= 5 x2 (g1, g2) and the box (g4, g7), interval bounds prove
+    # these four feasible, where their static designs cost 1,216 calls
+    problem = speed_reducer_problem()
+    recorded = replace(
+        problem,
+        nonlinear=tuple(replace(c, evaluator=_Recorder(c.evaluator)) for c in problem.nonlinear),
+    )
+    sp = standardize(recorded)
+    datasets = sample(sp, RunConfig(seed=3))
+    calls = {con.name: len(con.evaluator.values) for con in sp.nonlinear}
+    assert {name for name, n in calls.items() if n == 0} == {"g1", "g2", "g4", "g7"}, calls
+    proved = {con.name: d for con, d in zip(sp.nonlinear, datasets) if isinstance(d, str)}
+    assert proved == dict.fromkeys(("g1", "g2", "g4", "g7"), ALWAYS_FEASIBLE)
+
+
+def test_proved_labels_pass_through_training_untrained():
+    # the row x - y >= 0.5 tightens the box to x >= 0.5, y <= 0.5, where
+    # x y^2 <= 0.25 < 0.3 (over the whole box it reaches 1), and x^2 + 1 > 0
+    # everywhere; the black box has the feasible expression's values but no
+    # tree, so it is sampled
+    doc = {
+        "schema": 1,
+        "variables": [{"name": "x", "lower": 0, "upper": 1}, {"name": "y", "lower": 0, "upper": 1}],
+        "objective": {"linear": [1.0, 1.0]},
+        "constraints": [
+            {"name": "feasible", "expression": "x*y^2 - 0.3", "sense": "<=0"},
+            {"name": "infeasible", "expression": "x^2 + 1", "sense": "<=0"},
+            {"name": "no_root", "expression": "x^2 + 1", "sense": "=0"},
+            {"name": "row", "expression": "x - y - 0.5", "sense": ">=0"},
+        ],
+        "blackbox": [{"name": "box", "sense": "<=0", "support": ["x", "y"]}],
+    }
+    problem = load_problem(doc, blackbox_registry={"box": lambda v: v[0] * v[1] ** 2 - 0.3})
+    sp = standardize(problem)
+    cfg = RunConfig(adaptive_rounds=0)
+    datasets = sample(sp, cfg)
+    assert datasets[:3] == [ALWAYS_FEASIBLE, ALWAYS_INFEASIBLE, ALWAYS_INFEASIBLE]
+    points, labels, _ = datasets[3]
+    assert len(points) > 0 and labels.min() == 1.0
+    trained = train(sp, datasets, cfg)
+    assert trained.constraints == [ALWAYS_FEASIBLE, ALWAYS_INFEASIBLE, ALWAYS_INFEASIBLE, ALWAYS_FEASIBLE]
+    assert trained.runs == 0 and trained.complete
+    assert trained.families == {
+        "feasible": {"family": ALWAYS_FEASIBLE, "score": 1.0, "proved": True},
+        "infeasible": {"family": ALWAYS_INFEASIBLE, "score": 1.0, "proved": True},
+        "no_root": {"family": ALWAYS_INFEASIBLE, "score": 1.0, "proved": True},
+        "box": {"family": ALWAYS_FEASIBLE, "score": 1.0},
+    }
+    # without the row, x y^2 reaches 0.7 over the box: nothing is proved
+    unrowed = standardize(replace(problem, nonlinear=problem.nonlinear[:1]))
+    assert not isinstance(sample(unrowed, cfg)[0], str)
 
 
 def test_shipped_problem_files_match_module_documents(structurally_equal):

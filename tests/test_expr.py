@@ -1,7 +1,9 @@
 import ast
 import copy
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -226,6 +228,132 @@ def test_parse_eval_matches_python_eval():
             assert float.hex(got) == float.hex(want), (text, x, got, want)
             counts["equal"] += 1
     assert min(counts.values()) >= 1000, counts
+
+
+# ---------------------------------------------------------------------------
+# Interval bounds
+# ---------------------------------------------------------------------------
+
+_N_VARS = 3
+_UNARY = ["neg", "exp", "ln", "sqrt", "sin", "cos", "abs"]
+_CONSTANTS = st.sampled_from([0.0, 1.0, 2.0, 3.0, -1.0, -2.0, 0.5, 800.0, 1e200]) | st.floats(-4.0, 4.0)
+_SPECIAL = st.sampled_from([math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324, 0.0, -0.0, 700.0])
+
+
+def _trees(constants):
+    """Trees of the whole grammar over ``_N_VARS`` variables and ``constants``."""
+    return st.recursive(
+        st.builds(E.Var, st.integers(0, _N_VARS - 1)) | st.builds(E.Const, constants),
+        lambda inner: st.builds(E.Unary, st.sampled_from(_UNARY), inner)
+        | st.builds(E.Binary, st.sampled_from(["+", "-", "*", "/", "^"]), inner, inner),
+        max_leaves=8,
+    )
+
+
+# sums, products, quotients and integer powers: values exact as fractions
+_RATIONAL_TREES = st.recursive(
+    st.builds(E.Var, st.integers(0, _N_VARS - 1)) | st.builds(E.Const, st.floats(-4.0, 4.0)),
+    lambda inner: st.builds(E.Unary, st.sampled_from(["neg", "abs"]), inner)
+    | st.builds(E.Binary, st.sampled_from(["+", "-", "*", "/"]), inner, inner)
+    | st.builds(E.Binary, st.just("^"), inner, st.builds(E.Const, st.integers(-3, 3).map(float))),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _boxes(draw):
+    """Lower and upper bounds of ``_N_VARS`` variables: integer or random
+    ends (so corners hit 0), some boxes flat."""
+    end = st.integers(-3, 3).map(float) | st.floats(-3.0, 3.0)
+    lo = np.array([draw(end) for _ in range(_N_VARS)])
+    width = np.array([draw(st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0.0, 3.0)) for _ in range(_N_VARS)])
+    return lo, lo + width
+
+
+def _box_points(lo, hi, seed, count=30):
+    corners = np.array(list(itertools.product(*zip(lo, hi))))
+    return np.vstack([corners, np.random.default_rng(seed).uniform(lo, hi, size=(count, len(lo)))])
+
+
+@settings(max_examples=600, deadline=None)
+@given(tree=_trees(_CONSTANTS), box=_boxes(), seed=st.integers(0, 2**32 - 1))
+def test_expr_range_encloses_every_value(tree, box, seed):
+    # eval_expr is the oracle, at the box's corners and at random points: a
+    # bound holds every value, and a point that raises DomainError, or gives
+    # inf or NaN, leaves no bound. Kills the mutant that drops the check for
+    # a divisor's range touching 0 (a point near the pole leaves the corners'
+    # range, or a corner divides by 0)
+    lo, hi = box
+    bound = E.expr_range(tree, lo, hi)
+    for x in _box_points(lo, hi, seed):
+        try:
+            value = E.eval_expr(tree, x)
+        except DomainError:
+            assert bound is None, (tree, x)
+            continue
+        if bound is not None:
+            assert bound[0] <= value <= bound[1], (tree, x, value, bound)
+
+
+def _exact(e, x):
+    """The value of a ``_RATIONAL_TREES`` tree at x in exact rationals."""
+    if isinstance(e, E.Const):
+        return Fraction(e.value)
+    if isinstance(e, E.Var):
+        return Fraction(float(x[e.index]))
+    if isinstance(e, E.Unary):
+        v = _exact(e.arg, x)
+        return -v if e.op == "neg" else abs(v)
+    a, b = _exact(e.left, x), _exact(e.right, x)
+    if e.op == "/":
+        return a / b
+    if e.op == "^":
+        return a ** int(b)
+    return {"+": a + b, "-": a - b, "*": a * b}[e.op]
+
+
+@settings(max_examples=400, deadline=None)
+@given(tree=_RATIONAL_TREES, box=_boxes(), seed=st.integers(0, 2**32 - 1))
+def test_expr_range_encloses_exact_values(tree, box, seed):
+    # a bound holds the exact real value, not only the rounded one. Kills the
+    # mutant that drops outward rounding: a rounded sum or product at a
+    # corner lies on either side of its exact value
+    lo, hi = box
+    bound = E.expr_range(tree, lo, hi)
+    if bound is None:
+        return
+    for x in _box_points(lo, hi, seed, count=5):
+        assert Fraction(bound[0]) <= _exact(tree, x) <= Fraction(bound[1]), (tree, x, bound)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    tree=_trees(_SPECIAL | _CONSTANTS),
+    lo=st.lists(_SPECIAL | st.floats(-3.0, 3.0), min_size=_N_VARS, max_size=_N_VARS),
+    hi=st.lists(_SPECIAL | st.floats(-3.0, 3.0), min_size=_N_VARS, max_size=_N_VARS),
+)
+def test_expr_range_never_raises(tree, lo, hi):
+    # inf, NaN and overflowing constants or box ends, crossed boxes included
+    bound = E.expr_range(tree, np.array(lo), np.array(hi))
+    assert bound is None or (math.isfinite(bound[0]) and math.isfinite(bound[1]) and bound[0] <= bound[1])
+
+
+def test_expr_range_follows_eval_semantics():
+    def bound(text, lo, hi):
+        return E.expr_range(E.parse_expr(text, ["a"]), [lo], [hi])
+
+    low, high = bound("exp(a)", 800.0, 900.0)  # the clamp at 700
+    assert low < math.exp(700.0) < high and high == math.nextafter(math.exp(700.0), math.inf)
+    assert bound("a^3", -2.0, 1.0) == (math.nextafter(-8.0, -math.inf), math.nextafter(1.0, math.inf))
+    assert bound("a^2", -2.0, 1.0) == (math.nextafter(0.0, -math.inf), math.nextafter(4.0, math.inf))
+    assert bound("a^0.5", -1.0, 1.0) is None   # a negative base, a fractional power
+    assert bound("a^(-1)", 0.0, 1.0) is None   # zero to a negative power
+    assert bound("1/a", -1.0, 0.0) is None     # a divisor that reaches 0
+    assert bound("ln(a)", 0.0, 1.0) is None and bound("sqrt(a)", -1e-9, 1.0) is None
+    assert bound("sin(a) + cos(a)", -100.0, 100.0) == (
+        math.nextafter(-2.0, -math.inf), math.nextafter(2.0, math.inf))
+    assert bound("a * 1e200 * 1e200", 1.0, 2.0) is None  # an overflow to inf
+    assert bound("a", math.nan, 1.0) is None and bound("a", 1.0, 0.0) is None
 
 
 def test_support_and_affine_extraction():

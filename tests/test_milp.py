@@ -752,7 +752,7 @@ def _propagation_case(rng, hold):
 @given(seed=st.integers(0, 2**32 - 1), hold=st.booleans())
 def test_propagation_keeps_feasible_points_and_agrees_with_scipy(seed, hold):
     rows, senses, rhs, lower, upper, integral, x0 = _propagation_case(np.random.default_rng(seed), hold)
-    bounds = milp._propagate(rows, senses, rhs, lower, upper, integral)
+    bounds = milp.propagate(rows, senses, rhs, lower, upper, integral)
     if hold:
         assert bounds is not None
         lo, hi = bounds
@@ -765,6 +765,31 @@ def test_propagation_keeps_feasible_points_and_agrees_with_scipy(seed, hold):
         for i, sense in enumerate(senses):
             model.add_row(dict(enumerate(rows[i])), sense, rhs[i])
         assert _scipy_milp(model)[0] == "infeasible"
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_propagation_keeps_every_box_point_that_satisfies_the_rows(seed):
+    # inequality rows through quantiles of the points' activities, so that
+    # some of the box's corners and random points satisfy every row
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+    integral = rng.random(n) < 0.3
+    lower = np.where(integral, rng.integers(-3, 1, n), rng.uniform(-3, 0, n))
+    upper = lower + np.where(integral, rng.integers(0, 4, n), rng.uniform(0, 4, n))
+    corners = np.array(list(itertools.product(*zip(lower, upper))))
+    points = np.vstack([corners, rng.uniform(lower, upper, size=(500, n))])
+    points[:, integral] = np.round(points[:, integral])
+    rows = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.7)
+    senses = ["<=" if s else ">=" for s in rng.random(m) < 0.5]
+    act = points @ rows.T
+    rhs = np.array([np.quantile(act[:, i], 0.7 if s == "<=" else 0.3) for i, s in enumerate(senses)])
+    holds = np.where(np.array(senses) == "<=", act <= rhs, act >= rhs).all(axis=1)
+    bounds = milp.propagate(rows, senses, rhs, lower, upper, integral)
+    if holds.any():
+        assert bounds is not None
+        lo, hi = bounds
+        assert np.all(lo <= points[holds]) and np.all(points[holds] <= hi)
 
 
 def _random_lp(rng, minimize):

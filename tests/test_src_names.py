@@ -1,27 +1,44 @@
 """The package holds only code that the package or the benchmark uses: every
-function, method and class defined in src/surropt is named again somewhere
-in src/ or bench/. A helper only tests call belongs in tests/, or nowhere."""
+function, method and class defined in src/surropt is used somewhere in src/
+or bench/. A helper only tests call belongs in tests/, or nowhere.
 
+A use is a name read as a variable or an attribute, an imported name, or a
+string constant that is an identifier, since the benchmark's tracer wraps
+functions by name. Comments and docstrings name nothing."""
+
+import ast
 import pathlib
-import re
-from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-DEFINITION = re.compile(r"^[ \t]*(?:async[ \t]+)?(?:def|class)[ \t]+(\w+)", re.MULTILINE)
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _trees(folder):
+    return [ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for path in sorted(folder.rglob("*.py"))]
+
+
+def _uses(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            yield node.value
 
 
 def _unused_names(root):
-    """Names defined in ``root``/src/surropt (dunders aside) that occur as a
-    word in src/ and bench/ no more often than they are defined there."""
-    texts = [path.read_text(encoding="utf-8")
-             for folder in ("src", "bench") for path in sorted((root / folder).rglob("*.py"))]
-    words = Counter(word for text in texts for word in re.findall(r"\w+", text))
-    definitions = Counter(name for text in texts for name in DEFINITION.findall(text))
-    package = (path.read_text(encoding="utf-8") for path in (root / "src" / "surropt").glob("*.py"))
-    names = {name for text in package for name in DEFINITION.findall(text)}
+    """Names defined in ``root``/src/surropt (dunders aside) with no use in
+    src/ or bench/."""
+    used = {name for folder in ("src", "bench") for tree in _trees(root / folder) for name in _uses(tree)}
+    names = {node.name for tree in _trees(root / "src" / "surropt")
+             for node in ast.walk(tree) if isinstance(node, DEFINITIONS)}
     assert len(names) > 100
     return sorted(name for name in names
-                  if not re.fullmatch(r"__\w+__", name) and words[name] <= definitions[name])
+                  if not (name.startswith("__") and name.endswith("__")) and name not in used)
 
 
 def test_every_src_name_is_used_outside_its_definition():
