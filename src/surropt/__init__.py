@@ -6,7 +6,8 @@ mixed-integer linear approximation over a robustness/relaxation grid, and
 refines the incumbent with projected gradient descent.
 """
 
-from .driver import RunConfig, RunReport, generate_quadratic_sigmoid, solve_global
+from .benchmarks import generate_quadratic_sigmoid
+from .driver import RunConfig, RunReport, solve_global
 from .encoder import RelaxConfig, RobustConfig, assemble
 from .expr import load_problem, parse_expr
 from .model import Problem, StandardProblem, standardize

@@ -4,13 +4,18 @@ The two-variable log-constrained instance has its global optimum at the
 crossing of the second nonlinear constraint with the steeper linear row,
 at x = (1.14996, 0.87506) with objective -1.14996. The gearbox design
 instance is the classic seven-variable speed reducer with one integer
-variable; its best known objective is 2994.36.
+variable; its best known objective is 2994.36. ``generate_quadratic_sigmoid``
+draws random black-box instances with sigmoid-of-quadratic constraints.
 """
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
+
 from . import expr
-from .model import Problem
+from .model import LinearObjective, NonlinearConstraint, Problem, VarSpec
 
 ILLUSTRATIVE_DOC = {
     "schema": 1,
@@ -77,3 +82,73 @@ def illustrative_problem() -> Problem:
 
 def speed_reducer_problem() -> Problem:
     return expr.load_problem(SPEED_REDUCER_DOC)
+
+
+def generate_quadratic_sigmoid(n: int, m: int, seed: int = 0) -> Problem:
+    """Random instance with a linear objective and sigmoid-of-quadratic
+    constraints on the box [-2, 2]^n.
+
+    The first floor(m/2) constraints cap a sigmoid of a quadratic at one
+    half; the rest bound quadratic-times-sigmoid from below. Entries of the
+    symmetric quadratic matrices are uniform on (-1, 1) scaled by 1/n.
+    """
+    if n < 1 or m < 1:
+        raise ValueError("need n >= 1 and m >= 1")
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(-1.0, 1.0, size=n)
+    specs = tuple(
+        VarSpec(name=f"x{j}", lower=-2.0, upper=2.0) for j in range(n)
+    )
+
+    def make_quadratic():
+        tri = rng.uniform(-1.0, 1.0, size=(n, n)) / n
+        A = np.triu(tri)
+        A = A + np.triu(A, 1).T
+        d = rng.uniform(-1.0, 1.0, size=n)
+        f0 = float(rng.uniform(-1.0, 1.0))
+        return A, d, f0
+
+    constraints = []
+    for i in range(m):
+        A, d, f0 = make_quadratic()
+
+        def q(x, A=A, d=d, f0=f0):
+            return float(x @ A @ x + d @ x + f0)
+
+        def q_grad(x, A=A, d=d):
+            return 2.0 * (A @ x) + d
+
+        if i < m // 2:
+            def value(x, q=q):
+                return 1.0 / (1.0 + math.exp(-q(x))) - 0.5
+
+            def grad(x, q=q, q_grad=q_grad):
+                s = 1.0 / (1.0 + math.exp(-q(x)))
+                return s * (1.0 - s) * q_grad(x)
+        else:
+            def value(x, q=q):
+                v = q(x)
+                return -0.5 - v / (1.0 + math.exp(-v))
+
+            def grad(x, q=q, q_grad=q_grad):
+                v = q(x)
+                s = 1.0 / (1.0 + math.exp(-v))
+                return -(s + v * s * (1.0 - s)) * q_grad(x)
+
+        constraints.append(
+            NonlinearConstraint(
+                evaluator=value,
+                sense="<=0",
+                support=frozenset(range(n)),
+                gradient=grad,
+                name=f"q{i}",
+            )
+        )
+
+    return Problem(
+        vars=specs,
+        objective=LinearObjective(coeffs=c),
+        linear=(),
+        nonlinear=tuple(constraints),
+        name=f"quadratic-sigmoid-{n}-{m}-{seed}",
+    )

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import benchmarks, expr, milp
-from .driver import RunConfig, generate_quadratic_sigmoid, sample, solve_global, train
+from .driver import RunConfig, sample, solve_global, train
 from .encoder import assemble
 from .errors import InfeasibleApproximation, InfeasibleProblem, SurroptError
 from .model import standardize
@@ -164,7 +164,7 @@ def main(argv=None) -> int:
             elif args.name == "speed-reducer":
                 problem = benchmarks.speed_reducer_problem()
             else:
-                problem = generate_quadratic_sigmoid(args.n, args.m, seed=args.seed)
+                problem = benchmarks.generate_quadratic_sigmoid(args.n, args.m, seed=args.seed)
             return _run_and_exit(problem, cfg, args.report)
         sp = standardize(_load(args.file))
         # the model solve_global encodes first on a grid that starts at rho 0

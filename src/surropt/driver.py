@@ -41,7 +41,6 @@ from .expr import expr_range
 from .learners import Surrogate, select_surrogate, train_tree
 from .model import (
     FEASIBILITY_TOL,
-    LinearObjective,
     NonlinearObjective,
     Problem,
     StandardProblem,
@@ -601,79 +600,3 @@ def _full_violation(sp: StandardProblem, x) -> float:
     lo, hi = sp.box()
     worst = max(worst, float(np.max(np.maximum(lo - x, x - hi), initial=0.0)))
     return worst
-
-
-# ---------------------------------------------------------------------------
-# Random benchmark generator
-# ---------------------------------------------------------------------------
-
-def generate_quadratic_sigmoid(n: int, m: int, seed: int = 0) -> Problem:
-    """Random instance with a linear objective and sigmoid-of-quadratic
-    constraints on the box [-2, 2]^n.
-
-    The first floor(m/2) constraints cap a sigmoid of a quadratic at one
-    half; the rest bound quadratic-times-sigmoid from below. Entries of the
-    symmetric quadratic matrices are uniform on (-1, 1) scaled by 1/n.
-    """
-    if n < 1 or m < 1:
-        raise ValueError("need n >= 1 and m >= 1")
-    from .model import NonlinearConstraint, VarSpec
-
-    rng = np.random.default_rng(seed)
-    c = rng.uniform(-1.0, 1.0, size=n)
-    specs = tuple(
-        VarSpec(name=f"x{j}", lower=-2.0, upper=2.0) for j in range(n)
-    )
-
-    def make_quadratic():
-        tri = rng.uniform(-1.0, 1.0, size=(n, n)) / n
-        A = np.triu(tri)
-        A = A + np.triu(A, 1).T
-        d = rng.uniform(-1.0, 1.0, size=n)
-        f0 = float(rng.uniform(-1.0, 1.0))
-        return A, d, f0
-
-    constraints = []
-    for i in range(m):
-        A, d, f0 = make_quadratic()
-
-        def q(x, A=A, d=d, f0=f0):
-            return float(x @ A @ x + d @ x + f0)
-
-        def q_grad(x, A=A, d=d):
-            return 2.0 * (A @ x) + d
-
-        if i < m // 2:
-            def value(x, q=q):
-                return 1.0 / (1.0 + math.exp(-q(x))) - 0.5
-
-            def grad(x, q=q, q_grad=q_grad):
-                s = 1.0 / (1.0 + math.exp(-q(x)))
-                return s * (1.0 - s) * q_grad(x)
-        else:
-            def value(x, q=q):
-                v = q(x)
-                return -0.5 - v / (1.0 + math.exp(-v))
-
-            def grad(x, q=q, q_grad=q_grad):
-                v = q(x)
-                s = 1.0 / (1.0 + math.exp(-v))
-                return -(s + v * s * (1.0 - s)) * q_grad(x)
-
-        constraints.append(
-            NonlinearConstraint(
-                evaluator=value,
-                sense="<=0",
-                support=frozenset(range(n)),
-                gradient=grad,
-                name=f"q{i}",
-            )
-        )
-
-    return Problem(
-        vars=specs,
-        objective=LinearObjective(coeffs=c),
-        linear=(),
-        nonlinear=tuple(constraints),
-        name=f"quadratic-sigmoid-{n}-{m}-{seed}",
-    )

@@ -1,16 +1,16 @@
 """Compile trained surrogates into mixed-integer linear constraints.
 
 Each encoder returns its model's output as an affine expression ``(coeffs,
-const)`` over model columns, with no output column: a tree's leaf binaries
-(with big-M activated path rows) weighted by the leaf values, a boosted
-ensemble's members scaled by their weights, a ReLU network's last layer over
-the hidden units of the per-neuron big-M encoding, or a linear model's own
-coefficients. Robust counterparts add a dual norm of the coefficient-by-input
-elementwise product to every affected row, linearized exactly for dual norms
-1 and infinity. ``assemble`` writes the original linear rows, one threshold
-row per classifier or two band rows per equality, and optional relaxation
-slacks penalized in the objective; an unrelaxed tree keeps only the leaves
-that can satisfy its rule.
+const)`` over model columns, with no output column: a tree's leaf binaries,
+with one big-M row per side of each split, weighted by the leaf values, a
+boosted ensemble's members scaled by their weights, a ReLU network's last
+layer over the hidden units of the per-neuron big-M encoding, or a linear
+model's own coefficients. Robust counterparts add a dual norm of the
+coefficient-by-input elementwise product to every affected row, linearized
+exactly for dual norms 1 and infinity. ``assemble`` writes the original
+linear rows, one threshold row per classifier or two band rows per equality,
+and optional relaxation slacks penalized in the objective; an unrelaxed tree
+keeps only the leaves that can satisfy its rule.
 """
 
 from __future__ import annotations
@@ -146,41 +146,38 @@ def encode_linear_model(model: LinearModel, m: MilpModel, cols, lo, hi,
 
 def encode_tree(tree: ObliqueTree, m: MilpModel, cols, lo, hi,
                 robust: Optional[RobustConfig] = None) -> tuple:
-    """One binary z_i per leaf and big-M deactivated path rows; the output
-    is ``sum v_i z_i``, returned as ``{z_i: v_i}`` in leaf order. Robust mode
-    widens each split row by rho * ||a (*) x||_q on its restrictive side."""
+    """One binary z_i per leaf, summing to 1, and two big-M rows per split:
+    ``a.x <= b`` holds unless no leaf of the left subtree is chosen, and
+    ``a.x >= b + eps`` unless none of the right subtree's is. The output is
+    ``sum v_i z_i``, returned as ``{z_i: v_i}`` in leaf order. Robust mode
+    widens each split row by rho * ||a (*) x||_q on its restrictive side,
+    with one norm column per split."""
     leaves = tree.leaves()
     zs = [m.add_binary() for _ in leaves]
     m.add_row({z: 1.0 for z in zs}, "=", 1.0)
+    rho = robust.rho if robust is not None else 0.0
 
-    robust_on = robust is not None and robust.active
-    # keyed on id() of the tree's own split array, which the tree keeps alive;
-    # a converted copy could be freed and its id reused by another split
-    norm_vars = {}
+    def walk(node, first):
+        """Write the rows of the splits under ``node``, whose leaves start
+        at ``zs[first]``; return the index past its last leaf."""
+        if node.is_leaf:
+            return first + 1
+        a, b = np.asarray(node.a, dtype=float), node.b
+        M, t = big_m_value(a, b, lo, hi), None
+        if rho > 0.0:
+            t = add_norm_var(m, a, cols, lo, hi, robust.q)
+            M += BIG_M_SAFETY * (rho * _norm_upper(a, lo, hi, robust.q))
+        mid = walk(node.left, first)
+        end = walk(node.right, mid)
+        coeffs = {cols[k]: a[k] for k in range(len(a)) if a[k] != 0.0}
+        # a.x + rho t <= b + M (1 - sum of the left leaves)
+        m.add_row(_with_coef({**coeffs, **{z: M for z in zs[first:mid]}}, t, rho), "<=", b + M)
+        # a.x - rho t >= b - M (1 - sum of the right leaves) + eps
+        m.add_row(_with_coef({**coeffs, **{z: -M for z in zs[mid:end]}}, t, -rho),
+                  ">=", b - M + _split_eps(a))
+        return end
 
-    def norm_var_for(split):
-        if id(split) not in norm_vars:
-            norm_vars[id(split)] = add_norm_var(m, split, cols, lo, hi, robust.q)
-        return norm_vars[id(split)]
-
-    for i, (_, path) in enumerate(leaves):
-        for split, b, on_left in path:
-            a = np.asarray(split, dtype=float)
-            margin = robust.rho * _norm_upper(a, lo, hi, robust.q) if robust_on else 0.0
-            M = big_m_value(a, b, lo, hi) + BIG_M_SAFETY * margin
-            coeffs = {cols[k]: a[k] for k in range(len(a)) if a[k] != 0.0}
-            if on_left:
-                # a.x <= b + M(1-z), robust: a.x + rho||a*x||_q <= b + M(1-z)
-                if robust_on:
-                    coeffs[norm_var_for(split)] = robust.rho
-                coeffs[zs[i]] = M
-                m.add_row(coeffs, "<=", b + M)
-            else:
-                # a.x >= b - M(1-z) + eps, robust: a.x - rho||a*x||_q >= ...
-                if robust_on:
-                    coeffs[norm_var_for(split)] = -robust.rho
-                coeffs[zs[i]] = -M
-                m.add_row(coeffs, ">=", b - M + _split_eps(a))
+    walk(tree.root, 0)
     return {z: v for z, (v, _) in zip(zs, leaves)}, 0.0
 
 

@@ -1017,8 +1017,9 @@ def solve_with_external(model: MilpModel, command: str, time_limit=None) -> Milp
 def _read_solution(path: str) -> tuple:
     """(status, objective or None, values by name) of a solution file.
 
-    Raises ValueError unless every line is ``<key> <value>``, the status is
-    one the protocol names, and an ``optimal`` status comes with an objective.
+    Raises ValueError unless every line is ``<key> <value>`` with a finite
+    value, the status is one the protocol names, and an ``optimal`` status
+    comes with an objective.
     """
     status, objective, values = None, None, {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -1031,10 +1032,14 @@ def _read_solution(path: str) -> tuple:
             key, word = parts
             if key == "status":
                 status = word
-            elif key == "objective":
-                objective = float(word)
+                continue
+            value = float(word)
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite value in {ln.strip()!r}")
+            if key == "objective":
+                objective = value
             else:
-                values[key] = float(word)
+                values[key] = value
     if status not in ("optimal", "infeasible", "unbounded", "time_limit"):
         raise ValueError(f"bad solution status {status!r}")
     if status == "optimal" and objective is None:

@@ -15,7 +15,7 @@ import numpy as np
 
 sys.path.insert(0, "src")
 
-from surropt.driver import generate_quadratic_sigmoid  # noqa: E402
+from surropt.benchmarks import generate_quadratic_sigmoid  # noqa: E402
 
 
 def run_oracle(n=10, m=2, seed=2024, restarts=10_000, iters=300):

@@ -18,14 +18,12 @@ from surropt import encoder as enc
 from surropt import learners as L
 from surropt import milp
 from surropt import sampling as S
-from surropt.benchmarks import illustrative_problem, speed_reducer_problem
-from surropt.driver import (
-    RunConfig,
+from surropt.benchmarks import (
     generate_quadratic_sigmoid,
-    sample,
-    solve_global,
-    train,
+    illustrative_problem,
+    speed_reducer_problem,
 )
+from surropt.driver import RunConfig, sample, solve_global, train
 from surropt.expr import DomainError  # noqa: F401  (re-exported for helpers)
 from surropt import expr as E
 from surropt.model import NonlinearObjective, standardize

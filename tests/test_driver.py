@@ -9,14 +9,17 @@ from hypothesis import strategies as st
 
 from surropt import milp
 from surropt import sampling as S
-from surropt.benchmarks import illustrative_problem, speed_reducer_problem
+from surropt.benchmarks import (
+    generate_quadratic_sigmoid,
+    illustrative_problem,
+    speed_reducer_problem,
+)
 from surropt.driver import (
     RunConfig,
     _full_violation,
     _sample_constraint,
     _static_sample,
     _support_rows,
-    generate_quadratic_sigmoid,
     sample,
     solve_global,
     solve_grid,

@@ -407,7 +407,7 @@ def _highs(model):
     picks the integer point; the LP over the other columns is then solved
     again at 1e-10 tolerances, as HiGHS's own point may violate a row by
     1e-6."""
-    from scipy.optimize import Bounds, LinearConstraint, linprog
+    from scipy.optimize import Bounds, LinearConstraint
     from scipy.optimize import milp as highs_milp
 
     lp = model.to_lp()
@@ -423,16 +423,24 @@ def _highs(model):
     if res.status != 0:
         return res.status, None
     ints, at = np.array(model.integral), np.round(res.x)
+    return _linprog(lp, np.where(ints, at, lp.lower), np.where(ints, at, lp.upper))
+
+
+def _linprog(lp, lower, upper):
+    """(status, objective) of the LP ``lp`` between the column bounds
+    ``lower`` and ``upper`` under HiGHS at 1e-10 tolerances."""
+    from scipy.optimize import linprog
+
+    senses = np.array(lp.senses)
     sign = np.where(senses == ">=", -1.0, 1.0)
     ineq = senses != "="
-    fixed = linprog(
+    res = linprog(
         lp.c, A_ub=(sign[:, None] * lp.rows)[ineq], b_ub=(sign * lp.rhs)[ineq],
-        A_eq=lp.rows[~ineq], b_eq=lp.rhs[~ineq],
-        bounds=np.column_stack([np.where(ints, at, lp.lower), np.where(ints, at, lp.upper)]),
+        A_eq=lp.rows[~ineq], b_eq=lp.rhs[~ineq], bounds=np.column_stack([lower, upper]),
         method="highs",
         options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
     )
-    return fixed.status, (fixed.fun + lp.const if fixed.status == 0 else None)
+    return res.status, (res.fun + lp.const if res.status == 0 else None)
 
 
 def _random_tree_constraint(rng, lo, hi):
@@ -494,3 +502,84 @@ def test_assemble_fixes_only_an_unrelaxed_trees_unreachable_leaves():
     for relax, last_upper in ((None, 0.0), (E.RelaxConfig(10.0), 1.0)):
         model = E.assemble(sp, [tree, E.ALWAYS_FEASIBLE], relax=relax)
         assert [model.upper[j] for j in np.flatnonzero(model.integral)] == [1.0, 1.0, 1.0, last_upper]
+
+
+# ---------------------------------------------------------------------------
+# Split rows against the per-leaf encoding they replace
+# ---------------------------------------------------------------------------
+
+def _splits(node):
+    return 0 if node.is_leaf else 1 + _splits(node.left) + _splits(node.right)
+
+
+@pytest.mark.parametrize("task", ["classifier", "regressor"])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_tree_rows_are_two_per_split_with_one_norm_column_each(task, depth):
+    for seed in range(3):
+        rng = np.random.default_rng(10 * depth + seed)
+        lo, hi = -np.ones(3), np.ones(3)
+        X = rng.uniform(lo, hi, size=(150, 3))
+        score = X @ rng.normal(size=3) + 0.5 * np.sin(4.0 * X[:, 0])
+        y = (score > 0.0).astype(float) if task == "classifier" else np.floor(2.0 * score)
+        tree = L.train_tree(X, y, task, max_depth=depth)
+        m, cols = _box_model(lo, hi)
+        E.encode_tree(tree, m, cols, lo, hi)
+        assert m.n_rows == 1 + 2 * _splits(tree.root)
+        assert _norm_columns(tree, lo, hi) == _splits(tree.root)
+
+
+def _per_leaf_tree(tree, m, cols, lo, hi, robust=None):
+    """The per-leaf encoding, as a reference: one big-M row for every (leaf,
+    split on its path) pair, with that split's M, eps and robust margin, and
+    a norm column of its own."""
+    leaves = tree.leaves()
+    zs = [m.add_binary() for _ in leaves]
+    m.add_row({z: 1.0 for z in zs}, "=", 1.0)
+    rho = robust.rho if robust is not None else 0.0
+    for z, (_, path) in zip(zs, leaves):
+        for split, b, on_left in path:
+            a = np.asarray(split, dtype=float)
+            row = {cols[k]: a[k] for k in range(len(a)) if a[k] != 0.0}
+            M = E.big_m_value(a, b, lo, hi)
+            if rho > 0.0:
+                row[E.add_norm_var(m, a, cols, lo, hi, robust.q)] = rho if on_left else -rho
+                M += E.BIG_M_SAFETY * (rho * E._norm_upper(a, lo, hi, robust.q))
+            if on_left:
+                m.add_row({**row, z: M}, "<=", b + M)
+            else:
+                m.add_row({**row, z: -M}, ">=", b - M + E._split_eps(a))
+    return {z: v for z, (v, _) in zip(zs, leaves)}, 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_split_rows_are_as_tight_as_the_per_leaf_rows(seed):
+    # each split row implies every per-leaf row of its side, as the leaf
+    # binaries are nonnegative, and the two agree at every integer point
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 4))
+    lo = rng.uniform(-2.0, 0.0, size=d)
+    hi = lo + rng.uniform(0.5, 3.0, size=d)
+    _, sur = _random_tree_constraint(rng, lo, hi)
+    robust = E.RobustConfig(rho=0.05, p=float(rng.choice([1.0, math.inf]))) if rng.random() < 0.4 else None
+    c, weight = rng.normal(size=d), float(rng.normal())
+    models = []
+    for encode in (E.encode_tree, _per_leaf_tree):
+        m, cols = _box_model(lo, hi)
+        out = encode(sur.model, m, cols, lo, hi, robust=robust)
+        if sur.task == "classifier":
+            _add_threshold(m, out, sur.threshold)
+        m.obj = {col: c[k] for k, col in enumerate(cols)}
+        for z, v in out[0].items():
+            m.add_objective_term(z, weight * v)
+        models.append(m)
+    split, per_leaf = models
+    assert split.n_rows <= per_leaf.n_rows
+    lp_split, lp_leaf = (_linprog(m.to_lp(), m.lower, m.upper) for m in models)
+    assert lp_split[0] != 0 or lp_leaf[0] == 0  # a feasible split LP has a feasible reference
+    if lp_split[0] == 0:
+        assert lp_split[1] >= lp_leaf[1] - 1e-9 * max(1.0, abs(lp_leaf[1]))
+    (status, objective), (leaf_status, leaf_objective) = _highs(split), _highs(per_leaf)
+    assert status == leaf_status
+    if status == 0:
+        assert objective == pytest.approx(leaf_objective, rel=1e-9, abs=1e-9)

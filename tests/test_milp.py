@@ -1060,8 +1060,11 @@ def test_external_solver_timeout_is_time_limit(tmp_path, monkeypatch):
         "import sys\nopen(sys.argv[2], 'w').write('status optimal\\nobjective abc\\n')\n",
         "import sys\nopen(sys.argv[2], 'w').write('status banana\\n')\n",
         "import sys\nopen(sys.argv[2], 'w').write('status optimal\\nx0\\n')\n",
+        "import sys\nopen(sys.argv[2], 'w').write('status optimal\\nobjective -1.0\\nx0 nan\\n')\n",
+        "import sys\nopen(sys.argv[2], 'w').write('status optimal\\nobjective inf\\nx0 0.5\\n')\n",
     ],
-    ids=["nonzero-exit", "no-solution-file", "bad-objective", "bad-status", "bad-line"],
+    ids=["nonzero-exit", "no-solution-file", "bad-objective", "bad-status", "bad-line",
+         "nan-value", "inf-objective"],
 )
 def test_external_solver_failure_is_error(body, tmp_path, monkeypatch):
     script = tmp_path / "failing.py"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import nnls
 
 from surropt import refine
-from surropt.driver import generate_quadratic_sigmoid
+from surropt.benchmarks import generate_quadratic_sigmoid
 from surropt.errors import EvaluationError, ProjectionStall, TimeLimitReached
 from surropt.expr import load_problem
 from surropt.model import (
