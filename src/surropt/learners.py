@@ -539,8 +539,6 @@ def train_mlp(
     b3s = [b[:, :, None] for b in bs]
     mom1 = np.zeros((R, P))
     mom2 = np.zeros((R, P))
-    tmp = np.empty((R, P))
-    tmp2 = np.empty((R, P))
     beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
     last = len(shapes) - 1
 
@@ -575,20 +573,9 @@ def train_mlp(
                 np.multiply(below, alive[layer], out=below)
         corr1 = 1.0 - beta1 ** step
         corr2 = 1.0 - beta2 ** step
-        mom1 *= beta1
-        np.multiply(1 - beta1, grad, out=tmp)
-        mom1 += tmp
-        mom2 *= beta2
-        np.square(grad, out=tmp)
-        tmp *= 1 - beta2
-        mom2 += tmp
-        np.divide(mom1, corr1, out=tmp)
-        tmp *= lr
-        np.divide(mom2, corr2, out=tmp2)
-        np.sqrt(tmp2, out=tmp2)
-        tmp2 += adam_eps
-        tmp /= tmp2
-        theta -= tmp
+        mom1 = beta1 * mom1 + (1 - beta1) * grad
+        mom2 = beta2 * mom2 + (1 - beta2) * grad ** 2
+        theta -= lr * (mom1 / corr1) / (np.sqrt(mom2 / corr2) + adam_eps)
         if step % MLP_CLOCK_EVERY == 0 and time.monotonic() > deadline:
             break
 

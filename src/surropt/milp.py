@@ -3,13 +3,15 @@
 The LP core appends one slack per row (row @ x + slack = rhs; the slack's
 bounds carry the sense) and keeps every variable bound implicit: a nonbasic
 column sits at its lower or upper bound, or at zero when it has neither, so
-the tableau has one row per constraint and no bound rows. A cold solve runs
-a two-phase primal simplex from the slack basis, with artificial columns only
-on rows whose slack starts outside its bounds. Given the final basis of a
-related LP, ``solve_lp`` instead refactorizes that basis and re-optimizes
-with the dual simplex: a branch-and-bound child differs from its parent by
-one bound, so the parent's optimal basis stays dual feasible. Both methods
-use Dantzig-style choices and fall back to Bland's rule when the objective
+the tableau has one row per constraint and no bound rows. Every solve
+factorizes a start basis, runs the dual simplex from it to a feasible
+basis, and then the primal simplex to the optimum. The start is the final
+basis of a related LP when one is given, else the slack basis. A
+branch-and-bound child differs from its parent by one bound, so the
+parent's optimal basis stays dual feasible and the dual simplex runs on
+the true costs; from a start that is not dual feasible it runs on a zero
+cost row, for which every basis is (phase one). Both methods use
+Dantzig-style choices and fall back to Bland's rule when the objective
 stalls. Branch and bound first tightens the bounds by activity-based
 propagation through the rows, which alone decides a model whose rows
 cannot hold. It then drops the fixed columns and the rows that cannot
@@ -80,15 +82,15 @@ class LpProblem:
 
 @dataclass(eq=False)
 class LpBasis:
-    """Final simplex basis of an LP, the start of warm re-solves.
+    """A simplex basis: an LP's final one, or the start of a solve.
 
     Columns are the LP's variables followed by one slack per row.
     ``basic[i]`` is the column basic in tableau row i, and ``at_upper``
-    flags the nonbasic columns that sit at their upper bound. The first warm
-    solve from a basis stores the refactorized tableau on it, so sibling
-    solves from the same basis share one factorization. The factor is kept
-    for that LP's ``rows`` array itself, not its values: it serves LPs that
-    share the array, which must not change in place.
+    flags the nonbasic columns that sit at their upper bound. The first
+    solve from a basis stores its factorization B^-1 [A | I] on it, so
+    sibling solves from the same basis share one factorization. The factor
+    is kept for that LP's ``rows`` array itself, not its values: it serves
+    LPs that share the array, which must not change in place.
     """
 
     basic: np.ndarray
@@ -108,18 +110,17 @@ class LpSolution:
 class _Tableau:
     """Dense bounded-variable tableau.
 
-    Rows 0..m-1 hold B^-1 [A | I | artificials] and, in the last column,
-    the basic values ``beta``, so a pivot updates them in the same
-    elimination; row m holds the reduced costs of the objective and row m+1,
-    during phase one only, those of the artificial sum. A nonbasic column sits
-    at its upper bound when ``at_upper`` is set, else at its lower bound, or
-    at zero when it has neither. ``way`` is +1 for a nonbasic column that
-    can only rise from where it sits, -1 for one that can only fall, and 0
-    for basic, fixed and free columns; ``free_nb`` marks the free nonbasic
-    ones, which can move either way.
+    Rows 0..m-1 hold B^-1 [A | I] and, in the last column, the basic values
+    ``beta``, so a pivot updates them in the same elimination; row m holds
+    the reduced costs of the objective, or zeros during phase one. A
+    nonbasic column sits at its upper bound when ``at_upper`` is set, else
+    at its lower bound, or at zero when it has neither. ``way`` is +1 for a
+    nonbasic column that can only rise from where it sits, -1 for one that
+    can only fall, and 0 for basic, fixed and free columns; ``free_nb``
+    marks the free nonbasic ones, which can move either way.
     """
 
-    def __init__(self, T, n, basic, lo, hi, at_upper, budget, pivots=0):
+    def __init__(self, T, n, basic, lo, hi, at_upper, budget, pivots):
         self.T = T
         self.n = n
         self.m = basic.size
@@ -202,14 +203,20 @@ class _Tableau:
         self.at_upper[q] = self.free_nb[q] = False
         self.way[q] = 0.0
 
-    def primal(self, cost_row: int, ncols: int) -> str:
-        """Primal simplex from a feasible basis over the first ncols columns."""
+    def price(self, cost) -> None:
+        """Row m from scratch: the reduced costs of ``cost`` at the current basis."""
+        d = self.T[self.m, :-1]
+        d[:] = cost - cost[self.basic] @ self.T[:self.m, :-1]
+        d[self.basic] = 0.0
+
+    def primal(self) -> str:
+        """Primal simplex from a feasible basis."""
         T, m = self.T, self.m
-        d = T[cost_row, :ncols]
-        way, free_nb = self.way[:ncols], self.free_nb[:ncols]
+        d = T[m, :-1]
+        way, free_nb = self.way, self.free_nb
         beta, lo_b, hi_b = self.beta, self.lo_b, self.hi_b
         ratios = np.empty(m)
-        stall, bland = 0, False
+        stall, bland = 0, STALL_LIMIT <= 0
         while True:
             # minus the objective gain per unit move of each column
             score = d * way
@@ -221,8 +228,8 @@ class _Tableau:
                     return "optimal"
                 q = int(cand[0])
             else:
-                q = int(score.argmin()) if ncols else 0
-                if not ncols or score[q] >= -OPT_TOL:
+                q = int(score.argmin()) if score.size else 0
+                if not score.size or score[q] >= -OPT_TOL:
                     return "optimal"
             direction = 1.0 if d[q] < 0.0 else -1.0
             da = T[:m, q] if direction > 0.0 else -T[:m, q]
@@ -251,20 +258,24 @@ class _Tableau:
                 stall = 0
             else:
                 stall += 1
-                bland = bland or stall > STALL_LIMIT
+                bland = bland or stall >= STALL_LIMIT
 
-    def dual(self) -> Optional[str]:
-        """Dual simplex from a dual-feasible basis.
+    def dual(self, tolerate: bool) -> Optional[str]:
+        """Dual simplex from a dual-feasible basis to a feasible one.
 
-        Returns "optimal", "infeasible", or None when the infeasibility it
-        finds is too small to judge the same way as a cold solve.
+        With a zero cost row every basis is dual feasible, so this is also
+        phase one. Returns "optimal", "infeasible" when a row proves that
+        the rows cannot hold, or None when the infeasibility a row shows is
+        too small to prove. With ``tolerate`` such a row is left as it is
+        until the next pivot instead.
         """
         T, m = self.T, self.m
         d = T[m, :-1]
-        stall, bland = 0, False
+        stall, bland = 0, STALL_LIMIT <= 0
+        left = np.zeros(m, dtype=bool)
         while True:
             infeas = self.infeasibility()
-            cand = (infeas > PRIMAL_TOL * (1.0 + np.abs(self.beta))).nonzero()[0]
+            cand = ((infeas > PRIMAL_TOL * (1.0 + np.abs(self.beta))) & ~left).nonzero()[0]
             if cand.size == 0:
                 return "optimal"
             if bland:
@@ -282,11 +293,14 @@ class _Tableau:
             if elig.size == 0:
                 # Row r proves that the rows must be violated by at least
                 # infeas[r] / max|y| in total, y being its slack columns
-                # (row r of B^-1). The cold phase one judges that total
-                # against FEAS_TOL, so smaller gaps are left to it.
+                # (row r of B^-1). Only a total beyond FEAS_TOL counts.
                 y = T[r, self.n:self.n + m]
-                clear = infeas[r] > FEAS_TOL * max(1.0, float(np.abs(y).max(initial=0.0)))
-                return "infeasible" if clear else None
+                if infeas[r] > FEAS_TOL * max(1.0, float(np.abs(y).max(initial=0.0))):
+                    return "infeasible"
+                if not tolerate:
+                    return None
+                left[r] = True
+                continue
             a = np.abs(sa[elig])
             dd = np.abs(d[elig])
             ratios = dd / a
@@ -301,11 +315,12 @@ class _Tableau:
             step = (self.beta[r] - target) / alpha_q
             dual_step = abs(d[q] / alpha_q)
             self._exchange(r, q, step, to_upper=not to_lower)
+            left[:] = False
             if dual_step > 1e-12:
                 stall = 0
             else:
                 stall += 1
-                bland = bland or stall > STALL_LIMIT
+                bland = bland or stall >= STALL_LIMIT
 
 
 def _columns(lp: LpProblem):
@@ -317,66 +332,6 @@ def _columns(lp: LpProblem):
     cost = np.zeros(lo.size)
     cost[:lp.c.size] = lp.c
     return lo, hi, cost
-
-
-def _initial_at_upper(lo, hi) -> np.ndarray:
-    """Nonbasic columns start at their lower bound, or at the upper if only it is finite."""
-    return ~np.isfinite(lo) & np.isfinite(hi)
-
-
-def _cold_solve(lp: LpProblem, lo, hi, cost, budget, pivots) -> tuple:
-    """Two-phase primal simplex from the slack basis."""
-    n, m = lp.c.size, lp.rhs.size
-    at_upper = _initial_at_upper(lo, hi)
-    x0 = np.where(at_upper, hi, np.where(np.isfinite(lo), lo, 0.0))
-    resid = lp.rhs - lp.rows @ x0[:n]
-    slack_start = np.clip(resid, lo[n:], hi[n:])
-    gap = resid - slack_start
-    # rows whose slack cannot absorb the residual get an artificial column
-    art_rows = np.flatnonzero(gap != 0.0)
-    k = art_rows.size
-    sigma = np.sign(gap[art_rows])
-    at_upper[n + art_rows] = gap[art_rows] > 0.0
-
-    ncols = n + m + k
-    T = np.zeros((m + (2 if k else 1), ncols + 1))
-    T[:m, :n] = lp.rows
-    T[np.arange(m), n + np.arange(m)] = 1.0
-    T[art_rows, n + m + np.arange(k)] = sigma
-    T[art_rows] *= sigma[:, None]
-    T[m, :n + m] = cost
-    T[:m, -1] = resid
-    T[art_rows, -1] = np.abs(gap[art_rows])
-    basic = n + np.arange(m)
-    basic[art_rows] = n + m + np.arange(k)
-    tab = _Tableau(
-        T, n, basic,
-        np.concatenate([lo, np.zeros(k)]),
-        np.concatenate([hi, np.full(k, np.inf)]),
-        np.concatenate([at_upper, np.zeros(k, dtype=bool)]),
-        budget, pivots,
-    )
-
-    if k:
-        T[m + 1, n + m:ncols] = 1.0
-        T[m + 1, :ncols] -= T[art_rows, :ncols].sum(axis=0)
-        if tab.primal(m + 1, ncols) == "unbounded":
-            raise NumericalFailure("phase-1 LP unbounded")
-        if tab.values()[n + m:].sum() > FEAS_TOL:
-            return "infeasible", tab
-        # An artificial still basic (at zero) is a multiple of its row's
-        # slack column, so that slack can always take its place.
-        for r in np.flatnonzero(tab.basic >= n + m):
-            q = n + int(art_rows[tab.basic[r] - n - m])
-            if abs(tab.T[r, q]) < PIVOT_TOL:
-                raise NumericalFailure("artificial column cannot leave the basis")
-            tab.pivot(r, q)
-        tab = _Tableau(
-            np.concatenate([T[:m + 1, :n + m], T[:m + 1, -1:]], axis=1), n, tab.basic,
-            lo, hi, tab.at_upper[:n + m], budget, tab.pivots,
-        )
-        tab.refresh_beta(lp.rhs)
-    return tab.primal(m, n + m), tab
 
 
 def _factorize(rows: np.ndarray, basic: np.ndarray) -> Optional[np.ndarray]:
@@ -416,8 +371,22 @@ def _factorize(rows: np.ndarray, basic: np.ndarray) -> Optional[np.ndarray]:
     return out
 
 
-def _warm_solve(lp: LpProblem, lo, hi, cost, start: LpBasis, budget) -> tuple:
-    """Re-optimize from a given basis; the status is None when the start is unusable."""
+def _slack_basis(n: int, m: int) -> LpBasis:
+    """Every slack basic, every structural column at its lower bound (or its only finite one)."""
+    return LpBasis(n + np.arange(m), np.zeros(n + m, dtype=bool))
+
+
+def _simplex(lp: LpProblem, lo, hi, cost, start: LpBasis, budget, pivots, tolerate) -> tuple:
+    """Dual simplex from ``start`` to a feasible basis, then primal simplex to the optimum.
+
+    The dual simplex runs on the true costs when ``start`` is dual feasible
+    for them, and otherwise on a zero cost row, for which every basis is
+    (phase one); the reduced costs of the true costs are then recomputed
+    for the primal. Returns (status, tableau); the status is None when
+    ``start`` does not fit the LP or is singular (no tableau), or when the
+    dual simplex meets an infeasibility too small to prove and ``tolerate``
+    is off.
+    """
     n, m = lp.c.size, lp.rhs.size
     ncols = n + m
     basic = np.asarray(start.basic, dtype=int)
@@ -433,21 +402,22 @@ def _warm_solve(lp: LpProblem, lo, hi, cost, start: LpBasis, budget) -> tuple:
         start.factor = factor = (lp.rows, inv_a)
     T = np.zeros((m + 1, ncols + 1))
     T[:m, :-1] = factor[1]
-    T[m, :-1] = cost - cost[basic] @ factor[1]
-    T[m, basic] = 0.0
-
-    at_upper = np.asarray(start.at_upper, dtype=bool) & np.isfinite(hi)
-    at_upper |= _initial_at_upper(lo, hi)
-    tab = _Tableau(T, n, basic.copy(), lo, hi, at_upper, budget)
+    # a nonbasic column sits at its lower bound, or at the upper if only it is finite
+    at_upper = (np.asarray(start.at_upper, dtype=bool) | ~np.isfinite(lo)) & np.isfinite(hi)
+    tab = _Tableau(T, n, basic.copy(), lo, hi, at_upper, budget, pivots)
+    tab.refresh_beta(lp.rhs)
+    tab.price(cost)
     # the dual simplex needs every reduced cost to agree with the side its column sits on
     d = T[m, :-1]
-    if (d * tab.way < -OPT_TOL).any() or (np.abs(d[tab.free_nb]) > OPT_TOL).any():
-        return None, None
-    tab.refresh_beta(lp.rhs)
-    status = tab.dual()
+    phase_one = (d * tab.way < -OPT_TOL).any() or (np.abs(d[tab.free_nb]) > OPT_TOL).any()
+    if phase_one:
+        d[:] = 0.0
+    status = tab.dual(tolerate)
     if status != "optimal":
         return status, tab
-    return tab.primal(m, ncols), tab
+    if phase_one:
+        tab.price(cost)
+    return tab.primal(), tab
 
 
 def solve_lp(
@@ -455,25 +425,33 @@ def solve_lp(
     start: Optional[LpBasis] = None,
     max_pivots: Optional[int] = None,
 ) -> LpSolution:
-    """Bounded-variable simplex; warm-started dual simplex when given a start basis.
+    """Bounded-variable simplex from a start basis (``_simplex``).
 
     ``start`` is the final basis of an LP with the same rows, objective and
-    senses, typically a branch-and-bound parent whose bounds differ. If it
-    cannot be used, or the dual simplex cannot decide the LP, the solve
-    starts over cold with the two-phase primal simplex.
+    senses, typically a branch-and-bound parent whose bounds differ. Without
+    one, or if it does not fit the LP, is singular, or leads the dual
+    simplex to an infeasibility too small to prove, the solve starts from
+    the slack basis, and there leaves such a row as it is. Raises
+    NumericalFailure when the pivot budget runs out or the rows are not
+    finite.
     """
     n, m = lp.c.size, lp.rhs.size
     if np.any(lp.lower > lp.upper + 1e-12):
         return LpSolution(status="infeasible")
     lo, hi, cost = _columns(lp)
     budget = max_pivots if max_pivots is not None else 20000 + 60 * (2 * m + n)
-    status, tab = (None, None) if start is None else _warm_solve(lp, lo, hi, cost, start, budget)
+    status, tab = None, None
+    if start is not None:
+        status, tab = _simplex(lp, lo, hi, cost, start, budget, 0, tolerate=False)
     if status is None:
-        status, tab = _cold_solve(lp, lo, hi, cost, budget, 0 if tab is None else tab.pivots)
+        pivots = 0 if tab is None else tab.pivots
+        status, tab = _simplex(lp, lo, hi, cost, _slack_basis(n, m), budget, pivots, tolerate=True)
+        if tab is None:
+            raise NumericalFailure("LP rows are not finite")
     if status != "optimal":
         return LpSolution(status=status, pivots=tab.pivots)
     x = tab.values()[:n]
-    basis = LpBasis(tab.basic.copy(), tab.at_upper[:n + m] & ~tab.is_basic[:n + m])
+    basis = LpBasis(tab.basic.copy(), tab.at_upper & ~tab.is_basic)
     return LpSolution(
         status="optimal",
         x=x,
@@ -825,10 +803,7 @@ def solve_milp(model: MilpModel, time_limit: Optional[float] = None) -> MilpSolu
         node_bound, _, lo, hi, x_lp, basis = heapq.heappop(heap)
         if incumbent_x is not None and node_bound >= incumbent_obj - GAP_TOL * max(1.0, abs(incumbent_obj)):
             break
-        if _fractional(x_lp, int_idx) is None:
-            if node_bound < incumbent_obj:
-                incumbent_obj, incumbent_x = node_bound, snap(x_lp)
-            continue
+        # the heap holds only fractional nodes: the root, and children not yet integral
         j = _pseudocost_column(x_lp, int_idx, gains, counts)
         floor_v = math.floor(x_lp[j] + INT_TOL)
         frac = x_lp[j] - floor_v

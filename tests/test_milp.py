@@ -89,6 +89,12 @@ def test_lp_matches_scipy_on_random_instances():
             assert sol.objective == pytest.approx(ref.fun, abs=1e-6, rel=1e-6)
 
 
+def test_lp_matches_scipy_under_blands_rule(monkeypatch):
+    # a limit of 0 runs Bland's rule from the first pivot, phase one included
+    monkeypatch.setattr(milp, "STALL_LIMIT", 0)
+    test_lp_matches_scipy_on_random_instances()
+
+
 def test_milp_binary_knapsack():
     m = milp.MilpModel()
     a = m.add_binary()
@@ -814,6 +820,8 @@ def _random_lp(rng, minimize):
     upper=st.booleans(),
     shift=st.floats(-4.0, 4.0),
 )
+# the warm start meets an infeasibility too small to prove and starts over from the slack basis
+@example(seed=98813, minimize=False, upper=False, shift=1.1114224981056767e-07)
 def test_warm_start_matches_cold_solve(seed, minimize, upper, shift):
     """A child LP differs from its parent in one bound; warm and cold agree."""
     rng = np.random.default_rng(seed)
@@ -856,6 +864,13 @@ def test_unusable_start_falls_back_to_cold_solve():
     assert warm.objective == pytest.approx(milp.solve_lp(lp).objective)
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_lp_with_non_finite_rows_raises(bad):
+    lp = _lp([1, 1], [[1, bad]], [">="], [1], [0, 0], [1, 1])
+    with pytest.raises(NumericalFailure, match="not finite"):
+        milp.solve_lp(lp)
+
+
 def test_milp_pivots_sum_over_its_lp_solves(monkeypatch):
     calls = []
     solve_lp = milp.solve_lp
@@ -878,20 +893,21 @@ def test_milp_pivots_sum_over_its_lp_solves(monkeypatch):
 
 
 def test_branch_and_bound_solves_only_the_root_cold(monkeypatch):
-    cold = []
-    cold_solve = milp._cold_solve
+    """Only the root LP starts from the slack basis; every later one from a parent's."""
+    starts = []
+    slack_basis = milp._slack_basis
 
-    def counting_cold_solve(*args, **kwargs):
-        cold.append(1)
-        return cold_solve(*args, **kwargs)
+    def counting_slack_basis(*args, **kwargs):
+        starts.append(1)
+        return slack_basis(*args, **kwargs)
 
-    monkeypatch.setattr(milp, "_cold_solve", counting_cold_solve)
+    monkeypatch.setattr(milp, "_slack_basis", counting_slack_basis)
     rng = np.random.default_rng(5)
     for _ in range(30):
-        cold.clear()
+        starts.clear()
         sol = milp.solve_milp(_random_mixed_model(rng))
         # a model bound propagation proves infeasible runs no LP at all
-        assert len(cold) == (1 if sol.nodes > 0 else 0), f"{len(cold)} cold solves in {sol.nodes} LPs"
+        assert len(starts) == (1 if sol.nodes > 0 else 0), f"{len(starts)} slack starts in {sol.nodes} LPs"
 
 
 # ---------------------------------------------------------------------------
