@@ -315,12 +315,12 @@ def _sample_constraint(sp: StandardProblem, con, cfg: RunConfig, rng):
         new_values = np.concatenate([values, evaluate(batch)])
         return np.vstack([points, batch]), new_values, feasibility_labels(new_values, con.sense)
 
-    if len(np.unique(labels)) == 2:
+    if labels.min() != labels.max():
         knn_pts = sampling.knn_boundary_sample(points, labels, values, sampling.KNN_K, lo, hi)
         if len(knn_pts):
             points, values, labels = extend(knn_pts)
 
-    if len(np.unique(labels)) == 2:
+    if labels.min() != labels.max():
         def committee_tree(X, y, seed):  # the trees are deterministic: the seed goes unused
             return train_tree(X, y, task="classifier")
 

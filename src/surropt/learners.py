@@ -24,6 +24,7 @@ SVC_REG = 1e-3     # ridge weight of the hinge loss
 SVR_REG = 1e-8     # ridge weight of the insensitive loss
 SVR_BAND = 0.01    # insensitive band, in standard deviations of the targets
 MLP_CLOCK_EVERY = 10  # epochs between the MLP's deadline checks
+SPLIT_BLOCK = 2 ** 13  # elements of the columns a node's split scan gathers at once
 
 
 # ---------------------------------------------------------------------------
@@ -189,17 +190,21 @@ def _standardize(X):
 
 
 def train_svc(X, y, epochs: int = 300) -> LinearModel:
-    """Hinge-loss linear classifier by full-batch projected subgradient."""
+    """Hinge-loss linear classifier by full-batch projected subgradient.
+
+    The +-1 labels are multiplied into the standardized rows once, which is
+    exact, so each epoch's subgradient sums the violating rows of that
+    product."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     m, n = X.shape
-    labels = set(np.unique(y).tolist())
-    if len(labels) < 2:
+    if y.min() == y.max():
         raise DegenerateDataset("classifier training needs both labels")
     if np.allclose(X, X[0]):
         raise DegenerateDataset("all feature rows identical with mixed labels")
     t = np.where(y >= 0.5, 1.0, -1.0)
     Xs, mu, sd = _standardize(X)
+    tX = t[:, None] * Xs  # exact: t is +-1
     w = np.zeros(n)
     b = 0.0
     w_avg = np.zeros(n)
@@ -209,7 +214,7 @@ def train_svc(X, y, epochs: int = 300) -> LinearModel:
     for step in range(1, epochs + 1):
         margins = t * (Xs @ w + b)
         viol = margins < 1.0
-        gw = SVC_REG * w - (t[viol, None] * Xs[viol]).sum(axis=0) / m
+        gw = SVC_REG * w - tX[viol].sum(axis=0) / m
         gb = -t[viol].sum() / m
         eta = 1.0 / (SVC_REG * (step + 10.0))
         w -= eta * gw
@@ -264,39 +269,41 @@ def train_svr(X, y, epochs: int = 200) -> LinearModel:
 # Greedy oblique trees
 # ---------------------------------------------------------------------------
 
-def _impurity_scan(proj, y, order, classification):
-    """Best threshold on a 1-D projection, given the indices ``order`` of
-    the node's rows sorted stably by ``proj``; returns (score, threshold)
-    where lower score is better, or None when no valid split exists."""
-    p = proj[order]
-    t = y[order]
-    m = len(t)
-    valid = np.nonzero(p[:-1] < p[1:] - 1e-14)[0]
-    if valid.size == 0:
-        return None
-    left_n = valid + 1.0
+def _scan_splits(p, t, classification):
+    """The best split of each row of ``p``, a projection of a node's rows
+    sorted stably, with ``t`` their targets in the same order: per row,
+    (score, threshold) where lower score is better, or None when no valid
+    split exists.
+
+    Row-wise cumulative sums score every position between two rows; a
+    position between values within 1e-14 is invalid and scores +inf, so
+    ``argmin`` takes the first best valid position. Each row's result is
+    the one a scan of that row alone returns, bit for bit."""
+    m = p.shape[1]
+    valid = p[:, :-1] < p[:, 1:] - 1e-14
+    left_n = np.arange(1.0, m)
     right_n = m - left_n
+    c1 = np.cumsum(t, axis=1)[:, :-1]
     if classification:
-        c1 = np.cumsum(t)[valid]
-        l1 = c1
         l0 = left_n - c1
-        r1 = t.sum() - c1
+        r1 = t.sum(axis=1)[:, None] - c1
         r0 = right_n - r1
-        gini_l = left_n - (l1 * l1 + l0 * l0) / left_n
+        gini_l = left_n - (c1 * c1 + l0 * l0) / left_n
         gini_r = right_n - (r1 * r1 + r0 * r0) / right_n
         score = gini_l + gini_r
     else:
-        cs = np.cumsum(t)[valid]
-        cs2 = np.cumsum(t * t)[valid]
-        tot = t.sum()
-        tot2 = (t * t).sum()
-        sse_l = cs2 - cs * cs / left_n
-        sse_r = (tot2 - cs2) - (tot - cs) ** 2 / right_n
+        t2 = t * t
+        cs2 = np.cumsum(t2, axis=1)[:, :-1]
+        sse_l = cs2 - c1 * c1 / left_n
+        sse_r = (t2.sum(axis=1)[:, None] - cs2) - (t.sum(axis=1)[:, None] - c1) ** 2 / right_n
         score = sse_l + sse_r
-    k = int(np.argmin(score))
-    i = valid[k]
-    threshold = 0.5 * (p[i] + p[i + 1])
-    return float(score[k]), threshold
+    score[~valid] = np.inf
+    out = []
+    for j, i in enumerate(np.argmin(score, axis=1)):
+        if not valid[j, i]:  # no valid score below +inf: the first valid position
+            i = np.argmax(valid[j])
+        out.append((float(score[j, i]), 0.5 * (p[j, i] + p[j, i + 1])) if valid[j, i] else None)
+    return out
 
 
 def _node_impurity(y, classification):
@@ -307,8 +314,19 @@ def _node_impurity(y, classification):
     return float(((y - y.mean()) ** 2).sum())
 
 
+def _median(y):
+    """``np.median(y)`` of a nonempty 1-D float array, bit for bit, without
+    the ``numpy.ma`` import that ``np.median`` makes on first use."""
+    half = len(y) // 2
+    odd = len(y) % 2
+    part = np.partition(y, [half, -1] if odd else [half - 1, half, -1])
+    if np.isnan(part[-1]):
+        return part[-1]
+    return part[half - 1 + odd:half + 1].mean()
+
+
 def _oblique_direction(X, y, classification):
-    t = np.where(y >= (0.5 if classification else np.median(y)), 1.0, -1.0)
+    t = np.where(y >= (0.5 if classification else _median(y)), 1.0, -1.0)
     Xc = X - X.mean(axis=0)
     n = X.shape[1]
     G = Xc.T @ Xc + 1e-6 * np.eye(n)
@@ -328,11 +346,21 @@ def _best_split(columns, y, span, Xv, yv, classification, oblique):
     """A node's split ``(a, threshold)``: the best axis-parallel one, from
     the node's rows in each column's order (``span``), or the hyperplane of
     a local linear fit when that scores lower by 1e-12. None when no split
-    is valid or the best one raises the node's impurity by over 1e-12."""
-    n = len(columns)
+    is valid or the best one raises the node's impurity by over 1e-12.
+
+    The axis splits are scanned a block of columns at a time, each block
+    one (columns x rows) gather of the span of about ``SPLIT_BLOCK``
+    elements, so that large nodes stay in cache; the columns are then
+    compared in order."""
+    n, m = span.shape
+    rows = max(1, SPLIT_BLOCK // m)
+    scans = []
+    for start in range(0, n, rows):
+        block = span[start:start + rows]
+        flat = block + columns.shape[1] * np.arange(start, start + len(block))[:, None]
+        scans += _scan_splits(np.take(columns, flat), y[block], classification)
     best = None  # (score, a, threshold)
-    for j in range(n):
-        res = _impurity_scan(columns[j], y, span[j], classification)
+    for j, res in enumerate(scans):
         if res is not None and (best is None or res[0] < best[0] - 1e-12):
             a = np.zeros(n)
             a[j] = 1.0
@@ -341,7 +369,8 @@ def _best_split(columns, y, span, Xv, yv, classification, oblique):
         w = _oblique_direction(Xv, yv, classification)
         if w is not None:
             proj = Xv @ w
-            res = _impurity_scan(proj, yv, np.argsort(proj, kind="stable"), classification)
+            order = np.argsort(proj, kind="stable")
+            res = _scan_splits(proj[order][None], yv[order][None], classification)[0]
             if res is not None and (best is None or res[0] < best[0] - 1e-12):
                 best = (res[0], w, res[1])
     if best is None or best[0] > _node_impurity(yv, classification) + 1e-12:
@@ -357,7 +386,9 @@ def _grow(X, y, presorted, classification, max_depth, oblique) -> _Node:
     indices in the column's stable order. A stable sort of a subset is its
     parent's order filtered to the subset (the CART presort), so a split
     partitions the span stably in place, left rows first, instead of
-    sorting again. Oblique projections still sort per node.
+    sorting again. Each node scores the axis splits of its columns in
+    whole-array passes over blocks of its span (``_best_split``). Oblique
+    projections still sort per node.
 
     Nodes come off an explicit stack: a nested function that recurses
     holds itself in a reference cycle, which would keep these arrays alive
@@ -373,9 +404,9 @@ def _grow(X, y, presorted, classification, max_depth, oblique) -> _Node:
         node, Xv, yv, idx, start, depth = stack.pop()
         m = len(yv)
         span = orders[:, start:start + m]
-        pure = len(np.unique(yv)) <= 1 if classification else float(yv.std()) < 1e-12
+        pure = m < 2 or (yv.min() == yv.max() if classification else float(yv.std()) < 1e-12)
         split = None
-        if depth < max_depth and m >= 2 and not pure:
+        if depth < max_depth and not pure:
             split = _best_split(columns, y, span, Xv, yv, classification, oblique)
         mask = None if split is None else Xv @ split[0] <= split[1]
         if mask is None or not mask.any() or mask.all():
@@ -406,8 +437,10 @@ def train_tree(
     with (optionally) the hyperplane of a local linear fit and keeps the one
     with more impurity reduction. Impure nodes split even at zero gain until
     the depth cap. Each column of X is sorted once, at the root, and every
-    split partitions those orders (``_grow``); the tree is bit for bit the
-    one that sorting each node's rows again would grow."""
+    split partitions those orders (``_grow``); each node scans the axis
+    splits of a block of columns in one pass. The tree is bit for bit the
+    one that sorting each node's rows again and scanning each column alone
+    would grow."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     return ObliqueTree(root=_grow(X, y, _presort(X), task == "classifier", max_depth, oblique))
@@ -653,7 +686,7 @@ def select_surrogate(
     m = len(y)
     if m < 10:
         raise DegenerateDataset("need at least 10 samples to split and select")
-    if task == "classifier" and len(np.unique(y)) < 2:
+    if task == "classifier" and y.min() == y.max():
         raise DegenerateDataset("single-label dataset")
     rng = np.random.default_rng(seed)
 

@@ -392,7 +392,7 @@ def _simplex(lp: LpProblem, lo, hi, cost, start: LpBasis, budget, pivots, tolera
     basic = np.asarray(start.basic, dtype=int)
     if basic.shape != (m,) or np.shape(start.at_upper) != (ncols,):
         return None, None
-    if m and (basic.min() < 0 or basic.max() >= ncols or np.unique(basic).size != m):
+    if m and (basic.min() < 0 or basic.max() >= ncols or (np.diff(np.sort(basic)) == 0).any()):
         return None, None
     factor = start.factor
     if factor is None or factor[0] is not lp.rows:

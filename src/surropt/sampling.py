@@ -46,6 +46,7 @@ from .errors import DegenerateDataset, EmptyPolyhedron
 STRICT_MARGIN = 1e-7  # closed-set stand-in for strict split sides
 CONTAIN_TOL = 1e-9
 KNN_K = 10            # neighbors searched for opposite labels by secant sampling
+KNN_BLOCK = 2 ** 15   # squared coordinate differences held at once by the neighbor search
 N_LH = 300            # least Latin hypercube size; the static design draws max(N_LH, 50 d)
 COMMITTEE_SIZE = 5    # trees in an adaptive round's committee
 DISCORDANCE = 0.5     # largest vote gap, as a share of the committee, of an ambiguous point
@@ -167,40 +168,81 @@ def knn_boundary_sample(points, labels, values, k: int, lo, hi) -> np.ndarray:
 
     For every point, each opposite-label point among its k nearest neighbors
     contributes x_i + g_i / (g_i - g_j) * (x_j - x_i), clipped to the box,
-    where g is the constraint value behind each point's label.
-    Pairs with a non-finite value are skipped. Near-duplicates (within 1e-7)
-    are dropped.
+    where g is the constraint value behind each point's label. The
+    neighbors come from blocks of rows of the squared-distance matrix, a
+    block's d arrays of squared coordinate differences holding near
+    ``KNN_BLOCK`` elements in all, with one ``argpartition`` along the
+    rows. The distances are summed over coordinates in numpy's order
+    (``_pairwise_sum``), so they match a per-point distance pass bit for
+    bit. Each unordered pair contributes once, from its first occurrence
+    with points ascending and each point's neighbors in ``argpartition``
+    order. Pairs with a non-finite or equal value are skipped.
+    Near-duplicates (within 1e-7) are dropped.
     """
     points = np.asarray(points, dtype=float)
     labels = np.asarray(labels)
     if len(set(labels.tolist())) < 2:
         raise DegenerateDataset("secant sampling needs both labels present")
     values = np.asarray(values, dtype=float)
-    m = points.shape[0]
+    m, d = points.shape
     k = min(k, m - 1)
-    out = []
-    seen_pairs = set()
-    for i in range(m):
-        d2 = ((points - points[i]) ** 2).sum(axis=1)
-        d2[i] = np.inf
-        nbrs = np.argpartition(d2, k - 1)[:k]
-        for j in nbrs:
-            j = int(j)
-            if labels[i] == labels[j]:
-                continue
-            pair = (min(i, j), max(i, j))
-            if pair in seen_pairs:
-                continue
-            seen_pairs.add(pair)
-            gi, gj = values[i], values[j]
-            if gi == gj or not (math.isfinite(gi) and math.isfinite(gj)):
-                continue
-            t = gi / (gi - gj)
-            new = points[i] + t * (points[j] - points[i])
-            out.append(np.clip(new, lo, hi))
-    if not out:
-        return np.empty((0, points.shape[1]))
-    return _dedupe(np.array(out), tol=1e-7)
+    coords = np.ascontiguousarray(points.T)
+    nbrs = np.empty((m, k), dtype=np.intp)
+    rows = max(1, KNN_BLOCK // (m * d))
+    for start in range(0, m, rows):
+        stop = min(m, start + rows)
+        d2 = _pairwise_sum([(c[None, :] - c[start:stop, None]) ** 2 for c in coords])
+        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        nbrs[start:stop] = np.argpartition(d2, k - 1, axis=1)[:, :k]
+    i = np.repeat(np.arange(m), k)
+    j = nbrs.ravel()
+    opposite = labels[i] != labels[j]
+    i, j = i[opposite], j[opposite]
+    # first occurrence of each unordered pair: the stable sort keeps
+    # occurrences of one pair in order
+    pair = np.minimum(i, j) * m + np.maximum(i, j)
+    order = np.argsort(pair, kind="stable")
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = pair[order[1:]] != pair[order[:-1]]
+    keep = np.sort(order[first])
+    i, j = i[keep], j[keep]
+    gi, gj = values[i], values[j]
+    ok = (gi != gj) & np.isfinite(gi) & np.isfinite(gj)
+    i, j, gi, gj = i[ok], j[ok], gi[ok], gj[ok]
+    t = gi / (gi - gj)
+    new = points[i] + t[:, None] * (points[j] - points[i])
+    return _dedupe(np.clip(new, lo, hi), tol=1e-7)
+
+
+def _pairwise_sum(terms):
+    """The elementwise sum of a list of equal-shape arrays, rounded as
+    numpy's ``sum`` rounds a contiguous axis holding them in order:
+    pairwise, one term after another below 8 terms, else in 8 interleaved
+    partial sums added as a tree, then the remainder one after another;
+    above 128 terms the two halves are summed apart and added.
+
+    ``_pairwise_sum([(x[:, c] - p[c]) ** 2 for c in range(d)])`` is thus
+    ``((x - p) ** 2).sum(axis=1)`` bit for bit, without a reduction over a
+    short axis.
+    """
+    n = len(terms)
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+    if n < 8:
+        total, rest = terms[0].copy(), terms[1:]
+    else:
+        part = [t.copy() for t in terms[:8]]
+        full = n - n % 8
+        for i in range(8, full, 8):
+            for j in range(8):
+                part[j] += terms[i + j]
+        total = ((part[0] + part[1]) + (part[2] + part[3])) + ((part[4] + part[5]) + (part[6] + part[7]))
+        rest = terms[full:]
+    for t in rest:
+        total += t
+    return total
 
 
 def _dedupe(pts: np.ndarray, tol: float) -> np.ndarray:

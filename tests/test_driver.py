@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
 
@@ -59,6 +62,22 @@ def _fast_config(**kw):
     )
     base.update(kw)
     return RunConfig(**base)
+
+
+def test_a_solve_keeps_numpy_ma_unimported():
+    # numpy 2 imports numpy.ma on the first plain np.unique or np.median,
+    # about 12 ms of a fresh process; the solve path calls neither
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "from surropt import RunConfig, solve_global\n"
+        "from surropt.benchmarks import speed_reducer_problem\n"
+        "solve_global(speed_reducer_problem(), RunConfig(seed=3))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def test_qsigmoid_generator_deterministic():

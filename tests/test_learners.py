@@ -2,10 +2,11 @@ import itertools
 import math
 import pickle
 import types
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from surropt import learners as L
@@ -154,13 +155,46 @@ def test_tree_traversal_matches_leaf_membership():
         assert by_membership == by_traversal
 
 
+def _impurity_scan(proj, y, order, classification):
+    """The one-column split scan, as a reference: (score, threshold) of the
+    best split of ``proj`` with its rows in ``order``, or None."""
+    p = proj[order]
+    t = y[order]
+    m = len(t)
+    valid = np.nonzero(p[:-1] < p[1:] - 1e-14)[0]
+    if valid.size == 0:
+        return None
+    left_n = valid + 1.0
+    right_n = m - left_n
+    if classification:
+        c1 = np.cumsum(t)[valid]
+        l1 = c1
+        l0 = left_n - c1
+        r1 = t.sum() - c1
+        r0 = right_n - r1
+        gini_l = left_n - (l1 * l1 + l0 * l0) / left_n
+        gini_r = right_n - (r1 * r1 + r0 * r0) / right_n
+        score = gini_l + gini_r
+    else:
+        cs = np.cumsum(t)[valid]
+        cs2 = np.cumsum(t * t)[valid]
+        tot = t.sum()
+        tot2 = (t * t).sum()
+        sse_l = cs2 - cs * cs / left_n
+        sse_r = (tot2 - cs2) - (tot - cs) ** 2 / right_n
+        score = sse_l + sse_r
+    k = int(np.argmin(score))
+    i = valid[k]
+    return float(score[k]), 0.5 * (p[i] + p[i + 1])
+
+
 def _reference_tree(X, y, task, max_depth, oblique):
     """Frozen per-node build: every node sorts every column of its own rows
     again. ``train_tree`` must return exactly its tree."""
     classification = task == "classifier"
 
     def scan(proj, yv):
-        return L._impurity_scan(proj, yv, np.argsort(proj, kind="stable"), classification)
+        return _impurity_scan(proj, yv, np.argsort(proj, kind="stable"), classification)
 
     def leaf(yv):
         if classification:
@@ -237,6 +271,113 @@ def test_presorted_tree_matches_per_node_sorting(m, d, levels, task, oblique, ma
         ref = _reference_tree(X, y - pred, "regressor", max_depth, False)
         assert _tree_bytes(tree.root) == _tree_bytes(ref.root)
         pred += w * ref.predict(X)
+
+
+def _best_split_reference(columns, y, span, Xv, yv, classification, oblique):
+    """The per-column split search, as a reference: ``_impurity_scan`` once
+    per column of the node, the columns compared in order, then the oblique
+    candidate, scanned alone."""
+    n = len(columns)
+    best = None
+    for j in range(n):
+        res = _impurity_scan(columns[j], y, span[j], classification)
+        if res is not None and (best is None or res[0] < best[0] - 1e-12):
+            a = np.zeros(n)
+            a[j] = 1.0
+            best = (res[0], a, res[1])
+    if oblique:
+        w = L._oblique_direction(Xv, yv, classification)
+        if w is not None:
+            proj = Xv @ w
+            res = _impurity_scan(proj, yv, np.argsort(proj, kind="stable"), classification)
+            if res is not None and (best is None or res[0] < best[0] - 1e-12):
+                best = (res[0], w, res[1])
+    if best is None or best[0] > L._node_impurity(yv, classification) + 1e-12:
+        return None
+    return best[1], best[2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.integers(2, 80),
+    d=st.integers(1, 5),
+    size=st.integers(2, 80),
+    levels=st.sampled_from([0, 2, 3]),
+    constant=st.integers(0, 5),
+    task=st.sampled_from(["classifier", "regressor"]),
+    huge=st.booleans(),
+    oblique=st.booleans(),
+    block=st.sampled_from([1, 100, L.SPLIT_BLOCK]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m=2, d=2, size=2, levels=0, constant=0, task="classifier", huge=False, oblique=False,
+         block=L.SPLIT_BLOCK, seed=0)
+@example(m=9, d=3, size=9, levels=0, constant=3, task="regressor", huge=False, oblique=True,
+         block=L.SPLIT_BLOCK, seed=1)
+def test_split_search_matches_per_column_scans(m, d, size, levels, constant, task, huge, oblique, block, seed):
+    # a node of ``size`` of the m rows, in each column's presorted order;
+    # the first ``constant`` columns have no valid split, ``levels`` rounds
+    # the others onto few values (ties), ``huge`` regression targets of
+    # alternating sign overflow the scores, and ``block`` gathers from one
+    # column at a time up to every column at once
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.0, 2.0, size=(m, d))
+    if levels:
+        X = np.round(X * (levels - 1) / 3.0)
+    X[:, :constant] = X[0, :constant]
+    if task == "classifier":
+        y = (rng.random(m) < 0.4).astype(float)
+    elif huge:
+        y = np.where(np.arange(m) % 2 == 0, 1e154, -1e154) * rng.uniform(1.0, 2.0, size=m)
+    else:
+        y = np.round(rng.normal(size=m), 1)
+    idx = np.sort(rng.choice(m, size=min(size, m), replace=False))
+    inside = np.zeros(m, dtype=bool)
+    inside[idx] = True
+    span = np.array([order[inside[order]] for order in L._presort(X)])
+    columns = np.ascontiguousarray(X.T)
+    args = (columns, y, span, X[idx], y[idx], task == "classifier", oblique)
+    with np.errstate(over="ignore", invalid="ignore"), mock.patch.object(L, "SPLIT_BLOCK", block):
+        scans = L._scan_splits(np.take_along_axis(columns, span, axis=1), y[span], task == "classifier")
+        alone = [_impurity_scan(columns[j], y, span[j], task == "classifier") for j in range(d)]
+        got = L._best_split(*args)
+        want = _best_split_reference(*args)
+    assert [None if r is None else (r[0].hex(), float(r[1]).hex()) for r in scans] == [
+        None if r is None else (r[0].hex(), float(r[1]).hex()) for r in alone
+    ]
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert np.array_equal(got[0], want[0])
+        assert float(got[1]).hex() == float(want[1]).hex()
+
+
+def test_split_search_takes_the_first_valid_position_when_every_score_overflows():
+    # every valid position's score is +inf and so is the node's impurity:
+    # the per-column scan keeps its first valid position (between rows 1
+    # and 2), not the invalid tie at position 0
+    s = math.sqrt(0.9e308)
+    y = np.array([1.0, 1.0, s, -0.9 * s, 0.8 * s])
+    X = np.array([[0.0], [0.0], [1.0], [2.0], [3.0]])
+    args = (np.ascontiguousarray(X.T), y, L._presort(X), X, y, False, False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = L._best_split(*args)
+        want = _best_split_reference(*args)
+    assert want[1] == 0.5
+    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    y=st.lists(
+        st.one_of(st.floats(allow_nan=True), st.sampled_from([0.0, -0.0, 1.0])), min_size=1, max_size=40
+    )
+)
+def test_median_matches_numpy(y):
+    y = np.array(y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = L._median(y), np.median(y)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.signbit(got) == np.signbit(want)
 
 
 # ---------------------------------------------------------------------------

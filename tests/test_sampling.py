@@ -1,8 +1,9 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from surropt import sampling as S
@@ -115,6 +116,89 @@ def test_knn_skips_pairs_with_non_finite_values():
     assert len(new) > 0
     assert np.isfinite(new).all()
     assert np.allclose(new[:, 1], 0.5)
+
+
+def _knn_reference(points, labels, values, k, lo, hi):
+    """The per-point loop, as a reference: for each point one distance
+    pass, one argpartition and a walk over its k neighbors, each unordered
+    opposite-label pair taken at its first occurrence."""
+    points = np.asarray(points, dtype=float)
+    values = np.asarray(values, dtype=float)
+    m = points.shape[0]
+    k = min(k, m - 1)
+    out, seen = [], set()
+    for i in range(m):
+        d2 = ((points - points[i]) ** 2).sum(axis=1)
+        d2[i] = np.inf
+        for j in np.argpartition(d2, k - 1)[:k]:
+            j = int(j)
+            pair = (min(i, j), max(i, j))
+            if labels[i] == labels[j] or pair in seen:
+                continue
+            seen.add(pair)
+            gi, gj = values[i], values[j]
+            if gi == gj or not (math.isfinite(gi) and math.isfinite(gj)):
+                continue
+            t = gi / (gi - gj)
+            out.append(np.clip(points[i] + t * (points[j] - points[i]), lo, hi))
+    if not out:
+        return np.empty((0, points.shape[1]))
+    return S._dedupe(np.array(out), tol=1e-7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(2, 60),
+    d=st.integers(1, 9),
+    k=st.integers(1, 70),
+    n_dups=st.integers(0, 20),
+    values=st.sampled_from(["continuous", "equal", "non_finite"]),
+    flip=st.booleans(),
+    block_rows=st.sampled_from([1, 3, 1000]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m=2, d=1, k=5, n_dups=0, values="continuous", flip=False, block_rows=1, seed=0)
+def test_knn_matches_the_per_point_loop(m, d, k, n_dups, values, flip, block_rows, seed):
+    # duplicated points tie distances, rounded values make equal pairs, and
+    # k reaches past m - 1; the blocks of distance rows run from one row to
+    # all of them
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(-1.0, 1.0, size=(m, d))
+    pts = np.vstack([base, base[rng.integers(0, m, size=n_dups)]])[rng.permutation(m + n_dups)]
+    n = len(pts)
+    g = rng.normal(size=n)
+    if values == "equal":
+        g = np.round(g)
+    elif values == "non_finite":
+        bad = rng.random(n) < 0.3
+        g[bad] = rng.choice([math.nan, math.inf, -math.inf], size=int(bad.sum()))
+    labels = (g <= 0.0).astype(float)
+    if flip:
+        labels = 1.0 - labels
+    if labels.min() == labels.max():
+        labels[0] = 1.0 - labels[0]
+    lo, hi = np.full(d, -0.8), np.full(d, 0.8)
+    with mock.patch.object(S, "KNN_BLOCK", block_rows * n * d):
+        got = S.knn_boundary_sample(pts, labels, g, k, lo, hi)
+    want = _knn_reference(pts, labels, g, k, lo, hi)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.one_of(st.integers(1, 20), st.integers(120, 300)),
+    shape=st.sampled_from([(), (3,), (4, 5)]),
+    scale_exp=st.integers(-100, 100),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pairwise_sum_rounds_as_numpy_sum(n, shape, scale_exp, seed):
+    # up to 7 terms one after another, then 8 partial sums added as a
+    # tree, and halves above 128 terms
+    rng = np.random.default_rng(seed)
+    stacked = rng.standard_normal(shape + (n,)) * 10.0 ** (scale_exp * rng.random(n))
+    got = S._pairwise_sum([stacked[..., i] for i in range(n)])
+    assert np.array_equal(got, stacked.sum(axis=-1))
 
 
 def _dedupe_reference(pts, tol):
