@@ -1,8 +1,9 @@
 """Trainable surrogate families: linear SVM, oblique trees, boosted trees, MLP.
 
 All training is deterministic given the dataset order (and, for the MLP,
-its seed): full-batch subgradient or Adam loops, no stochastic
-minibatching. Trees are greedy top-down with axis-parallel splits plus,
+its seed): full-batch subgradient loops, and Adam steps on all rows of an
+MLP set of at most ``MLP_BATCH`` rows or on seeded minibatches of a larger
+one. Trees are greedy top-down with axis-parallel splits plus,
 optionally, one oblique candidate per node taken from a local linear fit. Thresholds follow the embedding
 rules: 0 for margin-based classifiers (SVM, MLP logit), 0.5 for tree and
 boosted ensembles trained on 0/1 labels.
@@ -23,7 +24,8 @@ SPLIT_RATIO = 0.7  # share of each label (or of a regression set) used for train
 SVC_REG = 1e-3     # ridge weight of the hinge loss
 SVR_REG = 1e-8     # ridge weight of the insensitive loss
 SVR_BAND = 0.01    # insensitive band, in standard deviations of the targets
-MLP_CLOCK_EVERY = 10  # epochs between the MLP's deadline checks
+MLP_CLOCK_EVERY = 10  # Adam steps between the MLP's deadline checks
+MLP_BATCH = 512  # most rows one MLP Adam step trains on
 SPLIT_BLOCK = 2 ** 13  # elements of the columns a node's split scan gathers at once
 
 
@@ -474,7 +476,7 @@ def train_gbm(
 
 
 # ---------------------------------------------------------------------------
-# MLP training (full-batch Adam)
+# MLP training (Adam on batches of at most MLP_BATCH rows)
 # ---------------------------------------------------------------------------
 
 def _layer_views(flat, shapes):
@@ -509,24 +511,33 @@ def train_mlp(
     restarts: int = 3,
     deadline: float = math.inf,
 ) -> Mlp:
-    """One-logit ReLU network trained with full-batch Adam; squared error
-    for regression, logistic loss for classification.
+    """One-logit ReLU network trained with ``epochs`` Adam steps; squared
+    error for regression, logistic loss for classification.
 
-    Every ``MLP_CLOCK_EVERY`` epochs, training stops once ``deadline`` (a
+    Each step takes the mean gradient over a batch of B = min(m,
+    ``MLP_BATCH``) rows. With m <= ``MLP_BATCH`` the batch is every row in
+    order. Otherwise step k trains on ``perm[j*B:(j+1)*B]`` with
+    j = (k - 1) mod (m // B), and ``perm`` is drawn afresh from
+    ``default_rng(seed + 104729)`` whenever j is 0; the m mod B rows left
+    over sit out that pass. The first layer's kinks are anchored on rows
+    drawn from all m, and after the last step one forward pass over all m
+    rows scores the restarts.
+
+    Every ``MLP_CLOCK_EVERY`` steps, training stops once ``deadline`` (a
     ``time.monotonic()`` instant) has passed, and the best restart so far
-    is returned as after that many epochs.
+    is returned as after that many steps.
 
     Runs a few deterministic restarts and keeps the lowest training loss,
     which protects small networks from dead-unit local minima. The restarts
     train together: restart r's weights are row r of one (R, P) array, and
-    every epoch runs one stacked forward pass, backward pass and Adam update
-    in preallocated buffers. Activations, back-propagated gradients and ReLU
-    masks are (R, units, m), the samples contiguous, so every broadcast and
-    bias-gradient sum streams along the samples. Each restart's arithmetic
-    is exactly that of a lone run in this layout, ``h = max(0, W @ h + b)``
-    on the (n, m) transposed inputs. Input (and regression target)
-    standardization is folded back into the weights so the returned network
-    acts on raw coordinates.
+    every step runs one stacked forward pass, backward pass and Adam update
+    on the same batch in preallocated buffers. Activations, back-propagated
+    gradients and ReLU masks are (R, units, B), the samples contiguous, so
+    every broadcast and bias-gradient sum streams along the samples. Each
+    restart's arithmetic is exactly that of a lone run in this layout,
+    ``h = max(0, W @ h + b)`` on the (n, B) transposed batch. Input (and
+    regression target) standardization is folded back into the weights so
+    the returned network acts on raw coordinates.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -540,6 +551,7 @@ def train_mlp(
         target = y
 
     m, n = Xs.shape
+    size = min(m, MLP_BATCH)
     R = max(1, restarts)
     sizes = [n] + list(hidden) + [1]
     shapes = list(zip(sizes[1:], sizes[:-1]))  # (fan_out, fan_in) per layer
@@ -562,10 +574,15 @@ def train_mlp(
                 bs[layer][r] = 0.0
 
     # acts[l] is layer l's input and acts[-1] the logits z; back[l + 1] is
-    # the loss gradient at layer l's pre-activation, the last one in z's memory
-    back = [None] + [np.empty((R, h, m)) for h in hidden] + [np.empty((R, 1, m))]
-    acts = [np.ascontiguousarray(Xs.T)[None]] + [np.empty((R, h, m)) for h in hidden] + back[-1:]
-    alive = [None] + [np.empty((R, h, m), dtype=bool) for h in hidden]
+    # the loss gradient at layer l's pre-activation, the last one in z's
+    # memory. With more than MLP_BATCH rows, acts[0] and `batch_target` are
+    # refilled with each step's batch
+    XsT = np.ascontiguousarray(Xs.T)
+    batch_X = XsT if size == m else np.empty((n, size))
+    batch_target = target if size == m else np.empty(size)
+    back = [None] + [np.empty((R, h, size)) for h in hidden] + [np.empty((R, 1, size))]
+    acts = [batch_X[None]] + [np.empty((R, h, size)) for h in hidden] + back[-1:]
+    alive = [None] + [np.empty((R, h, size), dtype=bool) for h in hidden]
     z = back[-1][:, 0, :]
     actTs = [a.transpose(0, 2, 1) for a in acts]
     WTs = [W.transpose(0, 2, 1) for W in Ws]
@@ -574,8 +591,10 @@ def train_mlp(
     mom2 = np.zeros((R, P))
     beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
     last = len(shapes) - 1
+    batch_rng = np.random.default_rng(seed + 104729)
+    per_pass = m // size  # batches per pass over the rows
 
-    def forward():
+    def forward(acts):
         for layer in range(last + 1):
             h = acts[layer + 1]
             np.matmul(Ws[layer], acts[layer], out=h)
@@ -584,14 +603,21 @@ def train_mlp(
                 np.maximum(0.0, h, out=h)
 
     for step in range(1, epochs + 1):
-        forward()
+        if size < m:
+            j = (step - 1) % per_pass
+            if j == 0:
+                perm = batch_rng.permutation(m)
+            rows = perm[j * size:(j + 1) * size]
+            np.take(XsT, rows, axis=1, out=batch_X)
+            np.take(target, rows, out=batch_target)
+        forward(acts)
         if task != "regressor":
             np.negative(z, out=z)
             np.exp(z, out=z)
             z += 1.0
             np.divide(1.0, z, out=z)
-        z -= target
-        z /= m
+        z -= batch_target
+        z /= size
         for layer in range(last, -1, -1):
             g = back[layer + 1]
             np.matmul(g, actTs[layer], out=gWs[layer])
@@ -612,7 +638,10 @@ def train_mlp(
         if step % MLP_CLOCK_EVERY == 0 and time.monotonic() > deadline:
             break
 
-    forward()
+    if size < m:
+        acts = [XsT[None]] + [np.empty((R, h, m)) for h in hidden] + [np.empty((R, 1, m))]
+    forward(acts)
+    z = acts[-1][:, 0, :]
     best, best_loss = 0, None
     for r in range(R):
         zr = z[r]

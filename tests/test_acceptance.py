@@ -463,7 +463,7 @@ def test_criterion_13_quadratic_sigmoid_vs_oracle(qsigmoid_run):
 
 
 def test_qsigmoid_evaluation_budget(qsigmoid_run):
-    # 5,605 calls: each static design holds 100 of the 1,024 box corners
+    # 5,601 calls: each static design holds 100 of the 1,024 box corners
     # (10 d) and the center. Enumerating every corner up to d = 10 took the
     # solve to 9,905
     _, calls = qsigmoid_run

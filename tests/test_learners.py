@@ -526,10 +526,26 @@ def _fold(Ws, bs, mu, sd, y_mu, y_sd):
     return list(zip(Ws, bs))
 
 
+def _batch_rows(m, epochs, seed):
+    """The rows of each Adam step: all m in order when m <= ``L.MLP_BATCH``,
+    else consecutive slices of B rows of a permutation drawn per pass."""
+    B = L.MLP_BATCH
+    if m <= B:
+        return [np.arange(m)] * epochs
+    rng = np.random.default_rng(seed + 104729)
+    rows = []
+    for k in range(epochs):
+        j = k % (m // B)
+        if j == 0:
+            perm = rng.permutation(m)
+        rows.append(perm[j * B:(j + 1) * B])
+    return rows
+
+
 def _reference_mlp(X, y, task, hidden, epochs, lr, seed, restarts):
     """Per-restart training loop with samples as columns: one restart at a
-    time, (units, m) activations, fresh arrays every step. ``train_mlp``
-    must return exactly its weights."""
+    time, (units, batch) activations, fresh arrays every step, the restart
+    scored over all rows. ``train_mlp`` must return exactly its weights."""
     Xs, mu, sd, target, y_mu, y_sd = _prepare_mlp(X, y, task)
     sizes = [Xs.shape[1]] + list(hidden) + [1]
     best = None
@@ -538,17 +554,17 @@ def _reference_mlp(X, y, task, hidden, epochs, lr, seed, restarts):
         mom1 = [np.zeros_like(p) for p in Ws + bs]
         mom2 = [np.zeros_like(p) for p in Ws + bs]
 
-        def forward():
-            h = np.ascontiguousarray(Xs.T)
+        def forward(rows):
+            h = np.ascontiguousarray(Xs[rows].T)
             acts = [h]
             for W, b in zip(Ws[:-1], bs[:-1]):
                 h = np.maximum(0.0, W @ h + b[:, None])
                 acts.append(h)
             return acts, (Ws[-1] @ h + bs[-1][:, None])[0]
 
-        for step in range(1, epochs + 1):
-            acts, z = forward()
-            grad = _logit_gradient(z, target, task)[None, :]
+        for step, rows in enumerate(_batch_rows(len(Xs), epochs, seed), start=1):
+            acts, z = forward(rows)
+            grad = _logit_gradient(z, target[rows], task)[None, :]
             gWs = [None] * len(Ws)
             gbs = [None] * len(bs)
             for layer in range(len(Ws) - 1, -1, -1):
@@ -557,7 +573,7 @@ def _reference_mlp(X, y, task, hidden, epochs, lr, seed, restarts):
                 if layer > 0:
                     grad = (Ws[layer].T @ grad) * (acts[layer] > 0)
             _adam(Ws + bs, mom1, mom2, gWs + gbs, step, lr)
-        loss = _loss(forward()[1], target, task)
+        loss = _loss(forward(np.arange(len(Xs)))[1], target, task)
         if best is None or loss < best[2]:
             best = (Ws, bs, loss)
     return _fold(best[0], best[1], mu, sd, y_mu, y_sd)
@@ -630,6 +646,13 @@ def test_mlp_stacked_restarts_match_reference_loop(hidden, task, restarts):
 
 
 @_mlp_settings
+def test_mlp_minibatches_match_reference_loop(hidden, task, restarts, monkeypatch):
+    # the 90 rows in batches of 32: two per pass, 26 rows left over each pass
+    monkeypatch.setattr(L, "MLP_BATCH", 32)
+    test_mlp_stacked_restarts_match_reference_loop(hidden, task, restarts)
+
+
+@_mlp_settings
 def test_mlp_agrees_with_the_row_major_oracle(hidden, task, restarts):
     X, y = _mlp_case(task)
     kw = dict(hidden=hidden, epochs=120, lr=0.01, seed=4, restarts=restarts)
@@ -651,16 +674,23 @@ def test_mlp_agrees_with_the_row_major_oracle(hidden, task, restarts):
     R=st.integers(1, 4),
     task=st.sampled_from(["classifier", "regressor"]),
     seed=st.integers(0, 2**32 - 1),
+    batch=st.one_of(st.just(L.MLP_BATCH), st.integers(1, 300)),
 )
-def test_mlp_stacked_restarts_match_lone_runs_on_random_shapes(m, n, hidden, R, task, seed):
+# m = B - 1, B, B + 1 and 2B + 1 around a batch of B = 32 rows
+@example(m=31, n=3, hidden=(4, 3), R=3, task="classifier", seed=11, batch=32)
+@example(m=32, n=3, hidden=(4, 3), R=3, task="regressor", seed=12, batch=32)
+@example(m=33, n=3, hidden=(4, 3), R=3, task="classifier", seed=13, batch=32)
+@example(m=65, n=3, hidden=(4, 3), R=3, task="regressor", seed=14, batch=32)
+def test_mlp_stacked_restarts_match_lone_runs_on_random_shapes(m, n, hidden, R, task, seed, batch):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(m, n)) * rng.uniform(0.1, 10.0, size=n)
     y = np.sin(X).sum(axis=1) + rng.normal(0.0, 0.3, size=m)
     if task == "classifier":
         y = (y >= np.median(y)).astype(float)
     kw = dict(hidden=hidden, epochs=20, lr=0.05, seed=seed % 1000, restarts=R)
-    net = L.train_mlp(X, y, task, **kw)
-    ref = _reference_mlp(X, y, task, **kw)
+    with mock.patch.object(L, "MLP_BATCH", batch):
+        net = L.train_mlp(X, y, task, **kw)
+        ref = _reference_mlp(X, y, task, **kw)
     for (W, b), (W_ref, b_ref) in zip(net.layers, ref):
         assert np.array_equal(W, W_ref) and np.array_equal(b, b_ref)
 
@@ -694,6 +724,13 @@ def test_mlp_stops_at_the_first_clock_check_past_its_deadline(monkeypatch):
     cut = L.train_mlp(X, y, deadline=1.5)
     assert pickle.dumps(cut) == pickle.dumps(short)
     assert pickle.dumps(cut) != pickle.dumps(L.train_mlp(X, y))
+
+
+def test_mlp_on_batches_stops_at_the_first_clock_check_past_its_deadline(monkeypatch):
+    # 80 rows in batches of 32: the clock is read after steps 10, 20 and 30
+    # as with one batch, and the cut network is the 30-step one
+    monkeypatch.setattr(L, "MLP_BATCH", 32)
+    test_mlp_stops_at_the_first_clock_check_past_its_deadline(monkeypatch)
 
 
 def test_select_surrogate_hands_its_deadline_to_the_mlp(monkeypatch):
